@@ -10,7 +10,7 @@ fetch past matching's tolerance.
 """
 
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import run_scatterpp_experiment
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.scatter.config import baseline_configs
 
 DURATION_S = 30.0
@@ -27,9 +27,9 @@ def run_grid():
     config = baseline_configs()["C1"]
     rows = []
     for name, stateless, sidecars in VARIANTS:
-        result = run_scatterpp_experiment(
+        result = run_experiment(ExperimentSpec(
             config, num_clients=4, duration_s=DURATION_S,
-            stateless_sift=stateless, with_sidecars=sidecars)
+            stateless_sift=stateless, with_sidecars=sidecars, scatterpp=True))
         rows.append({"variant": name, "fps": result.mean_fps(),
                      "success": result.success_rate(),
                      "e2e_ms": result.mean_e2e_ms()})

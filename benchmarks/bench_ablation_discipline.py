@@ -16,7 +16,7 @@ scAtteR++.
 import pytest
 
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import run_scatter_experiment
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.scatter.config import baseline_configs
 from repro.scatterpp.pipeline import scatterpp_pipeline_kwargs
 
@@ -28,9 +28,9 @@ def run_grid():
     rows = []
     for discipline in ("fifo", "lifo-fresh"):
         kwargs = scatterpp_pipeline_kwargs(discipline=discipline)
-        result = run_scatter_experiment(
+        result = run_experiment(ExperimentSpec(
             baseline_configs()["C1"], num_clients=CLIENTS,
-            duration_s=DURATION_S, pipeline_kwargs=kwargs)
+            duration_s=DURATION_S, pipeline_kwargs=kwargs))
         rows.append({"discipline": discipline,
                      "fps": result.mean_fps(),
                      "e2e_ms": result.mean_e2e_ms(),

@@ -8,7 +8,7 @@ past the XR budget).
 """
 
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import run_scatterpp_experiment
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.scatter.config import baseline_configs
 
 THRESHOLDS_S = (0.050, 0.100, 0.200)
@@ -20,9 +20,9 @@ def run_sweep():
     rows = []
     for threshold in THRESHOLDS_S:
         for clients in (2, 4):
-            result = run_scatterpp_experiment(
+            result = run_experiment(ExperimentSpec(
                 config, num_clients=clients, duration_s=DURATION_S,
-                threshold_s=threshold)
+                threshold_s=threshold, scatterpp=True))
             rows.append({
                 "threshold_ms": threshold * 1000.0,
                 "clients": clients,

@@ -33,8 +33,7 @@ import os
 import time
 import tracemalloc
 
-from repro.experiments.runner import (run_cohort_experiment,
-                                      run_scatterpp_experiment)
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.flow import default_flow_config
 from repro.scatter.config import baseline_configs
 
@@ -84,13 +83,15 @@ def test_cohort_scale(save_result):
     flow = default_flow_config()
 
     micro, micro_wall, micro_peak = _measured(
-        lambda: run_scatterpp_experiment(
+        lambda: run_experiment(ExperimentSpec(
             placement, num_clients=MICRO_CLIENTS,
-            duration_s=DURATION_S, seed=SEED, flow=flow))
+            duration_s=DURATION_S, seed=SEED, flow=flow,
+            scatterpp=True)))
     hybrid, cohort_wall, cohort_peak = _measured(
-        lambda: run_cohort_experiment(
-            placement, cohort_size=COHORT_SIZE, tracers=MICRO_CLIENTS,
-            duration_s=DURATION_S, seed=SEED, flow=flow))
+        lambda: run_experiment(ExperimentSpec(
+            placement, num_clients=MICRO_CLIENTS,
+            duration_s=DURATION_S, seed=SEED, flow=flow,
+            scatterpp=True, cohort_size=COHORT_SIZE)))
 
     macro = hybrid.cohort
     scale_ratio = COHORT_SIZE / MICRO_CLIENTS

@@ -13,10 +13,7 @@ knee: the client count where FPS first falls 20% below real-time.
 """
 
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import (
-    run_scatter_experiment,
-    run_scatterpp_experiment,
-)
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.scatter.config import uniform_config
 from repro.scatterpp.pipeline import scatterpp_pipeline_kwargs
 
@@ -63,15 +60,15 @@ def run_grid():
         scatter = {}
         scatterpp = {}
         for clients in range(1, MAX_CLIENTS + 1):
-            scatter[clients] = run_scatter_experiment(
+            scatter[clients] = run_experiment(ExperimentSpec(
                 config, num_clients=clients, duration_s=DURATION_S,
                 pipeline_kwargs={"service_kwargs": scatter_kwargs}
-                if scatter_kwargs else None).mean_fps()
+                if scatter_kwargs else None)).mean_fps()
             kwargs = scatterpp_pipeline_kwargs(
                 service_kwargs=pp_kwargs)
-            scatterpp[clients] = run_scatter_experiment(
+            scatterpp[clients] = run_experiment(ExperimentSpec(
                 config, num_clients=clients, duration_s=DURATION_S,
-                pipeline_kwargs=kwargs).mean_fps()
+                pipeline_kwargs=kwargs)).mean_fps()
         variants[model] = {"scatter": scatter, "scatterpp": scatterpp}
     return variants
 

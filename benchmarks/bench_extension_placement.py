@@ -10,7 +10,7 @@ ranking should agree with simulated reality.
 """
 
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import run_scatterpp_experiment
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.orchestra.placement import PlacementOptimizer
 from repro.scatter.config import baseline_configs
 
@@ -25,8 +25,9 @@ def run_comparison():
     rows = []
     for name, config in list(baseline_configs().items()) + [
             ("optimized " + best.placement.name, best.placement)]:
-        result = run_scatterpp_experiment(config, num_clients=CLIENTS,
-                                          duration_s=DURATION_S)
+        result = run_experiment(ExperimentSpec(
+            config, num_clients=CLIENTS, duration_s=DURATION_S,
+            scatterpp=True))
         rows.append({"config": name, "fps": result.mean_fps(),
                      "e2e_ms": result.mean_e2e_ms()})
     predicted = [{"config": e.placement.name,

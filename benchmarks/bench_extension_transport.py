@@ -13,7 +13,7 @@ cloud-only, at the cost of higher and more variable E2E latency.
 """
 
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import run_scatter_experiment
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.scatter.config import (
     PIPELINE_ORDER,
     cloud_config,
@@ -34,9 +34,9 @@ def run_grid():
             ("hybrid (UDP)", hybrid_config(), None),
             ("hybrid (ARQ)", hybrid_config(), reliable_kwargs)):
         for clients in (1, 2):
-            result = run_scatter_experiment(
+            result = run_experiment(ExperimentSpec(
                 config, num_clients=clients, duration_s=DURATION_S,
-                pipeline_kwargs=pipeline_kwargs)
+                pipeline_kwargs=pipeline_kwargs))
             rows.append({"variant": name, "clients": clients,
                          "fps": result.mean_fps(),
                          "success": result.success_rate(),

@@ -11,7 +11,7 @@ scAtteR produced with four (the ≈2.8× capacity claim).
 
 from repro.experiments.figures import fig7_scaling_clients
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import run_scatter_experiment
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.scatter.config import scaling_config
 
 DURATION_S = 20.0
@@ -43,8 +43,8 @@ def test_fig7_scaling_clients(benchmark, save_result):
 
     # ≈2.8x capacity: eight clients on the scaled scAtteR++ deployment
     # see a framerate comparable to scAtteR with four clients.
-    scatter4 = run_scatter_experiment(
+    scatter4 = run_experiment(ExperimentSpec(
         scaling_config([1, 3, 2, 1, 3]), num_clients=4,
-        duration_s=DURATION_S).mean_fps()
+        duration_s=DURATION_S)).mean_fps()
     pp8 = by_config["[1, 3, 2, 1, 3]"][8]
     assert pp8 >= scatter4 * 0.8

@@ -30,7 +30,8 @@ import os
 
 from repro.chaos import FaultPlan, InstanceCrash
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import DRAIN_S, run_mobility_experiment
+from repro.experiments.runner import (DRAIN_S, ExperimentSpec, MobilitySpec,
+                                      run_experiment)
 from repro.flow import (
     ConservationError,
     check_client_conservation,
@@ -66,11 +67,12 @@ def _crash_plan(duration_s: float) -> FaultPlan:
 
 
 def _run_arm(seed: int, naive: bool) -> dict:
-    result = run_mobility_experiment(
+    result = run_experiment(ExperimentSpec(
         baseline_configs()[PLACEMENT], num_clients=NUM_CLIENTS,
-        duration_s=DURATION_S, seed=seed, naive=naive,
-        plan=_crash_plan(DURATION_S), mean_dwell_s=MEAN_DWELL_S,
-        min_dwell_s=2.0)
+        duration_s=DURATION_S, seed=seed, scatterpp=True,
+        stateless_sift=False, plan=_crash_plan(DURATION_S),
+        mobility=MobilitySpec(naive=naive, mean_dwell_s=MEAN_DWELL_S,
+                              min_dwell_s=2.0)))
     report = result.mobility["report"]
     check_result_conservation(result)
     check_state_conservation(result)
@@ -127,10 +129,12 @@ def _conservation_sweep() -> dict:
                 at_s=float(rng.uniform(0.2, 0.9)) * SWEEP_DURATION_S,
                 service=str(rng.choice(["sift", "matching"])))
             for __ in range(crashes)]) if crashes else None
-        result = run_mobility_experiment(
+        result = run_experiment(ExperimentSpec(
             baseline_configs()[PLACEMENT], num_clients=clients,
-            duration_s=SWEEP_DURATION_S, seed=seed, naive=naive,
-            plan=plan, mean_dwell_s=dwell, min_dwell_s=1.0)
+            duration_s=SWEEP_DURATION_S, seed=seed, scatterpp=True,
+            stateless_sift=False, plan=plan,
+            mobility=MobilitySpec(naive=naive, mean_dwell_s=dwell,
+                                  min_dwell_s=1.0)))
         handovers += result.mobility["report"]["started"]
         try:
             check_result_conservation(result)

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.chaos import FaultPlan
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import run_resilience_experiment
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.scatter.config import baseline_configs
 
 DURATION_S = 40.0
@@ -35,9 +35,9 @@ def _run_intensity(crashes: int, duration_s: float) -> dict:
     plan = (FaultPlan() if crashes == 0 else FaultPlan.random_crashes(
         services=CRASH_SERVICES, count=crashes,
         start_s=5.0, end_s=duration_s - 10.0, rng=rng))
-    result = run_resilience_experiment(
+    result = run_experiment(ExperimentSpec(
         baseline_configs()["C2"], num_clients=1, plan=plan,
-        duration_s=duration_s, seed=7)
+        duration_s=duration_s, seed=7))
     report = result.resilience
     return {
         "crashes": crashes,

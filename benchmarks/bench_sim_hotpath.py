@@ -184,8 +184,9 @@ if swap:
 duration = float(sys.argv[2])
 placement = baseline_configs()["C1"]
 started = time.perf_counter()
-result = runner.run_scatterpp_experiment(
-    placement, num_clients=2, duration_s=duration, seed=0)
+result = runner.run_experiment(runner.ExperimentSpec(
+    placement, num_clients=2, duration_s=duration, seed=0,
+    scatterpp=True))
 elapsed = time.perf_counter() - started
 print(json.dumps({"wall_s": elapsed, "digest": result.trace_digest}))
 """

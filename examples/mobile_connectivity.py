@@ -11,7 +11,7 @@ Run:  python examples/mobile_connectivity.py
 """
 
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import run_scatter_experiment
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.net.netem import lte_profile, nr5g_profile, wifi6_profile
 from repro.scatter.config import uniform_config
 
@@ -28,9 +28,9 @@ def main() -> None:
     rows = []
     for name, netem in PROFILES:
         for clients in (1, 2, 4):
-            result = run_scatter_experiment(
+            result = run_experiment(ExperimentSpec(
                 config, num_clients=clients, duration_s=30.0, seed=0,
-                client_netem=netem)
+                client_netem=netem))
             rows.append([name, clients, result.mean_fps(),
                          result.success_rate(), result.mean_e2e_ms(),
                          result.mean_jitter_ms()])

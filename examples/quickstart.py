@@ -10,10 +10,7 @@ scAtteR, then for the redesigned scAtteR++.
 Run:  python examples/quickstart.py
 """
 
-from repro.experiments.runner import (
-    run_scatter_experiment,
-    run_scatterpp_experiment,
-)
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.experiments.reporting import format_table
 from repro.scatter.config import baseline_configs
 
@@ -24,11 +21,11 @@ def main() -> None:
           f"{ {s: m for s, m in placement.placements.items()} }\n")
 
     rows = []
-    for pipeline, runner in (("scAtteR", run_scatter_experiment),
-                             ("scAtteR++", run_scatterpp_experiment)):
+    for pipeline, scatterpp in (("scAtteR", False), ("scAtteR++", True)):
         for clients in (1, 2, 4):
-            result = runner(placement, num_clients=clients,
-                            duration_s=30.0, seed=0)
+            result = run_experiment(ExperimentSpec(
+                placement, num_clients=clients, duration_s=30.0, seed=0,
+                scatterpp=scatterpp))
             rows.append([pipeline, clients,
                          result.mean_fps(),
                          result.success_rate(),

@@ -12,10 +12,7 @@ Run:  python examples/scaling_study.py
 """
 
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import (
-    run_scatter_experiment,
-    run_scatterpp_experiment,
-)
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.scatter.config import scaling_config, uniform_config
 
 REPLICA_VECTORS = (
@@ -30,8 +27,7 @@ CLIENTS = (1, 2, 4, 6, 8)
 
 
 def main() -> None:
-    for pipeline, runner in (("scAtteR", run_scatter_experiment),
-                             ("scAtteR++", run_scatterpp_experiment)):
+    for pipeline, scatterpp in (("scAtteR", False), ("scAtteR++", True)):
         rows = []
         for vector in REPLICA_VECTORS:
             if vector == [1, 1, 1, 1, 1]:
@@ -40,8 +36,9 @@ def main() -> None:
                 config = scaling_config(vector)
             fps_by_clients = []
             for clients in CLIENTS:
-                result = runner(config, num_clients=clients,
-                                duration_s=20.0, seed=0)
+                result = run_experiment(ExperimentSpec(
+                    config, num_clients=clients, duration_s=20.0, seed=0,
+                    scatterpp=scatterpp))
                 fps_by_clients.append(result.mean_fps())
             rows.append([config.name] + fps_by_clients)
         print(f"\n=== {pipeline}: mean per-client FPS ===")

@@ -15,10 +15,7 @@ Run:  python examples/trace_analysis.py
 """
 
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import (
-    run_scatter_experiment,
-    run_scatterpp_experiment,
-)
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.scatter.config import baseline_configs
 
 
@@ -57,11 +54,11 @@ def show(result, title: str) -> None:
 
 def main() -> None:
     config = baseline_configs()["C12"]
-    scatter = run_scatter_experiment(config, num_clients=3,
-                                     duration_s=20.0, tracing=True)
+    scatter = run_experiment(ExperimentSpec(
+        config, num_clients=3, duration_s=20.0, tracing=True))
     show(scatter, "scAtteR (stateful, drop-when-busy)")
-    scatterpp = run_scatterpp_experiment(config, num_clients=3,
-                                         duration_s=20.0, tracing=True)
+    scatterpp = run_experiment(ExperimentSpec(
+        config, num_clients=3, duration_s=20.0, tracing=True, scatterpp=True))
     show(scatterpp, "scAtteR++ (stateless + sidecars)")
 
     print(

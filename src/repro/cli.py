@@ -23,15 +23,11 @@ from repro.experiments.reporting import (
     service_metric_table,
     utilization_table,
 )
+from repro.experiments.campaign import resolve_placement
 from repro.experiments.runner import (
-    run_scatter_experiment,
-    run_scatterpp_experiment,
-)
-from repro.scatter.config import (
-    baseline_configs,
-    cloud_config,
-    hybrid_config,
-    scaling_config,
+    ExperimentSpec,
+    MobilitySpec,
+    run_experiment,
 )
 
 
@@ -129,21 +125,15 @@ FIGURES: Dict[str, tuple] = {
 }
 
 
-def _named_config(name: str):
-    configs = baseline_configs()
-    if name in configs:
-        return configs[name]
-    if name == "cloud":
-        return cloud_config()
-    if name == "hybrid":
-        return hybrid_config()
-    if name.startswith("[") or "," in name:
-        counts = [int(part) for part in
-                  name.strip("[]").split(",")]
-        return scaling_config(counts)
-    raise SystemExit(
-        f"unknown config {name!r}; use C1, C2, C12, C21, cloud, "
-        f"hybrid, or a replica vector like 1,2,2,1,2")
+def _placement(name: str):
+    """Resolve a ``--config`` value, exiting with the accepted forms
+    when it names no placement."""
+    try:
+        return resolve_placement(name)
+    except ValueError:
+        raise SystemExit(
+            f"unknown config {name!r}; use C1, C2, C12, C21, cloud, "
+            f"hybrid, or a replica vector like 1,2,2,1,2") from None
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
@@ -163,12 +153,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
     runner, printer, description = entry
     print(f"# {args.name}: {description}\n")
     kwargs = {}
-    if args.name in ("fig8", "fig12"):
-        if args.duration is not None:
-            kwargs["stage_s"] = args.duration
-    elif args.duration is not None:
-        kwargs["duration_s"] = args.duration
-    if args.seed is not None and args.name not in ("fig8", "fig12"):
+    if args.duration is not None:
+        ramp = args.name in ("fig8", "fig12")
+        kwargs["stage_s" if ramp else "duration_s"] = args.duration
+    if args.seed is not None:
         kwargs["seed"] = args.seed
     printer(runner(**kwargs))
     return 0
@@ -191,42 +179,65 @@ def _flow_from_args(args: argparse.Namespace):
     return default_flow_config().with_overrides(**overrides)
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    _disable_feature_cache_if_requested(args)
-    config = _named_config(args.config)
-    flow = _flow_from_args(args)
-    if args.cohort_size:
-        if args.pipeline != "scatterpp":
-            raise SystemExit("--cohort-size requires --pipeline "
-                             "scatterpp (the cohort engine rides the "
-                             "sidecar flow machinery)")
-        from repro.experiments.runner import run_cohort_experiment
+def _crash_plan(crashes: List[str]):
+    """A FaultPlan from ``--crash SERVICE@SECONDS`` flags (None if none)."""
+    if not crashes:
+        return None
+    from repro.chaos.faults import FaultPlan, InstanceCrash
 
-        tracers = (args.tracers if args.tracers is not None
-                   else args.clients)
-        result = run_cohort_experiment(
-            config, cohort_size=args.cohort_size, tracers=tracers,
-            duration_s=args.duration, seed=args.seed,
-            flow=flow, load=args.cohort_load, tracing=args.trace)
-    elif args.pipeline == "scatterpp":
-        result = run_scatterpp_experiment(
-            config, num_clients=args.clients,
-            duration_s=args.duration, seed=args.seed,
-            flow=flow, tracing=args.trace)
-    else:
-        result = run_scatter_experiment(
-            config, num_clients=args.clients,
-            duration_s=args.duration, seed=args.seed,
-            tracing=args.trace)
+    faults = []
+    for crash in crashes:
+        service, sep, at = crash.partition("@")
+        if not sep or not service:
+            raise SystemExit(
+                f"--crash wants SERVICE@SECONDS, got {crash!r}")
+        faults.append(InstanceCrash(at_s=float(at), service=service))
+    return FaultPlan(faults=faults)
+
+
+def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
+    """The experiment a ``run`` or ``mobility`` command line asks for."""
+    placement = _placement(args.config)
+    task = dict(duration_s=args.duration, seed=args.seed)
+    if args.command == "mobility":
+        return ExperimentSpec(
+            placement, args.clients, scatterpp=True,
+            stateless_sift=False, plan=_crash_plan(args.crash),
+            mobility=MobilitySpec(naive=args.naive,
+                                  mean_dwell_s=args.dwell), **task)
+    flow = _flow_from_args(args)
+    if args.cohort_size is None:
+        if args.tracers is not None or args.cohort_load != "constant":
+            raise SystemExit("--tracers and --cohort-load require "
+                             "--cohort-size")
+    elif args.pipeline != "scatterpp":
+        raise SystemExit("--cohort-size requires --pipeline scatterpp "
+                         "(the cohort engine rides the sidecar flow "
+                         "machinery)")
+    clients = args.tracers if args.tracers is not None else args.clients
+    return ExperimentSpec(
+        placement, clients, scatterpp=args.pipeline == "scatterpp",
+        flow=flow, cohort_size=args.cohort_size,
+        cohort_load=args.cohort_load, tracing=args.trace, **task)
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    """``run`` and ``mobility``: one experiment, then one block per
+    populated result field."""
+    _disable_feature_cache_if_requested(args)
+    spec = _spec_from_args(args)
+    result = run_experiment(spec)
     from repro.sim.kernel import active_backend
 
     print(format_table(["metric", "value"], [
         ["config", result.config_name],
-        ["pipeline", args.pipeline],
+        ["pipeline", "scatterpp" if spec.scatterpp else "scatter"],
         ["sim kernel", active_backend()],
         ["clients", result.num_clients],
         ["mean FPS", result.mean_fps()],
         ["success rate", result.success_rate()],
+        ["availability", sum(c.availability() for c in result.clients)
+         / len(result.clients)],
         ["E2E latency (ms)", result.mean_e2e_ms()],
         ["jitter (ms)", result.mean_jitter_ms()],
         ["estimated QoE (MOS 1-5)", result.qoe().mos],
@@ -239,8 +250,8 @@ def cmd_run(args: argparse.Namespace) -> int:
          for service, latency
          in result.service_latency_ms().items()]))
     if result.flow is not None:
+        flow = result.flow
         print()
-        services = result.flow["services"]
         print(format_table(
             ["service", "enqueued", "rejected", "dispatched",
              "dropped_stale", "pending"],
@@ -249,20 +260,20 @@ def cmd_run(args: argparse.Namespace) -> int:
               ledger.get("dispatched", 0),
               ledger.get("dropped_stale", 0),
               ledger.get("pending", 0)]
-             for service, ledger in services.items()]))
-        print(f"\nclient frames paced: {result.flow['paced_frames']}, "
-              f"batched: {result.flow['batched_frames']} frames in "
-              f"{result.flow['batched_rounds']} rounds, shed on "
-              f"backpressure: {result.flow['shed_backpressure']}")
+             for service, ledger in flow["services"].items()]))
+        print(f"\nclient frames paced: {flow['paced_frames']}, "
+              f"batched: {flow['batched_frames']} frames in "
+              f"{flow['batched_rounds']} rounds, shed on "
+              f"backpressure: {flow['shed_backpressure']}")
     if result.cohort is not None:
         cohort = result.cohort
-        spec, ledger = cohort["spec"], cohort["ledger"]
+        population, ledger = cohort["spec"], cohort["ledger"]
         latency = cohort["latency_ms"]
         print()
         print(format_table(["cohort", "value"], [
-            ["modeled clients", spec["size"]],
-            ["tracers (microscopic)", spec["tracers"]],
-            ["load process", spec["load"]],
+            ["modeled clients", population["size"]],
+            ["tracers (microscopic)", population["tracers"]],
+            ["load process", population["load"]],
             ["bottleneck", f"{cohort['bottleneck_service']} "
                            f"({cohort['bottleneck_capacity_fps']:.1f}"
                            " fps)"],
@@ -276,7 +287,52 @@ def cmd_run(args: argparse.Namespace) -> int:
              for key in ("offered", "shed_credits", "paced",
                          "rejected", "served", "dropped_stale",
                          "pending", "balance")]))
-    if args.trace and result.tracer is not None:
+    if result.mobility is not None:
+        report = result.mobility["report"]
+        mttr = report["mttr_s"]
+        print()
+        print(format_table(["handover metric", "value"], [
+            ["mode", "naive reconnect" if result.mobility["naive"]
+             else "stateful handover"],
+            ["handovers planned", report["planned"]],
+            ["completed", report["completed"]],
+            ["failed over (source died)", report["failed_over"]],
+            ["abandoned", report["abandoned"]],
+            ["superseded", report["superseded"]],
+            ["attempts (retried)",
+             f"{report['attempts']} ({report['retried']})"],
+            ["handover MTTR mean (ms)", 1000.0 * mttr["mean"]],
+            ["handover MTTR p95 (ms)", 1000.0 * mttr["p95"]],
+            ["state entries moved", report["state_entries_moved"]],
+            ["state moved (MB)",
+             report["state_bytes_moved"] / 1e6],
+            ["state entries lost", report["state_entries_lost"]],
+            ["handover windows (client)", report["handover_windows"]],
+            ["stale results rejected",
+             report["rejected_stale_results"]],
+            ["frames lost", report["frames_lost"]],
+        ]))
+        if report["frames_lost_by_reason"]:
+            print()
+            print(format_table(
+                ["loss reason", "frames"],
+                sorted(report["frames_lost_by_reason"].items(),
+                       key=lambda kv: -kv[1])))
+        print()
+        print(format_table(
+            ["client", "move", "outcome", "attempts", "latency(ms)",
+             "entries", "lost"],
+            [[record["client_id"],
+              f"{record['from_site']}->{record['to_site']}",
+              record["outcome"], record["attempts"],
+              (1000.0 * record["latency_s"]
+               if record["latency_s"] is not None else "-"),
+              record["state_entries"], record["entries_lost"]]
+             for record in result.mobility["handovers"]]))
+    if result.resilience is not None:
+        print()
+        print(result.resilience.summary_table())
+    if result.tracer is not None:
         print()
         breakdown = result.tracer.mean_breakdown_ms()
         print(format_table(
@@ -288,82 +344,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(format_table(
                 ["lost after stage", "frames"],
                 sorted(losses.items(), key=lambda kv: -kv[1])))
-    return 0
-
-
-def cmd_mobility(args: argparse.Namespace) -> int:
-    _disable_feature_cache_if_requested(args)
-    from repro.experiments.runner import run_mobility_experiment
-
-    config = _named_config(args.config)
-    plan = None
-    if args.crash:
-        from repro.chaos.faults import FaultPlan, InstanceCrash
-
-        faults = []
-        for spec in args.crash:
-            service, sep, at = spec.partition("@")
-            if not sep or not service:
-                raise SystemExit(
-                    f"--crash wants SERVICE@SECONDS, got {spec!r}")
-            faults.append(InstanceCrash(at_s=float(at),
-                                        service=service))
-        plan = FaultPlan(faults=faults)
-    result = run_mobility_experiment(
-        config, num_clients=args.clients, duration_s=args.duration,
-        seed=args.seed, naive=args.naive, plan=plan,
-        mean_dwell_s=args.dwell)
-    report = result.mobility["report"]
-    mttr = report["mttr_s"]
-    print(format_table(["metric", "value"], [
-        ["config", result.config_name],
-        ["mode", "naive reconnect" if args.naive
-         else "stateful handover"],
-        ["clients", result.num_clients],
-        ["mean FPS", result.mean_fps()],
-        ["success rate", result.success_rate()],
-        ["availability", sum(c.availability()
-                             for c in result.clients)
-         / max(1, len(result.clients))],
-        ["E2E latency (ms)", result.mean_e2e_ms()],
-    ]))
-    print()
-    print(format_table(["handover metric", "value"], [
-        ["handovers planned", report["planned"]],
-        ["completed", report["completed"]],
-        ["failed over (source died)", report["failed_over"]],
-        ["abandoned", report["abandoned"]],
-        ["superseded", report["superseded"]],
-        ["attempts (retried)",
-         f"{report['attempts']} ({report['retried']})"],
-        ["handover MTTR mean (ms)", 1000.0 * mttr["mean"]],
-        ["handover MTTR p95 (ms)", 1000.0 * mttr["p95"]],
-        ["state entries moved", report["state_entries_moved"]],
-        ["state moved (MB)",
-         report["state_bytes_moved"] / 1e6],
-        ["state entries lost", report["state_entries_lost"]],
-        ["handover windows (client)", report["handover_windows"]],
-        ["stale results rejected",
-         report["rejected_stale_results"]],
-        ["frames lost", report["frames_lost"]],
-    ]))
-    if report["frames_lost_by_reason"]:
-        print()
-        print(format_table(
-            ["loss reason", "frames"],
-            sorted(report["frames_lost_by_reason"].items(),
-                   key=lambda kv: -kv[1])))
-    print()
-    print(format_table(
-        ["client", "move", "outcome", "attempts", "latency(ms)",
-         "entries", "lost"],
-        [[record["client_id"],
-          f"{record['from_site']}->{record['to_site']}",
-          record["outcome"], record["attempts"],
-          (1000.0 * record["latency_s"]
-           if record["latency_s"] is not None else "-"),
-          record["state_entries"], record["entries_lost"]]
-         for record in result.mobility["handovers"]]))
     return 0
 
 
@@ -429,7 +409,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     )
     from repro.flow import default_flow_config
 
-    config = _named_config(args.config)
+    config = _placement(args.config)
     slo_kwargs = {}
     if args.slo_fps is not None:
         slo_kwargs["min_fps"] = args.slo_fps
@@ -760,7 +740,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "optimize": cmd_optimize,
         "campaign": cmd_campaign,
         "capacity": cmd_capacity,
-        "mobility": cmd_mobility,
+        "mobility": cmd_run,
     }
     return handlers[args.command](args)
 

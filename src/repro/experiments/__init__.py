@@ -1,7 +1,8 @@
 """Experiment harness: testbeds, runners and per-figure reproductions.
 
-:mod:`repro.experiments.runner` drives one deployment configuration
-with N concurrent clients and returns an
+:func:`repro.experiments.runner.run_experiment` drives one
+:class:`~repro.experiments.runner.ExperimentSpec` — a deployment
+configuration with N concurrent clients — and returns an
 :class:`~repro.experiments.runner.ExperimentResult` holding QoS and
 hardware metrics; :mod:`repro.experiments.figures` maps every figure of
 the paper's evaluation to a function regenerating its rows.
@@ -32,11 +33,9 @@ from repro.experiments.repetition import (
 )
 from repro.experiments.runner import (
     ExperimentResult,
-    run_mobility_experiment,
-    run_ramp_experiment,
-    run_resilience_experiment,
-    run_scatter_experiment,
-    run_scatterpp_experiment,
+    ExperimentSpec,
+    MobilitySpec,
+    run_experiment,
 )
 from repro.experiments.store import (
     ResultStore,
@@ -50,6 +49,8 @@ __all__ = [
     "CellFailure",
     "CellTask",
     "ExperimentResult",
+    "ExperimentSpec",
+    "MobilitySpec",
     "code_fingerprint",
     "effective_workers",
     "ReplicatedMetric",
@@ -61,11 +62,7 @@ __all__ = [
     "regressions",
     "replicate",
     "replicate_experiment",
-    "run_mobility_experiment",
-    "run_ramp_experiment",
-    "run_resilience_experiment",
-    "run_scatter_experiment",
-    "run_scatterpp_experiment",
+    "run_experiment",
     "run_tasks",
     "shard_tasks",
     "shutdown_pool",

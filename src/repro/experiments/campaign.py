@@ -21,6 +21,7 @@ command line; programmatically::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.cache import CampaignCellCache, resolve_cell_cache
@@ -35,16 +36,16 @@ from repro.experiments.repetition import (
     ReplicatedMetric,
     aggregate_summaries,
 )
-from repro.experiments.oracle import run_optimize_experiment
+from repro.experiments.oracle import optimize_spec, run_optimize_experiment
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import (
-    run_cohort_experiment,
-    run_mobility_experiment,
-    run_scatter_experiment,
-    run_scatterpp_experiment,
-    run_scatterpp_flow_experiment,
+    ExperimentSpec,
+    MobilitySpec,
+    run_experiment,
 )
 from repro.experiments.store import ResultStore
+from repro.flow import default_flow_config
+from repro.metrics.energy import DEFAULT_POWER_MODEL
 from repro.scatter.config import (
     PlacementConfig,
     baseline_configs,
@@ -59,72 +60,67 @@ from repro.scatter.config import (
 DEFAULT_COHORT_MULTIPLIER = 500
 
 
-def run_cohort_campaign_cell(placement, *, num_clients: int,
-                             duration_s: float, seed: int,
-                             **kwargs):
-    """Campaign-facing cohort runner (registered as ``cohort``).
-
-    Keeps the shared runner signature — ``num_clients`` becomes the
-    tracer count and the cohort scales by
-    :data:`DEFAULT_COHORT_MULTIPLIER` — so cohort cells shard across
-    campaign workers like every other pipeline.
-    """
-    from repro.flow import default_flow_config
-
-    return run_cohort_experiment(
-        placement,
-        cohort_size=num_clients * DEFAULT_COHORT_MULTIPLIER,
-        tracers=num_clients, duration_s=duration_s, seed=seed,
-        flow=default_flow_config(), **kwargs)
+def _cohort_spec(placement, *, num_clients: int, **task) -> ExperimentSpec:
+    """The ``cohort`` preset: ``num_clients`` tracers ride a flow-on
+    cohort :data:`DEFAULT_COHORT_MULTIPLIER` times their number."""
+    return ExperimentSpec(
+        placement, num_clients, scatterpp=True, flow=default_flow_config(),
+        cohort_size=num_clients * DEFAULT_COHORT_MULTIPLIER, **task)
 
 
-RUNNERS: Dict[str, Callable] = {
-    "scatter": run_scatter_experiment,
-    "scatterpp": run_scatterpp_experiment,
-    "scatterpp-flow": run_scatterpp_flow_experiment,
-    "mobility": run_mobility_experiment,
-    "cohort": run_cohort_campaign_cell,
-    "optimize": run_optimize_experiment,
+#: pipeline -> spec preset, called with a campaign task as
+#: ``preset(placement, num_clients=, duration_s=, seed=)``.
+PRESETS: Dict[str, Callable[..., ExperimentSpec]] = {
+    "scatter": ExperimentSpec,
+    "scatterpp": partial(ExperimentSpec, scatterpp=True),
+    "scatterpp-flow": partial(ExperimentSpec, scatterpp=True,
+                              flow=default_flow_config()),
+    "mobility": partial(ExperimentSpec, scatterpp=True,
+                        stateless_sift=False, mobility=MobilitySpec()),
+    "cohort": _cohort_spec,
+    "optimize": optimize_spec,
 }
 
 
-def _cohort_runner_fingerprint() -> Tuple:
-    """Config the cohort campaign runner injects beyond the task.
+def _preset_runner(preset: Callable[..., ExperimentSpec]) -> Callable:
+    def run(placement: PlacementConfig, *, num_clients: int,
+            duration_s: float, seed: int):
+        return run_experiment(preset(placement, num_clients=num_clients,
+                                     duration_s=duration_s, seed=seed))
 
-    The cohort multiplier and the default flow config parameterize
-    every cohort cell without appearing in its :class:`CellTask`, so
-    the cell cache folds them into the task fingerprint — changing
-    either must miss, not replay stale summaries.  (They are also code
-    constants, but fingerprinting them directly keeps the cache honest
-    even if they ever become runtime-configurable.)
-    """
-    from repro.flow import default_flow_config
-
-    return (DEFAULT_COHORT_MULTIPLIER, repr(default_flow_config()))
+    return run
 
 
-def _optimize_runner_fingerprint() -> Tuple:
-    """Config the optimizer oracle injects beyond the task.
+#: pipeline -> ``runner(placement, *, num_clients, duration_s, seed)``
+#: returning an :class:`~repro.experiments.runner.ExperimentResult`;
+#: looked up per task, so tests and benchmarks may swap entries.  The
+#: optimizer oracle adds post-hoc energy to its preset's run.
+RUNNERS: Dict[str, Callable] = {
+    name: _preset_runner(preset) for name, preset in PRESETS.items()}
+RUNNERS["optimize"] = run_optimize_experiment
 
-    The default flow config and the power model parameterize every
-    oracle cell without appearing in its :class:`CellTask`; folding
-    them in keeps the cache honest — editing a wattage misses instead
-    of replaying stale joules.  (The genome itself needs no entry: its
-    spec string *is* ``task.placement``, already fingerprinted.)
-    """
-    from repro.flow import default_flow_config
-    from repro.metrics.energy import DEFAULT_POWER_MODEL
 
-    return (repr(default_flow_config()), repr(DEFAULT_POWER_MODEL))
+@lru_cache(maxsize=None)
+def _preset_fingerprint(name: str, cohort_multiplier: int) -> Tuple:
+    """Everything the ``name`` preset sets beyond the task fields: its
+    spec for a fixed probe task.  Memoized per cohort multiplier, the
+    one module setting a preset reads when it is called."""
+    probe = PRESETS[name](baseline_configs()["C1"], num_clients=1,
+                          duration_s=1.0, seed=0)
+    return (repr(probe),)
 
 
 #: pipeline -> () -> tuple of extra config the runner injects beyond
 #: the CellTask fields; folded into the cell-cache task fingerprint
-#: (:func:`repro.experiments.cache.task_fingerprint`).
+#: (:func:`repro.experiments.cache.task_fingerprint`).  The optimizer
+#: oracle adds the power model its energy objective reads.
 RUNNER_FINGERPRINTS: Dict[str, Callable[[], Tuple]] = {
-    "cohort": _cohort_runner_fingerprint,
-    "optimize": _optimize_runner_fingerprint,
-}
+    name: lambda name=name: _preset_fingerprint(
+        name, DEFAULT_COHORT_MULTIPLIER)
+    for name in PRESETS}
+RUNNER_FINGERPRINTS["optimize"] = lambda: (
+    _preset_fingerprint("optimize", DEFAULT_COHORT_MULTIPLIER)
+    + (repr(DEFAULT_POWER_MODEL),))
 
 
 def resolve_placement(name: str) -> PlacementConfig:

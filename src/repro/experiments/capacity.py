@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.experiments.runner import run_scatterpp_experiment
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.flow import FlowConfig, check_result_conservation
 from repro.scatter import config as scatter_config
 from repro.scatter.config import PlacementConfig
@@ -120,9 +120,9 @@ def probe_cell(placement: PlacementConfig, clients: int, *,
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
     slo = slo if slo is not None else CapacitySlo()
-    result = run_scatterpp_experiment(
-        placement, num_clients=clients, duration_s=duration_s,
-        seed=seed, flow=flow)
+    result = run_experiment(ExperimentSpec(
+        placement, clients, duration_s=duration_s, seed=seed,
+        scatterpp=True, flow=flow))
     if check_conservation:
         check_result_conservation(result)
     fps = result.mean_fps()

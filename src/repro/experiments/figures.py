@@ -15,9 +15,8 @@ import numpy as np
 
 from repro.experiments.runner import (
     ExperimentResult,
-    run_ramp_experiment,
-    run_scatter_experiment,
-    run_scatterpp_experiment,
+    ExperimentSpec,
+    run_experiment,
 )
 from repro.net.netem import Netem, mobility_oscillation
 from repro.scatter import config as scatter_config
@@ -60,8 +59,8 @@ def fig2_baseline_edge(*, clients: Sequence[int] = DEFAULT_CLIENTS,
     rows = []
     for config in baseline_configs().values():
         for n in clients:
-            result = run_scatter_experiment(
-                config, num_clients=n, duration_s=duration_s, seed=seed)
+            result = run_experiment(ExperimentSpec(
+                config, num_clients=n, duration_s=duration_s, seed=seed))
             rows.append(_qos_row(result))
     return rows
 
@@ -86,8 +85,8 @@ def fig3_scalability(*, clients: Sequence[int] = DEFAULT_CLIENTS,
     rows = []
     for config in configs:
         for n in clients:
-            result = run_scatter_experiment(
-                config, num_clients=n, duration_s=duration_s, seed=seed)
+            result = run_experiment(ExperimentSpec(
+                config, num_clients=n, duration_s=duration_s, seed=seed))
             rows.append(_qos_row(result))
     return rows
 
@@ -99,9 +98,9 @@ def fig4_cloud(*, clients: Sequence[int] = DEFAULT_CLIENTS,
                duration_s: float = 60.0, seed: int = 0) -> List[Dict]:
     rows = []
     for n in clients:
-        result = run_scatter_experiment(
+        result = run_experiment(ExperimentSpec(
             cloud_config(), num_clients=n, duration_s=duration_s,
-            seed=seed)
+            seed=seed))
         row = _qos_row(result)
         # The paper reports the cloud median FPS (18.2).
         per_second = [fps for client in result.clients
@@ -120,8 +119,9 @@ def fig6_scatterpp_edge(*, clients: Sequence[int] = DEFAULT_CLIENTS,
     rows = []
     for config in baseline_configs().values():
         for n in clients:
-            result = run_scatterpp_experiment(
-                config, num_clients=n, duration_s=duration_s, seed=seed)
+            result = run_experiment(ExperimentSpec(
+                config, num_clients=n, duration_s=duration_s, seed=seed,
+                scatterpp=True))
             rows.append(_qos_row(result))
     return rows
 
@@ -140,8 +140,9 @@ def fig7_scaling_clients(*, clients: Sequence[int] = tuple(range(1, 11)),
     for vector in FIG7_REPLICA_VECTORS:
         config = scaling_config(vector)
         for n in clients:
-            result = run_scatterpp_experiment(
-                config, num_clients=n, duration_s=duration_s, seed=seed)
+            result = run_experiment(ExperimentSpec(
+                config, num_clients=n, duration_s=duration_s, seed=seed,
+                scatterpp=True))
             rows.append({
                 "config": config.name,
                 "clients": n,
@@ -163,8 +164,9 @@ def fig8_sidecar_analytics(*, max_clients: int = 10,
     analytics series plus per-stage summaries.
     """
     config = scaling_config([1, 3, 2, 1, 3])
-    result = run_ramp_experiment(config, max_clients=max_clients,
-                                 stage_s=stage_s, seed=seed)
+    result = run_experiment(ExperimentSpec(
+        config, max_clients, duration_s=stage_s * max_clients, seed=seed,
+        scatterpp=True, stage_s=stage_s))
     return _analytics_report(result, stage_s)
 
 
@@ -174,8 +176,9 @@ def fig8_sidecar_analytics(*, max_clients: int = 10,
 def fig12_sidecar_e1(*, max_clients: int = 4, stage_s: float = 10.0,
                      seed: int = 0) -> Dict:
     config = uniform_config("E1-only", "e1")
-    result = run_ramp_experiment(config, max_clients=max_clients,
-                                 stage_s=stage_s, seed=seed)
+    result = run_experiment(ExperimentSpec(
+        config, max_clients, duration_s=stage_s * max_clients, seed=seed,
+        scatterpp=True, stage_s=stage_s))
     return _analytics_report(result, stage_s)
 
 
@@ -229,9 +232,9 @@ def fig9_network_conditions(*, clients: Sequence[int] = DEFAULT_CLIENTS,
         netem = Netem(delay_s=0.0005, loss=loss,
                       **mobility_oscillation())
         for n in clients:
-            result = run_scatter_experiment(
+            result = run_experiment(ExperimentSpec(
                 config, num_clients=n, duration_s=duration_s,
-                seed=seed, client_netem=netem)
+                seed=seed, client_netem=netem))
             loss_rows.append({"loss": loss, "clients": n,
                               "fps": result.mean_fps(),
                               "e2e_ms": result.mean_e2e_ms(),
@@ -241,9 +244,9 @@ def fig9_network_conditions(*, clients: Sequence[int] = DEFAULT_CLIENTS,
         netem = Netem(delay_s=rtt_s / 2.0, loss=FIG9_LOSS_GRID[0],
                       **mobility_oscillation())
         for n in clients:
-            result = run_scatter_experiment(
+            result = run_experiment(ExperimentSpec(
                 config, num_clients=n, duration_s=duration_s,
-                seed=seed, client_netem=netem)
+                seed=seed, client_netem=netem))
             latency_rows.append({"rtt_ms": rtt_s * 1000.0, "clients": n,
                                  "fps": result.mean_fps(),
                                  "e2e_ms": result.mean_e2e_ms(),
@@ -261,23 +264,23 @@ def fig10_jitter(*, clients: Sequence[int] = DEFAULT_CLIENTS,
                                      "cloud": []}
     for config in baseline_configs().values():
         for n in clients:
-            result = run_scatter_experiment(
-                config, num_clients=n, duration_s=duration_s, seed=seed)
+            result = run_experiment(ExperimentSpec(
+                config, num_clients=n, duration_s=duration_s, seed=seed))
             panels["baseline"].append({
                 "config": config.name, "clients": n,
                 "jitter_ms": result.mean_jitter_ms()})
     for vector in FIG3_REPLICA_VECTORS:
         config = scaling_config(vector)
         for n in clients:
-            result = run_scatter_experiment(
-                config, num_clients=n, duration_s=duration_s, seed=seed)
+            result = run_experiment(ExperimentSpec(
+                config, num_clients=n, duration_s=duration_s, seed=seed))
             panels["scaling"].append({
                 "config": config.name, "clients": n,
                 "jitter_ms": result.mean_jitter_ms()})
     for n in clients:
-        result = run_scatter_experiment(
+        result = run_experiment(ExperimentSpec(
             cloud_config(), num_clients=n, duration_s=duration_s,
-            seed=seed)
+            seed=seed))
         panels["cloud"].append({"config": "cloud", "clients": n,
                                 "jitter_ms": result.mean_jitter_ms()})
     return panels
@@ -292,8 +295,8 @@ def fig11_hybrid(*, clients: Sequence[int] = DEFAULT_CLIENTS,
     rows = []
     for config in (hybrid_config(), cloud_config()):
         for n in clients:
-            result = run_scatter_experiment(
-                config, num_clients=n, duration_s=duration_s, seed=seed)
+            result = run_experiment(ExperimentSpec(
+                config, num_clients=n, duration_s=duration_s, seed=seed))
             rows.append(_qos_row(result))
     return rows
 
@@ -312,10 +315,11 @@ def headline_capacity(*, duration_s: float = 30.0,
       scAtteR++ deployment.
     """
     config = baseline_configs()["C12"]
-    scatter4 = run_scatter_experiment(config, num_clients=4,
-                                      duration_s=duration_s, seed=seed)
-    pp4 = run_scatterpp_experiment(config, num_clients=4,
-                                   duration_s=duration_s, seed=seed)
+    scatter4 = run_experiment(ExperimentSpec(
+        config, num_clients=4, duration_s=duration_s, seed=seed))
+    pp4 = run_experiment(ExperimentSpec(
+        config, num_clients=4, duration_s=duration_s, seed=seed,
+        scatterpp=True))
     framerate_multiplier = (pp4.mean_fps() / scatter4.mean_fps()
                             if scatter4.mean_fps() else float("inf"))
 
@@ -324,8 +328,9 @@ def headline_capacity(*, duration_s: float = 30.0,
     capacity = 0
     capacity_fps = {}
     for n in range(1, 13):
-        result = run_scatterpp_experiment(
-            scaled, num_clients=n, duration_s=duration_s, seed=seed)
+        result = run_experiment(ExperimentSpec(
+            scaled, num_clients=n, duration_s=duration_s, seed=seed,
+            scatterpp=True))
         capacity_fps[n] = result.mean_fps()
         if result.mean_fps() >= reference_fps:
             capacity = n
@@ -334,12 +339,12 @@ def headline_capacity(*, duration_s: float = 30.0,
         "scatter_fps_4_clients": scatter4.mean_fps(),
         "scatterpp_fps_4_clients": pp4.mean_fps(),
         "framerate_multiplier": framerate_multiplier,
-        "scatter_success_1_client": run_scatter_experiment(
+        "scatter_success_1_client": run_experiment(ExperimentSpec(
             config, num_clients=1, duration_s=duration_s,
-            seed=seed).success_rate(),
-        "scatterpp_success_1_client": run_scatterpp_experiment(
+            seed=seed)).success_rate(),
+        "scatterpp_success_1_client": run_experiment(ExperimentSpec(
             config, num_clients=1, duration_s=duration_s,
-            seed=seed).success_rate(),
+            seed=seed, scatterpp=True)).success_rate(),
         "capacity_clients": capacity,
         "capacity_multiplier": capacity_multiplier,
         "capacity_fps_by_clients": capacity_fps,

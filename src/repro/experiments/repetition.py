@@ -10,15 +10,14 @@ check used when claiming one pipeline beats another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 from scipy import stats as scipy_stats
 
-from repro.experiments.runner import run_scatter_experiment
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.experiments.store import summarize_result
-from repro.scatter.config import PlacementConfig
 
 
 @dataclass(frozen=True)
@@ -89,16 +88,13 @@ def replicate(run_fn: Callable[[int], Dict],
     return aggregate_summaries(summaries)
 
 
-def replicate_experiment(placement: PlacementConfig, *,
-                         num_clients: int, duration_s: float = 30.0,
-                         seeds: Sequence[int] = (0, 1, 2),
-                         runner: Callable = run_scatter_experiment
+def replicate_experiment(spec: ExperimentSpec, *,
+                         seeds: Sequence[int] = (0, 1, 2)
                          ) -> Dict[str, ReplicatedMetric]:
-    """Replicate one deployment configuration across seeds."""
+    """Replicate one experiment across seeds (``spec.seed`` is
+    replaced by each seed in turn)."""
     def run(seed: int) -> Dict:
-        result = runner(placement, num_clients=num_clients,
-                        duration_s=duration_s, seed=seed)
-        return summarize_result(result)
+        return summarize_result(run_experiment(replace(spec, seed=seed)))
 
     return replicate(run, seeds)
 

@@ -6,18 +6,26 @@ while the orchestrator samples hardware; QoS aggregates are computed
 from client logs afterwards.  Simulated runs default to 60 s (the
 paper runs 5 minutes of wall clock; virtual time is statistics-
 equivalent and the full five minutes is available via ``duration_s``).
+
+Every experiment is one frozen :class:`ExperimentSpec` — the placement,
+the client count and run length, the pipeline variant, and optional
+attachments (flow control, a cohort, mobility, chaos, a staged client
+ramp, an autoscaler hook, tracing, profiling) — executed by
+:func:`run_experiment`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.cluster.testbed import Testbed, build_paper_testbed
+from repro.flow import FlowConfig
 from repro.metrics.hardware import HardwareMonitor
 from repro.metrics.qos import ClientStats
+from repro.mobility.handover import HandoverConfig
 from repro.net.netem import Netem
 from repro.orchestra.orchestrator import Orchestrator
 from repro.scatter import config as scatter_config
@@ -28,11 +36,92 @@ from repro.scatter.resilience import ResilienceConfig
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 
+if TYPE_CHECKING:
+    from repro.chaos.faults import FaultPlan
+
 #: Default experiment run length (virtual seconds).
 DEFAULT_DURATION_S = 60.0
 
 #: Time given to the tail of the pipeline to drain after clients stop.
 DRAIN_S = 1.0
+
+
+@dataclass(frozen=True)
+class MobilitySpec:
+    """Clients roam between edge sites along ``trajectories`` (one
+    per client; seed-derived from the dwell times when ``None``), and
+    every site change hands the session over — statefully, or by
+    kill-and-reconnect with ``naive=True``."""
+
+    trajectories: Optional[Sequence] = None
+    handover_config: Optional[HandoverConfig] = None
+    naive: bool = False
+    mean_dwell_s: float = 8.0
+    min_dwell_s: float = 2.0
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """``num_clients`` clients stream against ``placement`` for
+    ``duration_s``; the other fields pick the pipeline and attach
+    optional machinery, and every default reproduces the paper's run —
+    and the golden trace digests — byte for byte.
+
+    * ``scatterpp`` deploys scAtteR++ tuned by ``threshold_s``,
+      ``stateless_sift`` and ``with_sidecars``; scAtteR takes
+      ``pipeline_kwargs`` instead.
+    * ``client_netem`` impairs every client's link; ``mobility`` (a
+      :class:`MobilitySpec`) makes the clients roam between sites.
+    * ``flow`` (a :class:`~repro.flow.FlowConfig`) engages the flow
+      substrate on every sidecar and client.
+    * ``cohort_size`` models that many clients in all: the microscopic
+      clients are its tracers, the rest ride a fluid
+      :class:`~repro.cohort.CohortEngine` (``cohort_load``,
+      ``cohort_load_kwargs``, ``cohort_tick_s``).
+    * ``plan`` (a :class:`~repro.chaos.faults.FaultPlan`) injects
+      faults; a heartbeat detector (``detector_kwargs``) then replaces
+      the orchestrator's watchdog.  Chaos and mobility runs give
+      clients the stock ``resilience`` layer unless one is set.
+    * ``stage_s`` ramps the load: client *i* joins at ``i × stage_s``.
+    * ``post_deploy(sim, orchestrator, pipeline)`` runs just before
+      the clients start.
+    * ``tracing`` and ``profile`` never move the trajectory.
+    """
+
+    placement: PlacementConfig
+    num_clients: int
+    duration_s: float = DEFAULT_DURATION_S
+    seed: int = 0
+    scatterpp: bool = False
+    pipeline_kwargs: Optional[dict] = None
+    threshold_s: Optional[float] = None
+    stateless_sift: bool = True
+    with_sidecars: bool = True
+    client_netem: Optional[Netem] = None
+    flow: Optional[FlowConfig] = None
+    cohort_size: Optional[int] = None
+    cohort_load: str = "constant"
+    cohort_load_kwargs: Optional[dict] = None
+    cohort_tick_s: Optional[float] = None
+    mobility: Optional[MobilitySpec] = None
+    plan: Optional[FaultPlan] = None
+    detector_kwargs: Optional[dict] = None
+    resilience: Optional[ResilienceConfig] = None
+    stage_s: Optional[float] = None
+    post_deploy: Optional[Callable] = None
+    tracing: bool = False
+    profile: bool = False
+
+    def __post_init__(self) -> None:
+        if self.stage_s is not None and not (
+                self.stage_s > 0 and self.stage_s * (self.num_clients - 1)
+                < self.duration_s):
+            raise ValueError(f"stage_s={self.stage_s} must be positive "
+                             f"and start every client before duration_s")
+        if (self.pipeline_kwargs is not None if self.scatterpp else
+                self.flow or self.cohort_size or self.mobility):
+            raise ValueError("pipeline_kwargs is for scAtteR; flow, "
+                             "cohort_size and mobility for scAtteR++")
 
 
 @dataclass
@@ -51,7 +140,7 @@ class ExperimentResult:
     #: Per-frame distributed traces; present when ``tracing=True``.
     tracer: Optional[object] = None
     #: Per-fault MTTR / availability report; present only for chaos
-    #: runs (see :func:`run_resilience_experiment`).
+    #: runs (specs with a fault ``plan``).
     resilience: Optional[object] = None
     #: Hex fingerprint of the kernel's event trajectory — the
     #: determinism-contract witness (same seed ⇒ same digest).
@@ -75,12 +164,11 @@ class ExperimentResult:
     flow: Optional[dict] = None
     #: Mobility/handover summary — per-handover records plus the
     #: aggregate report (MTTR, state moved, frames lost by reason);
-    #: present only for mobility runs
-    #: (see :func:`run_mobility_experiment`).
+    #: present only for mobility runs (specs with ``mobility``).
     mobility: Optional[dict] = None
     #: Macro-cohort summary — spec, exact frame ledger, analytic
     #: capacity, and serialized latency sketches; present only for
-    #: cohort runs (see :func:`run_cohort_experiment`).
+    #: cohort runs (specs with ``cohort_size``).
     cohort: Optional[dict] = None
     #: Post-hoc joules attribution (per stage / idle / device, plus
     #: joules-per-frame and cost units) from
@@ -107,26 +195,25 @@ class ExperimentResult:
         received = sum(c.frames_received for c in self.clients)
         return received / sent if sent else 0.0
 
-    def mean_e2e_ms(self) -> float:
+    def _e2e_ms(self, statistic, *args) -> float:
         latencies = [lat for c in self.clients
                      for lat in c.e2e_latencies_s]
-        return 1000.0 * float(np.mean(latencies)) if latencies else 0.0
+        if not latencies:
+            return 0.0
+        return 1000.0 * float(statistic(latencies, *args))
+
+    def mean_e2e_ms(self) -> float:
+        return self._e2e_ms(np.mean)
 
     def median_e2e_ms(self) -> float:
-        latencies = [lat for c in self.clients
-                     for lat in c.e2e_latencies_s]
-        return 1000.0 * float(np.median(latencies)) if latencies else 0.0
+        return self._e2e_ms(np.median)
 
     def percentile_e2e_ms(self, percentile: float) -> float:
         """Tail latency — the metric XR budgets actually care about."""
         if not 0.0 < percentile < 100.0:
             raise ValueError(
                 f"percentile must be in (0, 100), got {percentile}")
-        latencies = [lat for c in self.clients
-                     for lat in c.e2e_latencies_s]
-        if not latencies:
-            return 0.0
-        return 1000.0 * float(np.percentile(latencies, percentile))
+        return self._e2e_ms(np.percentile, percentile)
 
     def mean_jitter_ms(self) -> float:
         return 1000.0 * float(np.mean([c.jitter_s()
@@ -196,37 +283,39 @@ class _ComputeScope:
                 for name, record in delta.items()}
 
 
-def _event_profile(sim) -> Optional[dict]:
-    """JSON-ready event-kind profile, or ``None`` when not profiled."""
-    profile = getattr(sim, "profile", None)
-    if profile is None or not profile.events:
-        return None
-    return profile.as_dict()
+def build_experiment(spec: ExperimentSpec) -> tuple:
+    """Deploy ``spec``'s pipeline and create its clients, unrun: the
+    ``(sim, testbed, orchestrator, pipeline, clients)`` of a run."""
+    if spec.scatterpp:
+        from repro.scatterpp.pipeline import scatterpp_pipeline_kwargs
 
-
-def _build(placement: PlacementConfig, num_clients: int, seed: int,
-           client_netem: Optional[Netem],
-           pipeline_kwargs: Optional[dict],
-           resilience: Optional[ResilienceConfig] = None,
-           watchdog: bool = True, flow=None,
-           profile: bool = False) -> tuple:
-    sim = Simulator(profile=profile)
-    rng = RngRegistry(seed)
-    testbed = build_paper_testbed(sim, rng, num_clients=num_clients)
-    if client_netem is not None:
+        pipeline_kwargs = scatterpp_pipeline_kwargs(
+            threshold_s=spec.threshold_s,
+            stateless_sift=spec.stateless_sift,
+            with_sidecars=spec.with_sidecars, flow=spec.flow)
+    else:
+        pipeline_kwargs = spec.pipeline_kwargs or {}
+    resilience = spec.resilience
+    if resilience is None and (spec.plan is not None
+                               or spec.mobility is not None):
+        resilience = ResilienceConfig()
+    sim = Simulator(profile=spec.profile)
+    rng = RngRegistry(spec.seed)
+    testbed = build_paper_testbed(sim, rng, num_clients=spec.num_clients)
+    if spec.client_netem is not None:
         for node in testbed.client_nodes:
-            testbed.network.set_netem(node, "e1", client_netem)
+            testbed.network.set_netem(node, "e1", spec.client_netem)
     orchestrator = Orchestrator(testbed)
-    pipeline = ScatterPipeline(testbed, orchestrator, placement,
-                               **(pipeline_kwargs or {}))
+    pipeline = ScatterPipeline(testbed, orchestrator, spec.placement,
+                               **pipeline_kwargs)
     pipeline.deploy()
-    orchestrator.start(watchdog=watchdog)
-    clients = []
-    for index, node in enumerate(testbed.client_nodes):
-        clients.append(ArClient(
-            client_id=index, node=node, network=testbed.network,
-            registry=orchestrator.registry, resilience=resilience,
-            flow=flow, rng=rng.stream(f"client.{index}")))
+    orchestrator.start(watchdog=spec.plan is None)
+    clients = [ArClient(client_id=index, node=node,
+                        network=testbed.network,
+                        registry=orchestrator.registry,
+                        resilience=resilience, flow=spec.flow,
+                        rng=rng.stream(f"client.{index}"))
+               for index, node in enumerate(testbed.client_nodes)]
     return sim, testbed, orchestrator, pipeline, clients
 
 
@@ -244,27 +333,22 @@ def flow_summary(pipeline: ScatterPipeline, clients, flow
 
     from repro.flow.invariants import ledger_totals, sidecar_ledger
 
-    ledgers = []
-    for service_name in scatter_config.PIPELINE_ORDER:
-        for instance in pipeline.instances(service_name):
-            if hasattr(instance, "sidecar"):
-                ledgers.append(sidecar_ledger(instance))
-    sidecars = [instance.sidecar
-                for service_name in scatter_config.PIPELINE_ORDER
-                for instance in pipeline.instances(service_name)
-                if hasattr(instance, "sidecar")]
+    instances = [instance
+                 for service_name in scatter_config.PIPELINE_ORDER
+                 for instance in pipeline.instances(service_name)]
+    wrapped = [instance for instance in instances
+               if hasattr(instance, "sidecar")]
     return {
         "config": asdict(flow),
-        "services": ledger_totals(ledgers),
+        "services": ledger_totals([sidecar_ledger(instance)
+                                   for instance in wrapped]),
         "paced_frames": sum(c.stats.frames_paced for c in clients),
-        "batched_rounds": sum(s.stats.batched_rounds
-                              for s in sidecars),
-        "batched_frames": sum(s.stats.batched_frames
-                              for s in sidecars),
-        "shed_backpressure": sum(
-            instance.stats.shed_backpressure
-            for service_name in scatter_config.PIPELINE_ORDER
-            for instance in pipeline.instances(service_name)),
+        "batched_rounds": sum(i.sidecar.stats.batched_rounds
+                              for i in wrapped),
+        "batched_frames": sum(i.sidecar.stats.batched_frames
+                              for i in wrapped),
+        "shed_backpressure": sum(instance.stats.shed_backpressure
+                                 for instance in instances),
     }
 
 
@@ -279,316 +363,29 @@ def _attach_tracer(orchestrator, clients):
     return tracer
 
 
-def run_scatter_experiment(
-        placement: PlacementConfig, *, num_clients: int,
-        duration_s: float = DEFAULT_DURATION_S, seed: int = 0,
-        client_netem: Optional[Netem] = None,
-        pipeline_kwargs: Optional[dict] = None,
-        tracing: bool = False,
-        profile: bool = False) -> ExperimentResult:
-    """Deploy scAtteR per ``placement`` and run ``num_clients``.
-
-    ``profile=True`` turns on the kernel's per-event-kind wall-time
-    profiler (``ExperimentResult.event_profile``); the default keeps
-    the event loop clock-free and is provably trajectory-neutral.
-    """
-    scope = _ComputeScope()
-    sim, testbed, orchestrator, pipeline, clients = _build(
-        placement, num_clients, seed, client_netem, pipeline_kwargs,
-        profile=profile)
-    tracer = _attach_tracer(orchestrator, clients) if tracing else None
-    for client in clients:
-        client.start(duration_s)
-    sim.run(until=duration_s + DRAIN_S)
-    return ExperimentResult(
-        config_name=placement.name, num_clients=num_clients,
-        duration_s=duration_s,
-        clients=[c.stats for c in clients], pipeline=pipeline,
-        monitor=orchestrator.monitor, testbed=testbed, tracer=tracer,
-        trace_digest=sim.fingerprint(),
-        feature_cache=scope.cache_delta(),
-        kernel_profile=scope.profile_delta(),
-        event_profile=_event_profile(sim))
-
-
-def run_scatterpp_experiment(
-        placement: PlacementConfig, *, num_clients: int,
-        duration_s: float = DEFAULT_DURATION_S, seed: int = 0,
-        client_netem: Optional[Netem] = None,
-        threshold_s: Optional[float] = None,
-        stateless_sift: bool = True,
-        with_sidecars: bool = True,
-        flow=None,
-        tracing: bool = False,
-        profile: bool = False,
-        post_deploy=None) -> ExperimentResult:
-    """Deploy scAtteR++ (stateless sift + sidecars) and run clients.
-
-    ``stateless_sift`` / ``with_sidecars`` exist for the component
-    ablation — disabling both reduces to plain scAtteR.  ``flow`` (a
-    :class:`~repro.flow.FlowConfig`) engages the flow substrate on
-    every sidecar *and* every client; ``None`` reproduces the paper's
-    behaviour — and the golden trace digests — byte for byte.
-
-    ``post_deploy(sim, orchestrator, pipeline)`` runs after the
-    pipeline is deployed and before clients start — the hook the
-    optimizer oracle uses to attach an autoscaler.  ``None`` (the
-    default) leaves the trajectory byte-identical to a call without
-    the parameter.
-    """
-    from repro.scatterpp.analytics import SidecarAnalytics
-    from repro.scatterpp.pipeline import scatterpp_pipeline_kwargs
-
-    kwargs = scatterpp_pipeline_kwargs(
-        threshold_s=threshold_s, stateless_sift=stateless_sift,
-        with_sidecars=with_sidecars, flow=flow)
-    scope = _ComputeScope()
-    sim, testbed, orchestrator, pipeline, clients = _build(
-        placement, num_clients, seed, client_netem, kwargs, flow=flow,
-        profile=profile)
-    analytics = None
-    if with_sidecars:
-        analytics = SidecarAnalytics(sim)
-        for instance in orchestrator.all_instances():
-            analytics.watch(instance)
-        analytics.start()
-    if post_deploy is not None:
-        post_deploy(sim, orchestrator, pipeline)
-    tracer = _attach_tracer(orchestrator, clients) if tracing else None
-    for client in clients:
-        client.start(duration_s)
-    sim.run(until=duration_s + DRAIN_S)
-    return ExperimentResult(
-        config_name=placement.name, num_clients=num_clients,
-        duration_s=duration_s,
-        clients=[c.stats for c in clients], pipeline=pipeline,
-        monitor=orchestrator.monitor, testbed=testbed,
-        analytics=analytics, tracer=tracer,
-        trace_digest=sim.fingerprint(),
-        feature_cache=scope.cache_delta(),
-        kernel_profile=scope.profile_delta(),
-        event_profile=_event_profile(sim),
-        flow=flow_summary(pipeline, clients, flow))
-
-
-def run_cohort_experiment(
-        placement: PlacementConfig, *, cohort_size: int,
-        tracers: int,
-        duration_s: float = DEFAULT_DURATION_S, seed: int = 0,
-        client_netem: Optional[Netem] = None,
-        threshold_s: Optional[float] = None,
-        flow=None,
-        load: str = "constant",
-        load_kwargs: Optional[dict] = None,
-        tick_s: Optional[float] = None,
-        tracing: bool = False,
-        profile: bool = False) -> ExperimentResult:
-    """A hybrid city-scale run: ``tracers`` microscopic clients ride
-    alongside a ``cohort_size``-client statistical population.
-
-    The tracer clients are real :class:`~repro.scatter.client.
-    ArClient` instances (exact per-frame QoS through the full
-    scAtteR++ event machinery); the remaining ``cohort_size -
-    tracers`` members are modeled by one :class:`~repro.cohort.
-    CohortEngine` tick process — aggregate credits/pacing/admission
-    plus a fluid bottleneck queue — at O(1) memory and O(ticks) events
-    regardless of population size.  ``ExperimentResult.cohort``
-    carries the spec, the exactly-balanced frame ledger (checked
-    before returning), the analytic capacity model, and mergeable
-    latency sketches.
-
-    With ``cohort_size == tracers`` the macro layer is provably
-    inert — zero events, zero RNG — and the run is bit-identical to
-    :func:`run_scatterpp_experiment` with the same arguments (the
-    equivalence contract ``tests/test_cohort_equivalence.py`` pins).
-    """
-    from repro.cohort import (CohortEngine, CohortSpec,
-                              DEFAULT_TICK_S, LOAD_PROCESSES,
-                              check_cohort_conservation)
-    from repro.scatterpp.analytics import SidecarAnalytics
-    from repro.scatterpp.pipeline import scatterpp_pipeline_kwargs
-
-    spec = CohortSpec(
-        size=cohort_size, tracers=tracers,
-        tick_s=tick_s if tick_s is not None else DEFAULT_TICK_S,
-        load=load, load_kwargs=dict(load_kwargs or {}))
-    kwargs = scatterpp_pipeline_kwargs(threshold_s=threshold_s,
-                                       flow=flow)
-    scope = _ComputeScope()
-    sim, testbed, orchestrator, pipeline, clients = _build(
-        placement, spec.tracers, seed, client_netem, kwargs,
-        flow=flow, profile=profile)
-    analytics = SidecarAnalytics(sim)
-    for instance in orchestrator.all_instances():
-        analytics.watch(instance)
-    analytics.start()
-    rng = None
-    if LOAD_PROCESSES[spec.load].uses_rng and spec.macro_members:
-        rng = testbed.rng.stream("cohort")
-    engine = CohortEngine(
-        sim, spec, pipeline, flow=flow,
-        threshold_s=threshold_s if threshold_s is not None else 0.100,
-        rng=rng)
-    tracer = _attach_tracer(orchestrator, clients) if tracing else None
-    engine.start(duration_s)
-    for client in clients:
-        client.start(duration_s)
-    sim.run(until=duration_s + DRAIN_S)
-    check_cohort_conservation(engine.ledger)
-    result = ExperimentResult(
-        config_name=placement.name, num_clients=spec.tracers,
-        duration_s=duration_s,
-        clients=[c.stats for c in clients], pipeline=pipeline,
-        monitor=orchestrator.monitor, testbed=testbed,
-        analytics=analytics, tracer=tracer,
-        trace_digest=sim.fingerprint(),
-        feature_cache=scope.cache_delta(),
-        kernel_profile=scope.profile_delta(),
-        event_profile=_event_profile(sim),
-        flow=flow_summary(pipeline, clients, flow))
-    result.cohort = engine.report(
-        duration_s=duration_s,
-        tracer_mean_fps=result.mean_fps()).as_dict()
-    return result
-
-
-def run_scatterpp_flow_experiment(
-        placement: PlacementConfig, *, num_clients: int,
-        duration_s: float = DEFAULT_DURATION_S, seed: int = 0,
-        client_netem: Optional[Netem] = None,
-        threshold_s: Optional[float] = None,
-        tracing: bool = False,
-        profile: bool = False) -> ExperimentResult:
-    """scAtteR++ with the default flow substrate engaged.
-
-    The campaign-facing variant (registered as ``scatterpp-flow``):
-    same signature contract as the other runners so
-    :mod:`repro.experiments.parallel` can shard it across workers.
-    """
-    from repro.flow import default_flow_config
-
-    return run_scatterpp_experiment(
-        placement, num_clients=num_clients, duration_s=duration_s,
-        seed=seed, client_netem=client_netem, threshold_s=threshold_s,
-        flow=default_flow_config(), tracing=tracing, profile=profile)
-
-
-def run_ramp_experiment(
-        placement: PlacementConfig, *, max_clients: int,
-        stage_s: float = 10.0, seed: int = 0,
-        threshold_s: Optional[float] = None) -> ExperimentResult:
-    """A scAtteR++ run where clients join one by one.
-
-    Client *i* starts streaming at ``i × stage_s`` and keeps going
-    until the end of the run (Figures 8 and 12 correlate per-service
-    sidecar telemetry with this staged load increase).
-    """
-    if max_clients < 1:
-        raise ValueError(f"max_clients must be >= 1, got {max_clients}")
-    if stage_s <= 0:
-        raise ValueError(f"stage_s must be positive, got {stage_s}")
-    from repro.scatterpp.analytics import SidecarAnalytics
-    from repro.scatterpp.pipeline import scatterpp_pipeline_kwargs
-
-    kwargs = scatterpp_pipeline_kwargs(threshold_s=threshold_s)
-    scope = _ComputeScope()
-    sim, testbed, orchestrator, pipeline, clients = _build(
-        placement, max_clients, seed, None, kwargs)
-    analytics = SidecarAnalytics(sim)
-    for instance in orchestrator.all_instances():
-        analytics.watch(instance)
-    analytics.start()
-
-    total_s = stage_s * max_clients
-    for index, client in enumerate(clients):
-        remaining = total_s - index * stage_s
-
-        def delayed_start(client=client, delay=index * stage_s,
-                          run_for=remaining):
-            yield sim.timeout(delay)
-            client.start(run_for)
-
-        sim.spawn(delayed_start(), name=f"ramp-{index}")
-    sim.run(until=total_s + DRAIN_S)
-    return ExperimentResult(
-        config_name=placement.name, num_clients=max_clients,
-        duration_s=total_s,
-        clients=[c.stats for c in clients], pipeline=pipeline,
-        monitor=orchestrator.monitor, testbed=testbed,
-        analytics=analytics, trace_digest=sim.fingerprint(),
-        feature_cache=scope.cache_delta(),
-        kernel_profile=scope.profile_delta())
-
-
-def run_mobility_experiment(
-        placement: PlacementConfig, *, num_clients: int,
-        duration_s: float = DEFAULT_DURATION_S, seed: int = 0,
-        trajectories=None,
-        handover_config=None,
-        naive: bool = False,
-        plan=None,
-        resilience: Optional[ResilienceConfig] = None,
-        flow=None,
-        threshold_s: Optional[float] = None,
-        mean_dwell_s: float = 8.0,
-        min_dwell_s: float = 2.0,
-        tracing: bool = False) -> ExperimentResult:
-    """A mobility run: clients roam between edge sites, sessions move.
-
-    Each client follows a :class:`~repro.mobility.trajectory.
-    ClientTrajectory` (seed-derived by default): its access link is
-    driven through the trajectory's netem schedule, and every site
-    change triggers a stateful session handover via
-    :class:`~repro.mobility.handover.HandoverCoordinator` —
-    ``naive=True`` swaps in the kill-and-reconnect baseline the
-    benchmark compares against.  The stateful sift↔matching loop is
-    kept (``stateless_sift=False``): mobility is only interesting when
-    there is session state to move.
-
-    ``plan`` (a :class:`~repro.chaos.faults.FaultPlan`) layers chaos on
-    top — crashes racing handovers exercise the abort/rollback/retry
-    paths; with a plan attached failures are *discovered* by the
-    heartbeat detector, as in :func:`run_resilience_experiment`.
-    Clients default to the stock resilience layer so mid-handover
-    windows degrade to local tracking instead of stalling.
-    """
+def _attach_mobility(spec: ExperimentSpec, sim, testbed, orchestrator,
+                     clients) -> tuple:
+    """Bind every client to its trajectory; returns (coordinator,
+    planned handover count)."""
     from repro.mobility.handover import HandoverCoordinator
-    from repro.mobility.metrics import build_mobility_report
     from repro.mobility.trajectory import default_trajectories
     from repro.net.netem import apply_netem_schedule
-    from repro.scatterpp.pipeline import scatterpp_pipeline_kwargs
 
-    if resilience is None:
-        resilience = ResilienceConfig()
-    kwargs = scatterpp_pipeline_kwargs(
-        threshold_s=threshold_s, stateless_sift=False, flow=flow)
-    scope = _ComputeScope()
-    sim, testbed, orchestrator, pipeline, clients = _build(
-        placement, num_clients, seed, None, kwargs,
-        resilience=resilience, watchdog=(plan is None), flow=flow)
-    detector = injector = None
-    if plan is not None:
-        from repro.chaos.injector import FaultInjector
-        from repro.orchestra.health import FailureDetector
-
-        detector = FailureDetector(orchestrator)
-        detector.start()
-        injector = FaultInjector(orchestrator, plan)
-        injector.start()
-
+    mobility = spec.mobility
+    trajectories = mobility.trajectories
     if trajectories is None:
         trajectories = default_trajectories(
-            num_clients, duration_s=duration_s,
+            spec.num_clients, duration_s=spec.duration_s,
             rng=testbed.rng.stream("mobility"),
-            mean_dwell_s=mean_dwell_s, min_dwell_s=min_dwell_s)
-    if len(trajectories) != num_clients:
+            mean_dwell_s=mobility.mean_dwell_s,
+            min_dwell_s=mobility.min_dwell_s)
+    if len(trajectories) != spec.num_clients:
         raise ValueError(
             f"need one trajectory per client: "
-            f"{len(trajectories)} != {num_clients}")
-
+            f"{len(trajectories)} != {spec.num_clients}")
     coordinator = HandoverCoordinator(
-        orchestrator, service="sift", config=handover_config,
-        naive=naive)
+        orchestrator, service="sift", config=mobility.handover_config,
+        naive=mobility.naive)
     # Upstream services consult the session directory before the
     # balancer, so a client's frames chase its session.
     for instance in orchestrator.all_instances():
@@ -603,103 +400,122 @@ def run_mobility_experiment(
             apply_netem_schedule(testbed.network, client.node, "e1",
                                  schedule)
         # One batched insert for the whole handover timetable —
-        # seq-for-seq identical to a schedule() per entry, so the
-        # mobility digests are untouched.
+        # seq-for-seq identical to a schedule() per entry.
         timetable = [(at_s, coordinator.handover_session,
                       (client.client_id, to_site))
                      for at_s, __, to_site in trajectory.handovers()]
         planned += len(timetable)
         sim.schedule_batch(timetable)
+    return coordinator, planned
 
-    tracer = _attach_tracer(orchestrator, clients) if tracing else None
-    for client in clients:
-        client.start(duration_s)
-    sim.run(until=duration_s + DRAIN_S)
 
-    report = build_mobility_report(
-        coordinator, [c.stats for c in clients], planned=planned)
-    mobility = {
-        "naive": naive,
-        "report": report.as_dict(),
-        "handovers": [record.as_dict()
-                      for record in coordinator.records],
-    }
-    resilience_report = None
-    if injector is not None:
-        from repro.metrics.resilience import build_resilience_report
+def _join_later(sim, client, delay_s: float, run_s: float):
+    yield sim.timeout(delay_s)
+    client.start(run_s)
 
-        resilience_report = build_resilience_report(
-            injector=injector, detector=detector,
-            orchestrator=orchestrator, clients=clients)
-    return ExperimentResult(
-        config_name=placement.name, num_clients=num_clients,
-        duration_s=duration_s,
+
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+    """Run ``spec`` and return everything it measured.
+
+    Attachments are wired in one fixed order — build → chaos → sidecar
+    analytics → mobility → cohort engine → ``post_deploy`` → tracer →
+    cohort start → client starts — then the simulator runs to
+    ``duration_s`` plus :data:`DRAIN_S` and the result is assembled.
+    Sidecar analytics watch every scAtteR++ run with sidecars unless
+    chaos or mobility is attached.
+    """
+    scope = _ComputeScope()
+    sim, testbed, orchestrator, pipeline, clients = build_experiment(spec)
+    detector = injector = None
+    if spec.plan is not None:
+        from repro.chaos.injector import FaultInjector
+        from repro.orchestra.health import FailureDetector
+
+        detector = FailureDetector(orchestrator,
+                                   **(spec.detector_kwargs or {}))
+        detector.start()
+        injector = FaultInjector(orchestrator, spec.plan)
+        injector.start()
+    analytics = None
+    if (spec.scatterpp and spec.with_sidecars and spec.plan is None
+            and spec.mobility is None):
+        from repro.scatterpp.analytics import SidecarAnalytics
+
+        analytics = SidecarAnalytics(sim)
+        for instance in orchestrator.all_instances():
+            analytics.watch(instance)
+        analytics.start()
+    if spec.mobility is not None:
+        coordinator, planned = _attach_mobility(
+            spec, sim, testbed, orchestrator, clients)
+    engine = None
+    if spec.cohort_size is not None:
+        from repro.cohort import (CohortEngine, CohortSpec,
+                                  DEFAULT_TICK_S, LOAD_PROCESSES)
+
+        cohort = CohortSpec(
+            size=spec.cohort_size, tracers=spec.num_clients,
+            tick_s=(spec.cohort_tick_s if spec.cohort_tick_s is not None
+                    else DEFAULT_TICK_S),
+            load=spec.cohort_load,
+            load_kwargs=dict(spec.cohort_load_kwargs or {}))
+        uses_rng = (LOAD_PROCESSES[cohort.load].uses_rng
+                    and cohort.macro_members)
+        engine = CohortEngine(
+            sim, cohort, pipeline, flow=spec.flow,
+            threshold_s=(spec.threshold_s if spec.threshold_s is not None
+                         else 0.100),
+            rng=testbed.rng.stream("cohort") if uses_rng else None)
+    if spec.post_deploy is not None:
+        spec.post_deploy(sim, orchestrator, pipeline)
+    tracer = _attach_tracer(orchestrator, clients) if spec.tracing else None
+    if engine is not None:
+        engine.start(spec.duration_s)
+    for index, client in enumerate(clients):
+        if spec.stage_s is None:
+            client.start(spec.duration_s)
+        else:
+            delay_s = index * spec.stage_s
+            sim.spawn(_join_later(sim, client, delay_s,
+                                  spec.duration_s - delay_s),
+                      name=f"ramp-{index}")
+    sim.run(until=spec.duration_s + DRAIN_S)
+
+    if engine is not None:
+        from repro.cohort import check_cohort_conservation
+
+        check_cohort_conservation(engine.ledger)
+    result = ExperimentResult(
+        config_name=spec.placement.name, num_clients=spec.num_clients,
+        duration_s=spec.duration_s,
         clients=[c.stats for c in clients], pipeline=pipeline,
-        monitor=orchestrator.monitor, testbed=testbed, tracer=tracer,
-        resilience=resilience_report,
+        monitor=orchestrator.monitor, testbed=testbed,
+        analytics=analytics, tracer=tracer,
         trace_digest=sim.fingerprint(),
         feature_cache=scope.cache_delta(),
         kernel_profile=scope.profile_delta(),
-        flow=flow_summary(pipeline, clients, flow),
-        mobility=mobility)
+        event_profile=(sim.profile.as_dict() if sim.profile is not None
+                       and sim.profile.events else None),
+        flow=flow_summary(pipeline, clients, spec.flow))
+    if injector is not None:
+        from repro.metrics.resilience import build_resilience_report
 
+        result.resilience = build_resilience_report(
+            injector=injector, detector=detector,
+            orchestrator=orchestrator, clients=clients)
+    if spec.mobility is not None:
+        from repro.mobility.metrics import build_mobility_report
 
-def run_resilience_experiment(
-        placement: PlacementConfig, *, num_clients: int, plan,
-        duration_s: float = DEFAULT_DURATION_S, seed: int = 0,
-        resilience: Optional[ResilienceConfig] = None,
-        detector_kwargs: Optional[dict] = None,
-        scatterpp: bool = False,
-        threshold_s: Optional[float] = None,
-        client_netem: Optional[Netem] = None) -> ExperimentResult:
-    """A chaos run: faults injected, failures *discovered*, QoS kept.
-
-    Differences from the plain runners:
-
-    * the orchestrator's container-state watchdog is off — failures
-      must be discovered by the heartbeat
-      :class:`~repro.orchestra.health.FailureDetector`;
-    * every client gets the resilience layer (retry + breaker +
-      local fallback), defaulting to :class:`ResilienceConfig`'s
-      stock parameters;
-    * ``plan`` (a :class:`~repro.chaos.faults.FaultPlan`) is driven by
-      a :class:`~repro.chaos.injector.FaultInjector`;
-    * the result carries a
-      :class:`~repro.metrics.resilience.ResilienceReport` in its
-      ``resilience`` field.
-    """
-    from repro.chaos.injector import FaultInjector
-    from repro.metrics.resilience import build_resilience_report
-    from repro.orchestra.health import FailureDetector
-
-    if resilience is None:
-        resilience = ResilienceConfig()
-    pipeline_kwargs = None
-    if scatterpp:
-        from repro.scatterpp.pipeline import scatterpp_pipeline_kwargs
-
-        pipeline_kwargs = scatterpp_pipeline_kwargs(
-            threshold_s=threshold_s)
-    scope = _ComputeScope()
-    sim, testbed, orchestrator, pipeline, clients = _build(
-        placement, num_clients, seed, client_netem, pipeline_kwargs,
-        resilience=resilience, watchdog=False)
-    detector = FailureDetector(orchestrator,
-                               **(detector_kwargs or {}))
-    detector.start()
-    injector = FaultInjector(orchestrator, plan)
-    injector.start()
-    for client in clients:
-        client.start(duration_s)
-    sim.run(until=duration_s + DRAIN_S)
-    report = build_resilience_report(
-        injector=injector, detector=detector,
-        orchestrator=orchestrator, clients=clients)
-    return ExperimentResult(
-        config_name=placement.name, num_clients=num_clients,
-        duration_s=duration_s,
-        clients=[c.stats for c in clients], pipeline=pipeline,
-        monitor=orchestrator.monitor, testbed=testbed,
-        resilience=report, trace_digest=sim.fingerprint(),
-        feature_cache=scope.cache_delta(),
-        kernel_profile=scope.profile_delta())
+        report = build_mobility_report(coordinator, result.clients,
+                                       planned=planned)
+        result.mobility = {
+            "naive": spec.mobility.naive,
+            "report": report.as_dict(),
+            "handovers": [record.as_dict()
+                          for record in coordinator.records],
+        }
+    if engine is not None:
+        result.cohort = engine.report(
+            duration_s=spec.duration_s,
+            tracer_mean_fps=result.mean_fps()).as_dict()
+    return result

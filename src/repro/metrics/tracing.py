@@ -8,7 +8,7 @@ end-to-end time go, and how does the split between compute, queueing
 and network shift with load?
 
 Attach a :class:`Tracer` through the experiment runner
-(``run_scatter_experiment(..., tracing=True)``) or set the ``tracer``
+(``ExperimentSpec(..., tracing=True)``) or set the ``tracer``
 attribute on individual services.
 """
 

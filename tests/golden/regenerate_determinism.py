@@ -11,7 +11,10 @@ golden file cannot paper over), then replays it a third time through
 the content-addressed cell cache (refusing to write if the cached
 replay disagrees — a golden regenerated past a broken cache would pin
 the wrong digests), and rewrites
-``tests/golden/determinism_digests.json``.
+``tests/golden/determinism_digests.json``.  It then replays the runner
+cells (one per mode the campaigns never reach) in-process and on two
+worker processes, refusing to write if they disagree, and rewrites
+``tests/golden/runner_digests.json``.
 """
 
 import json
@@ -30,7 +33,10 @@ from tests.test_determinism import (  # noqa: E402
     FLOW_CAMPAIGN,
     FLOW_GOLDEN_PATH,
     GOLDEN_PATH,
+    RUNNER_CELL_S,
+    RUNNER_GOLDEN_PATH,
     _digest_map,
+    replay_runner_cells,
 )
 
 
@@ -67,9 +73,23 @@ def _regenerate(campaign, path) -> bool:
     return True
 
 
+def _regenerate_runner_cells() -> bool:
+    serial = replay_runner_cells()
+    if replay_runner_cells(workers=2) != serial:
+        print("FATAL: the runner cells disagree across a process "
+              "boundary — fix that before regenerating.")
+        return False
+    RUNNER_GOLDEN_PATH.write_text(json.dumps(
+        {"duration_s": RUNNER_CELL_S, "cells": serial},
+        indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(serial)} runner cells to {RUNNER_GOLDEN_PATH}")
+    return True
+
+
 def main() -> int:
     ok = _regenerate(CONTRACT_CAMPAIGN, GOLDEN_PATH)
     ok = _regenerate(FLOW_CAMPAIGN, FLOW_GOLDEN_PATH) and ok
+    ok = _regenerate_runner_cells() and ok
     return 0 if ok else 1
 
 

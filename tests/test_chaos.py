@@ -128,7 +128,8 @@ from repro.chaos import (  # noqa: E402
 )
 from repro.chaos.injector import FaultInjector  # noqa: E402
 from repro.experiments.runner import (  # noqa: E402
-    run_resilience_experiment,
+    ExperimentSpec,
+    run_experiment,
 )
 from repro.orchestra.health import (  # noqa: E402
     FailureDetector,
@@ -140,7 +141,7 @@ from repro.scatter.resilience import ResilienceConfig  # noqa: E402
 def run_with_detector(*, plan, config_name="C2", scatterpp=False,
                       duration_s=20.0, num_clients=1,
                       detector_kwargs=None, resilience=None):
-    """Manual twin of ``run_resilience_experiment`` that returns the
+    """Manual twin of a chaos :func:`run_experiment` that returns the
     live detector/injector objects for assertions."""
     sim = Simulator()
     rng = RngRegistry(0)
@@ -332,9 +333,9 @@ def test_resilience_experiment_deterministic():
     plan = [InstanceCrash(at_s=5.0, service="sift"),
             GrayFailure(at_s=10.0, duration_s=2.0, service="matching",
                         slowdown=25.0)]
-    results = [run_resilience_experiment(
+    results = [run_experiment(ExperimentSpec(
         baseline_configs()["C2"], num_clients=1,
-        plan=FaultPlan(list(plan)), duration_s=15.0, seed=7)
+        plan=FaultPlan(list(plan)), duration_s=15.0, seed=7))
         for __ in range(2)]
     a, b = (r.resilience for r in results)
     assert a.availability() == b.availability()

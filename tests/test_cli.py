@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import FIGURES, _named_config, build_parser, main
+from repro import cli
+from repro.cli import FIGURES, _placement, build_parser, main
 
 
 def test_parser_builds():
@@ -70,17 +71,43 @@ def test_testbed_command(capsys):
     assert "15.00" in out  # client <-> cloud RTT
 
 
-def test_named_config_errors():
+def test_config_flag_errors():
     with pytest.raises(SystemExit):
-        _named_config("nonsense")
+        _placement("nonsense")
 
 
-def test_named_config_variants():
-    assert _named_config("C21").name == "C21"
-    assert _named_config("cloud").name == "cloud"
-    assert _named_config("hybrid").name == "hybrid"
-    assert _named_config("[1, 3, 2, 1, 3]").replica_vector() == \
+def test_config_flag_variants():
+    assert _placement("C21").name == "C21"
+    assert _placement("cloud").name == "cloud"
+    assert _placement("hybrid").name == "hybrid"
+    assert _placement("[1, 3, 2, 1, 3]").replica_vector() == \
         [1, 3, 2, 1, 3]
+
+
+@pytest.mark.parametrize("name", ["fig8", "fig12"])
+def test_ramp_figures_receive_seed_and_stage(monkeypatch, name):
+    calls = []
+    description = FIGURES[name][2]
+    monkeypatch.setitem(cli.FIGURES, name, (
+        lambda **kwargs: calls.append(kwargs), lambda report: None,
+        description))
+    assert main(["figure", name, "--seed", "3", "--duration", "2"]) == 0
+    assert calls == [{"seed": 3, "stage_s": 2.0}]
+
+
+@pytest.mark.parametrize("flags", [["--tracers", "2"],
+                                   ["--cohort-load", "poisson"]])
+def test_cohort_flags_require_cohort_size(flags):
+    with pytest.raises(SystemExit):
+        main(["run", "--pipeline", "scatterpp", "--duration", "1"]
+             + flags)
+
+
+def test_mobility_command(capsys):
+    assert main(["mobility", "--clients", "1", "--duration", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "mean FPS" in out
+    assert "handover metric" in out
 
 
 def test_optimize_command(capsys):

@@ -215,14 +215,13 @@ def test_merge_cohort_dicts_empty_and_single():
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def deployed():
-    from repro.experiments.runner import _build
+    from repro.experiments.runner import ExperimentSpec, build_experiment
     from repro.scatter.config import baseline_configs
-    from repro.scatterpp.pipeline import scatterpp_pipeline_kwargs
 
     flow = default_flow_config()
-    sim, testbed, orchestrator, pipeline, clients = _build(
-        baseline_configs()["C1"], 1, 0, None,
-        scatterpp_pipeline_kwargs(flow=flow), flow=flow)
+    sim, testbed, orchestrator, pipeline, clients = build_experiment(
+        ExperimentSpec(baseline_configs()["C1"], 1, scatterpp=True,
+                       flow=flow))
     return sim, pipeline, flow
 
 

@@ -21,8 +21,7 @@ import json
 import pytest
 
 from repro.experiments.campaign import run_campaign
-from repro.experiments.runner import (run_cohort_experiment,
-                                      run_scatterpp_experiment)
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.experiments.store import summarize_result
 from repro.flow import default_flow_config
 from repro.scatter.config import baseline_configs
@@ -34,15 +33,15 @@ DURATION_S = 2.0
 
 
 def micro_run(*, flow, seed=0, clients=2):
-    return run_scatterpp_experiment(
+    return run_experiment(ExperimentSpec(
         PLACEMENT, num_clients=clients, duration_s=DURATION_S,
-        seed=seed, flow=flow)
+        seed=seed, flow=flow, scatterpp=True))
 
 
 def all_tracer_run(*, flow, seed=0, clients=2):
-    return run_cohort_experiment(
-        PLACEMENT, cohort_size=clients, tracers=clients,
-        duration_s=DURATION_S, seed=seed, flow=flow)
+    return run_experiment(ExperimentSpec(
+        PLACEMENT, clients, duration_s=DURATION_S, seed=seed,
+        scatterpp=True, flow=flow, cohort_size=clients))
 
 
 # ----------------------------------------------------------------------
@@ -109,10 +108,9 @@ def test_cohort_off_campaign_matches_golden_digests(workers):
 # Hybrid runs: deterministic per seed, conservation holds
 # ----------------------------------------------------------------------
 def hybrid_run(seed=0, load="constant"):
-    return run_cohort_experiment(
-        PLACEMENT, cohort_size=500, tracers=2,
-        duration_s=DURATION_S, seed=seed,
-        flow=default_flow_config(), load=load)
+    return run_experiment(ExperimentSpec(
+        PLACEMENT, 2, duration_s=DURATION_S, seed=seed, scatterpp=True,
+        flow=default_flow_config(), cohort_size=500, cohort_load=load))
 
 
 def test_hybrid_run_is_deterministic_per_seed():
@@ -150,11 +148,11 @@ def test_tracer_qos_unaffected_by_macro_bookkeeping_scale():
     bookkeeping must not matter beyond the load it represents: equal
     macro populations at different spec sizes behave identically when
     the load process offers the same frames."""
-    small = run_cohort_experiment(
-        PLACEMENT, cohort_size=302, tracers=2,
-        duration_s=DURATION_S, seed=0, flow=default_flow_config())
-    again = run_cohort_experiment(
-        PLACEMENT, cohort_size=302, tracers=2,
-        duration_s=DURATION_S, seed=0, flow=default_flow_config())
+    small = run_experiment(ExperimentSpec(
+        PLACEMENT, 2, duration_s=DURATION_S, seed=0, scatterpp=True,
+        flow=default_flow_config(), cohort_size=302))
+    again = run_experiment(ExperimentSpec(
+        PLACEMENT, 2, duration_s=DURATION_S, seed=0, scatterpp=True,
+        flow=default_flow_config(), cohort_size=302))
     assert small.trace_digest == again.trace_digest
     assert small.cohort == again.cohort

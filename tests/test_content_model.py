@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments.runner import run_scatter_experiment
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.scatter.config import PIPELINE_ORDER, baseline_configs
 from repro.scatter.content import ContentCostModel
 from repro.vision.video import SyntheticVideo
@@ -61,11 +61,11 @@ def test_experiment_with_content_model(model):
     without breaking real-time service at one client."""
     kwargs = {"service_kwargs": {name: {"cost_model": model}
                                  for name in PIPELINE_ORDER}}
-    flat = run_scatter_experiment(baseline_configs()["C1"],
-                                  num_clients=1, duration_s=10.0)
-    content = run_scatter_experiment(baseline_configs()["C1"],
-                                     num_clients=1, duration_s=10.0,
-                                     pipeline_kwargs=kwargs)
+    flat = run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=1, duration_s=10.0))
+    content = run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=1, duration_s=10.0,
+        pipeline_kwargs=kwargs))
     assert content.mean_fps() >= 24.0
     # Mean E2E stays in the calibrated band...
     assert content.mean_e2e_ms() == pytest.approx(

@@ -22,18 +22,26 @@ CI runs this module under a ``DETERMINISM_WORKERS`` matrix; locally
 both 1 and 4 workers are exercised.
 """
 
+import dataclasses
+import hashlib
 import json
 import os
 import pathlib
 
 import pytest
 
-from repro.experiments.campaign import Campaign, run_campaign
+from repro.experiments.campaign import (PRESETS, RUNNERS, Campaign,
+                                        run_campaign)
+from repro.experiments.runner import (ExperimentSpec, MobilitySpec,
+                                      run_experiment)
+from repro.experiments.store import summarize_result
 
 GOLDEN_PATH = (pathlib.Path(__file__).parent / "golden"
                / "determinism_digests.json")
 FLOW_GOLDEN_PATH = (pathlib.Path(__file__).parent / "golden"
                     / "flow_digests.json")
+RUNNER_GOLDEN_PATH = (pathlib.Path(__file__).parent / "golden"
+                      / "runner_digests.json")
 
 #: The contract campaign: both pipelines, two cells each, two seeds —
 #: small enough for tier-1, broad enough to cover the sidecar path.
@@ -48,6 +56,83 @@ FLOW_CAMPAIGN = Campaign(
     name="determinism-flow", pipelines=("scatterpp-flow",),
     placements=("C1",), client_counts=(1, 2), duration_s=2.0,
     seeds=(0, 1))
+
+
+#: Run length of every runner golden cell.
+RUNNER_CELL_S = 2.0
+
+
+def runner_cells():
+    """The modes the campaign goldens never reach, one short cell each:
+    golden key -> zero-argument callable returning the result."""
+    from repro.chaos.faults import FaultPlan, InstanceCrash
+    from repro.flow import default_flow_config
+    from repro.orchestra.optimize import Genome, ScalerGenes
+    from repro.scatter.config import baseline_configs
+
+    c1, c2 = baseline_configs()["C1"], baseline_configs()["C2"]
+
+    def cell(placement, clients, **fields):
+        return lambda: run_experiment(ExperimentSpec(
+            placement, clients, duration_s=RUNNER_CELL_S, seed=0,
+            **fields))
+
+    def crash(at_s):
+        return FaultPlan(faults=[InstanceCrash(at_s=at_s,
+                                               service="sift")])
+
+    roam = MobilitySpec(mean_dwell_s=0.6, min_dwell_s=0.3)
+    roaming = dict(scatterpp=True, stateless_sift=False, mobility=roam)
+    cohort = dict(scatterpp=True, flow=default_flow_config(),
+                  cohort_size=1000)
+    genome = Genome.from_placement(c1, scaler=ScalerGenes(
+        drop_ratio=0.02, queue_depth=8, max_replicas=2, machine="e1"))
+    return {
+        "ramp/C1/2c/seed0": cell(c1, 2, scatterpp=True,
+                                 stage_s=RUNNER_CELL_S / 2),
+        "mobility-stateful/C1/2c/seed0": cell(c1, 2, **roaming),
+        "mobility-naive/C1/2c/seed0": cell(
+            c1, 2, **dict(roaming, mobility=dataclasses.replace(
+                roam, naive=True))),
+        "mobility-crash-flow/C1/2c/seed0": cell(
+            c1, 2, plan=crash(1.0), flow=default_flow_config(),
+            **roaming),
+        "resilience-scatter/C2/1c/seed0": cell(c2, 1, plan=crash(0.5)),
+        "resilience-scatterpp/C2/1c/seed0": cell(
+            c2, 1, scatterpp=True, plan=crash(0.5)),
+        "cohort-constant/C1/2c/seed0": cell(c1, 2, **cohort),
+        "cohort-poisson/C1/2c/seed0": cell(c1, 2, cohort_load="poisson",
+                                           **cohort),
+        "optimize-autoscaler/C1/2c/seed0": lambda: RUNNERS["optimize"](
+            genome.to_placement(), num_clients=2,
+            duration_s=RUNNER_CELL_S, seed=0),
+    }
+
+
+def runner_cell_digests(key):
+    """Trace digest plus a digest of the stored summary (wall-clock
+    fields dropped, the chaos report added) of one runner cell."""
+    result = runner_cells()[key]()
+    summary = summarize_result(result)
+    del summary["feature_cache"], summary["kernel_profile"]
+    if result.resilience is not None:
+        summary["resilience"] = dataclasses.asdict(result.resilience)
+    text = json.dumps(summary, sort_keys=True, default=repr)
+    return {"trace_digest": result.trace_digest,
+            "summary_digest": hashlib.blake2b(
+                text.encode(), digest_size=16).hexdigest()}
+
+
+def replay_runner_cells(workers=0):
+    """Every runner cell's digests, in-process or on the shared campaign
+    worker pool at ``workers`` processes."""
+    from repro.experiments.parallel import warm_pool
+
+    keys = sorted(runner_cells())
+    if not workers:
+        return {key: runner_cell_digests(key) for key in keys}
+    return dict(zip(keys, warm_pool(workers).map(runner_cell_digests,
+                                                 keys)))
 
 
 def _worker_counts():
@@ -171,16 +256,15 @@ def test_neutral_flow_config_matches_flow_none_bit_for_bit():
     advertiser process, pacing off → no pacer) must leave the event
     trajectory untouched, not merely the metrics.
     """
-    from repro.experiments.runner import run_scatterpp_experiment
     from repro.flow import neutral_flow_config
     from repro.scatter.config import baseline_configs
 
     placement = baseline_configs()["C1"]
-    base = run_scatterpp_experiment(placement, num_clients=2,
-                                    duration_s=2.0, seed=0)
-    neutral = run_scatterpp_experiment(placement, num_clients=2,
-                                       duration_s=2.0, seed=0,
-                                       flow=neutral_flow_config())
+    base = run_experiment(ExperimentSpec(
+        placement, num_clients=2, duration_s=2.0, seed=0, scatterpp=True))
+    neutral = run_experiment(ExperimentSpec(
+        placement, num_clients=2, duration_s=2.0, seed=0, scatterpp=True,
+        flow=neutral_flow_config()))
     assert neutral.trace_digest == base.trace_digest
     assert [c.received for c in neutral.clients] == \
         [c.received for c in base.clients]
@@ -190,15 +274,14 @@ def test_event_profiler_is_inert_on_a_real_cell():
     """``profile=True`` must not perturb the trajectory of a full
     experiment cell — same trace digest, same delivered frames — while
     still reporting a per-event-kind breakdown."""
-    from repro.experiments.runner import run_scatterpp_experiment
     from repro.scatter.config import baseline_configs
 
     placement = baseline_configs()["C1"]
-    base = run_scatterpp_experiment(placement, num_clients=2,
-                                    duration_s=2.0, seed=0)
-    profiled = run_scatterpp_experiment(placement, num_clients=2,
-                                        duration_s=2.0, seed=0,
-                                        profile=True)
+    base = run_experiment(ExperimentSpec(
+        placement, num_clients=2, duration_s=2.0, seed=0, scatterpp=True))
+    profiled = run_experiment(ExperimentSpec(
+        placement, num_clients=2, duration_s=2.0, seed=0, scatterpp=True,
+        profile=True))
     assert base.event_profile is None
     assert profiled.trace_digest == base.trace_digest
     assert [c.received for c in profiled.clients] == \
@@ -271,3 +354,54 @@ def test_optimize_oracle_cells_replay_flow_goldens():
     for cell, summaries in report.summaries.items():
         for summary in summaries:
             assert summary["energy"]["total_j"] > 0.0
+
+
+# ----------------------------------------------------------------------
+# Every mode: pinned goldens and one result shape
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("workers",
+                         tuple(dict.fromkeys((0,) + _worker_counts())))
+def test_runner_cells_match_committed_golden_file(workers):
+    """Ramp, mobility, chaos, cohort and autoscaler cells replay their
+    pinned trace and summary digests, in-process and across worker
+    processes."""
+    golden = json.loads(RUNNER_GOLDEN_PATH.read_text())
+    assert golden["duration_s"] == RUNNER_CELL_S
+    assert replay_runner_cells(workers) == golden["cells"], (
+        "Runner cells drifted from tests/golden/runner_digests.json.  "
+        "If this change to the simulation is intentional, regenerate "
+        "with `python tests/golden/regenerate_determinism.py` and "
+        "commit it; otherwise the determinism contract has been "
+        "broken.")
+
+
+def _shape_specs():
+    """Every campaign preset, plus a ramp and a chaos spec, at 1 s."""
+    from repro.chaos.faults import FaultPlan, InstanceCrash
+    from repro.scatter.config import baseline_configs
+
+    c1 = baseline_configs()["C1"]
+    specs = {name: preset(c1, num_clients=1, duration_s=1.0, seed=0)
+             for name, preset in PRESETS.items()}
+    specs["ramp"] = ExperimentSpec(c1, 2, duration_s=1.0,
+                                   scatterpp=True, stage_s=0.5)
+    specs["resilience"] = ExperimentSpec(
+        baseline_configs()["C2"], 1, duration_s=1.0,
+        plan=FaultPlan(faults=[InstanceCrash(at_s=0.5,
+                                             service="sift")]))
+    return specs
+
+
+@pytest.mark.parametrize("mode", sorted(_shape_specs()))
+def test_every_mode_returns_the_same_result_shape(mode):
+    """Tracing and profiling work in every mode, are reported exactly
+    when switched on, and never move the trajectory."""
+    spec = _shape_specs()[mode]
+    plain = run_experiment(spec)
+    traced = run_experiment(dataclasses.replace(spec, tracing=True))
+    profiled = run_experiment(dataclasses.replace(spec, profile=True))
+    for result in (plain, traced, profiled):
+        assert result.trace_digest is not None
+        assert result.trace_digest == plain.trace_digest
+        assert (result.tracer is not None) == (result is traced)
+        assert (result.event_profile is not None) == (result is profiled)

@@ -14,7 +14,7 @@ from repro.experiments.reporting import (
     service_metric_table,
     utilization_table,
 )
-from repro.experiments.runner import run_scatter_experiment
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.scatter.config import baseline_configs
 
 
@@ -152,10 +152,23 @@ def test_analytics_table_renders():
 # Runner mechanics
 # ----------------------------------------------------------------------
 def test_runner_result_fields():
-    result = run_scatter_experiment(baseline_configs()["C1"],
-                                    num_clients=2, duration_s=5.0)
+    result = run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=2, duration_s=5.0))
     assert result.num_clients == 2
     assert len(result.clients) == 2
     assert result.analytics is None
     assert len(result.per_client_fps()) == 2
     assert result.median_e2e_ms() > 0
+
+
+@pytest.mark.parametrize("fields", [
+    dict(flow=object()),               # flow control needs sidecars
+    dict(cohort_size=100),             # so does the cohort engine
+    dict(scatterpp=True, pipeline_kwargs={}),
+    dict(duration_s=2.0, stage_s=1.0, num_clients=3),  # joins too late
+    dict(stage_s=0.0),
+])
+def test_spec_rejects_fields_it_would_ignore(fields):
+    fields = dict(dict(num_clients=1), **fields)
+    with pytest.raises(ValueError):
+        ExperimentSpec(baseline_configs()["C1"], **fields)

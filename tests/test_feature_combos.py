@@ -7,10 +7,7 @@ without bookkeeping violations.
 
 import pytest
 
-from repro.experiments.runner import (
-    run_scatter_experiment,
-    run_scatterpp_experiment,
-)
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.scatter.config import PIPELINE_ORDER, baseline_configs
 from repro.scatter.content import ContentCostModel
 from repro.scatterpp.pipeline import scatterpp_pipeline_kwargs
@@ -27,9 +24,9 @@ def test_scatter_all_features_together(cost_model):
     kwargs = {"service_kwargs": {
         name: {"cost_model": cost_model, "reliable_transport": True}
         for name in PIPELINE_ORDER}}
-    result = run_scatter_experiment(
+    result = run_experiment(ExperimentSpec(
         baseline_configs()["C12"], num_clients=2, duration_s=8.0,
-        pipeline_kwargs=kwargs, tracing=True)
+        pipeline_kwargs=kwargs, tracing=True))
     assert result.mean_fps() > 10.0
     assert result.tracer is not None
     assert result.tracer.completed_traces()
@@ -46,9 +43,9 @@ def test_scatterpp_all_features_together(cost_model):
         discipline="lifo-fresh",
         service_kwargs={name: {"cost_model": cost_model}
                         for name in PIPELINE_ORDER})
-    result = run_scatter_experiment(
+    result = run_experiment(ExperimentSpec(
         baseline_configs()["C1"], num_clients=3, duration_s=8.0,
-        pipeline_kwargs=kwargs, tracing=True)
+        pipeline_kwargs=kwargs, tracing=True))
     assert result.mean_fps() > 10.0
     # Sidecar queue books still balance with the LIFO discipline and
     # the content model in play.
@@ -61,9 +58,9 @@ def test_scatterpp_all_features_together(cost_model):
 
 
 def test_scatterpp_tracing_flag_via_convenience_runner():
-    result = run_scatterpp_experiment(
+    result = run_experiment(ExperimentSpec(
         baseline_configs()["C2"], num_clients=2, duration_s=6.0,
-        threshold_s=0.050, tracing=True)
+        threshold_s=0.050, tracing=True, scatterpp=True))
     assert result.analytics is not None
     assert result.tracer is not None
     breakdown = result.tracer.mean_breakdown_ms()
@@ -75,9 +72,9 @@ def test_determinism_holds_with_features(cost_model):
         name: {"cost_model": cost_model} for name in PIPELINE_ORDER}}
 
     def run():
-        return run_scatter_experiment(
+        return run_experiment(ExperimentSpec(
             baseline_configs()["C1"], num_clients=2, duration_s=5.0,
-            seed=11, pipeline_kwargs=kwargs)
+            seed=11, pipeline_kwargs=kwargs))
 
     first, second = run(), run()
     assert first.mean_fps() == second.mean_fps()

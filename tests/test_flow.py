@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dsp.record import FrameBatch, FrameRecord
-from repro.experiments.runner import run_scatterpp_experiment
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.flow import (
     ADMISSION_POLICIES,
     AlwaysAdmit,
@@ -237,9 +237,9 @@ def test_ratios_are_zero_without_traffic():
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def flow_run():
-    return run_scatterpp_experiment(
+    return run_experiment(ExperimentSpec(
         baseline_configs()["C1"], num_clients=4, duration_s=8.0,
-        flow=default_flow_config())
+        flow=default_flow_config(), scatterpp=True))
 
 
 def _sidecars(result):
@@ -256,8 +256,9 @@ def test_queue_wait_reservoir_samples_only_served_frames(flow_run):
 
 
 def test_queue_wait_contract_holds_without_flow():
-    result = run_scatterpp_experiment(
-        baseline_configs()["C1"], num_clients=4, duration_s=8.0)
+    result = run_experiment(ExperimentSpec(
+         baseline_configs()["C1"], num_clients=4, duration_s=8.0,
+        scatterpp=True))
     stale = 0
     for sidecar in _sidecars(result):
         assert sidecar.stats.queue_wait_samples_s.total == \
@@ -295,6 +296,6 @@ def test_flow_summary_attached_and_serializable(flow_run):
 
 def test_flow_requires_sidecars():
     with pytest.raises(ValueError):
-        run_scatterpp_experiment(
+        run_experiment(ExperimentSpec(
             baseline_configs()["C1"], num_clients=1, duration_s=1.0,
-            with_sidecars=False, flow=default_flow_config())
+            with_sidecars=False, flow=default_flow_config(), scatterpp=True))

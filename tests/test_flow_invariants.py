@@ -28,8 +28,9 @@ from repro.experiments.campaign import Campaign, run_campaign
 from repro.experiments.parallel import plan_tasks, run_tasks
 from repro.experiments.runner import (
     DRAIN_S,
+    ExperimentSpec,
     _attach_tracer,
-    _build,
+    build_experiment,
 )
 from repro.flow import (
     ADMISSION_POLICIES,
@@ -37,7 +38,6 @@ from repro.flow import (
     check_sidecar_conservation,
 )
 from repro.scatter.config import PIPELINE_ORDER, baseline_configs
-from repro.scatterpp.pipeline import scatterpp_pipeline_kwargs
 
 PLACEMENT = baseline_configs()["C1"]
 DURATION_S = 3.0
@@ -65,9 +65,9 @@ FAULTS = st.one_of(
 
 def _run_schedule(flow, num_clients, seed, fault):
     """One full deployment under a randomized schedule."""
-    kwargs = scatterpp_pipeline_kwargs(flow=flow)
-    sim, testbed, orchestrator, pipeline, clients = _build(
-        PLACEMENT, num_clients, seed, None, kwargs, flow=flow)
+    sim, testbed, orchestrator, pipeline, clients = build_experiment(
+        ExperimentSpec(PLACEMENT, num_clients, seed=seed, scatterpp=True,
+                       flow=flow))
     tracer = _attach_tracer(orchestrator, clients)
     if fault is not None:
         service_name, when = fault

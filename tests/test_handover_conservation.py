@@ -28,7 +28,8 @@ from hypothesis import strategies as st
 
 from repro.chaos import FaultPlan, InstanceCrash
 from repro.experiments.campaign import Campaign, run_campaign
-from repro.experiments.runner import DRAIN_S, run_mobility_experiment
+from repro.experiments.runner import (DRAIN_S, ExperimentSpec, MobilitySpec,
+                                      run_experiment)
 from repro.flow import (
     FlowConfig,
     check_client_conservation,
@@ -69,10 +70,11 @@ def _run_schedule(seed, num_clients, mean_dwell_s, naive, fault, flow):
         plan = FaultPlan([InstanceCrash(at_s=frac * DURATION_S,
                                         service=service)
                           for service, frac in fault])
-    return run_mobility_experiment(
+    return run_experiment(ExperimentSpec(
         PLACEMENT, num_clients=num_clients, duration_s=DURATION_S,
-        seed=seed, naive=naive, plan=plan, flow=flow,
-        mean_dwell_s=mean_dwell_s, min_dwell_s=2.0)
+        seed=seed, scatterpp=True, stateless_sift=False, plan=plan,
+        flow=flow, mobility=MobilitySpec(
+            naive=naive, mean_dwell_s=mean_dwell_s, min_dwell_s=2.0)))
 
 
 @SETTINGS

@@ -6,24 +6,22 @@ these tests run full deployments and then audit the books.
 
 import pytest
 
-from repro.experiments.runner import (
-    run_scatter_experiment,
-    run_scatterpp_experiment,
-)
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.scatter.config import PIPELINE_ORDER, baseline_configs
 
 
 @pytest.fixture(scope="module")
 def scatter_run():
-    return run_scatter_experiment(baseline_configs()["C1"],
-                                  num_clients=3, duration_s=15.0,
-                                  tracing=True)
+    return run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=3, duration_s=15.0,
+        tracing=True))
 
 
 @pytest.fixture(scope="module")
 def scatterpp_run():
-    return run_scatterpp_experiment(baseline_configs()["C1"],
-                                    num_clients=3, duration_s=15.0)
+    return run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=3, duration_s=15.0,
+        scatterpp=True))
 
 
 def test_scatter_frame_conservation(scatter_run):

@@ -306,7 +306,7 @@ def test_experiment_digest_identical_with_active_cache(trained_stack):
     simulated services consume calibrated virtual time, so enabling
     the cache must not move a single simulated event.
     """
-    from repro.experiments.runner import run_scatter_experiment
+    from repro.experiments.runner import ExperimentSpec, run_experiment
     from repro.scatter.config import PIPELINE_ORDER, baseline_configs
 
     video, extractor, pca, encoder = trained_stack
@@ -321,9 +321,9 @@ def test_experiment_digest_identical_with_active_cache(trained_stack):
                           for name in PIPELINE_ORDER}
         service_kwargs["sift"]["vision_backend"] = backend
         service_kwargs["encoding"]["vision_backend"] = backend
-        result = run_scatter_experiment(
+        result = run_experiment(ExperimentSpec(
             placement, num_clients=2, duration_s=1.0, seed=0,
-            pipeline_kwargs={"service_kwargs": service_kwargs})
+            pipeline_kwargs={"service_kwargs": service_kwargs}))
         assert backend.frames_extracted > 0
         return result, cache.stats()
 

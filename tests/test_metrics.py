@@ -436,11 +436,11 @@ def test_power_model_active_watts_gpu_vs_cpu():
 def test_energy_summary_conserves_joules():
     """Total joules must equal device + idle + per-stage exactly (the
     summation order the model documents), on a real C1 run."""
-    from repro.experiments.runner import run_scatterpp_flow_experiment
+    from repro.experiments.campaign import RUNNERS
     from repro.metrics.energy import energy_summary
     from repro.scatter.config import PIPELINE_ORDER, baseline_configs
 
-    result = run_scatterpp_flow_experiment(
+    result = RUNNERS["scatterpp-flow"](
         baseline_configs()["C1"], num_clients=1, duration_s=2.0,
         seed=0)
     energy = energy_summary(result)

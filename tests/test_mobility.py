@@ -13,11 +13,8 @@ import numpy as np
 import pytest
 
 from repro.chaos import FaultPlan, InstanceCrash
-from repro.experiments.runner import (
-    DRAIN_S,
-    run_mobility_experiment,
-    run_scatterpp_experiment,
-)
+from repro.experiments.runner import (DRAIN_S, ExperimentSpec, MobilitySpec,
+                                      run_experiment)
 from repro.flow import (
     check_client_conservation,
     check_result_conservation,
@@ -177,12 +174,12 @@ ONE_MOVE = ClientTrajectory(client_id=0, segments=(
 DURATION_S = 10.0
 
 
-def _mobility(**kwargs):
-    kwargs.setdefault("num_clients", 1)
-    kwargs.setdefault("duration_s", DURATION_S)
-    kwargs.setdefault("seed", 0)
-    kwargs.setdefault("trajectories", [ONE_MOVE])
-    return run_mobility_experiment(PLACEMENT, **kwargs)
+def _mobility(*, seed=0, plan=None, **mobility):
+    mobility.setdefault("trajectories", [ONE_MOVE])
+    return run_experiment(ExperimentSpec(
+        PLACEMENT, num_clients=1, duration_s=DURATION_S, seed=seed,
+        scatterpp=True, stateless_sift=False, plan=plan,
+        mobility=MobilitySpec(**mobility)))
 
 
 def test_stateful_handover_moves_state_without_loss():
@@ -307,10 +304,10 @@ def test_mobility_off_run_is_bit_identical():
     scatterpp run replays the same digest whether or not the mobility
     package was ever imported/exercised in the process (it was, by the
     tests above)."""
-    a = run_scatterpp_experiment(PLACEMENT, num_clients=1,
-                                 duration_s=2.0, seed=0)
-    b = run_scatterpp_experiment(PLACEMENT, num_clients=1,
-                                 duration_s=2.0, seed=0)
+    a = run_experiment(ExperimentSpec(
+        PLACEMENT, num_clients=1, duration_s=2.0, seed=0, scatterpp=True))
+    b = run_experiment(ExperimentSpec(
+        PLACEMENT, num_clients=1, duration_s=2.0, seed=0, scatterpp=True))
     assert a.trace_digest == b.trace_digest
 
 

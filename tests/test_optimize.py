@@ -160,12 +160,12 @@ def test_schedulability_enforces_memory():
 def test_neutral_genome_replays_flow_trace():
     """A scaler-less genome's oracle run is byte-identical to the
     plain scatterpp-flow experiment on the same placement."""
+    from repro.experiments.campaign import RUNNERS
     from repro.experiments.oracle import run_optimize_experiment
-    from repro.experiments.runner import run_scatterpp_flow_experiment
 
     c1 = baseline_configs()["C1"]
     neutral = Genome.from_placement(c1).to_placement()
-    flow = run_scatterpp_flow_experiment(
+    flow = RUNNERS["scatterpp-flow"](
         c1, num_clients=1, duration_s=2.0, seed=0)
     opt = run_optimize_experiment(
         neutral, num_clients=1, duration_s=2.0, seed=0)
@@ -196,13 +196,14 @@ def test_scaler_genome_attaches_autoscaler():
 def test_static_runners_accept_genome_placements():
     """The plain non-optimize runners keep working when handed a
     resolved genome placement (it is just a PlacementConfig)."""
-    from repro.experiments.runner import run_scatterpp_experiment
+    from repro.experiments.runner import ExperimentSpec, run_experiment
     from repro.experiments.store import summarize_result
 
     placement = resolve_placement(
         Genome.from_placement(baseline_configs()["C1"]).encode())
-    result = run_scatterpp_experiment(
-        placement, num_clients=1, duration_s=1.0, seed=0)
+    result = run_experiment(ExperimentSpec(
+        placement, num_clients=1, duration_s=1.0, seed=0,
+        scatterpp=True))
     assert summarize_result(result)["fps"] > 0.0
 
 

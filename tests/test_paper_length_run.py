@@ -10,10 +10,7 @@ memory bounded — i.e. nothing leaks or degrades over a long run.
 import numpy as np
 import pytest
 
-from repro.experiments.runner import (
-    run_scatter_experiment,
-    run_scatterpp_experiment,
-)
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.scatter.config import baseline_configs
 
 DURATION_S = 300.0  # the paper's five minutes
@@ -21,16 +18,15 @@ DURATION_S = 300.0  # the paper's five minutes
 
 @pytest.fixture(scope="module")
 def long_scatter():
-    return run_scatter_experiment(baseline_configs()["C1"],
-                                  num_clients=2,
-                                  duration_s=DURATION_S)
+    return run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=2, duration_s=DURATION_S))
 
 
 @pytest.fixture(scope="module")
 def long_scatterpp():
-    return run_scatterpp_experiment(baseline_configs()["C1"],
-                                    num_clients=2,
-                                    duration_s=DURATION_S)
+    return run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=2, duration_s=DURATION_S,
+        scatterpp=True))
 
 
 def halves_fps(result):

@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.experiments.runner import (
-    run_scatter_experiment,
-    run_scatterpp_experiment,
-)
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.experiments.store import (
     ResultStore,
     diff_results,
@@ -59,22 +56,23 @@ def test_estimate_matches_simulation_ranking():
         "lsh": "e2", "matching": "e2"})
     assert c12.throughput_fps > c1.throughput_fps
 
-    sim_c1 = run_scatterpp_experiment(baseline_configs()["C1"],
-                                      num_clients=4, duration_s=10.0)
-    sim_c12 = run_scatterpp_experiment(baseline_configs()["C12"],
-                                       num_clients=4, duration_s=10.0)
+    sim_c1 = run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=4, duration_s=10.0,
+        scatterpp=True))
+    sim_c12 = run_experiment(ExperimentSpec(
+        baseline_configs()["C12"], num_clients=4, duration_s=10.0,
+        scatterpp=True))
     assert sim_c12.mean_fps() > sim_c1.mean_fps()
 
 
 def test_optimized_placement_performs_well_in_simulation():
     optimizer = PlacementOptimizer(machines=("e1", "e2"))
     best = optimizer.best("throughput")
-    optimized = run_scatterpp_experiment(best.placement,
-                                         num_clients=4,
-                                         duration_s=10.0)
-    reference = run_scatterpp_experiment(baseline_configs()["C1"],
-                                         num_clients=4,
-                                         duration_s=10.0)
+    optimized = run_experiment(ExperimentSpec(
+        best.placement, num_clients=4, duration_s=10.0, scatterpp=True))
+    reference = run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=4, duration_s=10.0,
+        scatterpp=True))
     assert optimized.mean_fps() >= reference.mean_fps()
 
 
@@ -92,8 +90,8 @@ def test_optimizer_validation():
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def sample_result():
-    return run_scatter_experiment(baseline_configs()["C1"],
-                                  num_clients=1, duration_s=5.0)
+    return run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=1, duration_s=5.0))
 
 
 def test_summarize_result_is_json_friendly(sample_result):

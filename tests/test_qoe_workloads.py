@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.testbed import build_paper_testbed
-from repro.experiments.runner import DRAIN_S, run_scatter_experiment
+from repro.experiments.runner import DRAIN_S, ExperimentSpec, run_experiment
 from repro.metrics.qoe import estimate_qoe
 from repro.orchestra.orchestrator import Orchestrator
 from repro.scatter.client import ArClient
@@ -80,12 +80,11 @@ def test_qoe_monotone_in_fps(fps, delta):
 
 
 def test_qoe_ranks_scatterpp_above_scatter():
-    scatter = run_scatter_experiment(baseline_configs()["C1"],
-                                     num_clients=4, duration_s=10.0)
-    from repro.experiments.runner import run_scatterpp_experiment
-    scatterpp = run_scatterpp_experiment(baseline_configs()["C1"],
-                                         num_clients=4,
-                                         duration_s=10.0)
+    scatter = run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=4, duration_s=10.0))
+    scatterpp = run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=4, duration_s=10.0,
+        scatterpp=True))
     assert scatterpp.qoe().mos > scatter.qoe().mos
 
 

@@ -8,7 +8,7 @@ from repro.experiments.repetition import (
     replicate_experiment,
     significantly_better,
 )
-from repro.experiments.runner import run_scatterpp_experiment
+from repro.experiments.runner import ExperimentSpec
 from repro.scatter.config import baseline_configs
 
 
@@ -64,9 +64,9 @@ def test_replicate_runs_all_seeds():
 
 
 def test_replicate_experiment_end_to_end():
-    metrics = replicate_experiment(baseline_configs()["C1"],
-                                   num_clients=2, duration_s=6.0,
-                                   seeds=(0, 1, 2))
+    metrics = replicate_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=2, duration_s=6.0),
+        seeds=(0, 1, 2))
     fps = metrics["fps"]
     assert len(fps.values) == 3
     assert fps.mean > 0
@@ -78,10 +78,10 @@ def test_replicate_experiment_end_to_end():
 def test_scatterpp_significantly_beats_scatter():
     """The headline claim survives seed variation."""
     seeds = (0, 1, 2)
-    scatter = replicate_experiment(baseline_configs()["C1"],
-                                   num_clients=4, duration_s=8.0,
-                                   seeds=seeds)
-    scatterpp = replicate_experiment(
+    scatter = replicate_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=4, duration_s=8.0),
+        seeds=seeds)
+    scatterpp = replicate_experiment(ExperimentSpec(
         baseline_configs()["C1"], num_clients=4, duration_s=8.0,
-        seeds=seeds, runner=run_scatterpp_experiment)
+        scatterpp=True), seeds=seeds)
     assert significantly_better(scatterpp["fps"], scatter["fps"])

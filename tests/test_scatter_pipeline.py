@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.machine import GB
-from repro.experiments.runner import run_scatter_experiment
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.orchestra.orchestrator import Orchestrator
 from repro.scatter.config import (
     baseline_configs,
@@ -17,14 +17,14 @@ from repro.sim import RngRegistry, Simulator
 
 @pytest.fixture(scope="module")
 def c1_single():
-    return run_scatter_experiment(baseline_configs()["C1"],
-                                  num_clients=1, duration_s=10.0)
+    return run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=1, duration_s=10.0))
 
 
 @pytest.fixture(scope="module")
 def c1_four():
-    return run_scatter_experiment(baseline_configs()["C1"],
-                                  num_clients=4, duration_s=10.0)
+    return run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=4, duration_s=10.0))
 
 
 def test_deploy_places_services_correctly():
@@ -131,8 +131,8 @@ def test_utilization_not_proportional_to_load(c1_single, c1_four):
 
 def test_state_stickiness_with_sift_replicas():
     """§4: fetches target the replica holding the frame's state."""
-    result = run_scatter_experiment(scaling_config([1, 2, 1, 1, 2]),
-                                    num_clients=2, duration_s=10.0)
+    result = run_experiment(ExperimentSpec(
+        scaling_config([1, 2, 1, 1, 2]), num_clients=2, duration_s=10.0))
     sifts = result.pipeline.instances("sift")
     assert len(sifts) == 2
     # Both replicas served fetches; none was bypassed.
@@ -141,33 +141,33 @@ def test_state_stickiness_with_sift_replicas():
 
 
 def test_results_only_go_to_owning_client():
-    result = run_scatter_experiment(baseline_configs()["C2"],
-                                    num_clients=2, duration_s=10.0)
+    result = run_experiment(ExperimentSpec(
+        baseline_configs()["C2"], num_clients=2, duration_s=10.0))
     for stats in result.clients:
         # Every received frame number was one this client sent.
         assert set(stats.received) <= set(stats.sent)
 
 
 def test_e2e_latency_of_split_higher_than_local():
-    local = run_scatter_experiment(uniform_config("C1", "e1"),
-                                   num_clients=1, duration_s=10.0)
-    split = run_scatter_experiment(baseline_configs()["C12"],
-                                   num_clients=1, duration_s=10.0)
+    local = run_experiment(ExperimentSpec(
+        uniform_config("C1", "e1"), num_clients=1, duration_s=10.0))
+    split = run_experiment(ExperimentSpec(
+        baseline_configs()["C12"], num_clients=1, duration_s=10.0))
     assert split.mean_e2e_ms() > local.mean_e2e_ms()
 
 
 def test_deterministic_given_seed():
-    first = run_scatter_experiment(baseline_configs()["C1"],
-                                   num_clients=2, duration_s=5.0, seed=7)
-    second = run_scatter_experiment(baseline_configs()["C1"],
-                                    num_clients=2, duration_s=5.0, seed=7)
+    first = run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=2, duration_s=5.0, seed=7))
+    second = run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=2, duration_s=5.0, seed=7))
     assert first.mean_fps() == second.mean_fps()
     assert first.mean_e2e_ms() == second.mean_e2e_ms()
 
 
 def test_different_seeds_differ():
-    first = run_scatter_experiment(baseline_configs()["C1"],
-                                   num_clients=2, duration_s=5.0, seed=1)
-    second = run_scatter_experiment(baseline_configs()["C1"],
-                                    num_clients=2, duration_s=5.0, seed=2)
+    first = run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=2, duration_s=5.0, seed=1))
+    second = run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=2, duration_s=5.0, seed=2))
     assert first.mean_e2e_ms() != second.mean_e2e_ms()

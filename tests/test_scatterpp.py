@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.experiments.runner import (
-    run_ramp_experiment,
-    run_scatter_experiment,
-    run_scatterpp_experiment,
-)
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.scatter.config import baseline_configs, uniform_config
 from repro.scatterpp.pipeline import scatterpp_pipeline_kwargs
 from repro.scatterpp.services import PACKED_WIRE_SIZES
@@ -14,26 +10,28 @@ from repro.scatterpp.services import PACKED_WIRE_SIZES
 
 @pytest.fixture(scope="module")
 def pp_single():
-    return run_scatterpp_experiment(baseline_configs()["C1"],
-                                    num_clients=1, duration_s=10.0)
+    return run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=1, duration_s=10.0,
+        scatterpp=True))
 
 
 @pytest.fixture(scope="module")
 def pp_four():
-    return run_scatterpp_experiment(baseline_configs()["C1"],
-                                    num_clients=4, duration_s=10.0)
+    return run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=4, duration_s=10.0,
+        scatterpp=True))
 
 
 @pytest.fixture(scope="module")
 def scatter_four():
-    return run_scatter_experiment(baseline_configs()["C1"],
-                                  num_clients=4, duration_s=10.0)
+    return run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=4, duration_s=10.0))
 
 
 @pytest.fixture(scope="module")
 def scatter_single():
-    return run_scatter_experiment(baseline_configs()["C1"],
-                                  num_clients=1, duration_s=10.0)
+    return run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=1, duration_s=10.0))
 
 
 def test_packed_frames_grow_to_480kb():
@@ -94,12 +92,12 @@ def test_analytics_present_and_sampled(pp_four):
 
 
 def test_threshold_controls_drops():
-    strict = run_scatterpp_experiment(
+    strict = run_experiment(ExperimentSpec(
         baseline_configs()["C1"], num_clients=4, duration_s=10.0,
-        threshold_s=0.020)
-    lax = run_scatterpp_experiment(
+        threshold_s=0.020, scatterpp=True))
+    lax = run_experiment(ExperimentSpec(
         baseline_configs()["C1"], num_clients=4, duration_s=10.0,
-        threshold_s=0.500)
+        threshold_s=0.500, scatterpp=True))
 
     def stale_drops(result):
         return sum(i.sidecar.stats.dropped_stale
@@ -115,16 +113,16 @@ def test_threshold_validation():
 
 
 def test_ablation_stateless_only_beats_scatter(scatter_four):
-    stateless_only = run_scatterpp_experiment(
+    stateless_only = run_experiment(ExperimentSpec(
         baseline_configs()["C1"], num_clients=4, duration_s=10.0,
-        with_sidecars=False)
+        with_sidecars=False, scatterpp=True))
     assert stateless_only.mean_fps() > scatter_four.mean_fps()
 
 
 def test_ablation_no_components_reduces_to_scatter(scatter_four):
-    plain = run_scatterpp_experiment(
+    plain = run_experiment(ExperimentSpec(
         baseline_configs()["C1"], num_clients=4, duration_s=10.0,
-        stateless_sift=False, with_sidecars=False)
+        stateless_sift=False, with_sidecars=False, scatterpp=True))
     assert plain.mean_fps() == pytest.approx(scatter_four.mean_fps(),
                                              rel=0.25)
     # The fetch machinery is back.
@@ -133,8 +131,9 @@ def test_ablation_no_components_reduces_to_scatter(scatter_four):
 
 
 def test_ramp_experiment_staged_load():
-    result = run_ramp_experiment(uniform_config("E1", "e1"),
-                                 max_clients=3, stage_s=5.0)
+    result = run_experiment(ExperimentSpec(
+        uniform_config("E1", "e1"), 3, duration_s=15.0, scatterpp=True,
+        stage_s=5.0))
     assert result.duration_s == pytest.approx(15.0)
     # Client 0 streamed the whole run; client 2 only the last stage.
     assert result.clients[0].frames_sent > \
@@ -148,10 +147,12 @@ def test_ramp_experiment_staged_load():
 
 def test_ramp_validation():
     with pytest.raises(ValueError):
-        run_ramp_experiment(uniform_config("E1", "e1"), max_clients=0)
+        run_experiment(ExperimentSpec(
+            uniform_config("E1", "e1"), 0, duration_s=10.0,
+            scatterpp=True, stage_s=10.0))
     with pytest.raises(ValueError):
-        run_ramp_experiment(uniform_config("E1", "e1"), max_clients=1,
-                            stage_s=0.0)
+        ExperimentSpec(uniform_config("E1", "e1"), 1, duration_s=10.0,
+                       scatterpp=True, stage_s=0.0)
 
 
 def test_admission_rejections_surface_in_analytics():
@@ -168,9 +169,9 @@ def test_admission_rejections_surface_in_analytics():
         admission="token-bucket", admission_rate_fps=10.0,
         admission_burst=2, batch_max=1, credits=False,
         client_pacing=False)
-    result = run_scatterpp_experiment(
+    result = run_experiment(ExperimentSpec(
         baseline_configs()["C1"], num_clients=2, duration_s=8.0,
-        flow=flow)
+        flow=flow, scatterpp=True))
     primary = result.pipeline.instances("primary")[0]
     stats = primary.sidecar.stats
     assert stats.rejected > 0

@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.experiments.runner import (
-    run_scatter_experiment,
-    run_scatterpp_experiment,
-)
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.metrics.tracing import Tracer
 from repro.scatter.config import PIPELINE_ORDER, baseline_configs
 
@@ -75,9 +72,8 @@ def test_ordered_spans():
 # End-to-end integration
 # ----------------------------------------------------------------------
 def test_scatter_traces_cover_pipeline():
-    result = run_scatter_experiment(baseline_configs()["C1"],
-                                    num_clients=1, duration_s=5.0,
-                                    tracing=True)
+    result = run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=1, duration_s=5.0, tracing=True))
     tracer = result.tracer
     assert tracer is not None
     completed = tracer.completed_traces()
@@ -98,9 +94,8 @@ def test_scatter_traces_cover_pipeline():
 
 
 def test_scatter_loss_attribution_under_load():
-    result = run_scatter_experiment(baseline_configs()["C1"],
-                                    num_clients=4, duration_s=5.0,
-                                    tracing=True)
+    result = run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=4, duration_s=5.0, tracing=True))
     losses = result.tracer.loss_by_stage()
     # The dependency loop loses most frames at sift (ingress drops)
     # and lsh (the stage before matching's busy-wait drops).
@@ -109,9 +104,9 @@ def test_scatter_loss_attribution_under_load():
 
 
 def test_scatterpp_traces_include_queue_spans():
-    result = run_scatterpp_experiment(baseline_configs()["C1"],
-                                      num_clients=2, duration_s=5.0,
-                                      tracing=True)
+    result = run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=2, duration_s=5.0, tracing=True,
+        scatterpp=True))
     tracer = result.tracer
     completed = tracer.completed_traces()
     assert completed
@@ -127,6 +122,6 @@ def test_scatterpp_traces_include_queue_spans():
 
 
 def test_tracing_off_by_default():
-    result = run_scatter_experiment(baseline_configs()["C1"],
-                                    num_clients=1, duration_s=2.0)
+    result = run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=1, duration_s=2.0))
     assert result.tracer is None
