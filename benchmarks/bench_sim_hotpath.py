@@ -9,23 +9,16 @@ pre-optimization kernel, kept as an executable baseline):
   process, best-of-N wall clock.  Gated: the optimized kernel must
   clear ``MIN_KERNEL_SPEEDUP`` in events/sec.
 * **End-to-end campaign cell** — a full scAtteR++ experiment cell run
-  in subprocesses, one per kernel.  The baseline child installs
-  ``sys.modules["repro.sim.kernel"] = repro.sim.reference`` *before*
-  importing the stack, so every module — sockets, stores, sidecars —
-  binds the reference classes; there is no cross-kernel object mixing.
-  Gated: ``MIN_E2E_SPEEDUP`` on wall clock.
+  in subprocesses, one per kernel.  The baseline child runs under
+  ``REPRO_SIM_KERNEL=reference``, so every module — sockets, stores,
+  sidecars — binds the reference classes at import; there is no
+  cross-kernel object mixing.  Gated: ``MIN_E2E_SPEEDUP`` on wall
+  clock.
 
 Both arms double as equivalence witnesses: they assert the two
 kernels execute the same number of events and produce byte-identical
 trace fingerprints before any throughput number is trusted.  A
 speedup claimed over a divergent trajectory would be meaningless.
-
-A third, ungated arm reports the **compiled** kernel
-(``repro.sim._kernel_compiled``, built by ``REPRO_BUILD_SIM_EXT=1
-python setup.py build_ext --inplace``) when the extension is present,
-and a **batch-storm** arm measures ``schedule_batch`` against a
-``schedule()`` loop on same-tick timer storms — fingerprints must
-match bit-for-bit first, as always.
 
 Results land in the committed repo-root ``BENCH_sim_hotpath.json``.
 
@@ -64,10 +57,10 @@ MIN_KERNEL_SPEEDUP = 1.05 if SMOKE else 1.5
 # compute cheap), so one subprocess per repeat and interleaved arms:
 # best-of-N per kernel with the repeats alternating ref/opt, which
 # keeps slow clock drift from systematically favouring either arm.
-# The kernel is ~1/3 of a cell's wall, so the calendar queue's 1.6x+
-# microbench win compresses to a measured 1.08-1.17x band here
-# (best-of-5 interleaved; the band is box-load variance, not kernel
-# variance — the reference arm alone swings ~6% between batches).
+# The kernel is ~1/3 of a cell's wall, so the microbench win
+# compresses to a measured 1.18-1.48x band here on a shared 2-vCPU
+# host (best-of-5 interleaved; the band is box-load variance, not
+# kernel variance).
 # The gate is therefore a regression tripwire below the band's floor,
 # not the headline: the enforced perf bar is MIN_KERNEL_SPEEDUP.
 E2E_DURATION_S = 2.0 if SMOKE else 12.0
@@ -111,77 +104,13 @@ def _run_kernel_arm(mod):
             "events_per_s": events / best, "fingerprint": fingerprint}
 
 
-def _load_compiled_module():
-    """The compiled kernel module, or ``None`` (ungated arm)."""
-    import importlib
-    import importlib.machinery
-
-    try:
-        module = importlib.import_module("repro.sim._kernel_compiled")
-    except ImportError:
-        return None
-    filename = getattr(module, "__file__", "") or ""
-    suffixes = tuple(importlib.machinery.EXTENSION_SUFFIXES)
-    return module if filename.endswith(suffixes) else None
-
-
-# --- batched-insert storm arm ----------------------------------------
-STORMS = 50 if SMOKE else 200
-STORM_SIZE = 100
-STORM_REPEATS = 3 if SMOKE else 7
-
-
-def _run_storm_arm(batched):
-    """Same-tick timer storms: one ``schedule_batch`` per storm vs a
-    ``schedule()`` loop, identical ``(when, seq)`` streams."""
-    sink_calls = 0
-
-    def _sink():
-        nonlocal sink_calls
-        sink_calls += 1
-
-    best = None
-    fingerprint = None
-    events = 0
-    for _ in range(STORM_REPEATS):
-        sim = optimized.Simulator()
-        started = time.perf_counter()
-        for storm in range(STORMS):
-            when = 0.001 * (storm + 1)
-            if batched:
-                sim.schedule_batch(
-                    [(when, _sink, ()) for _ in range(STORM_SIZE)])
-            else:
-                for _ in range(STORM_SIZE):
-                    sim.schedule(when, _sink)
-        sim.run()
-        elapsed = time.perf_counter() - started
-        fingerprint = sim.fingerprint()
-        events = sim.digest.events
-        if best is None or elapsed < best:
-            best = elapsed
-    return {"best_s": best, "events": events,
-            "events_per_s": events / best, "fingerprint": fingerprint}
-
-
-#: The end-to-end child.  ``argv``: kernel name, duration, repeats.
-#: The reference child swaps the kernel module in ``sys.modules``
-#: before anything else imports it, then shims the runner's
-#: ``Simulator`` reference (the reference constructor predates the
-#: ``profile`` keyword).
+#: The end-to-end child.  ``argv``: duration.  The kernel is chosen by
+#: the ``REPRO_SIM_KERNEL`` the parent sets in its environment.
 _E2E_CHILD = r"""
 import json, sys, time
-swap = sys.argv[1] == "reference"
-if swap:
-    import repro.sim.reference as reference
-    sys.modules["repro.sim.kernel"] = reference
 from repro.scatter.config import baseline_configs
 import repro.experiments.runner as runner
-if swap:
-    _Ref = reference.Simulator
-    runner.Simulator = \
-        lambda digest=True, profile=False: _Ref(digest=digest)
-duration = float(sys.argv[2])
+duration = float(sys.argv[1])
 placement = baseline_configs()["C1"]
 started = time.perf_counter()
 result = runner.run_experiment(runner.ExperimentSpec(
@@ -195,9 +124,9 @@ print(json.dumps({"wall_s": elapsed, "digest": result.trace_digest}))
 def _run_e2e_once(kernel_name):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    env["REPRO_SIM_KERNEL"] = kernel_name
     proc = subprocess.run(
-        [sys.executable, "-c", _E2E_CHILD, kernel_name,
-         str(E2E_DURATION_S)],
+        [sys.executable, "-c", _E2E_CHILD, str(E2E_DURATION_S)],
         capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -231,24 +160,6 @@ def test_kernel_and_campaign_cell_speedups(save_result):
 
     kernel_speedup = opt["events_per_s"] / ref["events_per_s"]
 
-    # Compiled arm: reported separately, never gated — CI machines
-    # without the extension still run the full benchmark.
-    compiled_module = _load_compiled_module()
-    compiled = None
-    if compiled_module is not None:
-        compiled = _run_kernel_arm(compiled_module)
-        assert compiled["events"] == ref["events"]
-        assert compiled["fingerprint"] == ref["fingerprint"]
-
-    # Batched same-tick storms: bit-identical stream, one call per
-    # storm instead of one per timer.
-    storm_loop = _run_storm_arm(batched=False)
-    storm_batch = _run_storm_arm(batched=True)
-    assert storm_batch["events"] == storm_loop["events"]
-    assert storm_batch["fingerprint"] == storm_loop["fingerprint"]
-    storm_speedup = (storm_batch["events_per_s"]
-                     / storm_loop["events_per_s"])
-
     # End-to-end: one full scAtteR++ cell per kernel, one subprocess
     # per repeat with the arms interleaved.
     e2e_ref, e2e_opt = _run_e2e_arms()
@@ -265,23 +176,8 @@ def test_kernel_and_campaign_cell_speedups(save_result):
             "optimized_best_s": round(opt["best_s"], 6),
             "reference_events_per_s": round(ref["events_per_s"]),
             "optimized_events_per_s": round(opt["events_per_s"]),
-            "compiled_events_per_s": (
-                round(compiled["events_per_s"])
-                if compiled is not None else None),
-            "compiled_speedup": (
-                round(compiled["events_per_s"] / ref["events_per_s"], 3)
-                if compiled is not None else None),
             "speedup": round(kernel_speedup, 3),
             "min_speedup": MIN_KERNEL_SPEEDUP,
-            "fingerprints_equal": True,
-        },
-        "batch_storm": {
-            "storms": STORMS, "storm_size": STORM_SIZE,
-            "repeats": STORM_REPEATS,
-            "events": storm_batch["events"],
-            "loop_events_per_s": round(storm_loop["events_per_s"]),
-            "batch_events_per_s": round(storm_batch["events_per_s"]),
-            "speedup": round(storm_speedup, 3),
             "fingerprints_equal": True,
         },
         "campaign_cell": {

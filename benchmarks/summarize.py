@@ -5,9 +5,8 @@ Every perf-bearing PR leaves its headline numbers in a committed
 gitignored ``benchmarks/results/`` scratch dir in PR 10).  This
 script renders them as one table so the performance story —
 vectorized vision kernels, flow-control capacity, kernel hot path,
-handover, city-scale cohorts, warm pools, placement search, the
-calendar-queue core — is readable at a glance and diffable across
-PRs::
+handover, city-scale cohorts, warm pools, placement search — is
+readable at a glance and diffable across PRs::
 
     python benchmarks/summarize.py            # table
     python benchmarks/summarize.py --json     # machine-readable
@@ -50,15 +49,9 @@ def _fmt(value, digits: int = 2) -> str:
 
 def _sim_hotpath(data: Dict[str, Any]) -> str:
     kernel = data.get("kernel", {})
-    parts = [f"kernel {_fmt(kernel.get('speedup'))}x "
-             f"({_fmt(kernel.get('optimized_events_per_s'))} ev/s)"]
-    if kernel.get("compiled_events_per_s"):
-        parts.append(f"compiled {_fmt(kernel.get('compiled_speedup'))}x")
-    storm = data.get("batch_storm", {})
-    if storm:
-        parts.append(f"batch storms {_fmt(storm.get('speedup'))}x")
-    parts.append(f"e2e {_fmt(_get(data, 'campaign_cell', 'speedup'))}x")
-    return ", ".join(parts)
+    return (f"kernel {_fmt(kernel.get('speedup'))}x "
+            f"({_fmt(kernel.get('optimized_events_per_s'))} ev/s), "
+            f"e2e {_fmt(_get(data, 'campaign_cell', 'speedup'))}x")
 
 
 #: file stem -> (PR, one-line what-it-measures, headline extractor).

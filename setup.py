@@ -1,62 +1,3 @@
-"""Packaging entry point, plus the optional compiled event kernel.
-
-The compiled kernel is strictly opt-in and never a hard dependency:
-
-    REPRO_BUILD_SIM_EXT=1 python setup.py build_ext --inplace
-
-copies ``src/repro/sim/_kernel_impl.py`` to
-``src/repro/sim/_kernel_compiled.py`` (gitignored) and ahead-of-time
-compiles it — mypyc first, Cython as a fallback — into the extension
-``repro.sim._kernel_compiled`` that ``REPRO_SIM_KERNEL=compiled``
-selects at import.  Both compilers consume the *same source* the
-pure-Python backend runs, so the ``(when, seq)`` determinism contract
-carries over verbatim; the dual-kernel equivalence suites and the
-golden-digest tests are the gate, not trust.
-
-Without ``REPRO_BUILD_SIM_EXT=1`` (or when neither compiler is
-installed) this is a plain pure-Python ``setup()`` — the selector
-falls back loudly at import and everything still runs.
-"""
-
-import os
-import pathlib
-import shutil
-import sys
-
 from setuptools import setup
 
-_SIM_DIR = pathlib.Path(__file__).parent / "src" / "repro" / "sim"
-
-
-def _compiled_ext_modules():
-    """Build spec for ``repro.sim._kernel_compiled``, if asked + able."""
-    if os.environ.get("REPRO_BUILD_SIM_EXT") != "1":
-        return []
-    source = _SIM_DIR / "_kernel_impl.py"
-    target = _SIM_DIR / "_kernel_compiled.py"
-    shutil.copyfile(source, target)
-    try:
-        from mypyc.build import mypycify
-    except ImportError:
-        pass
-    else:
-        try:
-            return mypycify([str(target)])
-        except Exception as exc:  # pragma: no cover - toolchain specific
-            print(f"setup.py: mypyc build failed ({exc}); "
-                  "trying Cython", file=sys.stderr)
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print("setup.py: REPRO_BUILD_SIM_EXT=1 but neither mypyc nor "
-              "Cython is installed; skipping the compiled kernel "
-              "(pure-Python backends remain fully functional)",
-              file=sys.stderr)
-        # Don't leave a stale plain-.py copy behind — the selector
-        # would reject it, but loudly, on every import.
-        target.unlink()
-        return []
-    return cythonize([str(target)], language_level=3)
-
-
-setup(ext_modules=_compiled_ext_modules())
+setup()

@@ -1,31 +1,8 @@
-"""``python -m repro`` entry point.
+"""``python -m repro`` entry point."""
 
-The ``--sim-kernel`` flag must take effect *before* anything imports
-``repro.sim.kernel`` (the backend is chosen once, at import time), so
-it is pre-parsed from ``sys.argv`` into ``REPRO_SIM_KERNEL`` here,
-ahead of the ``repro.cli`` import that pulls in the experiment stack.
-The flag is also declared on the argument parser for ``--help`` and
-validation; an explicit flag wins over an inherited environment value.
-"""
-
-import os
 import sys
 
-
-def _preparse_sim_kernel(argv) -> None:
-    for index, arg in enumerate(argv):
-        if arg == "--sim-kernel":
-            if index + 1 < len(argv):
-                os.environ["REPRO_SIM_KERNEL"] = argv[index + 1]
-            return
-        if arg.startswith("--sim-kernel="):
-            os.environ["REPRO_SIM_KERNEL"] = arg.split("=", 1)[1]
-            return
-
-
-_preparse_sim_kernel(sys.argv[1:])
-
-from repro.cli import main  # noqa: E402  (after the env pre-parse)
+from repro.cli import main
 
 if __name__ == "__main__":
     sys.exit(main())

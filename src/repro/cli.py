@@ -598,14 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "poisson"),
                      help="macro-membership load process "
                           "(with --cohort-size)")
-    run.add_argument("--sim-kernel", default=None,
-                     choices=("optimized", "reference", "compiled"),
-                     help="event-kernel backend (same as the "
-                          "REPRO_SIM_KERNEL env var; the flag is "
-                          "applied by the python -m repro entry "
-                          "point before the stack imports, and "
-                          "compiled falls back loudly to optimized "
-                          "when the extension is absent)")
 
     testbed = sub.add_parser("testbed", help="show the testbed")
     testbed.add_argument("--clients", type=int, default=4)

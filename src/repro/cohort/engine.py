@@ -185,22 +185,22 @@ class CohortEngine:
         self._horizon_s = self.sim.now + duration_s
         if self.spec.macro_members == 0:
             return
-        # Pre-schedule the whole tick train in one batched insert
-        # instead of spawning a generator process: the same absolute
-        # fire times the old ``yield timeout(tick)`` loop produced
-        # (``w += tick`` float recurrence, same horizon guard), but
-        # one kernel event per tick instead of three
-        # (expire + wake + resume) and one scheduling call instead of
-        # one per tick — the cohort engine is the hottest periodic
-        # producer in a city-scale cell.
+        # Pre-schedule the whole tick train instead of spawning a
+        # generator process: one kernel event per tick instead of
+        # three (expire + wake + resume) — the cohort engine is the
+        # hottest periodic producer in a city-scale cell.  Fire times
+        # follow the ``w += tick`` float recurrence; ``run_experiment``
+        # starts the engine at ``now == 0.0``, where
+        # ``now + (when - now)`` is ``when`` bit for bit (the cohort
+        # goldens pin this).
+        sim = self.sim
         tick = self.spec.tick_s
         horizon = self._horizon_s + 1e-12
-        ticks = []
-        when = self.sim.now
+        now = sim.now
+        when = now
         while when + tick <= horizon:
             when = when + tick
-            ticks.append((when, self._tick, (tick,)))
-        self.sim.schedule_batch(ticks, absolute=True)
+            sim.schedule(when - now, self._tick, tick)
 
     # ------------------------------------------------------------------
     def _tick(self, tick_s: float) -> None:

@@ -399,13 +399,10 @@ def _attach_mobility(spec: ExperimentSpec, sim, testbed, orchestrator,
         if schedule:
             apply_netem_schedule(testbed.network, client.node, "e1",
                                  schedule)
-        # One batched insert for the whole handover timetable —
-        # seq-for-seq identical to a schedule() per entry.
-        timetable = [(at_s, coordinator.handover_session,
-                      (client.client_id, to_site))
-                     for at_s, __, to_site in trajectory.handovers()]
-        planned += len(timetable)
-        sim.schedule_batch(timetable)
+        for at_s, __, to_site in trajectory.handovers():
+            sim.schedule(at_s, coordinator.handover_session,
+                         client.client_id, to_site)
+            planned += 1
     return coordinator, planned
 
 

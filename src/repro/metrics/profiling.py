@@ -146,18 +146,12 @@ class EventProfile:
     deterministic; durations naturally vary with the host.
     """
 
-    __slots__ = ("_calls", "_total_ns", "events", "wheel")
+    __slots__ = ("_calls", "_total_ns", "events")
 
     def __init__(self) -> None:
         self._calls: Dict[str, int] = {}
         self._total_ns: Dict[str, int] = {}
         self.events = 0
-        #: Calendar-queue observability published by the kernel's
-        #: profiled loop on every ``run()`` exit (``None`` on backends
-        #: without a wheel, e.g. the reference witness): bucket count,
-        #: width, occupancy histogram, resize/spill/activation
-        #: counters.  Pure observation — digest-inert.
-        self.wheel: Optional[Dict[str, object]] = None
 
     def record(self, kind: str, elapsed_ns: int) -> None:
         """Attribute one executed event's wall time to ``kind``."""
@@ -196,12 +190,9 @@ class EventProfile:
                            "total_ms": record.total_ms,
                            "mean_ms": record.mean_ms,
                            "share": share}
-        data: Dict[str, object] = {"events": self.events,
-                                   "total_ms": total_ns / 1e6,
-                                   "kinds": kinds}
-        if self.wheel is not None:
-            data["wheel"] = self.wheel
-        return data
+        return {"events": self.events,
+                "total_ms": total_ns / 1e6,
+                "kinds": kinds}
 
 
 #: Shared default used by the CLI and benchmarks; tests should build

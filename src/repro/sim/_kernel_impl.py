@@ -1,70 +1,53 @@
-"""Calendar-queue event kernel — the default optimized backend.
+"""Core event loop and process model.
+
+The kernel is a classic event-heap simulator.  Three concepts matter:
+
+* :class:`Simulator` owns virtual time and the event heap.
+* :class:`Waitable` is anything a process can ``yield`` to suspend on —
+  :class:`Timeout`, :class:`Signal`, :class:`Process`, :class:`AnyOf`
+  and :class:`AllOf`.
+* :class:`Process` wraps a generator.  When the waitable it yielded
+  fires, the kernel resumes the generator, sending the waitable's value.
+
+Determinism: events scheduled for the same instant fire in scheduling
+order (a monotonically increasing sequence number breaks ties), so a
+given seed always produces the same trajectory.
 
 This module is the hot path of every experiment — campaigns push
-millions of events through ``run()`` — and replaces the PR 5 binary
-heap with an array-backed **calendar queue** (timing wheel) for the
-timer population, selected through :mod:`repro.sim.kernel`'s
-``REPRO_SIM_KERNEL`` switch:
+millions of events through ``run()`` — so it is written for speed
+without compromising the determinism contract:
 
-* timers land in a power-of-two ring of buckets: ``slot =
-  int(when * inv_width)`` (one monotone slot function used
-  everywhere), an O(1) ``list.append`` instead of an O(log n) heap
-  push;
-* the run loop *activates* one bucket at a time: sort it once with
-  C timsort, then consume it by index — O(1) pops;
-* events past the wheel horizon (``slot - head >= nbuckets``) spill
-  to an overflow heap and are re-bucketed lazily as the head
-  approaches their slot, so far-future timers cost two heap ops, not
-  a giant sparse wheel;
-* events at or behind the head slot (clamped inserts after an
-  ``until`` rewind, resize leftovers) ride a small ``near`` heap the
-  loop merges by head comparison, exactly like the zero-delay ready
-  lane;
-* when the bucket population outgrows the ring (> 2x buckets) the
-  wheel rebuilds: doubled bucket count, bucket width re-estimated
-  from the pending span, every timer re-inserted through the same
-  slot rule.  The rebuild touches only buckets + overflow — never
-  the active run or the near/ready lanes — so it is safe mid-run,
-  even from inside a callback.
+* every waitable class uses ``__slots__``;
+* ``run()`` pops the heap once per event (no peek-then-pop), aliases
+  the heap/digest into locals, and splits into dedicated loops so the
+  digest-off and profiler-off paths pay zero per-event branches;
+* zero-delay events (wake-ups, spawn kickoffs — most campaign
+  traffic) ride a FIFO ready lane merged with the heap by
+  ``(when, seq)`` head comparison: O(1) appends/pops instead of
+  O(log n) heap operations, identical execution order;
+* :class:`TraceDigest` memoizes per-callback kind bytes and folds
+  packed records into blake2b in chunks — the hashed *byte stream* is
+  identical to the naive per-event implementation (blake2b is a
+  stream hash, so chunking cannot change the digest), which is what
+  keeps every committed golden fingerprint valid;
+* waiter discards tombstone their slot in O(1) instead of an O(n)
+  ``list.remove``, so interrupt-heavy runs with large waiter lists do
+  not go quadratic.  Wake order is unchanged: survivors keep their
+  subscription order, exactly as ``list.remove`` preserved it.
 
-Why the ``(when, seq)`` order — and with it every committed golden
-trace digest — is preserved byte-for-byte:
-
-* ``seq`` is globally unique and assigned in ``schedule()`` call
-  order, exactly as before; the wheel is *only* a priority-queue
-  implementation, and any correct priority queue yields the same
-  ``(when, seq)`` pop order;
-* the slot function is monotone in ``when``, so bucket events
-  (``slot > head``) are strictly later than every near/ready event
-  (``slot <= head``) — activating a bucket only when the near and
-  ready lanes are empty cannot reorder;
-* a bucket only ever holds timers for a single future slot (the
-  insert horizon check guarantees head never passes a non-empty
-  bucket, and two distinct pending slots can never alias the same
-  physical bucket), so sorting it at activation yields the exact
-  global ``(when, seq)`` sub-order;
-* the rebuild re-inserts events with their original ``(when, seq)``
-  tuples; anything at or before the activation boundary goes to the
-  near heap, so nothing can execute late.
-
-The zero-delay ready lane, buffered :class:`TraceDigest`, slotted
-waitables, tombstoned waiter lists and inlined resume paths are
-carried over from PR 5 unchanged.  The pre-optimization kernel
-survives verbatim in :mod:`repro.sim.reference`; equivalence tests
-replay identical programs through both and require byte-identical
-fingerprints.
+The pre-optimization kernel survives verbatim in
+:mod:`repro.sim.reference`; equivalence tests replay identical
+programs through both and require byte-identical fingerprints.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
-import math
 import struct
 from collections import deque
 from types import MethodType
-from typing import (Any, Callable, Dict, Generator, Iterable, List,
-                    Optional, Sequence, Tuple)
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 _INFINITY = float("inf")
 _PACK_EVENT = struct.Struct("<dQ").pack
@@ -74,22 +57,6 @@ _heappop = heapq.heappop
 #: Buffered digest entries (two per event record) folded into blake2b
 #: per ``update()`` call — ~1024 events a chunk.
 _FLUSH_ENTRIES = 2048
-
-#: Initial calendar geometry: 256 buckets of ~1.95 ms cover a ~500 ms
-#: horizon — frame pacing (33 ms), service delays (1–50 ms) and the
-#: 100 ms cohort/netem cadence all land in-ring; run-horizon drivers
-#: spill to the overflow heap.  Width is a tuning sweep result: 2**-10
-#: maximizes the dense microbench (~1 ms inter-event gaps) but scans
-#: ~34 empty buckets per event on sparse frame-paced cells; 2**-9 is
-#: the crossover that keeps both within a few percent of their best.
-_INITIAL_BUCKETS = 256
-_INITIAL_WIDTH = 2.0 ** -9
-#: Never grow the ring past this many buckets; past it only the grow
-#: threshold doubles (the overflow heap absorbs the tail).
-_MAX_BUCKETS = 1 << 20
-#: Bucket-width exponent clamp for the rebuild's re-estimation.
-_MIN_WIDTH_EXP = -30
-_MAX_WIDTH_EXP = 6
 
 
 class SimulationError(RuntimeError):
@@ -277,10 +244,10 @@ class Waitable:
         Inlines ``sim.schedule(0.0, waiter._resume, self)`` — the
         per-waiter call/packing overhead is measurable at campaign
         scale — and lands the wake events on the simulator's zero-delay
-        ready lane instead of the timer wheel.  ``now + 0.0`` (not
-        ``now``) reproduces ``schedule``'s arithmetic bit-for-bit: the
-        digest packs the event time, and ``-0.0 + 0.0`` is ``+0.0``.
-        The event tuple layout must match :meth:`Simulator.schedule`.
+        ready lane instead of the heap.  ``now + 0.0`` (not ``now``)
+        reproduces ``schedule``'s arithmetic bit-for-bit: the digest
+        packs the event time, and ``-0.0 + 0.0`` is ``+0.0``.  The
+        event tuple layout must match :meth:`Simulator.schedule`.
         """
         waiters = self._waiters
         if not waiters:
@@ -321,13 +288,12 @@ class Timeout(Waitable):
     The constructor and expiry callback are the single hottest
     allocation/dispatch pair in a campaign (every service delay is a
     timeout), so both flatten their call chains: ``__init__`` assigns
-    the :class:`Waitable` fields directly and inserts its expiry event
-    into the calendar queue without going through
-    :meth:`Simulator.schedule` (the delay is already validated
-    non-negative), and ``_expire`` inlines :meth:`Waitable.fire` minus
-    the double-fire guard it performs itself.  Event tuple layout, seq
-    accounting and the slot rule match ``schedule`` exactly, so event
-    order is untouched.
+    the :class:`Waitable` fields directly and pushes its expiry event
+    without going through :meth:`Simulator.schedule` (the delay is
+    already validated non-negative), and ``_expire`` inlines
+    :meth:`Waitable.fire` minus the double-fire guard it performs
+    itself.  Heap tuple layout and seq accounting match ``schedule``
+    exactly, so event order is untouched.
     """
 
     __slots__ = ("delay",)
@@ -345,23 +311,8 @@ class Timeout(Waitable):
         seq = sim._seq + 1
         sim._seq = seq
         if delay:
-            when = sim._now + delay
-            event = (when, seq, self._expire, (value,))
-            slot = int(when * sim._inv_width)
-            diff = slot - sim._head_slot
-            if diff <= 0:
-                _heappush(sim._near, event)
-            elif diff < sim._nbuckets:
-                bucket = sim._buckets[slot & sim._mask]
-                if not bucket:
-                    _heappush(sim._occ_slots, slot)
-                bucket.append(event)
-                count = sim._count + 1
-                sim._count = count
-                if count > sim._grow_at:
-                    sim._grow()
-            else:
-                _heappush(sim._overflow, event)
+            _heappush(sim._heap,
+                      (sim._now + delay, seq, self._expire, (value,)))
         else:
             sim._ready.append(
                 (sim._now + delay, seq, self._expire, (value,)))
@@ -573,73 +524,28 @@ class Process(Waitable):
 
 
 class Simulator:
-    """Owns virtual time and the calendar event queue."""
+    """Owns virtual time and the event heap."""
 
-    __slots__ = ("_buckets", "_nbuckets", "_mask", "_grow_at",
-                 "_width", "_inv_width", "_head_slot", "_count",
-                 "_near", "_cur", "_cur_i", "_overflow", "_ready",
-                 "_occ_slots", "_now", "_seq", "_running", "digest",
-                 "profile", "_kind_names", "_resizes", "_spills",
-                 "_activations", "_occupancy")
+    __slots__ = ("_heap", "_ready", "_now", "_seq", "_running",
+                 "digest", "profile", "_kind_names")
 
     def __init__(self, digest: bool = True,
                  profile: bool = False) -> None:
-        #: The calendar ring: bucket ``slot & mask`` holds the timers
-        #: of exactly one pending slot (insert horizon + head
-        #: monotonicity guarantee two live slots never alias).
-        self._buckets: List[List[tuple]] = \
-            [[] for _ in range(_INITIAL_BUCKETS)]
-        self._nbuckets = _INITIAL_BUCKETS
-        self._mask = _INITIAL_BUCKETS - 1
-        self._grow_at = _INITIAL_BUCKETS * 2
-        self._width = _INITIAL_WIDTH
-        self._inv_width = 1.0 / _INITIAL_WIDTH
-        #: The last activated slot; every bucketed event satisfies
-        #: ``slot > head``, every near-heap event ``slot <= head``.
-        self._head_slot = 0
-        #: Events currently resident in buckets (not near/overflow).
-        self._count = 0
-        #: Heap of events at or behind the head slot (clamped inserts
-        #: after an ``until`` rewind, rebuild leftovers, pushed-back
-        #: events).  Merged with the active bucket by head comparison.
-        self._near: List[tuple] = []
-        #: The active (head) bucket, sorted ascending, consumed by
-        #: index ``_cur_i``.  Persisted across ``run()`` calls so an
-        #: ``until`` stop mid-bucket resumes exactly where it left.
-        self._cur: List[tuple] = []
-        self._cur_i = 0
-        #: Far-future timers (past the ring horizon), a plain heap;
-        #: re-bucketed lazily as the head approaches.
-        self._overflow: List[tuple] = []
+        self._heap: List[tuple] = []
         #: Zero-delay fast lane.  Events scheduled with delay 0.0 — the
         #: wake/resume traffic that dominates campaigns — go here as
-        #: O(1) appends instead of heap/bucket inserts.  Invariant:
+        #: O(1) appends instead of O(log n) heap pushes.  Invariant:
         #: the deque is sorted by ``(when, seq)``.  It holds because
         #: (a) inside ``run()`` appends happen at the nondecreasing
         #: current time with globally increasing seq, (b) every exit
-        #: from a run loop spills leftovers into the near heap, so
+        #: from a run loop spills leftovers back into the heap, so
         #: (c) outside ``run()`` all appends share one fixed ``now``.
+        #: The run loops merge the two lanes by comparing heads, which
+        #: preserves the heap-only execution order exactly.
         self._ready: deque = deque()
-        #: Min-heap of the logical slots whose buckets are non-empty.
-        #: Pushed on an empty bucket's first append, popped exactly at
-        #: activation — buckets only empty via activation or the
-        #: ``_grow`` rebuild (which reconstructs the heap), so entries
-        #: never go stale and ``_occ_slots[0]`` IS the next occupied
-        #: slot.  Turns the advance step from an O(empty-gap) bucket
-        #: scan into an O(log occupied) pop, which is what makes
-        #: sparse frame-paced workloads (33 ms gaps, ~2 ms buckets)
-        #: fast, not just dense storms.
-        self._occ_slots: List[int] = []
         self._now = 0.0
         self._seq = 0
         self._running = False
-        #: Wheel observability (digest-inert: pure counters, no events,
-        #: no RNG): rebuilds, overflow→bucket spills, bucket
-        #: activations, and a bucket-size occupancy histogram.
-        self._resizes = 0
-        self._spills = 0
-        self._activations = 0
-        self._occupancy: Dict[int, int] = {}
         #: Running trace fingerprint; ``None`` when disabled.
         self.digest: Optional[TraceDigest] = \
             TraceDigest() if digest else None
@@ -671,6 +577,10 @@ class Simulator:
         """
         return self.digest.hexdigest() if self.digest else None
 
+    def wheel_stats(self) -> Dict[str, Any]:
+        """Timer-wheel counters: none, the timers live in a heap."""
+        return {}
+
     def schedule(self, delay: float, callback: Callable[..., None],
                  *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` seconds of virtual time."""
@@ -679,118 +589,9 @@ class Simulator:
         seq = self._seq + 1
         self._seq = seq
         if delay:
-            when = self._now + delay
-            event = (when, seq, callback, args)
-            slot = int(when * self._inv_width)
-            diff = slot - self._head_slot
-            if diff <= 0:
-                _heappush(self._near, event)
-            elif diff < self._nbuckets:
-                bucket = self._buckets[slot & self._mask]
-                if not bucket:
-                    _heappush(self._occ_slots, slot)
-                bucket.append(event)
-                count = self._count + 1
-                self._count = count
-                if count > self._grow_at:
-                    self._grow()
-            else:
-                _heappush(self._overflow, event)
+            _heappush(self._heap, (self._now + delay, seq, callback, args))
         else:
             self._ready.append((self._now + delay, seq, callback, args))
-
-    def schedule_batch(self, items: Iterable[Sequence],
-                       *, absolute: bool = False) -> None:
-        """Schedule many events in one call.
-
-        ``items`` yields ``(delay, callback, args)`` triples (``args``
-        a tuple); with ``absolute=True`` the first element is the
-        absolute virtual time instead (must be ``>= now`` — hot
-        producers pre-computing exact tick trains use this to avoid
-        re-deriving ``now + delay`` float arithmetic).
-
-        Exactly equivalent to calling :meth:`schedule` once per item
-        in order — same seq assignment, same validation, same partial
-        insertion if an item raises mid-batch — but the wheel state is
-        hoisted out of the loop, so same-tick event storms (cohort
-        ticks, netem schedules, handover timetables) pay one Python
-        call instead of N.
-        """
-        seq = self._seq
-        now = self._now
-        inv_width = self._inv_width
-        head = self._head_slot
-        nbuckets = self._nbuckets
-        mask = self._mask
-        buckets = self._buckets
-        near = self._near
-        overflow = self._overflow
-        occ_slots = self._occ_slots
-        ready_append = self._ready.append
-        count = self._count
-        grow_at = self._grow_at
-        # Same-tick storms repeat one ``when``; memoize its target
-        # bucket so the slot math runs once per distinct instant.
-        last_when = -1.0
-        last_bucket: Optional[List[tuple]] = None
-        try:
-            for first, callback, args in items:
-                if absolute:
-                    when = first + 0.0
-                    delay = when - now
-                    if delay < 0:
-                        raise SimulationError(
-                            f"absolute time {first} is before now={now}")
-                else:
-                    delay = first
-                    if delay < 0:
-                        raise SimulationError(f"negative delay {delay}")
-                    when = now + delay
-                seq += 1
-                if delay:
-                    if when == last_when and last_bucket is not None:
-                        last_bucket.append((when, seq, callback, args))
-                        count += 1
-                        if count <= grow_at:
-                            continue
-                    else:
-                        event = (when, seq, callback, args)
-                        slot = int(when * inv_width)
-                        diff = slot - head
-                        if diff <= 0:
-                            _heappush(near, event)
-                            continue
-                        if diff >= nbuckets:
-                            _heappush(overflow, event)
-                            continue
-                        bucket = buckets[slot & mask]
-                        if not bucket:
-                            _heappush(occ_slots, slot)
-                        bucket.append(event)
-                        count += 1
-                        last_when = when
-                        last_bucket = bucket
-                        if count <= grow_at:
-                            continue
-                    self._seq = seq
-                    self._count = count
-                    self._grow()
-                    inv_width = self._inv_width
-                    head = self._head_slot
-                    nbuckets = self._nbuckets
-                    mask = self._mask
-                    buckets = self._buckets
-                    overflow = self._overflow
-                    occ_slots = self._occ_slots
-                    count = self._count
-                    grow_at = self._grow_at
-                    last_when = -1.0
-                    last_bucket = None
-                else:
-                    ready_append((when, seq, callback, args))
-        finally:
-            self._seq = seq
-            self._count = count
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
@@ -809,195 +610,8 @@ class Simulator:
         """Start a new process from a generator."""
         return Process(self, generator, name)
 
-    def wheel_stats(self) -> Dict[str, Any]:
-        """Calendar-queue observability counters (digest-inert).
-
-        Pure observation: reading these schedules no events and draws
-        no RNG, so trace digests are identical whether or not anyone
-        looks.  ``occupancy`` maps bucket size → number of activations
-        that drained a bucket of that size.
-        """
-        return {
-            "nbuckets": self._nbuckets,
-            "width_s": self._width,
-            "head_slot": self._head_slot,
-            "pending_buckets": self._count,
-            "pending_near": len(self._near),
-            "pending_overflow": len(self._overflow),
-            "resizes": self._resizes,
-            "spills": self._spills,
-            "activations": self._activations,
-            "occupancy": dict(sorted(self._occupancy.items())),
-        }
-
-    # ------------------------------------------------------------------
-    # Calendar-queue internals
-    # ------------------------------------------------------------------
-
-    def _grow(self) -> None:
-        """Rebuild the ring with more buckets and a re-estimated width.
-
-        Gathers only the bucketed + overflow timers; the active bucket
-        (``_cur``), the near heap and the ready lane are never touched,
-        which makes the rebuild safe from inside a running callback
-        (the loop's consumption index lives in a local).  Every
-        gathered event at or before the activation boundary — the
-        latest instant the loop might still be merging — re-inserts
-        into the near heap, so the rebuild cannot push an event past
-        its turn; everything later re-buckets under the new slot rule
-        with its original ``(when, seq)`` tuple, preserving order.
-        """
-        events: List[tuple] = []
-        for bucket in self._buckets:
-            events.extend(bucket)
-        events.extend(self._overflow)
-        total = len(events)
-        new_n = self._nbuckets * 2
-        while total > new_n * 2 and new_n < _MAX_BUCKETS:
-            new_n *= 2
-        if new_n > _MAX_BUCKETS:
-            new_n = _MAX_BUCKETS
-        # Width re-estimation: aim for ~total/new_n events per bucket
-        # across the pending span, snapped to a power of two so the
-        # inverse is exact.  A zero span (one instant) keeps the old
-        # width — only correctness matters, the policy is free.
-        width = self._width
-        if total > 1:
-            lo = hi = events[0][0]
-            for event in events:
-                when = event[0]
-                if when < lo:
-                    lo = when
-                elif when > hi:
-                    hi = when
-            span = hi - lo
-            if span > 0.0:
-                exp = math.ceil(math.log2(span / new_n))
-                if exp < _MIN_WIDTH_EXP:
-                    exp = _MIN_WIDTH_EXP
-                elif exp > _MAX_WIDTH_EXP:
-                    exp = _MAX_WIDTH_EXP
-                width = 2.0 ** exp
-        inv_width = 1.0 / width
-        # The activation boundary: nothing at or before it may land in
-        # a bucket (the loop merges cur/near/ready by comparison, but
-        # buckets only activate after those drain).
-        boundary = self._now
-        cur = self._cur
-        if cur:
-            last = cur[-1][0]
-            if last > boundary:
-                boundary = last
-        near = self._near
-        if near:
-            latest = max(near)[0]
-            if latest > boundary:
-                boundary = latest
-        new_head = int(boundary * inv_width)
-        buckets: List[List[tuple]] = [[] for _ in range(new_n)]
-        mask = new_n - 1
-        overflow: List[tuple] = []
-        occ_slots: List[int] = []
-        count = 0
-        for event in events:
-            slot = int(event[0] * inv_width)
-            diff = slot - new_head
-            if diff <= 0:
-                _heappush(near, event)
-            elif diff < new_n:
-                bucket = buckets[slot & mask]
-                if not bucket:
-                    occ_slots.append(slot)
-                bucket.append(event)
-                count += 1
-            else:
-                _heappush(overflow, event)
-        heapq.heapify(occ_slots)
-        self._buckets = buckets
-        self._nbuckets = new_n
-        self._mask = mask
-        self._grow_at = max(new_n * 2, total * 2)
-        self._width = width
-        self._inv_width = inv_width
-        self._head_slot = new_head
-        self._count = count
-        self._overflow = overflow
-        self._occ_slots = occ_slots
-        self._resizes += 1
-
-    def _advance_wheel(self) -> Optional[List[tuple]]:
-        """Activate the next non-empty bucket; ``None`` when drained.
-
-        Called only when the active bucket, the near heap and the
-        ready lane are all empty.  Spills overflow timers that have
-        come within the ring horizon, then jumps the head straight to
-        the earliest occupied slot (``_occ_slots`` heap) — no
-        empty-bucket scan.  Order safety: after the spill loop every
-        remaining overflow slot is ``>= head + nbuckets``, while every
-        occupied slot is ``< head + nbuckets``, so the popped minimum
-        really is the globally next timer; and because it is the
-        minimum, jumping the head to it keeps every remaining bucketed
-        slot strictly ahead of the head (the alias-freedom invariant).
-        The activated bucket is sorted (single timsort) and handed to
-        the run loop for index consumption.
-        """
-        count = self._count
-        overflow = self._overflow
-        if not count and not overflow:
-            return None
-        buckets = self._buckets
-        mask = self._mask
-        nbuckets = self._nbuckets
-        inv_width = self._inv_width
-        occ_slots = self._occ_slots
-        head = self._head_slot
-        spills = 0
-        while True:
-            if overflow:
-                if not count:
-                    # Everything pending is far-future: jump the head
-                    # to just before the earliest overflow slot so the
-                    # spill below lands it in-ring.
-                    jump = int(overflow[0][0] * inv_width) - 1
-                    if jump > head:
-                        head = jump
-                limit = head + nbuckets
-                while overflow and int(overflow[0][0] * inv_width) < limit:
-                    event = _heappop(overflow)
-                    slot = int(event[0] * inv_width)
-                    bucket = buckets[slot & mask]
-                    if not bucket:
-                        _heappush(occ_slots, slot)
-                    bucket.append(event)
-                    count += 1
-                    spills += 1
-            if count:
-                head = _heappop(occ_slots)
-                index = head & mask
-                bucket = buckets[index]
-                buckets[index] = []
-                bucket.sort()
-                size = len(bucket)
-                count -= size
-                self._head_slot = head
-                self._count = count
-                self._cur = bucket
-                self._cur_i = 0
-                self._activations += 1
-                self._spills += spills
-                occupancy = self._occupancy
-                occupancy[size] = occupancy.get(size, 0) + 1
-                return bucket
-            if not overflow:
-                # Nothing pending anywhere: report drained (the head
-                # stays parked; inserts only compare against it).
-                self._head_slot = head
-                self._count = 0
-                self._spills += spills
-                return None
-
     def run(self, until: Optional[float] = None) -> float:
-        """Execute events until the queue drains or ``until`` is reached.
+        """Execute events until the heap drains or ``until`` is reached.
 
         Returns the virtual time at which execution stopped.
         """
@@ -1018,69 +632,40 @@ class Simulator:
     # The three loops are structurally identical; they are kept
     # separate so the common configurations pay for exactly the
     # instrumentation they asked for — the digest-off loop reads no
-    # digest, the profiler-off loops read no clock.  Each consumes the
-    # active bucket by index and merges it with the near heap and the
-    # zero-delay ready lane by head comparison (seq is globally
-    # unique, so comparisons never tie past the first two fields); a
-    # bucket only activates once every other lane is drained, which
-    # the slot-monotonicity invariant makes order-exact.  An event
-    # past ``until`` is pushed onto the near heap (every source's slot
-    # is <= head, so the invariant holds).  Every exit spills
-    # ready-lane leftovers into the near heap, restoring the
-    # sortedness invariant for events scheduled outside ``run()``.
+    # digest, the profiler-off loops read no clock.  Each merges the
+    # heap with the zero-delay ready lane by head comparison (seq is
+    # globally unique, so ``heap[0] < ready[0]`` never ties past the
+    # first two fields) and pops once per event; an event past
+    # ``until`` is pushed back.  Every exit spills ready-lane
+    # leftovers into the heap, restoring the sortedness invariant for
+    # events scheduled outside ``run()``.
 
     def _spill_ready(self) -> None:
-        near = self._near
+        heap = self._heap
         ready = self._ready
         while ready:
-            _heappush(near, ready.popleft())
+            _heappush(heap, ready.popleft())
 
     def _run_fast(self, until: Optional[float]) -> None:
-        near = self._near
+        heap = self._heap
         ready = self._ready
         ready_popleft = ready.popleft
         pop = _heappop
-        cur = self._cur
-        cur_i = self._cur_i
-        cur_len = len(cur)
         stop_at = _INFINITY if until is None else until
         try:
             while True:
-                if cur_i < cur_len:
-                    event = cur[cur_i]
-                    if near:
-                        head = near[0]
-                        if head < event:
-                            if ready and ready[0] < head:
-                                event = ready_popleft()
-                            else:
-                                event = pop(near)
-                        elif ready and ready[0] < event:
-                            event = ready_popleft()
-                        else:
-                            cur_i += 1
-                    elif ready and ready[0] < event:
-                        event = ready_popleft()
+                if ready:
+                    if heap and heap[0] < ready[0]:
+                        event = pop(heap)
                     else:
-                        cur_i += 1
-                elif near:
-                    if ready and ready[0] < near[0]:
                         event = ready_popleft()
-                    else:
-                        event = pop(near)
-                elif ready:
-                    event = ready_popleft()
+                elif heap:
+                    event = pop(heap)
                 else:
-                    nxt = self._advance_wheel()
-                    if nxt is None:
-                        break
-                    cur = nxt
-                    cur_i = 0
-                    cur_len = len(cur)
-                    continue
+                    break
                 when, _seq, callback, args = event
                 if when > stop_at:
-                    _heappush(near, event)
+                    _heappush(heap, event)
                     self._now = until  # type: ignore[assignment]
                     return
                 self._now = when
@@ -1088,12 +673,11 @@ class Simulator:
             if until is not None and until > self._now:
                 self._now = until
         finally:
-            self._cur_i = cur_i
             if ready:
                 self._spill_ready()
 
     def _run_digested(self, until: Optional[float]) -> None:
-        near = self._near
+        heap = self._heap
         pop = _heappop
         digest = self.digest
         func_kinds_get = digest._func_kinds.get  # type: ignore[union-attr]
@@ -1109,49 +693,22 @@ class Simulator:
         method_type = MethodType
         ready = self._ready
         ready_popleft = ready.popleft
-        cur = self._cur
-        cur_i = self._cur_i
-        cur_len = len(cur)
         stop_at = _INFINITY if until is None else until
         events = 0
         try:
             while True:
-                if cur_i < cur_len:
-                    event = cur[cur_i]
-                    if near:
-                        head = near[0]
-                        if head < event:
-                            if ready and ready[0] < head:
-                                event = ready_popleft()
-                            else:
-                                event = pop(near)
-                        elif ready and ready[0] < event:
-                            event = ready_popleft()
-                        else:
-                            cur_i += 1
-                    elif ready and ready[0] < event:
-                        event = ready_popleft()
+                if ready:
+                    if heap and heap[0] < ready[0]:
+                        event = pop(heap)
                     else:
-                        cur_i += 1
-                elif near:
-                    if ready and ready[0] < near[0]:
                         event = ready_popleft()
-                    else:
-                        event = pop(near)
-                elif ready:
-                    event = ready_popleft()
+                elif heap:
+                    event = pop(heap)
                 else:
-                    self._cur_i = cur_i
-                    nxt = self._advance_wheel()
-                    if nxt is None:
-                        break
-                    cur = nxt
-                    cur_i = 0
-                    cur_len = len(cur)
-                    continue
+                    break
                 when, seq, callback, args = event
                 if when > stop_at:
-                    _heappush(near, event)
+                    _heappush(heap, event)
                     self._now = until  # type: ignore[assignment]
                     return
                 self._now = when
@@ -1186,64 +743,35 @@ class Simulator:
             # Counted locally in the loop; synced even when a callback
             # raises or the run stops at ``until``.
             digest.events += events  # type: ignore[union-attr]
-            self._cur_i = cur_i
             if ready:
                 self._spill_ready()
 
     def _run_profiled(self, until: Optional[float]) -> None:
         from time import perf_counter_ns
 
-        near = self._near
+        heap = self._heap
         pop = _heappop
         digest = self.digest
         record = digest.record_event if digest is not None else None
-        profile = self.profile
-        profile_event = profile.record  # type: ignore[union-attr]
+        profile_event = self.profile.record  # type: ignore[union-attr]
         kind_of = self._kind_name
         ready = self._ready
         ready_popleft = ready.popleft
-        cur = self._cur
-        cur_i = self._cur_i
-        cur_len = len(cur)
         stop_at = _INFINITY if until is None else until
         try:
             while True:
-                if cur_i < cur_len:
-                    event = cur[cur_i]
-                    if near:
-                        head = near[0]
-                        if head < event:
-                            if ready and ready[0] < head:
-                                event = ready_popleft()
-                            else:
-                                event = pop(near)
-                        elif ready and ready[0] < event:
-                            event = ready_popleft()
-                        else:
-                            cur_i += 1
-                    elif ready and ready[0] < event:
-                        event = ready_popleft()
+                if ready:
+                    if heap and heap[0] < ready[0]:
+                        event = pop(heap)
                     else:
-                        cur_i += 1
-                elif near:
-                    if ready and ready[0] < near[0]:
                         event = ready_popleft()
-                    else:
-                        event = pop(near)
-                elif ready:
-                    event = ready_popleft()
+                elif heap:
+                    event = pop(heap)
                 else:
-                    self._cur_i = cur_i
-                    nxt = self._advance_wheel()
-                    if nxt is None:
-                        break
-                    cur = nxt
-                    cur_i = 0
-                    cur_len = len(cur)
-                    continue
+                    break
                 when, seq, callback, args = event
                 if when > stop_at:
-                    _heappush(near, event)
+                    _heappush(heap, event)
                     self._now = until  # type: ignore[assignment]
                     return
                 self._now = when
@@ -1256,12 +784,8 @@ class Simulator:
             if until is not None and until > self._now:
                 self._now = until
         finally:
-            self._cur_i = cur_i
             if ready:
                 self._spill_ready()
-            # Publish wheel observability on the profile (digest-inert:
-            # stats reads schedule nothing).
-            profile.wheel = self.wheel_stats()  # type: ignore[union-attr]
 
     def _kind_name(self, callback: Callable[..., None]) -> str:
         """Memoized :func:`_event_kind` (profiler bookkeeping).

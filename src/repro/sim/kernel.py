@@ -1,122 +1,60 @@
 """Event-kernel backend selector.
 
 ``repro.sim.kernel`` is the import point every subsystem uses for the
-discrete-event core; since PR 10 it is a thin selector over three
-interchangeable backends sharing one determinism contract (identical
-``(when, seq)`` execution order ⇒ byte-identical trace digests):
+discrete-event core.  It binds one of two interchangeable backends
+sharing one determinism contract (identical ``(when, seq)`` execution
+order ⇒ byte-identical trace digests):
 
 ``optimized`` (default)
-    :mod:`repro.sim._kernel_impl` — the pure-Python calendar-queue
-    kernel (array-backed timer wheel, zero-delay ready lane, buffered
-    digest, slotted waitables).
-
-``compiled``
-    :mod:`repro.sim._kernel_compiled` — the same source compiled
-    ahead-of-time with mypyc (or Cython as a fallback) by
-    ``REPRO_BUILD_SIM_EXT=1 python setup.py build_ext --inplace``.
-    When the extension is absent or is a stale pure-Python copy, the
-    selector **falls back loudly** (a ``RuntimeWarning`` plus a
-    ``repro.sim.kernel`` log record) to the optimized backend — the
-    run still works, it is just slower.
+    :mod:`repro.sim._kernel_impl` — the binary-heap kernel with a
+    zero-delay ready lane, buffered digest and slotted waitables.
 
 ``reference``
     :mod:`repro.sim.reference` — the verbatim pre-optimization kernel
     kept as the equivalence witness.  Exposed here so a whole
     experiment stack can be replayed on the witness
     (``REPRO_SIM_KERNEL=reference python -m repro run ...``); a thin
-    shim adds the newer ``profile``/``schedule_batch`` surface without
+    shim adds the newer ``profile``/``wheel_stats`` surface without
     touching :mod:`repro.sim.reference` itself.
 
-Select via the ``REPRO_SIM_KERNEL`` environment variable or
-``python -m repro run --sim-kernel {optimized,reference,compiled}``
-(the CLI sets the variable before this module is imported).  The
-choice is made once, at import time — the kernel classes are
-referenced all over the tree, so swapping after import is not
-supported.
+Select via the ``REPRO_SIM_KERNEL`` environment variable; any other
+value fails fast.  The choice is made once, at import time — the
+kernel classes are referenced all over the tree, so swapping after
+import is not supported.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import logging
 import os
-import warnings
 
 from repro.sim import _kernel_impl as _impl
 
-_log = logging.getLogger("repro.sim.kernel")
-
 #: Recognized ``REPRO_SIM_KERNEL`` values.
-SIM_KERNEL_BACKENDS = ("optimized", "reference", "compiled")
+SIM_KERNEL_BACKENDS = ("optimized", "reference")
 
-_requested = (os.environ.get("REPRO_SIM_KERNEL", "optimized")
-              .strip().lower() or "optimized")
-if _requested not in SIM_KERNEL_BACKENDS:
+_backend = (os.environ.get("REPRO_SIM_KERNEL", "optimized")
+            .strip().lower() or "optimized")
+if _backend not in SIM_KERNEL_BACKENDS:
     raise RuntimeError(
-        f"REPRO_SIM_KERNEL={_requested!r} is not one of "
+        f"REPRO_SIM_KERNEL={_backend!r} is not one of "
         f"{'/'.join(SIM_KERNEL_BACKENDS)}")
-
-
-def _load_compiled():
-    """Import the compiled kernel, or explain why it is unusable."""
-    import importlib
-
-    try:
-        # import_module (not ``from repro.sim import ...``) so the
-        # lookup works even while the ``repro.sim`` package itself is
-        # still mid-import.
-        compiled = importlib.import_module("repro.sim._kernel_compiled")
-    except ImportError as exc:
-        return None, f"import failed ({exc})"
-    filename = getattr(compiled, "__file__", "") or ""
-    suffixes = tuple(importlib.machinery.EXTENSION_SUFFIXES)
-    if not filename.endswith(suffixes):
-        # A stale generated ``_kernel_compiled.py`` shadowing the
-        # extension would silently run at pure-Python speed while
-        # claiming to be compiled — treat it as absent.
-        return None, (f"{filename!r} is not a compiled extension "
-                      "(stale generated copy?)")
-    return compiled, ""
-
-
-_backend = _requested
-if _requested == "compiled":
-    _module, _why = _load_compiled()
-    if _module is None:
-        message = (
-            "REPRO_SIM_KERNEL=compiled but no compiled event kernel is "
-            f"available: {_why}. Falling back to the pure-Python "
-            "optimized kernel — results are identical, only slower. "
-            "Build it with: REPRO_BUILD_SIM_EXT=1 python setup.py "
-            "build_ext --inplace")
-        warnings.warn(message, RuntimeWarning, stacklevel=2)
-        _log.warning(message)
-        _module = _impl
-        _backend = "optimized"
-else:
-    _module = _impl
 
 # The digest/tooling surface is backend-independent (the reference
 # witness keeps its own internal TraceDigest; fingerprints agree by
-# construction), so it always comes from the optimized source — the
-# one module guaranteed present and current.
-_FLUSH_ENTRIES = _impl._FLUSH_ENTRIES
-_INFINITY = _impl._INFINITY
-_PACK_EVENT = _impl._PACK_EVENT
+# construction), so it always comes from the optimized source.
+TraceDigest = _impl.TraceDigest
+_event_kind = _impl._event_kind
 
-if _requested == "reference":
+if _backend == "reference":
     from repro.sim import reference as _reference
 
     SimulationError = _reference.SimulationError
-    TraceDigest = _impl.TraceDigest
-    _event_kind = _impl._event_kind
     Interrupt = _reference.Interrupt
     Waitable = _reference.Waitable
     Timeout = _reference.Timeout
     Signal = _reference.Signal
     AnyOf = _reference.AnyOf
     AllOf = _reference.AllOf
-    _Watcher = _reference._Watcher
     Process = _reference.Process
     ProcessGenerator = _reference.ProcessGenerator
 
@@ -124,8 +62,8 @@ if _requested == "reference":
         """The witness kernel wearing the current ``Simulator`` surface.
 
         Adds the ``profile`` keyword (accepted, ignored — the witness
-        predates the profiler and must not change) and a sequential
-        :meth:`schedule_batch`, so the full experiment stack runs
+        predates the profiler and must not change) and an empty
+        :meth:`wheel_stats`, so the full experiment stack runs
         unmodified on the reference backend.
         """
 
@@ -134,56 +72,32 @@ if _requested == "reference":
             super().__init__(digest=digest)
             self.profile = None
 
-        def schedule_batch(self, items, *, absolute: bool = False) -> None:
-            """Sequential :meth:`schedule` per item — the semantics the
-            optimized backends' batched insert must match."""
-            import heapq
-
-            for first, callback, args in items:
-                if absolute:
-                    when = first + 0.0
-                    if when < self._now:
-                        raise SimulationError(
-                            f"absolute time {first} is before "
-                            f"now={self._now}")
-                    self._seq += 1
-                    heapq.heappush(self._heap,
-                                   (when, self._seq, callback, args))
-                else:
-                    self.schedule(first, callback, *args)
-
         def wheel_stats(self) -> dict:
             """No wheel on the witness; empty stats for API parity."""
             return {}
 else:
-    SimulationError = _module.SimulationError
-    TraceDigest = _module.TraceDigest
-    _event_kind = _module._event_kind
-    Interrupt = _module.Interrupt
-    Waitable = _module.Waitable
-    Timeout = _module.Timeout
-    Signal = _module.Signal
-    AnyOf = _module.AnyOf
-    AllOf = _module.AllOf
-    _Watcher = _module._Watcher
-    Process = _module.Process
-    ProcessGenerator = _module.ProcessGenerator
-    Simulator = _module.Simulator
+    SimulationError = _impl.SimulationError
+    Interrupt = _impl.Interrupt
+    Waitable = _impl.Waitable
+    Timeout = _impl.Timeout
+    Signal = _impl.Signal
+    AnyOf = _impl.AnyOf
+    AllOf = _impl.AllOf
+    Process = _impl.Process
+    ProcessGenerator = _impl.ProcessGenerator
+    Simulator = _impl.Simulator
 
 
 def active_backend() -> str:
-    """The backend actually serving this process.
-
-    One of ``optimized``/``reference``/``compiled`` — reflects the
-    fallback, so ``REPRO_SIM_KERNEL=compiled`` without a built
-    extension reports ``optimized``.
-    """
+    """The backend serving this process: ``optimized`` or ``reference``."""
     return _backend
 
 
 def requested_backend() -> str:
-    """The backend ``REPRO_SIM_KERNEL`` asked for (before fallback)."""
-    return _requested
+    """The backend ``REPRO_SIM_KERNEL`` asked for — always the active
+    one, since an unknown value fails at import instead of falling
+    back."""
+    return _backend
 
 
 __all__ = [

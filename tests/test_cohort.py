@@ -272,3 +272,33 @@ def test_all_tracer_engine_spawns_nothing(deployed):
     assert engine.ledger.offered == 0
     assert engine.ledger.as_dict()["balance"] == 0
     assert engine.latency.count == 0
+
+
+@pytest.mark.parametrize("kernel", ["optimized", "reference"])
+def test_tick_train_fires_on_the_float_recurrence(deployed, kernel):
+    """An hour of 0.1 s ticks, pre-scheduled as plain relative delays
+    from ``now == 0.0``: every tick fires at exactly the ``w += tick``
+    recurrence, bit for bit, on both kernel backends."""
+    from repro.sim import _kernel_impl, reference
+
+    module = _kernel_impl if kernel == "optimized" else reference
+    __, pipeline, flow = deployed
+    sim = module.Simulator()
+    fired = []
+
+    class Recording(CohortEngine):
+        def _tick(self, tick_s):
+            fired.append(self.sim.now)
+
+    engine = Recording(sim, CohortSpec(size=100, tracers=1, tick_s=0.1),
+                       pipeline, flow=flow)
+    assert sim.now == 0.0
+    engine.start(3600.0)
+    sim.run()
+    expected = []
+    when = 0.0
+    while when + 0.1 <= 3600.0 + 1e-12:
+        when = when + 0.1
+        expected.append(when)
+    assert len(expected) == 36_000
+    assert [t.hex() for t in fired] == [t.hex() for t in expected]

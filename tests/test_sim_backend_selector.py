@@ -4,13 +4,10 @@ The backend is chosen once, at ``repro.sim.kernel`` import time, so
 every scenario runs in a fresh subprocess with a controlled
 environment.  The contract under test:
 
-- ``optimized`` (and unset) binds the calendar-queue kernel;
-- ``reference`` binds the heap witness behind the same API surface
-  (``schedule_batch``, ``wheel_stats``, the ``profile`` keyword) and
-  produces byte-identical trace digests;
-- ``compiled`` binds the ahead-of-time-compiled extension when built,
-  and otherwise falls back to ``optimized`` LOUDLY (a
-  ``RuntimeWarning`` plus a logger warning) — never silently;
+- ``optimized`` (and unset) binds the heap kernel;
+- ``reference`` binds the witness behind the same API surface
+  (``wheel_stats``, the ``profile`` keyword) and produces
+  byte-identical trace digests;
 - anything else fails fast with ``RuntimeError``.
 """
 
@@ -29,7 +26,6 @@ with warnings.catch_warnings(record=True) as caught:
     from repro.sim import kernel
 sim = kernel.Simulator()
 sim.schedule(0.25, lambda: None)
-sim.schedule_batch([(0.5, (lambda: None), ())])
 sim.run()
 print(json.dumps({
     "active": kernel.active_backend(),
@@ -59,7 +55,7 @@ def test_default_backend_is_optimized():
     assert proc.returncode == 0, proc.stderr
     assert probe["active"] == probe["requested"] == "optimized"
     assert not probe["warnings"]
-    assert not probe["stats_empty"]
+    assert probe["stats_empty"]
 
 
 def test_reference_backend_selected_and_digest_identical():
@@ -69,48 +65,16 @@ def test_reference_backend_selected_and_digest_identical():
     assert opt_proc.returncode == 0, opt_proc.stderr
     assert ref["active"] == ref["requested"] == "reference"
     assert opt["active"] == "optimized"
-    # The witness exposes no wheel; its stats read as empty.
-    assert ref["stats_empty"] and not opt["stats_empty"]
+    # Neither backend has a timer wheel; both stats read as empty.
+    assert ref["stats_empty"] and opt["stats_empty"]
     # Same program, same bytes: the backend is invisible to traces.
     assert ref["digest"] == opt["digest"]
     assert not ref["warnings"]
 
 
-def test_compiled_without_extension_falls_back_loudly():
-    proc, probe = _probe("compiled")
-    assert proc.returncode == 0, proc.stderr
-    assert probe["requested"] == "compiled"
-    if probe["active"] == "compiled":  # extension built (CI job)
-        assert not probe["warnings"]
-    else:
-        assert probe["active"] == "optimized"
-        assert any("compiled" in message and "fall" in message.lower()
-                   for message in probe["warnings"]), probe["warnings"]
-
-
 def test_invalid_backend_fails_fast():
-    proc, __ = _probe("turbo")
-    assert proc.returncode != 0
-    assert "REPRO_SIM_KERNEL" in proc.stderr
-    assert "turbo" in proc.stderr
-
-
-def test_main_module_preparses_sim_kernel_flag(monkeypatch):
-    """``python -m repro run --sim-kernel X`` must export the env var
-    before ``repro.cli`` (and with it the kernel) is imported."""
-    import importlib.util
-
-    spec = importlib.util.find_spec("repro.__main__")
-    source = pathlib.Path(spec.origin).read_text()
-    assert "_preparse_sim_kernel(sys.argv[1:])" in source
-    # The pre-parse helper itself, exercised in-process.
-    namespace = {}
-    exec(source.split("_preparse_sim_kernel(sys.argv[1:])")[0],
-         namespace)
-    preparse = namespace["_preparse_sim_kernel"]
-    monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
-    preparse(["run", "--sim-kernel", "reference"])
-    assert os.environ["REPRO_SIM_KERNEL"] == "reference"
-    monkeypatch.setenv("REPRO_SIM_KERNEL", "optimized")
-    preparse(["run", "--sim-kernel=compiled"])
-    assert os.environ["REPRO_SIM_KERNEL"] == "compiled"
+    for backend in ("turbo", "compiled"):
+        proc, __ = _probe(backend)
+        assert proc.returncode != 0
+        assert "REPRO_SIM_KERNEL" in proc.stderr
+        assert backend in proc.stderr

@@ -800,33 +800,28 @@ def test_profiler_works_with_digest_disabled():
     assert sim.profile.events == 1
 
 # ----------------------------------------------------------------------
-# Calendar-wheel structure: resize, storms, cancellation, merge order.
-# Every scenario is mirrored against the reference heap kernel — the
-# wheel's bucket policy is free only because the (when, seq) stream it
-# emits is byte-identical to the witness.
+# Timer-population scenarios: far-future spread, storms, cancellation,
+# merge order, ``until`` stops.  Every scenario is mirrored against the
+# reference kernel — the (when, seq) stream must be byte-identical to
+# the witness.
 # ----------------------------------------------------------------------
-_WHEEL_BACKED = kernel_mod.active_backend() != "reference"
 
 
 def _logged_run(mod, build):
     """Run ``build(sim, log)`` on ``mod``'s simulator; return
-    (log, fingerprint, sim)."""
+    (log, fingerprint)."""
     sim = mod.Simulator()
     log = []
     build(sim, log)
     sim.run()
-    return log, sim.fingerprint(), sim
+    return log, sim.fingerprint()
 
 
-def test_far_future_timers_resize_the_ring_and_match_reference():
-    """Enough spread-out timers to blow the grow threshold: the ring
-    rebuilds (more buckets, re-estimated width) mid-stream and the
-    event order never deviates from the reference heap."""
+def test_far_future_timers_match_reference():
+    """Thousands of timers spread across five decades of delay: the
+    event order never deviates from the reference kernel."""
     def build(sim, log):
         rng = random.Random(20260808)
-        # Spread across five decades so the rebuild's width
-        # re-estimation actually moves, including far-future slots
-        # that start life in the overflow heap.
         for idx in range(4000):
             delay = rng.choice((rng.uniform(0.0001, 0.01),
                                 rng.uniform(0.01, 1.0),
@@ -834,42 +829,31 @@ def test_far_future_timers_resize_the_ring_and_match_reference():
                                 rng.uniform(100.0, 5000.0)))
             sim.schedule(delay, log.append, (round(delay, 9), idx))
 
-    opt_log, opt_fp, opt_sim = _logged_run(kernel_mod, build)
-    ref_log, ref_fp, __ = _logged_run(reference_mod, build)
+    opt_log, opt_fp = _logged_run(kernel_mod, build)
+    ref_log, ref_fp = _logged_run(reference_mod, build)
     assert opt_log == ref_log
     assert opt_fp == ref_fp
-    if _WHEEL_BACKED:
-        stats = opt_sim.wheel_stats()
-        assert stats["resizes"] >= 1, \
-            "4000 pending timers never grew a 256-bucket ring"
-        assert stats["nbuckets"] > 256
 
 
 def test_overflow_timers_spill_lazily_and_match_reference():
-    """Far-future timers beyond the ring horizon start life in the
-    overflow heap and re-bucket only as the head approaches — few
-    enough pending that no rebuild widens the ring under them."""
+    """A few timers seconds past a dense run of near ones fire after
+    all of them, in the reference order."""
     def build(sim, log):
         for idx in range(40):
             sim.schedule(0.01 * (idx + 1), log.append, ("near", idx))
         for idx in range(8):
             sim.schedule(10.0 + 3.0 * idx, log.append, ("far", idx))
 
-    opt_log, opt_fp, opt_sim = _logged_run(kernel_mod, build)
-    ref_log, ref_fp, __ = _logged_run(reference_mod, build)
+    opt_log, opt_fp = _logged_run(kernel_mod, build)
+    ref_log, ref_fp = _logged_run(reference_mod, build)
     assert opt_log == ref_log
     assert opt_fp == ref_fp
-    if _WHEEL_BACKED:
-        stats = opt_sim.wheel_stats()
-        assert stats["resizes"] == 0
-        assert stats["spills"] >= 8, \
-            "10s+ timers never crossed the 0.5s overflow horizon"
 
 
-def test_mass_same_tick_storm_batch_loop_and_reference_identical():
-    """One schedule_batch per storm, a schedule() loop, and the
-    reference heap: three byte-identical (when, seq) streams."""
-    def build_loop(mod):
+def test_mass_same_tick_storm_matches_reference():
+    """Storms of timers sharing one instant: the optimized and the
+    reference kernel emit byte-identical (when, seq) streams."""
+    def build(mod):
         sim = mod.Simulator()
         log = []
         for storm in range(40):
@@ -879,26 +863,14 @@ def test_mass_same_tick_storm_batch_loop_and_reference_identical():
         sim.run()
         return log, sim.fingerprint()
 
-    def build_batch():
-        sim = Simulator()
-        log = []
-        for storm in range(40):
-            when = 0.01 * (storm + 1)
-            sim.schedule_batch(
-                [(when, log.append, ((storm, idx),))
-                 for idx in range(50)])
-        sim.run()
-        return log, sim.fingerprint()
-
-    loop_log, loop_fp = build_loop(kernel_mod)
-    ref_log, ref_fp = build_loop(reference_mod)
-    batch_log, batch_fp = build_batch()
-    assert loop_log == ref_log == batch_log
-    assert loop_fp == ref_fp == batch_fp
+    opt_log, opt_fp = build(kernel_mod)
+    ref_log, ref_fp = build(reference_mod)
+    assert opt_log == ref_log
+    assert opt_fp == ref_fp
 
 
-def test_cancelled_timers_across_buckets_match_reference():
-    """AnyOf losers spread over many buckets: cancellation tombstones
+def test_cancelled_timers_match_reference():
+    """AnyOf losers spread over ten seconds: cancellation tombstones
     the waiter, but the timer event still fires and folds into the
     digest in exactly the reference order."""
     def build(sim, log):
@@ -910,19 +882,19 @@ def test_cancelled_timers_across_buckets_match_reference():
         for idx in range(200):
             sim.spawn(racer(idx), name=f"racer-{idx}")
 
-    opt_log, opt_fp, __ = _logged_run(kernel_mod, build)
-    ref_log, ref_fp, __ = _logged_run(reference_mod, build)
+    opt_log, opt_fp = _logged_run(kernel_mod, build)
+    ref_log, ref_fp = _logged_run(reference_mod, build)
     assert opt_log == ref_log
     assert opt_fp == ref_fp
 
 
-def test_wheel_and_ready_lane_merge_in_global_seq_order():
-    """Zero-delay wakeups racing bucketed timers at the same instant:
+def test_timers_and_ready_lane_merge_in_global_seq_order():
+    """Zero-delay wakeups racing heap timers at the same instant:
     the ready fast lane must interleave by (when, seq), not lane."""
     def build(sim, log):
         def at_instant(tag):
             # From inside a callback: a zero-delay event (ready lane)
-            # scheduled AFTER a same-instant timer (bucket/near) has a
+            # scheduled AFTER a same-instant timer (heap) has a
             # larger seq, so the timer must still fire first.
             sim.schedule(0.0, log.append, (round(sim.now, 9), tag, "zero"))
             sim.schedule(0.0, log.append, (round(sim.now, 9), tag, "zero2"))
@@ -931,16 +903,16 @@ def test_wheel_and_ready_lane_merge_in_global_seq_order():
             sim.schedule(when, at_instant, tick)
             sim.schedule(when, log.append, (round(when, 9), tick, "timer"))
 
-    opt_log, opt_fp, __ = _logged_run(kernel_mod, build)
-    ref_log, ref_fp, __ = _logged_run(reference_mod, build)
+    opt_log, opt_fp = _logged_run(kernel_mod, build)
+    ref_log, ref_fp = _logged_run(reference_mod, build)
     assert opt_log == ref_log
     assert opt_fp == ref_fp
 
 
-def test_until_stop_mid_bucket_resumes_identically():
-    """run(until) landing between two events of one bucket: the
-    half-consumed bucket persists across run() calls and the resumed
-    stream matches a reference run stopped at the same instants."""
+def test_until_stop_mid_run_resumes_identically():
+    """run(until) landing between two closely spaced events: the
+    resumed stream matches a reference run stopped at the same
+    instants."""
     def build(mod):
         sim = mod.Simulator()
         log = []
@@ -959,91 +931,3 @@ def test_until_stop_mid_bucket_resumes_identically():
     assert opt_log == ref_log
     assert len(opt_log) == 300
     assert opt_sim.fingerprint() == ref_sim.fingerprint()
-
-
-def test_schedule_batch_absolute_mode_matches_relative():
-    sim_abs = Simulator()
-    sim_rel = Simulator()
-    log_abs = []
-    log_rel = []
-    whens = [0.25, 0.25, 0.5, 0.75, 0.75, 0.75]
-    sim_abs.schedule_batch(
-        [(when, log_abs.append, (idx,))
-         for idx, when in enumerate(whens)], absolute=True)
-    sim_rel.schedule_batch(
-        [(when, log_rel.append, (idx,))
-         for idx, when in enumerate(whens)])
-    sim_abs.run()
-    sim_rel.run()
-    assert log_abs == log_rel == list(range(len(whens)))
-    assert sim_abs.fingerprint() == sim_rel.fingerprint()
-
-
-def test_schedule_batch_rejects_past_and_negative_like_schedule():
-    sim = Simulator()
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    assert sim.now == 1.0
-    with pytest.raises(SimulationError):
-        sim.schedule_batch([(0.5, lambda: None, ())], absolute=True)
-    with pytest.raises(SimulationError):
-        sim.schedule_batch([(-0.1, lambda: None, ())])
-
-
-def test_schedule_batch_partial_insert_matches_schedule_loop():
-    """An item that raises mid-batch leaves the earlier items
-    scheduled — the exact semantics of an equivalent schedule() loop
-    that raises at the same position."""
-    def build(use_batch):
-        sim = Simulator()
-        log = []
-        items = [(0.1, log.append, (0,)), (0.2, log.append, (1,)),
-                 (-1.0, log.append, (2,)), (0.3, log.append, (3,))]
-        with pytest.raises(SimulationError):
-            if use_batch:
-                sim.schedule_batch(items)
-            else:
-                for delay, callback, args in items:
-                    sim.schedule(delay, callback, *args)
-        sim.run()
-        return log, sim.fingerprint()
-
-    batch_log, batch_fp = build(True)
-    loop_log, loop_fp = build(False)
-    assert batch_log == loop_log == [0, 1]
-    assert batch_fp == loop_fp
-
-
-@pytest.mark.skipif(not _WHEEL_BACKED,
-                    reason="reference backend exposes no wheel stats")
-def test_wheel_stats_are_digest_inert_and_populated():
-    def program(read_stats):
-        sim = Simulator()
-        for idx in range(600):
-            sim.schedule(0.001 * (idx % 97 + 1) + idx, lambda: None)
-        if read_stats:
-            sim.wheel_stats()
-        sim.run()
-        return sim
-
-    plain = program(False)
-    probed = program(True)
-    assert plain.fingerprint() == probed.fingerprint()
-    stats = probed.wheel_stats()
-    for key in ("nbuckets", "width_s", "head_slot", "pending_buckets",
-                "pending_near", "pending_overflow", "resizes",
-                "spills", "activations", "occupancy"):
-        assert key in stats
-    assert stats["activations"] >= 1
-    assert sum(stats["occupancy"].values()) == stats["activations"]
-
-
-@pytest.mark.skipif(not _WHEEL_BACKED,
-                    reason="reference backend exposes no wheel stats")
-def test_profile_report_includes_wheel_section():
-    sim = Simulator(profile=True)
-    sim.schedule(0.5, lambda: None)
-    sim.run()
-    report = sim.profile.as_dict()
-    assert "wheel" in report
-    assert report["wheel"]["activations"] >= 1
