@@ -17,6 +17,12 @@ frames/sec ratio is a pure like-for-like speedup.  Results land in
 the committed repo-root ``BENCH_perf_kernels.json`` together with the
 cached run's per-stage profiler attribution.
 
+The **pose** arm times RANSAC on the correspondences the recognizer
+actually hands it (the perfbench ``vision`` frame pool): the
+per-hypothesis loop twin against the batched production kernel, with
+the repeats interleaved and best-of-N per arm.  It lands in the same
+file as a ``pose`` block.
+
 Set ``PERF_KERNELS_SMOKE=1`` to shrink the workload (CI).
 """
 
@@ -25,17 +31,23 @@ from __future__ import annotations
 import json
 import os
 import time
+from unittest import mock
 
 import numpy as np
 
 from repro.metrics.profiling import StageProfiler
 from repro.scatter.content import FrameFeatureExtractor
+from repro.vision import recognizer as recognizer_module
 from repro.vision.cache import FeatureCache
+from repro.vision.dataset import WorkplaceDataset
 from repro.vision.fisher import FisherEncoder, GaussianMixture
 from repro.vision.image import to_grayscale
 from repro.vision.pca import Pca
+from repro.vision.pose import estimate_homography_ransac
+from repro.vision.recognizer import RecognizerTrainer
 from repro.vision.reference import (
     ReferenceSiftExtractor,
+    reference_estimate_homography_ransac,
     reference_fisher_encode,
 )
 from repro.vision.sift import SiftExtractor
@@ -48,6 +60,14 @@ SMOKE = os.environ.get("PERF_KERNELS_SMOKE") == "1"
 DISTINCT_FRAMES = 2 if SMOKE else 5
 REPEATS = 3 if SMOKE else 6
 FRAME_SIZE = (96, 128) if SMOKE else (144, 192)
+
+#: Pose arm: the perfbench ``vision`` pool (the middle frame of each of
+#: 12 equal stretches of the 300-frame video), or its first 4 frames.
+POSE_FRAMES = [k * 25 + 12 for k in range(4 if SMOKE else 12)]
+POSE_REPEATS = 3 if SMOKE else 7
+#: The loop costs about 6-7x the batched pass per call, so a 2x gate
+#: sits far outside run-to-run swing; smoke only asks for a win.
+MIN_POSE_SPEEDUP = 1.0 if SMOKE else 2.0
 
 
 def _workload():
@@ -73,6 +93,71 @@ def _timed(fn, frames) -> tuple:
     outputs = [fn(number) for number in frames]
     elapsed = time.perf_counter() - start
     return len(frames) / elapsed, outputs
+
+
+def _recognizer_ransac_calls():
+    """The ``(src, dst, kwargs)`` the recognizer hands RANSAC on
+    :data:`POSE_FRAMES`."""
+    dataset = WorkplaceDataset(seed=0)
+    recognizer = RecognizerTrainer(seed=0).train(
+        dataset, SiftExtractor(contrast_threshold=0.01,
+                               max_keypoints=300))
+    video = SyntheticVideo(seed=0, dataset=dataset)
+    with mock.patch.object(
+            recognizer_module, "estimate_homography_ransac",
+            wraps=estimate_homography_ransac) as spy:
+        for number in POSE_FRAMES:
+            recognizer.process_frame(video.frame(number).image)
+    return [(src, dst, kwargs)
+            for (src, dst), kwargs in spy.call_args_list]
+
+
+def _pose_bytes(result) -> bytes:
+    if result is None:
+        return b""
+    return (result.matrix.tobytes() + result.inliers.tobytes()
+            + np.float64(result.mean_error).tobytes())
+
+
+def _pose_arm() -> dict:
+    """Loop twin vs batched RANSAC on the recognizer's own inputs."""
+    calls = _recognizer_ransac_calls()
+    arms = {"reference": reference_estimate_homography_ransac,
+            "batched": estimate_homography_ransac}
+
+    def run(name):
+        started = time.perf_counter()
+        results = [arms[name](src, dst, **kwargs)
+                   for src, dst, kwargs in calls]
+        return time.perf_counter() - started, results
+
+    # Equal results before any time is trusted.
+    outputs = {name: [_pose_bytes(r) for r in run(name)[1]]
+               for name in arms}
+    assert outputs["reference"] == outputs["batched"]
+
+    best = {name: float("inf") for name in arms}
+    for repeat in range(POSE_REPEATS):
+        order = list(arms) if repeat % 2 == 0 else list(arms)[::-1]
+        for name in order:
+            best[name] = min(best[name], run(name)[0])
+    sizes = [len(src) for src, __, __ in calls]
+    return {
+        "frames": len(POSE_FRAMES),
+        "calls": len(calls),
+        "posed": sum(bool(b) for b in outputs["batched"]),
+        "correspondences": {"min": min(sizes),
+                            "median": float(np.median(sizes)),
+                            "max": max(sizes)},
+        "repeats": POSE_REPEATS,
+        "reference_ms_per_call": round(
+            best["reference"] / len(calls) * 1e3, 3),
+        "batched_ms_per_call": round(
+            best["batched"] / len(calls) * 1e3, 3),
+        "speedup": round(best["reference"] / best["batched"], 2),
+        "min_speedup": MIN_POSE_SPEEDUP,
+        "bit_identical": True,
+    }
 
 
 def test_kernel_throughput(save_result):
@@ -125,6 +210,7 @@ def test_kernel_throughput(save_result):
         "cache": stats.as_dict(),
         "profile": profiler.as_dict(),
         "bit_identical": True,
+        "pose": _pose_arm(),
     }
     save_bench_json("perf_kernels", entry)
     save_result("perf_kernels", json.dumps(entry, indent=2,
@@ -135,3 +221,8 @@ def test_kernel_throughput(save_result):
     # one to two orders of magnitude.
     assert vectorized_fps > reference_fps, entry
     assert cached_fps >= 2.0 * reference_fps, entry
+    pose = entry["pose"]
+    if SMOKE:
+        assert pose["speedup"] > MIN_POSE_SPEEDUP, pose
+    else:
+        assert pose["speedup"] >= MIN_POSE_SPEEDUP, pose

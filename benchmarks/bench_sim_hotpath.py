@@ -84,24 +84,36 @@ def _ticker(mod, sim, idx):
             yield sim.timeout(0.001 * ((idx * 31 + step) % 9 + 1))
 
 
-def _run_kernel_arm(mod):
-    """Best-of-N wall clock for the microbench on one kernel module."""
-    best = None
-    fingerprint = None
-    events = 0
-    for _ in range(REPEATS):
-        sim = mod.Simulator()
-        for idx in range(PROCS):
-            sim.spawn(_ticker(mod, sim, idx), name=f"ticker-{idx}")
-        started = time.perf_counter()
-        sim.run()
-        elapsed = time.perf_counter() - started
-        fingerprint = sim.fingerprint()
-        events = sim.digest.events
-        if best is None or elapsed < best:
-            best = elapsed
-    return {"best_s": best, "events": events,
-            "events_per_s": events / best, "fingerprint": fingerprint}
+def _run_kernel_once(mod):
+    """One timed microbench run on one kernel module."""
+    sim = mod.Simulator()
+    for idx in range(PROCS):
+        sim.spawn(_ticker(mod, sim, idx), name=f"ticker-{idx}")
+    started = time.perf_counter()
+    sim.run()
+    elapsed = time.perf_counter() - started
+    return {"best_s": elapsed, "events": sim.digest.events,
+            "fingerprint": sim.fingerprint()}
+
+
+def _run_kernel_arms():
+    """Interleaved best-of-``REPEATS`` for both kernels: every repeat
+    runs both, alternating which goes first."""
+    arms = {"reference": reference, "optimized": optimized}
+    best = {}
+    for repeat in range(REPEATS):
+        order = list(arms) if repeat % 2 == 0 else list(arms)[::-1]
+        for name in order:
+            sample = _run_kernel_once(arms[name])
+            held = best.get(name)
+            if held is not None:
+                assert sample["events"] == held["events"]
+                assert sample["fingerprint"] == held["fingerprint"]
+                sample["best_s"] = min(sample["best_s"], held["best_s"])
+            best[name] = sample
+    for sample in best.values():
+        sample["events_per_s"] = sample["events"] / sample["best_s"]
+    return best["reference"], best["optimized"]
 
 
 #: The end-to-end child.  ``argv``: duration.  The kernel is chosen by
@@ -149,8 +161,7 @@ def _run_e2e_arms():
 def test_kernel_and_campaign_cell_speedups(save_result):
     # Kernel microbench: interleave the arms so clock drift cannot
     # systematically favour one kernel.
-    ref = _run_kernel_arm(reference)
-    opt = _run_kernel_arm(optimized)
+    ref, opt = _run_kernel_arms()
 
     # Equivalence before speed: same events, same trajectory, bit for
     # bit.  (blake2b is a stream hash, so the optimized kernel's

@@ -4,9 +4,9 @@ Every perf-bearing PR leaves its headline numbers in a committed
 ``BENCH_<name>.json`` at the repository root (promoted from the
 gitignored ``benchmarks/results/`` scratch dir in PR 10).  This
 script renders them as one table so the performance story —
-vectorized vision kernels, flow-control capacity, kernel hot path,
-handover, city-scale cohorts, warm pools, placement search — is
-readable at a glance and diffable across PRs::
+vectorized vision kernels and RANSAC pose, flow-control capacity,
+kernel hot path, handover, city-scale cohorts, warm pools, placement
+search — is readable at a glance and diffable across PRs::
 
     python benchmarks/summarize.py            # table
     python benchmarks/summarize.py --json     # machine-readable
@@ -57,9 +57,11 @@ def _sim_hotpath(data: Dict[str, Any]) -> str:
 #: file stem -> (PR, one-line what-it-measures, headline extractor).
 TRAJECTORY: Dict[str, tuple] = {
     "perf_kernels": (
-        "PR 3", "vectorized vision kernels + feature cache",
+        "PR 3/15", "vectorized vision kernels + feature cache + "
+                   "batched RANSAC pose",
         lambda d: f"batched {_fmt(d.get('vectorized_speedup'))}x, "
-                  f"cached {_fmt(d.get('cached_speedup'))}x"),
+                  f"cached {_fmt(d.get('cached_speedup'))}x, "
+                  f"pose {_fmt(_get(d, 'pose', 'speedup'))}x"),
     "capacity_flow": (
         "PR 4", "SLO capacity with flow control (C12)",
         lambda d: f"capacity {_fmt(d.get('capacity_on'))} vs "

@@ -1,9 +1,18 @@
 """Homography-based pose estimation with RANSAC.
 
 ``matching`` turns ratio-test correspondences into an object pose: a
-3×3 planar homography estimated by the normalized DLT inside a RANSAC
-loop, then used to project the reference object's corners into the
-frame (the bounding box scAtteR returns to the client, §3.1).
+3×3 planar homography estimated by the normalized DLT inside RANSAC,
+then used to project the reference object's corners into the frame
+(the bounding box scAtteR returns to the client, §3.1).
+
+RANSAC scores all of its hypotheses in one stacked pass.  Every
+stacked operation keeps the per-hypothesis shape of the single-sample
+DLT (``(8, 9)`` SVD, ``(3, 3)`` inverse and products, ``(k, 3)``
+reprojection), and NumPy's stacked ``linalg``/``matmul`` run the same
+LAPACK/BLAS routine once per slice, so every hypothesis is
+bit-identical to :func:`estimate_homography_dlt` on its four points.
+``repro.vision.reference`` keeps the per-hypothesis loop as the test
+twin.
 """
 
 from __future__ import annotations
@@ -28,25 +37,34 @@ class HomographyResult:
 
 
 def _normalization_transform(points: np.ndarray) -> np.ndarray:
-    """Hartley normalization: zero centroid, mean distance sqrt(2)."""
-    centroid = points.mean(axis=0)
-    distances = np.linalg.norm(points - centroid, axis=1)
-    mean_distance = distances.mean()
-    scale = np.sqrt(2.0) / mean_distance if mean_distance > 1e-12 else 1.0
-    return np.array([
-        [scale, 0.0, -scale * centroid[0]],
-        [0.0, scale, -scale * centroid[1]],
-        [0.0, 0.0, 1.0],
-    ])
+    """Hartley normalization: zero centroid, mean distance sqrt(2).
+
+    ``points`` is ``(..., k, 2)``; returns one ``(..., 3, 3)``
+    transform per point set.
+    """
+    centroid = points.mean(axis=-2)
+    distances = np.linalg.norm(points - centroid[..., None, :], axis=-1)
+    mean_distance = distances.mean(axis=-1)
+    usable = mean_distance > 1e-12
+    scale = np.where(
+        usable, np.sqrt(2.0) / np.where(usable, mean_distance, 1.0), 1.0)
+    transform = np.zeros(points.shape[:-2] + (3, 3))
+    transform[..., 0, 0] = scale
+    transform[..., 1, 1] = scale
+    transform[..., :2, 2] = -scale[..., None] * centroid
+    transform[..., 2, 2] = 1.0
+    return transform
 
 
 def _apply_homography(matrix: np.ndarray,
                       points: np.ndarray) -> np.ndarray:
-    homogeneous = np.hstack([points, np.ones((points.shape[0], 1))])
-    mapped = homogeneous @ matrix.T
-    w = mapped[:, 2:3]
+    """Map ``(..., k, 2)`` points through ``(..., 3, 3)`` homographies."""
+    homogeneous = np.concatenate(
+        [points, np.ones(points.shape[:-1] + (1,))], axis=-1)
+    mapped = homogeneous @ np.swapaxes(matrix, -1, -2)
+    w = mapped[..., 2:3]
     w = np.where(np.abs(w) < 1e-12, 1e-12, w)
-    return mapped[:, :2] / w
+    return mapped[..., :2] / w
 
 
 def estimate_homography_dlt(src: np.ndarray,
@@ -87,6 +105,50 @@ def estimate_homography_dlt(src: np.ndarray,
     return matrix / matrix[2, 2]
 
 
+def _sample_homographies(src: np.ndarray, dst: np.ndarray):
+    """Normalized DLT on a stack of ``(h, 4, 2)`` four-point samples.
+
+    Returns ``(matrices, valid)``: ``matrices`` is ``(v, 3, 3)`` for
+    the ``v`` hypotheses flagged in the ``(h,)`` mask ``valid``; each
+    equals :func:`estimate_homography_dlt` on that sample, and an
+    unflagged sample is one for which it returns ``None``.
+    """
+    t_src = _normalization_transform(src)
+    t_dst = _normalization_transform(dst)
+    src_n = _apply_homography(t_src, src)
+    dst_n = _apply_homography(t_dst, dst)
+    x, y = src_n[..., 0], src_n[..., 1]
+    u, v = dst_n[..., 0], dst_n[..., 1]
+    # Rows in estimate_homography_dlt's order: (u-row, v-row) per point.
+    a = np.zeros(src.shape[:-1] + (2, 9))
+    a[..., 0, 0], a[..., 0, 1], a[..., 0, 2] = -x, -y, -1.0
+    a[..., 0, 6], a[..., 0, 7], a[..., 0, 8] = u * x, u * y, u
+    a[..., 1, 3], a[..., 1, 4], a[..., 1, 5] = -x, -y, -1.0
+    a[..., 1, 6], a[..., 1, 7], a[..., 1, 8] = v * x, v * y, v
+    a = a.reshape(src.shape[0], 8, 9)
+    try:
+        __, singular_values, vt = np.linalg.svd(a)
+    except np.linalg.LinAlgError:
+        # One failing slice (e.g. a NaN correspondence) fails the whole
+        # stacked call.  Solve slice by slice; a failed slice keeps an
+        # all-zero spectrum, which the rank test below rejects.
+        singular_values = np.zeros(a.shape[:2])
+        vt = np.zeros((a.shape[0], 9, 9))
+        for index, system in enumerate(a):
+            try:
+                __, singular_values[index], vt[index] = \
+                    np.linalg.svd(system)
+            except np.linalg.LinAlgError:
+                pass
+    valid = ~(singular_values[:, -2] < 1e-12)  # rank-deficient: degenerate
+    h_normalized = vt[valid, -1].reshape(-1, 3, 3)
+    matrices = np.linalg.inv(t_dst[valid]) @ h_normalized @ t_src[valid]
+    h22 = matrices[:, 2:3, 2:3]
+    usable = ~(np.abs(h22[:, 0, 0]) < 1e-12)
+    valid[valid] = usable
+    return matrices[usable] / h22[usable], valid
+
+
 def estimate_homography_ransac(
         src: np.ndarray, dst: np.ndarray, *,
         threshold: float = 3.0, max_iterations: int = 200,
@@ -94,7 +156,10 @@ def estimate_homography_ransac(
         seed: int = 0) -> Optional[HomographyResult]:
     """RANSAC homography between correspondence sets.
 
-    Returns ``None`` when no model reaches ``min_inliers`` support.
+    Draws ``max_iterations`` four-point samples, scores every
+    hypothesis at once and keeps the first with the most inliers,
+    then refines it by DLT over those inliers.  Returns ``None`` when
+    no model reaches ``min_inliers`` support.
     """
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
@@ -105,29 +170,24 @@ def estimate_homography_ransac(
     if n < 4:
         return None
 
+    # One choice() per hypothesis, in order: these calls define the RNG
+    # stream, and a vectorised draw would pick different samples.
     rng = np.random.default_rng(seed)
-    best_inliers: Optional[np.ndarray] = None
-    best_count = 0
-    for __ in range(max_iterations):
-        sample = rng.choice(n, size=4, replace=False)
-        try:
-            candidate = estimate_homography_dlt(src[sample], dst[sample])
-        except ValueError:
-            continue
-        if candidate is None:
-            continue
-        errors = np.linalg.norm(
-            _apply_homography(candidate, src) - dst, axis=1)
-        inliers = errors < threshold
-        count = int(np.count_nonzero(inliers))
-        if count > best_count:
-            best_count = count
-            best_inliers = inliers
-            if count == n:
-                break
-
-    if best_inliers is None or best_count < max(min_inliers, 4):
+    samples = [rng.choice(n, size=4, replace=False)
+               for __ in range(max_iterations)]
+    if not samples:
         return None
+    samples = np.asarray(samples)
+    matrices, valid = _sample_homographies(src[samples], dst[samples])
+    inliers = np.zeros((len(samples), n), dtype=bool)
+    errors = np.linalg.norm(_apply_homography(matrices, src) - dst,
+                            axis=-1)
+    inliers[valid] = errors < threshold
+    counts = np.count_nonzero(inliers, axis=1)
+    best = int(np.argmax(counts))  # ties go to the earliest hypothesis
+    if counts[best] < max(min_inliers, 4):
+        return None
+    best_inliers = inliers[best]
 
     refined = estimate_homography_dlt(src[best_inliers], dst[best_inliers])
     if refined is None:

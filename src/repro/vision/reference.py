@@ -17,8 +17,15 @@ Two ground rules make bit-identity provable rather than hoped-for:
   the single row/cell — chosen from the set of constructs whose
   batched form is bit-equal to their single form (einsum rows,
   row-wise sum-products, combined bincounts with preserved
-  accumulation order).  BLAS ``gemv``/``gemm`` products are avoided
-  entirely: their reduction strategy changes with operand shape.
+  accumulation order).  BLAS ``gemv``/``gemm`` products are avoided:
+  their reduction strategy changes with operand shape.
+
+RANSAC pose is the one exception.  Its batched kernel runs the DLT's
+SVD, inverse and products as stacked ``linalg``/``matmul`` calls,
+which NumPy executes as one LAPACK/BLAS call per slice at exactly the
+single-hypothesis shapes (``(8, 9)`` SVD, ``(3, 3)`` inverse and
+products, ``(k, 3)`` reprojection), so each slice rounds like the
+loop's single call.  Its twin is that per-hypothesis loop.
 
 These twins are *test collateral*, not production code — they are
 O(keypoints) Python loops and run orders of magnitude slower than the
@@ -28,7 +35,7 @@ the gap).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +44,11 @@ from repro.vision.gaussian import ScaleSpace
 from repro.vision.image import image_gradients
 from repro.vision.lsh import LshIndex, LshMatch
 from repro.vision.matching import DescriptorMatch
+from repro.vision.pose import (
+    HomographyResult,
+    _apply_homography,
+    estimate_homography_dlt,
+)
 from repro.vision.sift import SiftExtractor, SiftKeypoint
 
 
@@ -339,3 +351,58 @@ def reference_fisher_encode(encoder: FisherEncoder,
     if norm > _EPS:
         vector = vector / norm
     return vector
+
+
+# ----------------------------------------------------------------------
+# RANSAC pose
+# ----------------------------------------------------------------------
+def reference_estimate_homography_ransac(
+        src: np.ndarray, dst: np.ndarray, *,
+        threshold: float = 3.0, max_iterations: int = 200,
+        min_inliers: int = 6,
+        seed: int = 0) -> Optional[HomographyResult]:
+    """Per-hypothesis RANSAC loop: one DLT and one reprojection per
+    sample, stopping early once a hypothesis explains every point."""
+    src = np.asarray(src, dtype=np.float64)
+    dst = np.asarray(dst, dtype=np.float64)
+    if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 2:
+        raise ValueError(f"expected matching (N, 2) arrays, got "
+                         f"{src.shape} and {dst.shape}")
+    n = src.shape[0]
+    if n < 4:
+        return None
+
+    rng = np.random.default_rng(seed)
+    best_inliers: Optional[np.ndarray] = None
+    best_count = 0
+    for __ in range(max_iterations):
+        sample = rng.choice(n, size=4, replace=False)
+        try:
+            candidate = estimate_homography_dlt(src[sample], dst[sample])
+        except ValueError:
+            continue
+        if candidate is None:
+            continue
+        errors = np.linalg.norm(
+            _apply_homography(candidate, src) - dst, axis=1)
+        inliers = errors < threshold
+        count = int(np.count_nonzero(inliers))
+        if count > best_count:
+            best_count = count
+            best_inliers = inliers
+            if count == n:
+                break
+
+    if best_inliers is None or best_count < max(min_inliers, 4):
+        return None
+
+    refined = estimate_homography_dlt(src[best_inliers], dst[best_inliers])
+    if refined is None:
+        return None
+    errors = np.linalg.norm(_apply_homography(refined, src) - dst, axis=1)
+    inliers = errors < threshold
+    if int(np.count_nonzero(inliers)) < max(min_inliers, 4):
+        return None
+    return HomographyResult(
+        matrix=refined, inliers=inliers,
+        mean_error=float(errors[inliers].mean()))

@@ -5,7 +5,12 @@ equal to their per-keypoint/per-row loop formulations — not merely
 ``allclose``.  This file is the enforcement: every kernel runs side by
 side with its :mod:`repro.vision.reference` twin across randomized
 seeded sweeps (image sizes, keypoint populations, GMM sizes, LSH
-configurations) and every comparison is ``==`` on raw bytes.
+configurations, RANSAC correspondence sets) and every comparison is
+``==`` on raw bytes.  Batched RANSAC pose is the one exception to the
+"no BLAS ``gemm``" rule of :mod:`repro.vision.reference`: it runs
+per-slice ``matmul``/LAPACK at the single-call shapes, so it is
+certified hypothesis by hypothesis against the single-sample DLT as
+well as end to end against the loop.
 
 The second half certifies the content-addressed
 :class:`~repro.vision.cache.FeatureCache` as *behaviour-invisible*:
@@ -14,23 +19,34 @@ golden trace digests (``tests/golden/determinism_digests.json``) are
 byte-identical with the cache enabled or disabled, serial or sharded.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.scatter.content import ContentCostModel, FrameFeatureExtractor
+from repro.vision import recognizer as recognizer_module
 from repro.vision.cache import (
     DISABLE_ENV,
     FeatureCache,
     default_feature_cache,
     reset_default_feature_cache,
 )
+from repro.vision.dataset import WorkplaceDataset
 from repro.vision.fisher import FisherEncoder, GaussianMixture
 from repro.vision.image import to_grayscale
 from repro.vision.lsh import LshIndex
 from repro.vision.matching import match_descriptors
 from repro.vision.pca import Pca
+from repro.vision.pose import (
+    _sample_homographies,
+    estimate_homography_dlt,
+    estimate_homography_ransac,
+)
+from repro.vision.recognizer import RecognizerTrainer
 from repro.vision.reference import (
     ReferenceSiftExtractor,
+    reference_estimate_homography_ransac,
     reference_fisher_encode,
     reference_lsh_query,
     reference_lsh_signatures,
@@ -208,6 +224,183 @@ def test_fisher_encode_batch_matches_single_calls():
     for descriptors, encoded in zip(sets, batch):
         _assert_bit_equal(encoder.encode(descriptors), encoded)
     _assert_bit_equal(batch[1], np.zeros(encoder.dimension))
+
+
+# ----------------------------------------------------------------------
+# RANSAC pose
+# ----------------------------------------------------------------------
+def _assert_same_pose(expected, actual):
+    if expected is None:
+        assert actual is None
+        return
+    assert actual is not None
+    _assert_bit_equal(expected.matrix, actual.matrix)
+    _assert_bit_equal(expected.inliers, actual.inliers)
+    assert np.float64(expected.mean_error).tobytes() == \
+        np.float64(actual.mean_error).tobytes()
+
+
+def _similarity(rng, points):
+    angle = rng.uniform(-0.4, 0.4)
+    rotation = rng.uniform(0.6, 1.8) * np.array(
+        [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    return points @ rotation.T + rng.uniform(-20.0, 20.0, 2)
+
+
+def _pose_cases(seed):
+    """Correspondence sets spanning RANSAC's regimes: 0-100% outliers,
+    pure noise, integer pixel coordinates, duplicate and collinear
+    points."""
+    rng = np.random.default_rng(seed)
+    n = 12 + 6 * seed
+    src = rng.uniform(0.0, 160.0, (n, 2))
+    dst = _similarity(rng, src)
+    for fraction in (0.0, 0.3, 0.6, 1.0):
+        noisy = dst + rng.normal(0.0, 0.4, dst.shape)
+        outliers = rng.choice(n, int(fraction * n), replace=False)
+        noisy[outliers] = rng.uniform(0.0, 160.0, (len(outliers), 2))
+        yield src, noisy
+    yield src, rng.uniform(0.0, 160.0, (n, 2))
+    yield np.round(src), np.round(dst)
+    duplicated = src.copy()
+    duplicated[1:n // 2] = src[0]
+    yield duplicated, dst
+    yield np.linspace(0.0, 1.0, n)[:, None] * [[40.0, 70.0]], dst
+
+
+def _samples(n, seed=0, count=200):
+    """The four-point samples RANSAC draws, in its order."""
+    rng = np.random.default_rng(seed)
+    return np.asarray([rng.choice(n, size=4, replace=False)
+                       for __ in range(count)])
+
+
+def _assert_hypotheses_match_dlt(src, dst, samples):
+    """Every batched hypothesis equals the single-sample DLT."""
+    matrices, valid = _sample_homographies(src[samples], dst[samples])
+    assert len(matrices) == np.count_nonzero(valid)
+    batched = iter(matrices)
+    for sample, flagged in zip(samples, valid):
+        expected = estimate_homography_dlt(src[sample], dst[sample])
+        assert (expected is not None) == flagged
+        if expected is not None:
+            _assert_bit_equal(expected, next(batched))
+    return np.count_nonzero(valid)
+
+
+def test_ransac_bit_identical_sweep():
+    found = 0
+    for seed in range(3):
+        for index, (src, dst) in enumerate(_pose_cases(seed)):
+            threshold = (0.5, 2.0, 4.0)[index % 3]
+            expected = reference_estimate_homography_ransac(
+                src, dst, threshold=threshold, seed=seed)
+            actual = estimate_homography_ransac(
+                src, dst, threshold=threshold, seed=seed)
+            _assert_same_pose(expected, actual)
+            found += expected is not None
+    assert found >= 9  # non-vacuous: most structured cases fit
+
+
+def test_ransac_hypotheses_bit_identical_to_dlt():
+    valid = total = 0
+    for seed in range(3):
+        for src, dst in _pose_cases(seed):
+            samples = _samples(len(src), seed, count=40)
+            valid += _assert_hypotheses_match_dlt(src, dst, samples)
+            total += len(samples)
+    assert 0 < valid < total  # both valid and degenerate hypotheses
+
+
+@pytest.fixture(scope="module")
+def recognizer_ransac_calls():
+    """The correspondences the recognizer hands RANSAC on four frames
+    of ``SyntheticVideo(seed=0)``."""
+    dataset = WorkplaceDataset(seed=0)
+    recognizer = RecognizerTrainer(seed=0).train(
+        dataset, SiftExtractor(contrast_threshold=0.01,
+                               max_keypoints=300))
+    video = SyntheticVideo(seed=0, dataset=dataset)
+    with mock.patch.object(
+            recognizer_module, "estimate_homography_ransac",
+            wraps=estimate_homography_ransac) as spy:
+        for number in (12, 87, 162, 237):
+            recognizer.process_frame(video.frame(number).image)
+    return spy.call_args_list
+
+
+def test_ransac_on_recognizer_correspondences(recognizer_ransac_calls):
+    found = 0
+    for (src, dst), kwargs in recognizer_ransac_calls:
+        expected = reference_estimate_homography_ransac(src, dst,
+                                                        **kwargs)
+        _assert_same_pose(expected,
+                          estimate_homography_ransac(src, dst, **kwargs))
+        _assert_hypotheses_match_dlt(src, dst,
+                                     _samples(len(src), kwargs["seed"]))
+        found += expected is not None
+    assert found >= 4  # objects in view are posed
+
+
+def _affine_pair():
+    rng = np.random.default_rng(5)
+    src = rng.uniform(0.0, 100.0, (30, 2))
+    return src, 1.1 * src + 3.0
+
+
+def test_ransac_skips_only_hypotheses_on_a_nan_point():
+    """A NaN correspondence fails a stacked SVD as a whole; only the
+    hypotheses that sample it may drop out."""
+    src, dst = _affine_pair()
+    src[7] = np.nan
+    expected = reference_estimate_homography_ransac(src, dst,
+                                                    threshold=2.0)
+    actual = estimate_homography_ransac(src, dst, threshold=2.0)
+    assert expected.num_inliers == 29
+    _assert_same_pose(expected, actual)
+
+
+@pytest.mark.parametrize("max_iterations", [0, -1])
+def test_ransac_without_hypotheses_returns_none(max_iterations):
+    src, dst = _affine_pair()
+    assert reference_estimate_homography_ransac(
+        src, dst, max_iterations=max_iterations) is None
+    assert estimate_homography_ransac(
+        src, dst, max_iterations=max_iterations) is None
+
+
+@pytest.mark.parametrize("n,max_iterations", [(30, 1), (4, 200)])
+def test_ransac_smallest_runs_match_reference(n, max_iterations):
+    src, dst = _affine_pair()
+    expected = reference_estimate_homography_ransac(
+        src[:n], dst[:n], max_iterations=max_iterations,
+        min_inliers=4)
+    assert expected is not None and expected.num_inliers == n
+    _assert_same_pose(expected, estimate_homography_ransac(
+        src[:n], dst[:n], max_iterations=max_iterations,
+        min_inliers=4))
+
+
+def test_ransac_ties_go_to_the_first_hypothesis():
+    """Two equal-size point groups under different maps tie on inlier
+    count; the earliest hypothesis with that count wins, as in the
+    loop (which also stops at the first that explains every point)."""
+    rng = np.random.default_rng(3)
+    src = rng.uniform(0.0, 100.0, (20, 2))
+    dst = np.vstack([_similarity(rng, src[:10]),
+                     _similarity(rng, src[10:])])
+    pure = [sample[0] // 10 for sample in _samples(20, seed=1)
+            if len(set(sample // 10)) == 1]
+    assert pure[0] != pure[-1]  # the last tied hypothesis fits the other
+    expected = reference_estimate_homography_ransac(src, dst,
+                                                    threshold=1.0, seed=1)
+    assert np.array_equal(expected.inliers, np.arange(20) // 10 == pure[0])
+    _assert_same_pose(expected, estimate_homography_ransac(
+        src, dst, threshold=1.0, seed=1))
+    # Every point fits: the first hypothesis already has full support.
+    _assert_same_pose(
+        reference_estimate_homography_ransac(src[:10], dst[:10]),
+        estimate_homography_ransac(src[:10], dst[:10]))
 
 
 # ----------------------------------------------------------------------
