@@ -1,24 +1,27 @@
-"""Searched placements beat the paper's characterized statics.
+"""Sampled placements beat the paper's characterized statics.
 
 The paper characterizes hand-picked configurations (C1/C2/C12/C21,
 cloud, hybrid, replica vectors); :mod:`repro.orchestra.optimize`
-searches the space instead.  This benchmark grades every static
-through the *same* campaign-cell oracle the optimizer uses (same SLO
-ladder, duration, and seed), runs the seeded genetic search, and
-gates on the headline claim:
+samples the space instead: every static plus seeded uniform draws,
+ranked on a Pareto archive.  This benchmark grades every static
+through the *same* campaign-cell oracle the search uses (same SLO
+ladder, duration, and seed), runs the seeded search, and gates on the
+headline claim:
 
 * **full mode** — the searched front's best genome strictly beats the
   best static on SLO-compliant capacity, or ties it with strictly
   lower joules-per-frame;
+* the search evaluates more genomes than the statics it starts from;
 * the same-seed rerun reproduces a **bit-identical front digest**;
 * the rerun replays **>= 50 % of oracle calls from the cell cache**
   (in practice 100 %: every cell was just simulated).
 
 Results land in the committed repo-root ``BENCH_placement_search.json``.
 
-``OPTIMIZE_SMOKE=1`` shrinks the ladder/duration/budget for CI; the
-smoke run keeps the determinism and cache gates but only asserts the
-search does not regress below the best static (>=).
+``OPTIMIZE_SMOKE=1`` shrinks the ladder/duration/budget for CI and
+keeps every gate but the headline one.  Its capacity gate (searched
+>= best static) cannot fail: every static is in the archive the front
+is ranked from, so it checks only that ranking keeps them.
 """
 
 from __future__ import annotations
@@ -38,10 +41,11 @@ LADDER = (1, 2, 3) if SMOKE else (1, 2, 3, 4, 5, 6)
 DURATION_S = 3.0 if SMOKE else 4.0
 POPULATION = 6 if SMOKE else 10
 GENERATIONS = 1 if SMOKE else 5
-#: Search seed: with this budget the genetic loop mutates the best
-#: static vector into a cross-machine genome (matching pushed to e1)
-#: the characterized frontier never tries, buying a fifth
-#: SLO-compliant client (statics top out at four).
+#: Search seed, fixed before sampling replaced the genetic loop and
+#: not re-picked since.  At this seed the sampler ties the statics'
+#: capacity of four and wins on joules per frame; over seeds 0-9 it
+#: reaches capacity 5 more often than the genetic loop did
+#: (DESIGN §15).
 SEED = 4
 
 
@@ -72,6 +76,7 @@ def test_search_beats_static_placements(save_result, tmp_path,
         workers=campaign_workers)
     report = run_search(config, cache=cache_dir)
     assert report.front
+    assert report.evaluations > len(statics), report.evaluations
     searched_capacity = max(e["objectives"]["capacity"]
                             for e in report.front)
     searched_jpf = min(e["objectives"]["joules_per_frame"]

@@ -84,10 +84,13 @@ TRAJECTORY: Dict[str, tuple] = {
                   f"cached rerun "
                   f"{_fmt(d.get('cached_rerun_speedup'))}x"),
     "placement_search": (
-        "PR 9", "genetic placement search vs static frontier",
+        "PR 9", "sampled placement search vs static frontier",
         lambda d: f"capacity {_fmt(_get(d, 'searched', 'best_capacity'))}"
-                  f" vs static "
-                  f"{_fmt(_get(d, 'best_static', 'capacity'))}"),
+                  f" at {_fmt(_get(d, 'searched', 'best_joules_per_frame'))}"
+                  f" J/frame vs static "
+                  f"{_fmt(_get(d, 'best_static', 'capacity'))} at "
+                  f"{_fmt(_get(d, 'best_static', 'joules_per_frame'))}"
+                  " J/frame"),
 }
 
 

@@ -470,7 +470,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize_search(args: argparse.Namespace) -> int:
-    """The simulation-backed genetic search (``--budget N``)."""
+    """The simulation-backed sampled search (``--budget N``)."""
     import json as json_module
 
     from repro.orchestra.optimize import OptimizeConfig, run_search
@@ -478,7 +478,7 @@ def _cmd_optimize_search(args: argparse.Namespace) -> int:
     ladder = tuple(int(part) for part in args.clients.split(","))
     generations = args.generations
     if generations is None:
-        # Enough generations to spend the budget at this population.
+        # Enough rounds to spend the budget at this population.
         generations = max(1, -(-args.budget // args.population) - 1)
     config = OptimizeConfig(
         name="cli-optimize", seed=args.seed,
@@ -685,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize = sub.add_parser(
         "optimize",
         help="search placements (analytic by default; --budget N "
-             "runs the simulation-backed genetic search)")
+             "samples genomes against the simulator)")
     optimize.add_argument("--machines", default="e1,e2",
                           help="comma-separated machine set")
     optimize.add_argument("--objective",
@@ -702,10 +702,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="search seed (same seed = bit-identical "
                                "Pareto front)")
     optimize.add_argument("--population", type=int, default=8,
-                          help="genomes per generation")
+                          help="genomes per round")
     optimize.add_argument("--generations", type=int, default=None,
-                          help="generations (default: sized to spend "
-                               "the budget)")
+                          help="rounds after the first (default: "
+                               "sized to spend the budget)")
     optimize.add_argument("--clients", default="1,2,3,4",
                           help="capacity probe ladder, e.g. 1,2,3,4")
     optimize.add_argument("--duration", type=float, default=4.0,

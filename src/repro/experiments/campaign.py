@@ -36,16 +36,16 @@ from repro.experiments.repetition import (
     ReplicatedMetric,
     aggregate_summaries,
 )
-from repro.experiments.oracle import optimize_spec, run_optimize_experiment
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import (
+    ExperimentResult,
     ExperimentSpec,
     MobilitySpec,
     run_experiment,
 )
 from repro.experiments.store import ResultStore
 from repro.flow import default_flow_config
-from repro.metrics.energy import DEFAULT_POWER_MODEL
+from repro.metrics.energy import DEFAULT_POWER_MODEL, energy_summary
 from repro.scatter.config import (
     PlacementConfig,
     baseline_configs,
@@ -78,8 +78,10 @@ PRESETS: Dict[str, Callable[..., ExperimentSpec]] = {
     "mobility": partial(ExperimentSpec, scatterpp=True,
                         stateless_sift=False, mobility=MobilitySpec()),
     "cohort": _cohort_spec,
-    "optimize": optimize_spec,
 }
+#: Optimizer oracle cells are plain flow-on scAtteR++ runs, so a genome
+#: cell replays the flow goldens of its placement.
+PRESETS["optimize"] = PRESETS["scatterpp-flow"]
 
 
 def _preset_runner(preset: Callable[..., ExperimentSpec]) -> Callable:
@@ -89,6 +91,19 @@ def _preset_runner(preset: Callable[..., ExperimentSpec]) -> Callable:
                                      duration_s=duration_s, seed=seed))
 
     return run
+
+
+def run_optimize_experiment(
+        placement: PlacementConfig, *, num_clients: int,
+        duration_s: float, seed: int = 0) -> ExperimentResult:
+    """One optimizer oracle cell: the ``optimize`` preset's run, then
+    post-hoc energy attribution from its counters, which moves no
+    event."""
+    result = run_experiment(PRESETS["optimize"](
+        placement, num_clients=num_clients, duration_s=duration_s,
+        seed=seed))
+    result.energy = energy_summary(result)
+    return result
 
 
 #: pipeline -> ``runner(placement, *, num_clients, duration_s, seed)``
@@ -129,8 +144,8 @@ def resolve_placement(name: str) -> PlacementConfig:
     ``opt:primary=e1;...``)."""
     if name.startswith("opt:"):
         # Genome specs resolve to a placement whose *name is the
-        # spec*, so the cell cache fingerprints the full genome —
-        # autoscaler genes included — via repr(resolved placement).
+        # spec*, so the cell cache fingerprints the full genome via
+        # repr(resolved placement).
         from repro.orchestra.optimize import Genome
 
         return Genome.decode(name).to_placement()

@@ -10,14 +10,13 @@ equivalent and the full five minutes is available via ``duration_s``).
 Every experiment is one frozen :class:`ExperimentSpec` — the placement,
 the client count and run length, the pipeline variant, and optional
 attachments (flow control, a cohort, mobility, chaos, a staged client
-ramp, an autoscaler hook, tracing, profiling) — executed by
-:func:`run_experiment`.
+ramp, tracing, profiling) — executed by :func:`run_experiment`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -83,8 +82,6 @@ class ExperimentSpec:
       the orchestrator's watchdog.  Chaos and mobility runs give
       clients the stock ``resilience`` layer unless one is set.
     * ``stage_s`` ramps the load: client *i* joins at ``i × stage_s``.
-    * ``post_deploy(sim, orchestrator, pipeline)`` runs just before
-      the clients start.
     * ``tracing`` and ``profile`` never move the trajectory.
     """
 
@@ -108,7 +105,6 @@ class ExperimentSpec:
     detector_kwargs: Optional[dict] = None
     resilience: Optional[ResilienceConfig] = None
     stage_s: Optional[float] = None
-    post_deploy: Optional[Callable] = None
     tracing: bool = False
     profile: bool = False
 
@@ -176,10 +172,6 @@ class ExperimentResult:
     #: optimizer-oracle runs.  Computed from counters after the run —
     #: never part of the digest contract.
     energy: Optional[dict] = None
-    #: Autoscaler activity (decisions + skipped candidates) when the
-    #: run had an :class:`~repro.orchestra.autoscaler.Autoscaler`
-    #: attached (optimizer-oracle runs with scaler genes on).
-    autoscaler: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # Client QoS aggregates
@@ -415,9 +407,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run ``spec`` and return everything it measured.
 
     Attachments are wired in one fixed order — build → chaos → sidecar
-    analytics → mobility → cohort engine → ``post_deploy`` → tracer →
-    cohort start → client starts — then the simulator runs to
-    ``duration_s`` plus :data:`DRAIN_S` and the result is assembled.
+    analytics → mobility → cohort engine → tracer → cohort start →
+    client starts — then the simulator runs to ``duration_s`` plus
+    :data:`DRAIN_S` and the result is assembled.
     Sidecar analytics watch every scAtteR++ run with sidecars unless
     chaos or mobility is attached.
     """
@@ -463,8 +455,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             threshold_s=(spec.threshold_s if spec.threshold_s is not None
                          else 0.100),
             rng=testbed.rng.stream("cohort") if uses_rng else None)
-    if spec.post_deploy is not None:
-        spec.post_deploy(sim, orchestrator, pipeline)
     tracer = _attach_tracer(orchestrator, clients) if spec.tracing else None
     if engine is not None:
         engine.start(spec.duration_s)

@@ -92,9 +92,6 @@ def summarize_result(result) -> Dict:
         # summary so cached cells replay the optimizer's objectives
         # without re-simulating.
         "energy": getattr(result, "energy", None),
-        # Autoscaler decision/skip log for runs with a scaler
-        # attached; None otherwise.
-        "autoscaler": getattr(result, "autoscaler", None),
     }
 
 

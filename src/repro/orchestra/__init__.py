@@ -35,7 +35,6 @@ from repro.orchestra.optimize import (
     OptimizeConfig,
     OptimizeError,
     PlacementSearch,
-    ScalerGenes,
     SearchSpace,
     run_search,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "OrchestratorError",
     "PlacementOptimizer",
     "PlacementSearch",
-    "ScalerGenes",
     "Scheduler",
     "SchedulingError",
     "SearchSpace",

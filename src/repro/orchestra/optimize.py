@@ -1,11 +1,9 @@
-"""Multi-objective placement + autoscaling-policy search.
+"""Multi-objective placement search.
 
 The paper *characterizes* twelve hand-picked placements; this module
-*searches* the space instead, following the genetic/Pareto shape of
-Herabad's edge-placement optimizers: candidates are genomes (a replica
-map per pipeline stage plus optional autoscaler thresholds), evaluated
-against the simulator through campaign cells, and ranked by Pareto
-dominance over four objectives —
+*searches* the space instead.  Candidates are genomes (a replica map
+per pipeline stage), evaluated against the simulator through campaign
+cells, and ranked by Pareto dominance over four objectives —
 
 * **capacity** (maximize) — the largest client count on the probe
   ladder meeting the XR SLO (mean FPS ≥ 20, p95 E2E ≤ 100 ms);
@@ -13,6 +11,12 @@ dominance over four objectives —
 * **joules per delivered frame** (minimize) — from the device/server
   energy model (:mod:`repro.metrics.energy`);
 * **cost units** (minimize) — machine-rate-weighted replica-seconds.
+
+The search samples: round 0 evaluates every static placement the
+paper characterizes plus random genomes up to ``population``, and each
+later round evaluates ``population`` fresh uniform draws.  Sampling,
+not breeding, because at equal budgets a genetic loop found no better
+front on this space (DESIGN §15).
 
 Design constraints, in priority order:
 
@@ -28,12 +32,13 @@ Design constraints, in priority order:
    within a run, across runs, across worker counts — replays from
    cache instead of re-simulating.
 3. **The front never regresses.**  Ranking happens over an archive of
-   every genome ever evaluated, so each generation's front weakly
+   every genome ever evaluated, so each round's front weakly
    dominates the previous one by construction.
 
-The oracle lives in :mod:`repro.experiments.oracle`; everything here
-imports the experiments layer lazily to keep ``orchestra`` importable
-on its own.
+The oracle runs the ``optimize`` pipeline of
+:data:`repro.experiments.campaign.RUNNERS`; everything here imports
+the experiments layer lazily to keep ``orchestra`` importable on its
+own.
 """
 
 from __future__ import annotations
@@ -48,21 +53,15 @@ from repro.scatter import config as scatter_config
 from repro.scatter.config import PIPELINE_ORDER, PlacementConfig
 
 #: Genome spec strings start with this prefix; everything after it is
-#: the encoded placement (and optional autoscaler genes).  The grammar
-#: is comma-free so specs survive the CLI's ``--placements a,b,c``
-#: splitting: ``opt:primary=e1;sift=e2+e1;...;matching=e2@as=...``.
+#: the encoded placement.  The grammar is comma-free so specs survive
+#: the CLI's ``--placements a,b,c`` splitting:
+#: ``opt:primary=e1;sift=e2+e1;...;matching=e2``.
 SPEC_PREFIX = "opt:"
 
 #: Testbed machine memory (GB) — the schedulability check the search
-#: space enforces so mutation/crossover can never emit a genome the
+#: space enforces so sampling never sends the oracle a genome the
 #: scheduler would reject.
 MACHINE_MEMORY_GB = {"e1": 128.0, "e2": 264.0, "cloud": 64.0}
-
-#: Autoscaler gene alphabets (small and discrete: keeps the search
-#: space countable and every encoded float round-trippable).
-DROP_RATIO_CHOICES = (0.02, 0.05, 0.10)
-QUEUE_DEPTH_CHOICES = (8, 16, 32)
-MAX_REPLICA_CHOICES = (2, 3, 4)
 
 
 class OptimizeError(ValueError):
@@ -76,69 +75,17 @@ class OptimizeError(ValueError):
 # Genome encoding
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ScalerGenes:
-    """Autoscaler-policy half of a genome (app-aware thresholds)."""
-
-    drop_ratio: float = 0.05
-    queue_depth: int = 16
-    max_replicas: int = 3
-    machine: str = "e1"
-
-    def __post_init__(self) -> None:
-        if self.drop_ratio <= 0:
-            raise OptimizeError(
-                f"drop_ratio must be positive, got {self.drop_ratio}")
-        if self.queue_depth < 1:
-            raise OptimizeError(
-                f"queue_depth must be >= 1, got {self.queue_depth}")
-        if self.max_replicas < 1:
-            raise OptimizeError(
-                f"max_replicas must be >= 1, got {self.max_replicas}")
-        if not self.machine:
-            raise OptimizeError("scaler machine must be non-empty")
-
-    def encode(self) -> str:
-        return (f"as=drop{self.drop_ratio:g}+depth{self.queue_depth}"
-                f"+max{self.max_replicas}+{self.machine}")
-
-    @classmethod
-    def decode(cls, text: str) -> "ScalerGenes":
-        if not text.startswith("as="):
-            raise OptimizeError(f"bad scaler genes {text!r}")
-        parts = text[3:].split("+")
-        if len(parts) != 4:
-            raise OptimizeError(f"bad scaler genes {text!r}")
-        drop, depth, cap, machine = parts
-        if not (drop.startswith("drop") and depth.startswith("depth")
-                and cap.startswith("max")):
-            raise OptimizeError(f"bad scaler genes {text!r}")
-        try:
-            return cls(drop_ratio=float(drop[4:]),
-                       queue_depth=int(depth[5:]),
-                       max_replicas=int(cap[3:]),
-                       machine=machine)
-        except ValueError as error:
-            raise OptimizeError(
-                f"bad scaler genes {text!r}: {error}") from error
-
-    def as_dict(self) -> Dict:
-        return {"drop_ratio": self.drop_ratio,
-                "queue_depth": self.queue_depth,
-                "max_replicas": self.max_replicas,
-                "machine": self.machine}
-
-
-@dataclass(frozen=True)
 class Genome:
-    """One candidate: a replica map plus optional autoscaler genes.
+    """One candidate: a replica map.
 
     ``machines[i]`` lists the machine of every replica of
     ``PIPELINE_ORDER[i]``, in deployment order — the same shape as
-    :class:`~repro.scatter.config.PlacementConfig.placements`.
+    :class:`~repro.scatter.config.PlacementConfig.placements`.  Order
+    is part of the genome: it moves p95 latency, so ``sift=e2+e1`` and
+    ``sift=e1+e2`` are distinct candidates (DESIGN §15).
     """
 
     machines: Tuple[Tuple[str, ...], ...]
-    scaler: Optional[ScalerGenes] = None
 
     def __post_init__(self) -> None:
         if len(self.machines) != len(PIPELINE_ORDER):
@@ -156,23 +103,15 @@ class Genome:
     # ------------------------------------------------------------------
     def encode(self) -> str:
         """The canonical ``opt:`` spec string (cache-key material)."""
-        body = ";".join(
+        return SPEC_PREFIX + ";".join(
             f"{service}={'+'.join(replicas)}"
             for service, replicas in zip(PIPELINE_ORDER, self.machines))
-        if self.scaler is not None:
-            body += "@" + self.scaler.encode()
-        return SPEC_PREFIX + body
 
     @classmethod
     def decode(cls, spec: str) -> "Genome":
         if not spec.startswith(SPEC_PREFIX):
             raise OptimizeError(f"not a genome spec: {spec!r}")
-        body = spec[len(SPEC_PREFIX):]
-        scaler = None
-        if "@" in body:
-            body, scaler_text = body.split("@", 1)
-            scaler = ScalerGenes.decode(scaler_text)
-        parts = body.split(";")
+        parts = spec[len(SPEC_PREFIX):].split(";")
         if len(parts) != len(PIPELINE_ORDER):
             raise OptimizeError(
                 f"expected {len(PIPELINE_ORDER)} services in {spec!r}")
@@ -187,34 +126,24 @@ class Genome:
                 raise OptimizeError(
                     f"empty machine name in {part!r}")
             machines.append(replicas)
-        return cls(machines=tuple(machines), scaler=scaler)
+        return cls(machines=tuple(machines))
 
     # ------------------------------------------------------------------
     def to_placement(self) -> PlacementConfig:
         """A :class:`PlacementConfig` whose *name is the spec* — so the
         cell cache's ``repr(resolved placement)`` covers the whole
-        genome, autoscaler genes included."""
+        genome."""
         return PlacementConfig(self.encode(), {
             service: list(replicas)
             for service, replicas in zip(PIPELINE_ORDER, self.machines)})
 
     @classmethod
-    def from_placement(cls, placement: PlacementConfig,
-                       scaler: Optional[ScalerGenes] = None) -> "Genome":
+    def from_placement(cls, placement: PlacementConfig) -> "Genome":
         """Lift any static placement (C1..C21, cloud, vectors) into
         genome space."""
         return cls(machines=tuple(
             tuple(placement.placements[service])
-            for service in PIPELINE_ORDER), scaler=scaler)
-
-    def replica_count(self) -> int:
-        return sum(len(replicas) for replicas in self.machines)
-
-    def machines_used(self) -> List[str]:
-        names = {m for replicas in self.machines for m in replicas}
-        if self.scaler is not None:
-            names.add(self.scaler.machine)
-        return sorted(names)
+            for service in PIPELINE_ORDER))
 
 
 def is_genome_spec(name: str) -> bool:
@@ -222,27 +151,22 @@ def is_genome_spec(name: str) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Search space: schedulability, mutation, crossover
+# Search space: schedulability and sampling
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SearchSpace:
-    """The feasible genome set plus its variation operators.
+    """The feasible genome set and its uniform sampler.
 
-    Every operator is *closed over schedulable genomes*: mutation and
-    crossover validate their output against replica bounds and machine
-    memory and fall back to a known-schedulable parent rather than
-    emit an infeasible candidate (the property
-    ``tests/test_optimize_properties.py`` pins).
+    :meth:`random_genome` is *closed over schedulable genomes*: a draw
+    that breaks replica bounds or machine memory collapses to a
+    known-schedulable genome rather than reach the oracle (the
+    property ``tests/test_optimize_properties.py`` pins).
     """
 
     machines: Tuple[str, ...] = ("e1", "e2")
     max_replicas_per_service: int = 3
-    scaler: bool = True
     memory_gb: Mapping[str, float] = field(
         default_factory=lambda: dict(MACHINE_MEMORY_GB))
-    #: Probability knobs for the variation operators.
-    scaler_rate: float = 0.25
-    crossover_rate: float = 0.7
 
     def __post_init__(self) -> None:
         if not self.machines:
@@ -272,21 +196,9 @@ class SearchSpace:
         for machine, used in loads.items():
             if used > self.memory_gb[machine] * GB:
                 return False
-        if genome.scaler is not None:
-            if not self.scaler:
-                return False
-            if genome.scaler.machine not in self.machines:
-                return False
         return True
 
     # ------------------------------------------------------------------
-    def random_scaler(self, rng: random.Random) -> ScalerGenes:
-        return ScalerGenes(
-            drop_ratio=rng.choice(DROP_RATIO_CHOICES),
-            queue_depth=rng.choice(QUEUE_DEPTH_CHOICES),
-            max_replicas=rng.choice(MAX_REPLICA_CHOICES),
-            machine=rng.choice(self.machines))
-
     def random_genome(self, rng: random.Random) -> Genome:
         machines = []
         for __ in PIPELINE_ORDER:
@@ -294,73 +206,13 @@ class SearchSpace:
                 (1, 1, min(2, self.max_replicas_per_service)))
             machines.append(tuple(rng.choice(self.machines)
                                   for __ in range(count)))
-        scaler = None
-        if self.scaler and rng.random() < self.scaler_rate:
-            scaler = self.random_scaler(rng)
-        genome = Genome(machines=tuple(machines), scaler=scaler)
+        genome = Genome(machines=tuple(machines))
         if not self.is_schedulable(genome):
             # Memory can only overflow on tiny memory_gb overrides;
             # collapse to single replicas on the first machine.
             genome = Genome(machines=tuple(
                 (self.machines[0],) for __ in PIPELINE_ORDER))
         return genome
-
-    def mutate(self, genome: Genome, rng: random.Random) -> Genome:
-        """One structural edit; always schedulable (falls back to the
-        input, which callers guarantee is schedulable)."""
-        for __ in range(8):
-            candidate = self._mutate_once(genome, rng)
-            if self.is_schedulable(candidate):
-                return candidate
-        return genome
-
-    def _mutate_once(self, genome: Genome,
-                     rng: random.Random) -> Genome:
-        ops = ["swap"]
-        if any(len(r) < self.max_replicas_per_service
-               for r in genome.machines):
-            ops.append("add")
-        if any(len(r) > 1 for r in genome.machines):
-            ops.append("remove")
-        if self.scaler:
-            ops.append("scaler")
-        op = rng.choice(ops)
-        machines = [list(r) for r in genome.machines]
-        scaler = genome.scaler
-        if op == "swap":
-            index = rng.randrange(len(machines))
-            slot = rng.randrange(len(machines[index]))
-            machines[index][slot] = rng.choice(self.machines)
-        elif op == "add":
-            eligible = [i for i, r in enumerate(machines)
-                        if len(r) < self.max_replicas_per_service]
-            index = rng.choice(eligible)
-            machines[index].append(rng.choice(self.machines))
-        elif op == "remove":
-            eligible = [i for i, r in enumerate(machines)
-                        if len(r) > 1]
-            index = rng.choice(eligible)
-            machines[index].pop(rng.randrange(len(machines[index])))
-        else:  # scaler: toggle off, toggle on, or re-draw the genes
-            scaler = (None if scaler is not None
-                      and rng.random() < 0.5
-                      else self.random_scaler(rng))
-        return Genome(machines=tuple(tuple(r) for r in machines),
-                      scaler=scaler)
-
-    def crossover(self, a: Genome, b: Genome,
-                  rng: random.Random) -> Genome:
-        """Uniform per-service crossover; always schedulable (falls
-        back to parent ``a``)."""
-        for __ in range(8):
-            machines = tuple(
-                a.machines[i] if rng.random() < 0.5 else b.machines[i]
-                for i in range(len(PIPELINE_ORDER)))
-            scaler = a.scaler if rng.random() < 0.5 else b.scaler
-            candidate = Genome(machines=machines, scaler=scaler)
-            if self.is_schedulable(candidate):
-                return candidate
-        return a
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +286,7 @@ class CampaignOracle:
         self.workers = workers
         # Accept a CampaignCellCache, a directory path, or True (same
         # contract as run_campaign) and hold one resolved instance so
-        # hit/miss counters accumulate across generations.
+        # hit/miss counters accumulate across rounds.
         from repro.experiments.cache import resolve_cell_cache
 
         self.cache = resolve_cell_cache(cache, None)
@@ -505,7 +357,11 @@ class OptimizeConfig:
 
     name: str = "optimize"
     seed: int = 0
+    #: Genomes per round: round 0 is every static placement plus
+    #: random draws up to this size; each later round is this many
+    #: fresh draws.
     population: int = 8
+    #: Rounds after round 0.
     generations: int = 3
     #: Hard cap on distinct genomes sent to the oracle (None = only
     #: ``population × (generations + 1)`` bounds the run).
@@ -516,7 +372,6 @@ class OptimizeConfig:
     workers: int = 0
     machines: Tuple[str, ...] = ("e1", "e2")
     max_replicas_per_service: int = 3
-    scaler: bool = True
 
     def __post_init__(self) -> None:
         if self.population < 2:
@@ -536,8 +391,7 @@ class OptimizeConfig:
                 "oracle_seed": self.oracle_seed,
                 "machines": list(self.machines),
                 "max_replicas_per_service":
-                    self.max_replicas_per_service,
-                "scaler": self.scaler}
+                    self.max_replicas_per_service}
 
 
 @dataclass
@@ -548,7 +402,7 @@ class OptimizationReport:
     #: Nondominated archive members: [{"genome", "objectives"}],
     #: best-capacity first, deterministically ordered.
     front: List[Dict]
-    #: Per-generation log: evaluations, archive size, front snapshot.
+    #: Per-round log: evaluations, archive size, front snapshot.
     generations: List[Dict]
     #: Distinct genomes sent to the oracle.
     evaluations: int
@@ -577,8 +431,8 @@ class OptimizationReport:
 
 def static_seed_genomes(space: SearchSpace) -> List[Genome]:
     """Known-good static placements lifted into genome space — the
-    paper's configurations seed the population so the search starts
-    from the characterized frontier instead of noise."""
+    paper's configurations open round 0 so the front starts at the
+    characterized frontier and can only improve on it."""
     from repro.scatter.config import (baseline_configs, cloud_config,
                                       hybrid_config, scaling_config)
 
@@ -595,15 +449,14 @@ def static_seed_genomes(space: SearchSpace) -> List[Genome]:
 
 
 class PlacementSearch:
-    """Seeded genetic loop with Pareto ranking over the archive."""
+    """Seeded random sampling with Pareto ranking over the archive."""
 
     def __init__(self, config: OptimizeConfig, *, oracle=None,
                  cache=None):
         self.config = config
         self.space = SearchSpace(
             machines=tuple(config.machines),
-            max_replicas_per_service=config.max_replicas_per_service,
-            scaler=config.scaler)
+            max_replicas_per_service=config.max_replicas_per_service)
         self.oracle = oracle if oracle is not None else CampaignOracle(
             ladder=config.ladder, duration_s=config.duration_s,
             seed=config.oracle_seed, workers=config.workers,
@@ -614,8 +467,7 @@ class PlacementSearch:
         population = static_seed_genomes(self.space)
         while len(population) < self.config.population:
             population.append(self.space.random_genome(rng))
-        return population[:max(self.config.population,
-                               len(population))]
+        return population
 
     # ------------------------------------------------------------------
     def run(self) -> OptimizationReport:
@@ -657,7 +509,8 @@ class PlacementSearch:
                          and evaluations >= config.budget)
             if generation == config.generations or exhausted:
                 break
-            population = self._next_population(archive, front, rng)
+            population = [self.space.random_genome(rng)
+                          for __ in range(config.population)]
 
         front = pareto_front(archive)
         return OptimizationReport(
@@ -669,30 +522,6 @@ class PlacementSearch:
             oracle_calls=oracle_calls,
             cache=self.oracle.cache_report()
             if hasattr(self.oracle, "cache_report") else None)
-
-    # ------------------------------------------------------------------
-    def _next_population(self, archive: Mapping[str, Objectives],
-                         front: List[Tuple[str, Objectives]],
-                         rng: random.Random) -> List[Genome]:
-        """Front members breed; elites re-enter (and dedup against the
-        archive at evaluation time, costing nothing)."""
-        front_specs = {spec for spec, __ in front}
-        ranked = sorted(
-            archive.items(),
-            key=lambda kv: (0 if kv[0] in front_specs else 1,
-                            kv[1].vector(), kv[0]))
-        parents = [Genome.decode(spec) for spec, __ in
-                   ranked[:max(2, self.config.population // 2)]]
-        population = parents[:2]
-        while len(population) < self.config.population:
-            if (len(parents) >= 2
-                    and rng.random() < self.space.crossover_rate):
-                a, b = rng.sample(parents, 2)
-                child = self.space.crossover(a, b, rng)
-            else:
-                child = parents[len(population) % len(parents)]
-            population.append(self.space.mutate(child, rng))
-        return population
 
 
 def run_search(config: OptimizeConfig, *,

@@ -30,8 +30,7 @@ import pathlib
 
 import pytest
 
-from repro.experiments.campaign import (PRESETS, RUNNERS, Campaign,
-                                        run_campaign)
+from repro.experiments.campaign import PRESETS, Campaign, run_campaign
 from repro.experiments.runner import (ExperimentSpec, MobilitySpec,
                                       run_experiment)
 from repro.experiments.store import summarize_result
@@ -67,7 +66,6 @@ def runner_cells():
     golden key -> zero-argument callable returning the result."""
     from repro.chaos.faults import FaultPlan, InstanceCrash
     from repro.flow import default_flow_config
-    from repro.orchestra.optimize import Genome, ScalerGenes
     from repro.scatter.config import baseline_configs
 
     c1, c2 = baseline_configs()["C1"], baseline_configs()["C2"]
@@ -85,8 +83,6 @@ def runner_cells():
     roaming = dict(scatterpp=True, stateless_sift=False, mobility=roam)
     cohort = dict(scatterpp=True, flow=default_flow_config(),
                   cohort_size=1000)
-    genome = Genome.from_placement(c1, scaler=ScalerGenes(
-        drop_ratio=0.02, queue_depth=8, max_replicas=2, machine="e1"))
     return {
         "ramp/C1/2c/seed0": cell(c1, 2, scatterpp=True,
                                  stage_s=RUNNER_CELL_S / 2),
@@ -103,9 +99,6 @@ def runner_cells():
         "cohort-constant/C1/2c/seed0": cell(c1, 2, **cohort),
         "cohort-poisson/C1/2c/seed0": cell(c1, 2, cohort_load="poisson",
                                            **cohort),
-        "optimize-autoscaler/C1/2c/seed0": lambda: RUNNERS["optimize"](
-            genome.to_placement(), num_clients=2,
-            duration_s=RUNNER_CELL_S, seed=0),
     }
 
 
@@ -320,7 +313,7 @@ def test_flow_on_walks_a_different_trajectory(flow_report,
 # Optimizer-oracle cells are pinned to the same goldens
 # ----------------------------------------------------------------------
 def _neutral_c1_spec():
-    """The C1 placement lifted into genome space, no scaler genes."""
+    """The C1 placement lifted into genome space."""
     from repro.orchestra.optimize import Genome
     from repro.scatter.config import baseline_configs
 
@@ -328,11 +321,10 @@ def _neutral_c1_spec():
 
 
 def test_optimize_oracle_cells_replay_flow_goldens():
-    """The optimizer's oracle runner is digest-neutral: a scaler-less
-    genome cell walks *byte-identically* the committed flow-on golden
-    trajectory for the same placement/clients/seed.  Zero events moved
-    — the energy model is post-hoc and the autoscaler only attaches
-    when the genome carries scaler genes."""
+    """The optimizer's oracle runner is digest-neutral: a genome cell
+    walks *byte-identically* the committed flow-on golden trajectory
+    for the same placement/clients/seed.  Zero events moved — the
+    energy model is post-hoc."""
     spec = _neutral_c1_spec()
     campaign = Campaign(
         name="determinism-optimize", pipelines=("optimize",),
@@ -348,8 +340,7 @@ def test_optimize_oracle_cells_replay_flow_goldens():
         assert digest == golden[flow_key], (
             f"optimizer oracle moved events for {key}: the oracle "
             "must inherit the flow substrate's pinned trajectory "
-            "(energy accounting is post-hoc; a scaler-less genome "
-            "must not attach an autoscaler)")
+            "(energy accounting is post-hoc)")
     # Energy numbers rode along without touching the trajectory.
     for cell, summaries in report.summaries.items():
         for summary in summaries:
@@ -362,8 +353,8 @@ def test_optimize_oracle_cells_replay_flow_goldens():
 @pytest.mark.parametrize("workers",
                          tuple(dict.fromkeys((0,) + _worker_counts())))
 def test_runner_cells_match_committed_golden_file(workers):
-    """Ramp, mobility, chaos, cohort and autoscaler cells replay their
-    pinned trace and summary digests, in-process and across worker
+    """Ramp, mobility, chaos and cohort cells replay their pinned
+    trace and summary digests, in-process and across worker
     processes."""
     golden = json.loads(RUNNER_GOLDEN_PATH.read_text())
     assert golden["duration_s"] == RUNNER_CELL_S

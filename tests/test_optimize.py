@@ -1,13 +1,12 @@
-"""Unit tests for the placement/autoscaler search stack.
+"""Unit tests for the placement search stack.
 
 Covers the genome grammar end to end (every paper static round-trips
 through its ``opt:`` spec and back through the campaign layer's
-``resolve_placement``), the oracle's neutrality (a scaler-less genome
-replays the scatterpp-flow trace bit-identically), the scaler-genes
-path (an autoscaler really attaches and its decision log surfaces on
-the result), and a tiny end-to-end budgeted search producing a valid,
-JSON-serializable :class:`OptimizationReport` — including the CLI
-entry point.
+``resolve_placement``; legacy ``@as=`` autoscaler specs are rejected),
+the oracle's neutrality (a genome cell replays the scatterpp-flow
+trace bit-identically), and a tiny end-to-end budgeted search
+producing a valid, JSON-serializable :class:`OptimizationReport` —
+including the CLI entry point.
 """
 
 import json
@@ -16,9 +15,8 @@ import pytest
 
 from repro.experiments.campaign import Campaign, resolve_placement
 from repro.orchestra.optimize import (Genome, OptimizeConfig,
-                                      OptimizeError, ScalerGenes,
-                                      SearchSpace, is_genome_spec,
-                                      run_search)
+                                      OptimizeError, SearchSpace,
+                                      is_genome_spec, run_search)
 from repro.scatter.config import (PIPELINE_ORDER, baseline_configs,
                                   cloud_config, hybrid_config,
                                   scaling_config)
@@ -47,21 +45,9 @@ def test_round_trip_every_static_placement():
             s: list(placement.placements[s]) for s in PIPELINE_ORDER}
 
 
-def test_round_trip_with_scaler_genes():
-    genome = Genome.from_placement(
-        baseline_configs()["C1"],
-        scaler=ScalerGenes(drop_ratio=0.02, queue_depth=32,
-                           max_replicas=4, machine="e2"))
-    decoded = Genome.decode(genome.encode())
-    assert decoded == genome
-    assert decoded.scaler.queue_depth == 32
-    assert "e2" in decoded.machines_used()
-
-
 def test_spec_grammar_is_comma_free():
     for placement in all_statics().values():
-        spec = Genome.from_placement(
-            placement, scaler=ScalerGenes()).encode()
+        spec = Genome.from_placement(placement).encode()
         assert "," not in spec
 
 
@@ -73,6 +59,8 @@ def test_spec_grammar_is_comma_free():
     "opt:primary=e1;sift=e1;encoding=e1;lsh=e1;matching=e1@bogus",
     "opt:primary=e1;sift=e1;encoding=e1;lsh=e1;matching=e1"
     "@as=dropX+depth16+max3+e1",
+    "opt:primary=e1;sift=e1;encoding=e1;lsh=e1;matching=e1"
+    "@as=drop0.05+depth16+max3+e1",          # retired autoscaler genes
 ])
 def test_decode_rejects_malformed_specs(bad):
     with pytest.raises(OptimizeError):
@@ -86,15 +74,6 @@ def test_genome_validates_shape_and_machine_names():
         Genome(machines=((), ("e1",), ("e1",), ("e1",), ("e1",)))
     with pytest.raises(OptimizeError):
         Genome(machines=(("e;1",),) + (("e1",),) * 4)
-
-
-def test_scaler_genes_validate():
-    with pytest.raises(OptimizeError):
-        ScalerGenes(drop_ratio=0.0)
-    with pytest.raises(OptimizeError):
-        ScalerGenes(queue_depth=0)
-    with pytest.raises(OptimizeError):
-        ScalerGenes(max_replicas=0)
 
 
 # ----------------------------------------------------------------------
@@ -135,12 +114,6 @@ def test_schedulability_checks():
     assert not space.is_schedulable(too_many)
     unknown = Genome(machines=(("cloud",),) + (("e1",),) * 4)
     assert not space.is_schedulable(unknown)
-    scaled = Genome(machines=ok.machines,
-                    scaler=ScalerGenes(machine="cloud"))
-    assert not space.is_schedulable(scaled)
-    no_scaler_space = SearchSpace(machines=("e1", "e2"), scaler=False)
-    assert not no_scaler_space.is_schedulable(
-        Genome(machines=ok.machines, scaler=ScalerGenes()))
 
 
 def test_schedulability_enforces_memory():
@@ -155,13 +128,13 @@ def test_schedulability_enforces_memory():
 
 
 # ----------------------------------------------------------------------
-# Oracle neutrality and the scaler path
+# Oracle neutrality
 # ----------------------------------------------------------------------
 def test_neutral_genome_replays_flow_trace():
-    """A scaler-less genome's oracle run is byte-identical to the
-    plain scatterpp-flow experiment on the same placement."""
-    from repro.experiments.campaign import RUNNERS
-    from repro.experiments.oracle import run_optimize_experiment
+    """A genome's oracle run is byte-identical to the plain
+    scatterpp-flow experiment on the same placement."""
+    from repro.experiments.campaign import (RUNNERS,
+                                            run_optimize_experiment)
 
     c1 = baseline_configs()["C1"]
     neutral = Genome.from_placement(c1).to_placement()
@@ -175,22 +148,6 @@ def test_neutral_genome_replays_flow_trace():
     assert (summarize_result(opt)["fps"]
             == summarize_result(flow)["fps"])
     assert opt.energy is not None
-    assert opt.autoscaler is None
-
-
-def test_scaler_genome_attaches_autoscaler():
-    from repro.experiments.oracle import run_optimize_experiment
-
-    spec = Genome.from_placement(
-        baseline_configs()["C1"],
-        scaler=ScalerGenes(drop_ratio=0.02, queue_depth=8,
-                           max_replicas=2, machine="e1"))
-    result = run_optimize_experiment(
-        spec.to_placement(), num_clients=2, duration_s=2.0, seed=0)
-    assert result.autoscaler is not None
-    assert result.autoscaler["genes"]["queue_depth"] == 8
-    assert isinstance(result.autoscaler["decisions"], list)
-    assert isinstance(result.autoscaler["skipped"], list)
 
 
 def test_static_runners_accept_genome_placements():
@@ -213,10 +170,12 @@ def test_static_runners_accept_genome_placements():
 def test_tiny_budget_search_produces_valid_report():
     config = OptimizeConfig(seed=3, population=3, generations=1,
                             budget=4, ladder=(1,), duration_s=1.5,
-                            machines=("e1",), scaler=False)
+                            machines=("e1",))
     report = run_search(config)
     assert report.front, "front must be non-empty"
-    assert report.evaluations <= 4
+    # One static plus two draws, then a later round spends the rest:
+    # a sampler that stalls after round 0 stops at 3.
+    assert report.evaluations == 4
     for entry in report.front:
         assert is_genome_spec(entry["genome"])
         obj = entry["objectives"]

@@ -1,4 +1,4 @@
-"""Property suite for the placement/autoscaler search loop.
+"""Property suite for the placement search loop.
 
 Pins the optimizer contracts the PR's acceptance gate leans on:
 
@@ -6,12 +6,12 @@ Pins the optimizer contracts the PR's acceptance gate leans on:
   another, and every archive entry left off the front is dominated by
   some front member;
 * **front monotonicity** — ranking happens over the archive of every
-  genome ever evaluated, so each generation's best capacity (and its
-  whole front, under weak dominance) never regresses;
-* **operator closure** — mutation and crossover only ever emit
-  schedulable genomes (replica bounds, known machines, memory fit),
-  falling back to a schedulable parent when eight draws fail;
-* **encode/decode totality** — every genome the operators can produce
+  genome ever evaluated, so each round's best capacity (and its whole
+  front, under weak dominance) never regresses;
+* **sampler closure** — ``random_genome`` only ever emits schedulable
+  genomes (replica bounds, known machines, memory fit), under the
+  default space and a tight memory override;
+* **encode/decode totality** — every genome the sampler can produce
   round-trips through its ``opt:`` spec string bit-identically;
 * **determinism** — same seed ⇒ bit-identical front digest, with the
   oracle swapped for a deterministic stub (cheap) and with the real
@@ -113,7 +113,7 @@ def test_off_front_entries_are_dominated(seed):
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(seeds)
 def test_front_monotonically_non_worsening(seed):
-    """Each generation's front weakly dominates the previous one."""
+    """Each round's front weakly dominates the previous one."""
     __, report = stub_search(seed)
     previous = None
     for entry in report.generations:
@@ -130,52 +130,23 @@ def test_front_monotonically_non_worsening(seed):
 
 
 # ----------------------------------------------------------------------
-# Operator closure + encode/decode totality
+# Sampler closure + encode/decode totality
 # ----------------------------------------------------------------------
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(seeds)
-def test_mutation_closed_over_schedulable(seed):
-    rng = random.Random(seed)
-    space = SearchSpace()
-    genome = space.random_genome(rng)
-    assert space.is_schedulable(genome)
-    for __ in range(25):
-        genome = space.mutate(genome, rng)
-        assert space.is_schedulable(genome)
-        assert Genome.decode(genome.encode()) == genome
-
-
-@settings(max_examples=50, derandomize=True, deadline=None)
-@given(seeds)
-def test_crossover_closed_over_schedulable(seed):
-    rng = random.Random(seed)
-    space = SearchSpace()
-    a, b = space.random_genome(rng), space.random_genome(rng)
-    for __ in range(25):
-        child = space.crossover(a, b, rng)
-        assert space.is_schedulable(child)
-        assert Genome.decode(child.encode()) == child
-        a, b = b, child
-
-
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(seeds)
 def test_operators_respect_tight_memory(seed):
-    """With a tight memory override the operators still never emit an
-    unschedulable genome (they fall back to a schedulable parent).
-    One replica of every stage needs 4.9 GB, so 6 GB admits the
-    single-replica pipeline but rejects most replica additions."""
-    rng = random.Random(seed)
-    space = SearchSpace(machines=("e1",),
-                        memory_gb={"e1": 6.0})
-    genome = space.random_genome(rng)
-    assert space.is_schedulable(genome)
-    for __ in range(10):
-        mutated = space.mutate(genome, rng)
-        assert space.is_schedulable(mutated)
-        child = space.crossover(genome, mutated, rng)
-        assert space.is_schedulable(child)
-        genome = mutated
+    """``random_genome``, the search's one variation operator, emits
+    only schedulable genomes that round-trip through their spec — in
+    the default space and under a tight memory override.  One replica
+    of every stage needs 4.9 GB, so 6 GB admits the single-replica
+    pipeline but rejects most replica additions."""
+    for space in (SearchSpace(),
+                  SearchSpace(machines=("e1",), memory_gb={"e1": 6.0})):
+        rng = random.Random(seed)
+        for __ in range(25):
+            genome = space.random_genome(rng)
+            assert space.is_schedulable(genome)
+            assert Genome.decode(genome.encode()) == genome
 
 
 def test_static_seeds_are_schedulable_and_distinct():
@@ -227,7 +198,7 @@ def test_budget_is_a_hard_cap(seed):
 # so one tiny configuration each).
 # ----------------------------------------------------------------------
 TINY = dict(population=3, generations=1, ladder=(1,),
-            duration_s=1.5, machines=("e1",), scaler=False)
+            duration_s=1.5, machines=("e1",))
 
 
 def test_workers_zero_and_four_identical_front():
