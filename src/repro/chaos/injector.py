@@ -106,7 +106,7 @@ class FaultInjector:
                      replica: int) -> Optional[StreamService]:
         """A live replica to fault, or ``None`` when there is none.
 
-        Mid-migration/mid-handover a replica can be *deregistered but
+        Mid-handover a replica can be *deregistered but
         not stopped* (draining) or already retired from the live set;
         a fault landing in that window must neither raise nor crash a
         ghost.  Replicas still carrying traffic (registered) are
@@ -124,7 +124,7 @@ class FaultInjector:
 
     def _skip(self, fault: Fault, service: str) -> None:
         """Log a fault that found no live victim (not an error: the
-        plan raced a migration/handover/crash that emptied the
+        plan raced a handover/crash that emptied the
         service) and move on."""
         window = self._log(
             fault, detail=f"skipped: no live replica of {service!r}")

@@ -20,11 +20,9 @@ from repro.cluster.gpu import GpuArchitecture, GpuDevice
 from repro.cluster.machine import Machine
 from repro.cluster.container import Container, ContainerState
 from repro.cluster.resources import MemoryAccount, UsageMeter
-from repro.cluster.tenants import BackgroundTenant
 from repro.cluster.testbed import Testbed, build_paper_testbed
 
 __all__ = [
-    "BackgroundTenant",
     "Container",
     "ContainerState",
     "GpuArchitecture",

@@ -103,7 +103,6 @@ class StreamService:
                  address: Address, base_time_s: float,
                  gpu_intensity: float = 0.5,
                  reliable_transport: bool = False,
-                 cost_model=None,
                  rng: Optional[np.random.Generator] = None):
         if base_time_s <= 0:
             raise ValueError(
@@ -120,11 +119,7 @@ class StreamService:
         #: bare UDP — the "improved network protocols" direction of
         #: Appendix A.1.2 (losses become retransmission delay).
         self.reliable_transport = reliable_transport
-        #: Optional content-driven cost model (see
-        #: repro.scatter.content): scales compute by frame complexity.
-        self.cost_model = cost_model
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self._current_record: Optional[FrameRecord] = None
         self.stats = ServiceStats()
         #: Optional distributed tracer (see repro.metrics.tracing).
         self.tracer = None
@@ -218,7 +213,6 @@ class StreamService:
 
     def _work(self, record: FrameRecord):
         start = self.sim.now
-        self._current_record = record
         try:
             yield from self.process(record)
             self.stats.processed += 1
@@ -227,7 +221,6 @@ class StreamService:
             raise
         finally:
             self._busy = False
-            self._current_record = None
             self.stats.latency_samples_s.append(self.sim.now - start)
             if self.tracer is not None:
                 self.tracer.record_span(
@@ -294,9 +287,6 @@ class StreamService:
         deterministic.
         """
         base = self.base_time_s if base_time_s is None else base_time_s
-        if self.cost_model is not None and self._current_record is not None:
-            base *= self.cost_model.multiplier(
-                self._current_record.frame_number)
         noisy = base * float(self.rng.lognormal(0.0, self.TIME_NOISE_SIGMA))
         if self.rng.random() < self.SPIKE_PROB:
             noisy *= self.SPIKE_FACTOR
@@ -315,10 +305,6 @@ class StreamService:
         if not records:
             raise ValueError("compute_batch needs at least one record")
         base = self.base_time_s if base_time_s is None else base_time_s
-        if self.cost_model is not None:
-            base *= float(np.mean([
-                self.cost_model.multiplier(record.frame_number)
-                for record in records]))
         amortized = base * (1.0 + self.BATCH_MARGINAL_COST
                             * (len(records) - 1))
         noisy = amortized * float(
@@ -336,11 +322,7 @@ class StreamService:
         this with one :meth:`compute_batch` pass.
         """
         for record in records:
-            self._current_record = record
-            try:
-                yield from self.process(record)
-            finally:
-                self._current_record = None
+            yield from self.process(record)
 
     def send(self, destination: Address, record: FrameRecord) -> bool:
         """Send a record to a concrete address.

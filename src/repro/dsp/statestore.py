@@ -49,7 +49,7 @@ class StateStore:
         #: on, on another replica.
         self.stats_discarded = 0
         #: Entries that died with the replica (stop/crash) — the
-        #: stateful-loss cost migration and naive reconnects pay.
+        #: stateful-loss cost scale-downs and naive reconnects pay.
         self.stats_dropped_stop = 0
         #: Entries exported (copied out, NOT removed) for transfer.
         self.stats_exported = 0
@@ -149,8 +149,8 @@ class StateStore:
     def drop_all(self) -> int:
         """Free every entry (the replica is stopping); returns count.
 
-        The dropped entries are the stateful loss a traffic-only
-        migration or naive reconnect pays — counted here so the loss
+        The dropped entries are the stateful loss a scale-down or
+        naive reconnect pays — counted here so the loss
         is never silent.
         """
         count = len(self._entries)

@@ -36,11 +36,9 @@ __all__ = [
     "Summary",
     "build_resilience_report",
     "default_profiler",
-    "deployment_watts",
     "energy_summary",
     "merge_sketches",
     "safe_percentile",
-    "service_watts",
     "summarize",
 ]
 
@@ -54,9 +52,7 @@ _LAZY = {
     "build_resilience_report": "resilience",
     "DEFAULT_POWER_MODEL": "energy",
     "PowerModel": "energy",
-    "deployment_watts": "energy",
     "energy_summary": "energy",
-    "service_watts": "energy",
 }
 
 

@@ -151,8 +151,8 @@ def energy_summary(result, model: PowerModel = DEFAULT_POWER_MODEL
       effective per-frame compute seconds × the stage's active watts
       on its machine;
     * **idle** — every machine hosting at least one replica (placement
-      machines plus any the autoscaler spilled onto) burns its idle
-      draw for the whole run;
+      machines plus any a handover scaled a replica onto) burns its
+      idle draw for the whole run;
     * **device** — per client: streaming idle draw plus radio joules
       for every frame sent (uplink) and result received (downlink).
 
@@ -212,32 +212,3 @@ def energy_summary(result, model: PowerModel = DEFAULT_POWER_MODEL
         "machines": sorted(machines),
         "replicas": replicas,
     }
-
-
-def deployment_watts(orchestrator,
-                     model: PowerModel = DEFAULT_POWER_MODEL
-                     ) -> float:
-    """Worst-case draw of the current deployment (watts).
-
-    Idle draw of every machine hosting a live replica plus the active
-    draw of every replica computing flat-out — the figure an
-    energy-budgeted autoscaler checks before adding capacity (see
-    :class:`repro.orchestra.autoscaler.Autoscaler`).
-    """
-    machines = set()
-    active = 0.0
-    for service in orchestrator.services():
-        for instance in orchestrator.instances(service):
-            name = instance.container.machine.name
-            machines.add(name)
-            active += model.active_watts(name, service)
-    idle = sum(model.idle_w[name] for name in sorted(machines))
-    return idle + active
-
-
-def service_watts(orchestrator, service: str,
-                  model: PowerModel = DEFAULT_POWER_MODEL) -> float:
-    """Active draw of one service's live replicas (watts)."""
-    return sum(
-        model.active_watts(instance.container.machine.name, service)
-        for instance in orchestrator.instances(service))

@@ -7,26 +7,18 @@ Reproduces the orchestrator behaviours the paper depends on:
   scheduler (:mod:`repro.orchestra.scheduler`) matches them to
   machines.
 * **Replica load balancing** — requests to a service name are spread
-  round-robin across replicas (the registry's default policy); the
-  balancer module adds the least-loaded alternative used in ablations.
+  round-robin across replicas (the registry's default policy).
 * **Hardware-only monitoring** — the orchestrator sees CPU/GPU/memory
   but *not* application QoS, the visibility gap of insights I/IV.
 * **Failure redeployment** — failed containers are automatically
   replaced.
 """
 
-from repro.orchestra.autoscaler import (
-    AppAwareScalingPolicy,
-    Autoscaler,
-    HardwareScalingPolicy,
-)
-from repro.orchestra.balancer import least_loaded_balancer
 from repro.orchestra.health import (
     FailureDetector,
     HealthEvent,
     HealthState,
 )
-from repro.orchestra.migration import MigrationController
 from repro.orchestra.optimize import (
     CampaignOracle,
     Genome,
@@ -44,15 +36,11 @@ from repro.orchestra.scheduler import Scheduler, SchedulingError
 from repro.orchestra.sla import ServiceSla
 
 __all__ = [
-    "AppAwareScalingPolicy",
-    "Autoscaler",
     "CampaignOracle",
     "FailureDetector",
     "Genome",
-    "HardwareScalingPolicy",
     "HealthEvent",
     "HealthState",
-    "MigrationController",
     "Objectives",
     "OptimizationReport",
     "OptimizeConfig",
@@ -65,6 +53,5 @@ __all__ = [
     "SchedulingError",
     "SearchSpace",
     "ServiceSla",
-    "least_loaded_balancer",
     "run_search",
 ]

@@ -10,6 +10,7 @@ the blind spot the paper characterizes.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.container import Container, ContainerState
@@ -18,7 +19,7 @@ from repro.cluster.testbed import Testbed
 from repro.dsp.operator import StreamService
 from repro.metrics.hardware import HardwareMonitor
 from repro.net.addresses import Address, ServiceRegistry
-from repro.orchestra.scheduler import Scheduler
+from repro.orchestra.scheduler import Scheduler, SchedulingError
 from repro.orchestra.sla import ServiceSla
 
 
@@ -63,10 +64,10 @@ class Orchestrator:
         #: (timestamp, service) log of every self-healing redeploy —
         #: the recovery half of the MTTR metric.
         self.redeploy_events: List[Tuple[float, str]] = []
-        #: Replicas removed mid-run (scale-down, migration, handover,
-        #: replacement).  Kept so post-run audits — frame conservation,
-        #: state-store accounting — can still see instances that are no
-        #: longer in the live replica set.
+        #: Replicas removed mid-run (scale-down, handover, replacement).
+        #: Kept so post-run audits — frame conservation, state-store
+        #: accounting — can still see instances that are no longer in
+        #: the live replica set.
         self._retired: Dict[str, List[StreamService]] = {}
 
     # ------------------------------------------------------------------
@@ -83,17 +84,18 @@ class Orchestrator:
 
     def scale_up(self, service: str,
                  machine: Optional[str] = None) -> StreamService:
-        """Add one replica (optionally pinned to ``machine``)."""
+        """Add one replica, optionally pinned to a ``machine`` the SLA
+        allows (:class:`SchedulingError` otherwise)."""
         sla = self._slas.get(service)
         factory = self._factories.get(service)
         if sla is None or factory is None:
             raise OrchestratorError(f"service {service!r} never deployed")
         if machine is not None:
-            sla = ServiceSla(service=sla.service,
-                             memory_bytes=sla.memory_bytes,
-                             requires_gpu=sla.requires_gpu,
-                             machine=machine,
-                             power_budget_w=sla.power_budget_w)
+            if sla.allowed_machines and machine not in sla.allowed_machines:
+                raise SchedulingError(
+                    f"{service!r} may not run on {machine!r}: allowed "
+                    f"machines are {sla.allowed_machines}")
+            sla = dataclasses.replace(sla, machine=machine)
         return self._deploy_one(sla, factory)
 
     def scale_down(self, service: str) -> None:
@@ -102,17 +104,6 @@ class Orchestrator:
         if not instances:
             raise OrchestratorError(f"no instances of {service!r}")
         instance = instances.pop()
-        self._retired.setdefault(service, []).append(instance)
-        instance.stop()
-
-    def remove_instance(self, service: str,
-                        instance: StreamService) -> None:
-        """Stop and forget one specific replica (used by migration)."""
-        instances = self._instances.get(service, [])
-        if instance not in instances:
-            raise OrchestratorError(
-                f"{instance!r} is not a live replica of {service!r}")
-        instances.remove(instance)
         self._retired.setdefault(service, []).append(instance)
         instance.stop()
 
@@ -132,11 +123,6 @@ class Orchestrator:
     # ------------------------------------------------------------------
     def instances(self, service: str) -> List[StreamService]:
         return list(self._instances.get(service, []))
-
-    def sla_for(self, service: str) -> Optional[ServiceSla]:
-        """The SLA ``service`` was deployed with (``None`` if never
-        deployed) — read by energy-budgeted autoscaling."""
-        return self._slas.get(service)
 
     def retired_instances(self, service: str) -> List[StreamService]:
         """Replicas of ``service`` removed mid-run (audit trail)."""

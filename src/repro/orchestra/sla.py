@@ -27,20 +27,11 @@ class ServiceSla:
     #: Oakestra's high-level hardware constraints, e.g. image/arch
     #: compatibility.
     allowed_machines: Tuple[str, ...] = field(default_factory=tuple)
-    #: Watts ceiling for this service's replicas (active draw per the
-    #: energy model, :mod:`repro.metrics.energy`); ``None`` = no
-    #: ceiling.  An energy-aware autoscaler declines scale-ups whose
-    #: projected draw would cross it.
-    power_budget_w: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.memory_bytes <= 0:
             raise ValueError(
                 f"memory_bytes must be positive, got {self.memory_bytes}")
-        if self.power_budget_w is not None and self.power_budget_w <= 0:
-            raise ValueError(
-                f"power_budget_w must be positive, "
-                f"got {self.power_budget_w}")
         if (self.machine is not None and self.allowed_machines
                 and self.machine not in self.allowed_machines):
             raise ValueError(

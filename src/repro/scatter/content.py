@@ -1,25 +1,16 @@
-"""Content-driven service times.
+"""Real vision work on the replayed video, content-cached.
 
-The calibrated base times model the *average* frame, but real vision
-workloads cost what the frame contains: more texture → more keypoints
-→ more SIFT/encoding/matching work.  :class:`ContentCostModel` bridges
-the real CV substrate and the simulation: it derives a per-frame
-complexity score from the actual replay-video frames (gradient energy,
-the standard cheap proxy for feature density) and turns it into a
-multiplicative service-time factor.
-
-Because every client replays the same looped video (§3.2), a service
-can look the factor up from the frame number alone — no extra wire
-metadata.  Attach via ``ScatterPipeline``'s ``service_kwargs``::
-
-    model = ContentCostModel.from_video(SyntheticVideo(seed=0))
-    pipeline_kwargs = {"service_kwargs": {
-        name: {"cost_model": model} for name in PIPELINE_ORDER}}
+Every client replays the same looped video (§3.2), so a frame number
+names its content.  :class:`FrameFeatureExtractor` runs the real SIFT
+and Fisher kernels for a frame number behind the content-addressed
+:class:`~repro.vision.cache.FeatureCache`; after one loop of the video
+every lookup is a hit (the CloudAR observation).
+``benchmarks/bench_perf_kernels.py`` times it as its cached arm.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,100 +18,14 @@ from repro.metrics.profiling import StageProfiler
 from repro.metrics.summary import CacheStats
 from repro.vision.cache import (FeatureCache, array_digest,
                                 default_feature_cache)
-from repro.vision.image import image_gradients, to_grayscale
-
-
-class ContentCostModel:
-    """Per-frame service-time multipliers from frame content."""
-
-    def __init__(self, complexities: Dict[int, float], *,
-                 sensitivity: float = 0.25):
-        if not complexities:
-            raise ValueError("need at least one frame complexity")
-        if not 0.0 <= sensitivity < 1.0:
-            raise ValueError(
-                f"sensitivity must be in [0, 1), got {sensitivity}")
-        self.sensitivity = sensitivity
-        self.period = max(complexities) + 1
-        values = np.array([complexities.get(i, np.nan)
-                           for i in range(self.period)])
-        # Interpolate any frames that were not sampled.
-        if np.isnan(values).any():
-            known = np.flatnonzero(~np.isnan(values))
-            values = np.interp(np.arange(self.period), known,
-                               values[known])
-        mean = float(values.mean())
-        spread = float(values.std()) or 1.0
-        normalized = np.clip((values - mean) / (2.0 * spread),
-                             -1.0, 1.0)
-        self._multipliers = 1.0 + sensitivity * normalized
-
-    @classmethod
-    def from_video(cls, video, *, sensitivity: float = 0.25,
-                   sample_stride: int = 10,
-                   cache: Optional[FeatureCache] = None
-                   ) -> "ContentCostModel":
-        """Score a :class:`~repro.vision.video.SyntheticVideo`.
-
-        Samples every ``sample_stride``-th frame (rendering frames is
-        the expensive part) and interpolates between samples.
-        Complexity scores are content-addressed: every campaign cell
-        replaying the same video re-reads the cached score instead of
-        re-deriving gradients (the cached float is the exact value the
-        computation produced, so service times — and trace digests —
-        are unchanged).
-        """
-        if sample_stride < 1:
-            raise ValueError(
-                f"sample_stride must be >= 1, got {sample_stride}")
-        if cache is None:
-            cache = default_feature_cache()
-        complexities = {}
-        for index in range(0, video.num_frames, sample_stride):
-            complexities[index] = cls.frame_complexity(
-                video.frame(index).image, cache=cache)
-        complexities[video.num_frames - 1] = complexities.get(
-            video.num_frames - 1,
-            complexities[max(complexities)])
-        return cls(complexities, sensitivity=sensitivity)
-
-    @staticmethod
-    def frame_complexity(image: np.ndarray,
-                         cache: Optional[FeatureCache] = None) -> float:
-        """Mean gradient magnitude — a cheap feature-density proxy."""
-        if cache is not None:
-            return cache.get_or_compute(
-                ("complexity", array_digest(image)),
-                lambda: ContentCostModel._complexity_uncached(image))
-        return ContentCostModel._complexity_uncached(image)
-
-    @staticmethod
-    def _complexity_uncached(image: np.ndarray) -> float:
-        magnitude, __ = image_gradients(image)
-        return float(magnitude.mean())
-
-    def multiplier(self, frame_number: int) -> float:
-        """Service-time factor for a (looped) frame number."""
-        return float(self._multipliers[frame_number % self.period])
-
-    @property
-    def multiplier_range(self) -> tuple:
-        return (float(self._multipliers.min()),
-                float(self._multipliers.max()))
+from repro.vision.image import to_grayscale
 
 
 class FrameFeatureExtractor:
-    """Real vision compute for simulated services, content-cached.
+    """SIFT features and Fisher vectors per frame number, cached.
 
-    The simulated ``sift``/``encoding`` services consume calibrated
-    *virtual* time; attach one of these (via ``service_kwargs``'s
-    ``vision_backend``) and they additionally run the *real* kernels
-    on the replayed video frames.  Because every client loops the same
-    video, the CloudAR observation applies directly: after one loop
-    the cache is warm and every further client/frame is a lookup.
-    The cache changes wall-clock cost only — cached results are
-    bit-identical to recomputes, so simulated timings and trace
-    digests are untouched.
+    Cached results are bit-identical to recomputes, so the cache
+    changes wall-clock cost only.
     """
 
     def __init__(self, video, extractor, *, pca=None, encoder=None,
@@ -134,8 +39,6 @@ class FrameFeatureExtractor:
             else default_feature_cache()
         self.profiler = profiler if profiler is not None \
             else StageProfiler(enabled=False)
-        self.frames_extracted = 0
-        self.frames_encoded = 0
 
     def _gray(self, frame_number: int) -> np.ndarray:
         return to_grayscale(self.video.frame(frame_number).image)
@@ -145,10 +48,8 @@ class FrameFeatureExtractor:
         gray = self._gray(frame_number)
         key = ("sift", array_digest(gray), self.extractor.fingerprint)
         with self.profiler.stage("backend.sift"):
-            keypoints, descriptors = self.cache.get_or_compute(
+            return self.cache.get_or_compute(
                 key, lambda: self._extract(gray))
-        self.frames_extracted += 1
-        return keypoints, descriptors
 
     def _extract(self, gray: np.ndarray) -> Tuple[tuple, np.ndarray]:
         keypoints, descriptors = \
@@ -167,48 +68,9 @@ class FrameFeatureExtractor:
         key = ("fisher", array_digest(descriptors),
                self.pca.fingerprint(), self.encoder.fingerprint())
         with self.profiler.stage("backend.encode"):
-            vector = self.cache.get_or_compute(
+            return self.cache.get_or_compute(
                 key, lambda: self.encoder.encode(
                     self.pca.transform(descriptors)))
-        self.frames_encoded += 1
-        return vector
-
-    def encoding_batch(self, frame_numbers) -> List[np.ndarray]:
-        """Fisher vectors for several frames in one vectorized pass.
-
-        Cache hits are returned as-is; the misses run through
-        :meth:`~repro.vision.fisher.FisherEncoder.encode_batch` on one
-        concatenated matrix, whose outputs are bit-identical to
-        per-frame :meth:`encoding` calls — so the cache stays coherent
-        whichever path filled it.
-        """
-        if self.pca is None or self.encoder is None:
-            raise RuntimeError(
-                "FrameFeatureExtractor.encoding_batch() requires pca= "
-                "and encoder=")
-        vectors: List[Optional[np.ndarray]] = [None] * len(frame_numbers)
-        missing: List[Tuple[int, tuple, np.ndarray]] = []
-        for index, frame_number in enumerate(frame_numbers):
-            __, descriptors = self.features(frame_number)
-            if len(descriptors) == 0:
-                vectors[index] = np.zeros(self.encoder.dimension)
-                continue
-            key = ("fisher", array_digest(descriptors),
-                   self.pca.fingerprint(), self.encoder.fingerprint())
-            cached = self.cache.get(key)
-            if cached is not None:
-                vectors[index] = cached
-            else:
-                missing.append((index, key, descriptors))
-        if missing:
-            with self.profiler.stage("backend.encode"):
-                encoded = self.encoder.encode_batch([
-                    self.pca.transform(descriptors)
-                    for __, __k, descriptors in missing])
-            for (index, key, __), vector in zip(missing, encoded):
-                vectors[index] = self.cache.put(key, vector)
-        self.frames_encoded += len(frame_numbers)
-        return vectors  # type: ignore[return-value]
 
     def stats(self) -> CacheStats:
         return self.cache.stats()

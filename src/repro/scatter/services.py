@@ -41,7 +41,7 @@ class SiftService(StreamService):
     def __init__(self, *, state_ttl_s: float = config.STATE_TTL_S,
                  state_entry_bytes: float = config.STATE_ENTRY_BYTES,
                  fetch_time_s: float = config.SIFT_FETCH_TIME_S,
-                 vision_backend=None, **kwargs):
+                 **kwargs):
         super().__init__(**kwargs)
         self.state = StateStore(self.sim, self.container,
                                 ttl_s=state_ttl_s)
@@ -55,11 +55,6 @@ class SiftService(StreamService):
         #: its new home instead of silently timing out at matching.
         #: Maintained by the handover coordinator; empty otherwise.
         self.forward_table: Dict[int, Address] = {}
-        #: Optional real vision substrate (see
-        #: repro.scatter.content.FrameFeatureExtractor): runs actual
-        #: cached SIFT on the replayed frame.  Real wall time only —
-        #: simulated (virtual-time) cost is untouched.
-        self.vision_backend = vision_backend
 
     def is_control(self, record: FrameRecord) -> bool:
         # Fetches are *work* — they contend with frames for the single
@@ -74,8 +69,6 @@ class SiftService(StreamService):
 
     def _extract(self, record: FrameRecord):
         yield from self.compute()
-        if self.vision_backend is not None:
-            self.vision_backend.features(record.frame_number)
         # Keep the features until matching asks for them (§3.1).
         self.state.put(record.key, {"features": record.key},
                        self.state_entry_bytes)
@@ -125,15 +118,8 @@ class SiftService(StreamService):
 class EncodingService(StreamService):
     """PCA + Fisher-vector compression."""
 
-    def __init__(self, *, vision_backend=None, **kwargs):
-        super().__init__(**kwargs)
-        #: Optional real vision substrate; see SiftService.
-        self.vision_backend = vision_backend
-
     def process(self, record: FrameRecord):
         yield from self.compute()
-        if self.vision_backend is not None:
-            self.vision_backend.encoding(record.frame_number)
         downstream = record.advanced(
             "lsh", size_bytes=config.WIRE_SIZES["encoding->lsh"])
         self.send_downstream("lsh", downstream)

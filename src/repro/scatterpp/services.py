@@ -25,17 +25,7 @@ PACKED_WIRE_SIZES = {
 class StatelessSiftService(StreamService):
     """Feature extraction that encodes its state into the frame."""
 
-    def __init__(self, *, vision_backend=None, **kwargs):
-        super().__init__(**kwargs)
-        #: Optional real vision substrate (see
-        #: repro.scatter.content.FrameFeatureExtractor): runs actual
-        #: cached SIFT on the replayed frame.  Real wall time only —
-        #: simulated (virtual-time) cost is untouched.
-        self.vision_backend = vision_backend
-
     def _forward(self, record: FrameRecord) -> None:
-        if self.vision_backend is not None:
-            self.vision_backend.features(record.frame_number)
         downstream = record.advanced(
             "encoding",
             size_bytes=PACKED_WIRE_SIZES["sift->encoding"],
@@ -57,11 +47,6 @@ class StatelessSiftService(StreamService):
 class PackedEncodingService(StreamService):
     """PCA + Fisher encoding, forwarding the packed frame."""
 
-    def __init__(self, *, vision_backend=None, **kwargs):
-        super().__init__(**kwargs)
-        #: Optional real vision substrate; see StatelessSiftService.
-        self.vision_backend = vision_backend
-
     def _forward(self, record: FrameRecord) -> None:
         downstream = record.advanced(
             "lsh", size_bytes=PACKED_WIRE_SIZES["encoding->lsh"])
@@ -69,16 +54,11 @@ class PackedEncodingService(StreamService):
 
     def process(self, record: FrameRecord):
         yield from self.compute()
-        if self.vision_backend is not None:
-            self.vision_backend.encoding(record.frame_number)
         self._forward(record)
 
     def process_batch(self, records):
         """Batched dispatch: one pass through ``encode_batch``."""
         yield from self.compute_batch(records)
-        if self.vision_backend is not None:
-            self.vision_backend.encoding_batch(
-                [record.frame_number for record in records])
         for record in records:
             self._forward(record)
 

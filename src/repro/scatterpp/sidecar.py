@@ -399,13 +399,11 @@ class Sidecar:
         yield self.sim.timeout(RPC_OVERHEAD_S)
         start = self.sim.now
         self.service._busy = True
-        self.service._current_record = record
         try:
             yield from self.service.process(record)
             self.service.stats.processed += 1
         finally:
             self.service._busy = False
-            self.service._current_record = None
             tracer = self.service.tracer
             if tracer is not None:
                 tracer.record_span(

@@ -272,7 +272,7 @@ def test_node_failure_blocks_then_retries_redeploy():
 
 
 def test_fault_on_empty_service_is_skipped_not_raised():
-    """A fault racing a migration/handover/crash that emptied the
+    """A fault racing a handover/crash that emptied the
     service must log a skipped window and move on — never raise
     ChaosError, never crash a ghost instance."""
     sim = Simulator()
@@ -302,8 +302,8 @@ def test_fault_on_empty_service_is_skipped_not_raised():
 
 
 def test_fault_prefers_registered_replica_mid_drain():
-    """With one replica deregistered (draining out of a migration or
-    handover) and one registered, the crash lands on the replica still
+    """With one replica deregistered (draining out of a handover) and
+    one registered, the crash lands on the replica still
     carrying traffic."""
     sim = Simulator()
     rng = RngRegistry(0)

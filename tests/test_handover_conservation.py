@@ -91,7 +91,7 @@ def test_no_frame_vanishes_across_random_handover_schedules(
     now = DURATION_S + DRAIN_S
 
     # Every sidecar ledger balances, including replicas the handover
-    # protocol deployed and the chaos/migration path retired.
+    # protocol deployed and the chaos path retired.
     check_result_conservation(result)
     # Every session entry is accounted for, store by store.
     check_state_conservation(result)

@@ -24,7 +24,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.scatter.content import ContentCostModel, FrameFeatureExtractor
+from repro.scatter.content import FrameFeatureExtractor
 from repro.vision import recognizer as recognizer_module
 from repro.vision.cache import (
     DISABLE_ENV,
@@ -473,62 +473,9 @@ def test_cached_backend_bit_identical_to_uncached(trained_stack):
     assert uncached.stats().hits == 0
 
 
-def test_content_cost_model_cache_transparent():
-    video = SyntheticVideo(seed=0, size=(96, 128))
-    with_cache = ContentCostModel.from_video(
-        video, cache=FeatureCache())
-    without = ContentCostModel.from_video(
-        video, cache=FeatureCache(enabled=False))
-    warm_cache = FeatureCache()
-    ContentCostModel.from_video(video, cache=warm_cache)
-    warm = ContentCostModel.from_video(video, cache=warm_cache)
-
-    baseline = without._multipliers
-    for model in (with_cache, warm):
-        _assert_bit_equal(baseline, model._multipliers)
-    assert warm_cache.stats().hits > 0
-
-
 # ----------------------------------------------------------------------
 # The determinism contract survives the cache
 # ----------------------------------------------------------------------
-def test_experiment_digest_identical_with_active_cache(trained_stack):
-    """A run doing *real* cached vision work keeps its trace digest.
-
-    The backend's kernels execute in real wall time while the
-    simulated services consume calibrated virtual time, so enabling
-    the cache must not move a single simulated event.
-    """
-    from repro.experiments.runner import ExperimentSpec, run_experiment
-    from repro.scatter.config import PIPELINE_ORDER, baseline_configs
-
-    video, extractor, pca, encoder = trained_stack
-    placement = baseline_configs()["C1"]
-    model = ContentCostModel.from_video(video,
-                                        cache=FeatureCache())
-
-    def run(cache):
-        backend = FrameFeatureExtractor(
-            video, extractor, pca=pca, encoder=encoder, cache=cache)
-        service_kwargs = {name: {"cost_model": model}
-                          for name in PIPELINE_ORDER}
-        service_kwargs["sift"]["vision_backend"] = backend
-        service_kwargs["encoding"]["vision_backend"] = backend
-        result = run_experiment(ExperimentSpec(
-            placement, num_clients=2, duration_s=1.0, seed=0,
-            pipeline_kwargs={"service_kwargs": service_kwargs}))
-        assert backend.frames_extracted > 0
-        return result, cache.stats()
-
-    enabled_result, enabled_stats = run(FeatureCache())
-    disabled_result, disabled_stats = run(
-        FeatureCache(enabled=False))
-    assert enabled_stats.hits > 0  # the cache actually engaged
-    assert disabled_stats.hits == 0
-    assert enabled_result.trace_digest == disabled_result.trace_digest
-    assert enabled_result.mean_fps() == disabled_result.mean_fps()
-
-
 @pytest.fixture
 def feature_cache_disabled(monkeypatch):
     """Disable the process-default cache for one test, then restore."""

@@ -2,7 +2,7 @@
 
 Covers the genome grammar end to end (every paper static round-trips
 through its ``opt:`` spec and back through the campaign layer's
-``resolve_placement``; legacy ``@as=`` autoscaler specs are rejected),
+``resolve_placement``; legacy ``@as=`` scaler-gene specs are rejected),
 the oracle's neutrality (a genome cell replays the scatterpp-flow
 trace bit-identically), and a tiny end-to-end budgeted search
 producing a valid, JSON-serializable :class:`OptimizationReport` —
@@ -60,7 +60,7 @@ def test_spec_grammar_is_comma_free():
     "opt:primary=e1;sift=e1;encoding=e1;lsh=e1;matching=e1"
     "@as=dropX+depth16+max3+e1",
     "opt:primary=e1;sift=e1;encoding=e1;lsh=e1;matching=e1"
-    "@as=drop0.05+depth16+max3+e1",          # retired autoscaler genes
+    "@as=drop0.05+depth16+max3+e1",          # retired scaler genes
 ])
 def test_decode_rejects_malformed_specs(bad):
     with pytest.raises(OptimizeError):

@@ -6,16 +6,13 @@ import pytest
 from repro.cluster import Container
 from repro.cluster.machine import GB
 from repro.dsp import StreamService
-from repro.net import Address, ServiceRegistry
 from repro.orchestra import (
     Orchestrator,
     OrchestratorError,
     Scheduler,
     SchedulingError,
     ServiceSla,
-    least_loaded_balancer,
 )
-from repro.orchestra.balancer import weighted_round_robin_balancer
 from repro.sim import RngRegistry, Simulator
 from repro.cluster.testbed import build_paper_testbed
 
@@ -148,6 +145,16 @@ def test_scale_up_on_other_machine(orchestrator):
     assert len(orchestrator.instances("sift")) == 2
 
 
+def test_scale_up_pin_keeps_allowed_machines(orchestrator):
+    sla = ServiceSla("sift", memory_bytes=GB, allowed_machines=("e1",))
+    orchestrator.deploy(sla, null_factory)
+    with pytest.raises(SchedulingError):
+        orchestrator.scale_up("sift", machine="e2")
+    replica = orchestrator.scale_up("sift", machine="e1")
+    assert replica.address.node == "e1"
+    assert len(orchestrator.instances("sift")) == 2
+
+
 def test_scale_up_unknown_service(orchestrator):
     with pytest.raises(OrchestratorError):
         orchestrator.scale_up("ghost")
@@ -190,28 +197,3 @@ def test_deploy_validation(orchestrator):
     sla = ServiceSla("sift", memory_bytes=GB, machine="e1")
     with pytest.raises(OrchestratorError):
         orchestrator.deploy(sla, null_factory, replicas=0)
-
-
-# ----------------------------------------------------------------------
-# Balancers
-# ----------------------------------------------------------------------
-def test_least_loaded_balancer_picks_min():
-    loads = {Address("e1", 1): 5.0, Address("e2", 1): 1.0}
-    balance = least_loaded_balancer(lambda addr: loads[addr])
-    chosen = balance("svc", list(loads))
-    assert chosen == Address("e2", 1)
-
-
-def test_least_loaded_balancer_deterministic_ties():
-    balance = least_loaded_balancer(lambda addr: 0.0)
-    instances = [Address("e2", 1), Address("e1", 1)]
-    assert balance("svc", instances) == Address("e1", 1)
-
-
-def test_weighted_round_robin_distribution():
-    heavy = Address("e2", 1)
-    light = Address("e1", 1)
-    balance = weighted_round_robin_balancer({heavy: 3, light: 1})
-    picks = [balance("svc", [light, heavy]) for __ in range(8)]
-    assert picks.count(heavy) == 6
-    assert picks.count(light) == 2

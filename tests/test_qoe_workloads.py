@@ -1,4 +1,4 @@
-"""Tests for the QoE estimator and the workload generators."""
+"""Tests for the QoE estimator and the replay client's arrivals."""
 
 import numpy as np
 import pytest
@@ -12,11 +12,6 @@ from repro.orchestra.orchestrator import Orchestrator
 from repro.scatter.client import ArClient
 from repro.scatter.config import baseline_configs
 from repro.scatter.pipeline import ScatterPipeline
-from repro.scatter.workloads import (
-    BurstyClient,
-    PoissonArrivalClient,
-    arrival_cv,
-)
 from repro.sim import RngRegistry, Simulator
 
 
@@ -89,9 +84,12 @@ def test_qoe_ranks_scatterpp_above_scatter():
 
 
 # ----------------------------------------------------------------------
-# Workload generators
+# Replay client arrivals
 # ----------------------------------------------------------------------
-def run_workload(client_class, duration_s=20.0, **kwargs):
+def test_periodic_client_cv_near_zero():
+    """The replay client sends on a fixed period: the coefficient of
+    variation of its inter-send gaps is near zero."""
+    duration_s = 20.0
     sim = Simulator()
     rng = RngRegistry(0)
     testbed = build_paper_testbed(sim, rng, num_clients=1)
@@ -99,59 +97,11 @@ def run_workload(client_class, duration_s=20.0, **kwargs):
     ScatterPipeline(testbed, orchestrator,
                     baseline_configs()["C1"]).deploy()
     orchestrator.start()
-    client = client_class(client_id=0, node="nuc0",
-                          network=testbed.network,
-                          registry=orchestrator.registry,
-                          rng=rng.stream("client.0"), **kwargs)
+    client = ArClient(client_id=0, node="nuc0", network=testbed.network,
+                      registry=orchestrator.registry,
+                      rng=rng.stream("client.0"))
     client.start(duration_s)
     sim.run(until=duration_s + DRAIN_S)
-    return client
-
-
-def test_poisson_client_mean_rate():
-    client = run_workload(PoissonArrivalClient, duration_s=30.0)
-    rate = client.stats.frames_sent / 30.0
-    assert rate == pytest.approx(30.0, rel=0.15)
-
-
-def test_poisson_client_is_memoryless_cv_near_one():
-    client = run_workload(PoissonArrivalClient, duration_s=30.0)
-    assert arrival_cv(client.stats) == pytest.approx(1.0, abs=0.2)
-
-
-def test_periodic_client_cv_near_zero():
-    client = run_workload(ArClient, duration_s=20.0)
-    assert arrival_cv(client.stats) < 0.1
-
-
-def test_bursty_client_rate_and_cv():
-    client = run_workload(BurstyClient, duration_s=30.0,
-                          burst_fps=60.0, duty_cycle=0.5,
-                          burst_length_s=1.0)
-    rate = client.stats.frames_sent / 30.0
-    assert rate == pytest.approx(30.0, rel=0.2)
-    # On/off arrivals are burstier than Poisson.
-    assert arrival_cv(client.stats) > 1.0
-
-
-def test_bursty_validation():
-    sim = Simulator()
-    testbed = build_paper_testbed(sim, RngRegistry(0), num_clients=1)
-    orchestrator = Orchestrator(testbed)
-    common = dict(client_id=0, node="nuc0", network=testbed.network,
-                  registry=orchestrator.registry)
-    with pytest.raises(ValueError):
-        BurstyClient(burst_fps=0.0, **common)
-    with pytest.raises(ValueError):
-        BurstyClient(duty_cycle=0.0, **common)
-    with pytest.raises(ValueError):
-        BurstyClient(burst_length_s=0.0, **common)
-
-
-def test_poisson_arrivals_hurt_noqueue_pipeline():
-    """Memoryless arrivals collide more often with busy services than
-    the periodic replay — measurably worse success at the same rate."""
-    periodic = run_workload(ArClient, duration_s=30.0)
-    poisson = run_workload(PoissonArrivalClient, duration_s=30.0)
-    assert poisson.stats.success_rate() < \
-        periodic.stats.success_rate()
+    gaps = np.diff(sorted(client.stats.sent.values()))
+    assert len(gaps) > 2
+    assert gaps.std() / gaps.mean() < 0.1
