@@ -6,8 +6,8 @@ plus the performance bars in
 the committed repo-root ``BENCH_parallel_campaign.json``:
 
 * **serial** — ``workers=0``, in-process (the baseline);
-* **warm-pool cold** — ``workers=N`` on the persistent warm pool with
-  batched submission, cell cache *off* (every task computes);
+* **warm-pool cold** — ``workers=N`` on the persistent warm pool, one
+  future per task, cell cache *off* (every task computes);
 * **cached rerun** — ``workers=N`` against a fully-primed cell cache
   (every task replays from disk).
 
@@ -18,11 +18,11 @@ and exercised the pool workers.
 Bars (asserted on every box — there is no silent pass):
 
 * warm-pool cold ≥ 1.0× serial.  Process parallelism cannot beat
-  serial on a single CPU, but the old one-future-per-task runner
-  *lost* to it (0.83×); the warm pool + batched transport must at
-  least break even everywhere, and on ≥4 spare cores must win
-  outright (≥1.3×).  When ``workers > cpu_count`` the bench prints a
-  loud oversubscription notice and still enforces the break-even bar.
+  serial on a single CPU, and the pool is capped at the core count
+  (``effective_workers``), so there it must break even; on ≥4 spare
+  cores it must win outright (≥1.3×).  When ``workers > cpu_count``
+  the bench prints a loud oversubscription notice and still enforces
+  the break-even bar.
 * cached rerun ≥ 5× serial, with hits == tasks and zero recomputes.
 * serial ≡ sharded ≡ cached trace digests and metrics, bit-for-bit.
 * failed cells write zero cache entries (no-poisoning probe).
@@ -37,6 +37,7 @@ import tempfile
 import time
 
 from repro.experiments import campaign as campaign_mod
+from repro.experiments.cache import CampaignCellCache
 from repro.experiments.campaign import Campaign, run_campaign
 from repro.experiments.parallel import (
     effective_workers,
@@ -100,7 +101,7 @@ def _no_poisoning_probe(cache_dir: str) -> int:
         probe = Campaign(name="poison-probe", pipelines=("scatter",),
                          placements=("C1",), client_counts=(1,),
                          duration_s=1.0, seeds=(0, 1))
-        report = run_campaign(probe, cache_dir=cache_dir)
+        report = run_campaign(probe, cache=CampaignCellCache(cache_dir))
     finally:
         campaign_mod.RUNNERS["scatter"] = real
     assert report.failures, "poisoning probe cells should have failed"
@@ -141,7 +142,7 @@ def test_parallel_campaign_contract_and_speedup(save_result,
 
         # Prime the cell cache (untimed), then time cached reruns.
         primed = run_campaign(DEMO, workers=workers,
-                              cache_dir=cache_dir)
+                              cache=CampaignCellCache(cache_dir))
         _assert_contract(serial, primed, "cache prime")
         tasks = len(DEMO.cells) * len(DEMO.seeds)
         assert primed.cache["misses"] == tasks
@@ -151,7 +152,7 @@ def test_parallel_campaign_contract_and_speedup(save_result,
         for _ in range(2):
             elapsed, cached = _timed(
                 lambda: run_campaign(DEMO, workers=workers,
-                                     cache_dir=cache_dir))
+                                     cache=CampaignCellCache(cache_dir)))
             cached_times.append(elapsed)
             _assert_contract(serial, cached, "cached rerun")
             assert cached.cache["hits"] == tasks
@@ -193,7 +194,7 @@ def test_parallel_campaign_contract_and_speedup(save_result,
 
         # No-poisoning: the failed campaign cached nothing.
         assert poison_entries == 0, entry
-        # Warm pool + batched transport: break even everywhere...
+        # The warm pool breaks even everywhere...
         assert warm_speedup >= 1.0, entry
         # ...win outright with real spare cores...
         if cpus >= 4 and workers >= 4:

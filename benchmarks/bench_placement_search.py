@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 
+from repro.experiments.cache import CampaignCellCache
 from repro.orchestra.optimize import (CampaignOracle, OptimizeConfig,
                                       SearchSpace, run_search,
                                       static_seed_genomes)
@@ -51,7 +52,7 @@ SEED = 4
 
 def test_search_beats_static_placements(save_result, tmp_path,
                                         campaign_workers):
-    cache_dir = str(tmp_path / "cells")
+    cache_dir = tmp_path / "cells"
 
     # Grade every static the search seeds from, through the same
     # oracle (identical ladder, duration, seed, SLO) — apples to
@@ -61,7 +62,7 @@ def test_search_beats_static_placements(save_result, tmp_path,
                for genome in static_seed_genomes(SearchSpace())}
     oracle = CampaignOracle(ladder=LADDER, duration_s=DURATION_S,
                             seed=SEED, workers=campaign_workers,
-                            cache=cache_dir)
+                            cache=CampaignCellCache(cache_dir))
     static_objectives, __ = oracle.evaluate(sorted(statics))
     best_static_capacity = max(
         o.capacity for o in static_objectives.values())
@@ -74,7 +75,7 @@ def test_search_beats_static_placements(save_result, tmp_path,
         population=POPULATION, generations=GENERATIONS,
         ladder=LADDER, duration_s=DURATION_S, oracle_seed=SEED,
         workers=campaign_workers)
-    report = run_search(config, cache=cache_dir)
+    report = run_search(config, cache=CampaignCellCache(cache_dir))
     assert report.front
     assert report.evaluations > len(statics), report.evaluations
     searched_capacity = max(e["objectives"]["capacity"]
@@ -98,7 +99,7 @@ def test_search_beats_static_placements(save_result, tmp_path,
             f"{best_static_jpf:.2f} J/frame)")
 
     # --- determinism: same seed, bit-identical front -----------------
-    rerun = run_search(config, cache=cache_dir)
+    rerun = run_search(config, cache=CampaignCellCache(cache_dir))
     assert rerun.front_digest() == report.front_digest()
     assert rerun.front == report.front
 

@@ -31,25 +31,6 @@ from repro.experiments.runner import (
 )
 
 
-def _disable_feature_cache_if_requested(args: argparse.Namespace) -> None:
-    """Honor ``--no-feature-cache`` for this process *and* workers.
-
-    The flag is carried through the environment
-    (:data:`repro.vision.cache.DISABLE_ENV`) so campaign worker
-    processes — which build their own per-process default cache —
-    inherit it.  Results are bit-identical either way; the flag only
-    trades wall-clock time for memory.
-    """
-    if not getattr(args, "no_feature_cache", False):
-        return
-    import os
-
-    from repro.vision.cache import (DISABLE_ENV,
-                                    reset_default_feature_cache)
-    os.environ[DISABLE_ENV] = "1"
-    reset_default_feature_cache()
-
-
 def _print_qos_rows(rows: List[dict]) -> None:
     print(qos_table(rows))
     print()
@@ -224,7 +205,6 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
 def cmd_run(args: argparse.Namespace) -> int:
     """``run`` and ``mobility``: one experiment, then one block per
     populated result field."""
-    _disable_feature_cache_if_requested(args)
     spec = _spec_from_args(args)
     result = run_experiment(spec)
     from repro.sim.kernel import active_backend
@@ -348,22 +328,19 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    _disable_feature_cache_if_requested(args)
-    from repro.experiments.cache import DEFAULT_CACHE_DIR
+    from repro.experiments.cache import (DEFAULT_CACHE_DIR,
+                                         CampaignCellCache)
     from repro.experiments.campaign import (
         Campaign,
         render_report,
         run_campaign,
     )
 
-    if args.cache and args.no_cache:
-        raise SystemExit("--cache and --no-cache are contradictory")
-    cache_enabled = (args.cache or args.cache_dir is not None) \
-        and not args.no_cache
-    cache_dir = None
-    if cache_enabled:
+    cache = None
+    if args.cache or args.cache_dir is not None:
         cache_dir = (args.cache_dir if args.cache_dir is not None
                      else DEFAULT_CACHE_DIR)
+        cache = CampaignCellCache(cache_dir)
         print(f"  ... cell cache enabled under {cache_dir}/ "
               "(content-addressed; only changed cells recompute)")
     campaign = Campaign(
@@ -379,7 +356,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
               f"{args.workers} worker process(es)")
     report = run_campaign(
         campaign, store_dir=args.store, workers=args.workers,
-        cache_dir=cache_dir,
+        cache=cache,
         progress=lambda line: print(f"  ... {line}"),
         task_progress=(lambda line: print(f"      {line}"))
         if args.verbose else None)
@@ -400,7 +377,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_capacity(args: argparse.Namespace) -> int:
-    _disable_feature_cache_if_requested(args)
     from repro.experiments import capacity as capacity_mod
     from repro.experiments.capacity import (
         CapacitySlo,
@@ -473,6 +449,7 @@ def _cmd_optimize_search(args: argparse.Namespace) -> int:
     """The simulation-backed sampled search (``--budget N``)."""
     import json as json_module
 
+    from repro.experiments.cache import CampaignCellCache
     from repro.orchestra.optimize import OptimizeConfig, run_search
 
     ladder = tuple(int(part) for part in args.clients.split(","))
@@ -490,7 +467,9 @@ def _cmd_optimize_search(args: argparse.Namespace) -> int:
           f"population={config.population}, "
           f"generations={config.generations}, ladder={list(ladder)}, "
           f"duration={config.duration_s:g}s, seed={config.seed}")
-    report = run_search(config, cache=args.cache_dir)
+    cache = (CampaignCellCache(args.cache_dir)
+             if args.cache_dir is not None else None)
+    report = run_search(config, cache=cache)
     rows = [[entry["genome"],
              entry["objectives"]["capacity"],
              f"{entry['objectives']['p95_ms']:.1f}",
@@ -570,10 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", action="store_true",
                      help="collect per-frame traces and print the "
                           "latency breakdown")
-    run.add_argument("--no-feature-cache", action="store_true",
-                     help="disable the content-addressed feature "
-                          "cache (results are bit-identical; only "
-                          "wall-clock time changes)")
     run.add_argument("--flow", action="store_true",
                      help="engage the flow-control substrate "
                           "(admission control + credit backpressure "
@@ -622,10 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="inject an instance crash, e.g. "
                                "sift@4.0 (repeatable; failures are "
                                "then discovered by heartbeat)")
-    mobility.add_argument("--no-feature-cache", action="store_true",
-                          help="disable the content-addressed "
-                               "feature cache (bit-identical "
-                               "results)")
 
     campaign = sub.add_parser(
         "campaign", help="run a replicated experiment grid")
@@ -643,18 +614,11 @@ def build_parser() -> argparse.ArgumentParser:
                                "results are bit-identical either way")
     campaign.add_argument("--verbose", action="store_true",
                           help="print per-task progress lines")
-    campaign.add_argument("--no-feature-cache", action="store_true",
-                          help="disable the content-addressed feature "
-                               "cache in this process and all worker "
-                               "processes (bit-identical results)")
     campaign.add_argument("--cache", action="store_true",
                           help="enable the content-addressed campaign "
                                "cell cache: re-runs replay unchanged "
                                "cells byte-identically and compute "
                                "only new/changed ones")
-    campaign.add_argument("--no-cache", action="store_true",
-                          help="force the cell cache off (overrides "
-                               "--cache/--cache-dir)")
     campaign.add_argument("--cache-dir", default=None,
                           help="cell-cache directory (implies --cache; "
                                "default .repro-cell-cache)")
@@ -678,9 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     capacity.add_argument("--compare", action="store_true",
                           help="probe both arms (flow off, then on) "
                                "and report the capacity gain")
-    capacity.add_argument("--no-feature-cache", action="store_true",
-                          help="disable the feature cache "
-                               "(bit-identical results)")
 
     optimize = sub.add_parser(
         "optimize",

@@ -20,16 +20,12 @@ from repro.experiments.parallel import (
     effective_workers,
     plan_tasks,
     run_tasks,
-    shard_tasks,
     shutdown_pool,
     warm_pool,
 )
 from repro.experiments.repetition import (
     ReplicatedMetric,
     aggregate_summaries,
-    replicate,
-    replicate_experiment,
-    significantly_better,
 )
 from repro.experiments.runner import (
     ExperimentResult,
@@ -39,8 +35,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.store import (
     ResultStore,
-    diff_results,
-    regressions,
     summarize_result,
 )
 
@@ -57,16 +51,10 @@ __all__ = [
     "ResultStore",
     "TaskOutcome",
     "aggregate_summaries",
-    "diff_results",
     "plan_tasks",
-    "regressions",
-    "replicate",
-    "replicate_experiment",
     "run_experiment",
     "run_tasks",
-    "shard_tasks",
     "shutdown_pool",
-    "significantly_better",
     "summarize_result",
     "task_fingerprint",
     "warm_pool",

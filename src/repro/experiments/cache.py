@@ -41,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.metrics.summary import CacheStats
 
@@ -128,12 +128,10 @@ class CampaignCellCache:
     """
 
     def __init__(self, directory: PathLike, *,
-                 code_root: Optional[PathLike] = None,
-                 enabled: bool = True):
+                 code_root: Optional[PathLike] = None):
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.code_root = code_root
-        self.enabled = enabled
         self._hits = 0
         self._misses = 0
         self._insertions = 0
@@ -157,9 +155,6 @@ class CampaignCellCache:
         miss: it is counted, unlinked best-effort, and recomputed —
         never an exception and never a partial summary.
         """
-        if not self.enabled:
-            self._misses += 1
-            return None
         path = self._path(self.key(task))
         try:
             raw = path.read_text()
@@ -191,8 +186,6 @@ class CampaignCellCache:
         offered.  Serialization failures propagate loudly — a summary
         that cannot round-trip through JSON must not be half-cached.
         """
-        if not self.enabled:
-            return None
         if not isinstance(summary, dict):
             raise TypeError(
                 f"cell summaries are dicts, got {type(summary).__name__}")
@@ -214,14 +207,6 @@ class CampaignCellCache:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*.json"))
-
-    def clear(self) -> None:
-        """Drop every entry (counters are preserved)."""
-        for path in self.directory.glob("*.json"):
-            try:
-                path.unlink()
-            except OSError:
-                pass
 
     @property
     def corrupt(self) -> int:
@@ -249,27 +234,3 @@ class CampaignCellCache:
                 "corrupt": self._corrupt,
                 "entries": stats.entries,
                 "size_bytes": stats.size_bytes}
-
-
-def resolve_cell_cache(cache: Union[None, bool, PathLike,
-                                    "CampaignCellCache"],
-                       cache_dir: Optional[PathLike] = None
-                       ) -> Optional["CampaignCellCache"]:
-    """Normalize the ``run_campaign``/CLI cache arguments.
-
-    ``cache`` may be an existing :class:`CampaignCellCache`, ``True``
-    (use ``cache_dir`` or :data:`DEFAULT_CACHE_DIR`), ``False``/
-    ``None`` (disabled unless ``cache_dir`` is given), or a directory
-    path.
-    """
-    if isinstance(cache, CampaignCellCache):
-        return cache
-    if cache is False:
-        return None
-    if cache is None:
-        return (CampaignCellCache(cache_dir)
-                if cache_dir is not None else None)
-    if cache is True:
-        return CampaignCellCache(cache_dir if cache_dir is not None
-                                 else DEFAULT_CACHE_DIR)
-    return CampaignCellCache(cache)

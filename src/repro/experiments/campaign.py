@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.cache import CampaignCellCache, resolve_cell_cache
+from repro.experiments.cache import CampaignCellCache
 from repro.experiments.parallel import (
     CellFailure,
     TaskOutcome,
@@ -186,6 +186,15 @@ class Campaign:
             raise ValueError("duration_s must be positive")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        # A repeated value would plan the same task twice, and run_tasks
+        # refuses the second copy, failing a cell that ran fine.
+        for axis in ("pipelines", "placements", "client_counts", "seeds"):
+            values = getattr(self, axis)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{axis} repeats a value: {list(values)}")
+        if min(self.client_counts) < 1:
+            raise ValueError(f"client_counts must be >= 1, got "
+                             f"{list(self.client_counts)}")
         for name in self.placements:
             resolve_placement(name)  # fail fast on typos
 
@@ -265,26 +274,24 @@ def run_campaign(campaign: Campaign, *,
                  progress: Optional[Callable[[str], None]] = None,
                  workers: Optional[int] = None,
                  task_progress: Optional[Callable[[str], None]] = None,
-                 cache: Union[None, bool, str, CampaignCellCache] = None,
-                 cache_dir: Optional[str] = None
+                 cache: Optional[CampaignCellCache] = None
                  ) -> CampaignReport:
     """Execute every cell of the grid (replicated across seeds).
 
     ``workers=None``/``0`` runs serially in-process; ``workers>=1``
-    runs the (cell, seed) tasks batched on the shared warm worker
-    pool via :mod:`repro.experiments.parallel`.  The two paths are
+    runs the (cell, seed) tasks on the shared warm worker pool via
+    :mod:`repro.experiments.parallel`.  The two paths are
     contractually identical: same metrics, same trace digests (see
     ``tests/test_determinism.py``).  A cell whose runner raises — or
     kills its worker — is recorded in ``report.failures`` and the
     campaign continues.
 
-    ``cache``/``cache_dir`` engage the content-addressed cell cache
+    ``cache`` engages the content-addressed cell cache
     (:mod:`repro.experiments.cache`): re-running a campaign computes
     only tasks whose (config, code) key is new and replays the rest
     byte-identically; ``report.cache`` carries the hit/miss stats.
     """
     store = ResultStore(store_dir) if store_dir else None
-    cell_cache = resolve_cell_cache(cache, cache_dir)
     report = CampaignReport(campaign=campaign)
     announced = set()
 
@@ -296,9 +303,9 @@ def run_campaign(campaign: Campaign, *,
 
     tasks = plan_tasks(campaign)
     outcomes = run_tasks(tasks, workers=workers or 0,
-                         progress=task_progress, cache=cell_cache)
-    if cell_cache is not None:
-        report.cache = cell_cache.report()
+                         progress=task_progress, cache=cache)
+    if cache is not None:
+        report.cache = cache.report()
     by_cell: Dict[Tuple[str, str, int], List[TaskOutcome]] = {}
     for outcome in outcomes:  # plan order ⇒ seeds stay ordered
         by_cell.setdefault(outcome.task.cell, []).append(outcome)

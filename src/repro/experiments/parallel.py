@@ -7,25 +7,19 @@ state and can run in any order on any worker.  This module turns that
 observation into a runner:
 
 * :func:`plan_tasks` enumerates the grid in a canonical order — the
-  single source of truth both the serial and the sharded paths use;
-* :func:`shard_tasks` partitions a plan deterministically
-  (round-robin), so a given ``(plan, workers)`` pair always produces
-  the same shard assignment;
+  single source of truth both the serial and the pooled paths use;
 * :func:`run_tasks` executes a plan either in-process (``workers=0``)
   or across a **warm, persistent** ``ProcessPoolExecutor``
   (``workers>=1``) that survives across calls, so back-to-back
   campaigns in one process pay worker spawn exactly once
   (:func:`warm_pool` / :func:`shutdown_pool` manage it explicitly).
-  Tasks are submitted in *batches* — round-robin chunks of the plan
-  rather than one future per task — and each batch ships its results
-  back as one compact zlib-compressed pickle, collapsing the
-  per-task IPC round-trips that made fine-grained sharding lose to
-  serial execution on small grids.
+  Every pending task is one future on that pool; outcomes are
+  collected as they complete and filed back in plan order.
 
-Crash isolation is unchanged: a task that raises is recorded as a
+Crash isolation: a task that raises is recorded as a
 :class:`CellFailure`, and a task that *kills its worker* (breaking
-the pool) is quarantined — every batch in flight when the pool broke
-is retried task-by-task in fresh solo pools, so only the genuinely
+the pool) is quarantined — every task in flight when the pool broke
+is retried one at a time in fresh solo pools, so only the genuinely
 lethal task is marked failed (and the persistent pool is discarded,
 to be respawned clean on the next call).
 
@@ -37,18 +31,14 @@ failures can never poison the cache.
 
 The determinism contract — same seed ⇒ identical metrics and identical
 :class:`~repro.sim.kernel.TraceDigest` fingerprint regardless of
-worker count, batching, caching, scheduling order, or process
-boundary — is enforced by ``tests/test_determinism.py`` against this
-module.
+worker count, caching, scheduling order, or process boundary — is
+enforced by ``tests/test_determinism.py`` against this module.
 """
 
 from __future__ import annotations
 
-import gc
 import os
-import pickle
 import traceback
-import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -58,14 +48,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 Cell = Tuple[str, str, int]
 
 Progress = Optional[Callable[[str], None]]
-
-#: Target number of submission batches per worker.  >1 so a slow batch
-#: does not leave siblings idle near the end of a campaign; small so a
-#: 24-task grid still needs ~an order of magnitude fewer IPC
-#: round-trips than one-future-per-task (measured best at 2 on both
-#: 1-core and 4-core boxes — see benchmarks/bench_parallel_campaign).
-BATCHES_PER_WORKER = 2
-
 
 @dataclass(frozen=True)
 class CellTask:
@@ -140,19 +122,6 @@ def plan_tasks(campaign, *, seeds: Optional[Sequence[int]] = None
             for seed in seeds]
 
 
-def shard_tasks(tasks: Sequence[CellTask],
-                shards: int) -> List[List[CellTask]]:
-    """Deterministic round-robin partition of a plan.
-
-    Shard *i* receives ``tasks[i::shards]``; every task lands in
-    exactly one shard and the assignment depends only on plan order
-    and shard count — never on timing.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    return [list(tasks[index::shards]) for index in range(shards)]
-
-
 def run_cell_task(task: CellTask) -> Dict:
     """Execute one task hermetically and return its summary dict.
 
@@ -174,50 +143,12 @@ def run_cell_task(task: CellTask) -> Dict:
 
 
 def _execute(task: CellTask) -> Tuple:
-    """Worker entry point: never raises, returns a tagged payload."""
+    """Run one task; never raises, returns a tagged payload."""
     try:
         return ("ok", run_cell_task(task))
     except Exception as exc:
         return ("error", f"{type(exc).__name__}: {exc}",
                 traceback.format_exc())
-
-
-def _execute_batch(tasks: Sequence[CellTask]) -> bytes:
-    """Run a batch of tasks in one worker; ship results compactly.
-
-    The payload list is pickled once and zlib-compressed, so a batch
-    of N cells costs one IPC round-trip and one (small) transfer
-    instead of N — summaries are highly redundant JSON-ish dicts that
-    compress well.  Per-task crash isolation is preserved because
-    :func:`_execute` never raises; only a worker *death* (SIGKILL,
-    OOM) loses the batch, and the quarantine pass re-runs those tasks
-    individually.
-
-    The cyclic GC is deferred for the duration of the batch: simulator
-    cells allocate furiously, and paying thousands of incremental
-    gen-0 scans per task is pure overhead in a disposable worker whose
-    live heap is bounded by one batch.  Refcount reclamation (the bulk
-    of the sim's garbage) is unaffected; a *young-generation* collect
-    between batches frees the batch's cycles without tracing the
-    fork-inherited heap (a full ``gc.collect`` would touch every
-    inherited object and copy-on-write-fault the parent's pages —
-    measurably slower than leaving gc on).
-    """
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        payloads = [_execute(task) for task in tasks]
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-            gc.collect(0)
-    return zlib.compress(
-        pickle.dumps(payloads, protocol=pickle.HIGHEST_PROTOCOL), 1)
-
-
-def _decode_batch(blob: bytes) -> List[Tuple]:
-    return pickle.loads(zlib.decompress(blob))
 
 
 def _outcome(task: CellTask, payload: Tuple, *,
@@ -269,9 +200,7 @@ def effective_workers(workers: int) -> int:
 
     Worker processes beyond the core count cannot add throughput —
     they only add scheduler churn, copy-on-write page duplication and
-    redundant per-process caches, which is how the original
-    one-future-per-task runner managed to *lose* to serial execution
-    (0.83× on a 1-core box).  Requests are therefore capped at
+    redundant per-process caches.  Requests are therefore capped at
     ``os.cpu_count()``.  An *explicitly* warmed pool of exactly the
     requested size overrides the cap (:func:`warm_pool` is operator
     intent — tests use it to force real multi-process fan-out on
@@ -342,44 +271,36 @@ def _quarantine(tasks: List[Tuple[int, CellTask]],
         reporter.report(outcomes[index])
 
 
-def _run_batched(pending: List[Tuple[int, CellTask]], workers: int,
+def _run_on_pool(pending: List[Tuple[int, CellTask]], workers: int,
                  outcomes: Dict[int, TaskOutcome],
                  reporter: _Reporter) -> None:
-    """Execute ``pending`` on the warm pool in round-robin batches."""
-    workers = effective_workers(workers)
-    n_batches = max(1, min(len(pending), workers * BATCHES_PER_WORKER))
-    batches = [pending[offset::n_batches] for offset in range(n_batches)
-               if pending[offset::n_batches]]
-    pool = warm_pool(workers)
+    """Execute ``pending`` on the warm pool, one future per task."""
+    pool = warm_pool(effective_workers(workers))
+    futures = {}
     casualties: List[Tuple[int, CellTask]] = []
     broken = False
     try:
-        futures = {}
-        for batch in batches:
+        for index, task in pending:
             try:
-                future = pool.submit(
-                    _execute_batch, tuple(task for _, task in batch))
+                futures[pool.submit(_execute, task)] = (index, task)
             except BrokenProcessPool:
-                # Pool died between batches: everything not yet
+                # The pool died mid-submission: everything not yet
                 # submitted goes straight to quarantine.
-                casualties.extend(batch)
+                casualties.append((index, task))
                 broken = True
-                continue
-            futures[future] = batch
         for future in as_completed(futures):
-            batch = futures[future]
+            index, task = futures[future]
             try:
-                payloads = _decode_batch(future.result())
+                payload = future.result()
             except BrokenProcessPool:
-                # Either a task in this batch killed its worker or the
-                # batch is collateral damage of another one doing so;
-                # the quarantine pass below tells the two apart.
-                casualties.extend(batch)
+                # Either this task killed its worker or it is
+                # collateral damage of another one doing so; the
+                # quarantine pass below tells the two apart.
+                casualties.append((index, task))
                 broken = True
                 continue
-            for (index, task), payload in zip(batch, payloads):
-                outcomes[index] = _outcome(task, payload)
-                reporter.report(outcomes[index])
+            outcomes[index] = _outcome(task, payload)
+            reporter.report(outcomes[index])
     finally:
         if broken:
             _discard_broken_pool()
@@ -393,7 +314,7 @@ def run_tasks(tasks: Sequence[CellTask], *, workers: int = 0,
     """Execute a plan and return one outcome per task, in plan order.
 
     ``workers=0`` runs every task in-process (serial); ``workers>=1``
-    runs batched on the shared warm pool.  Either way the returned
+    submits each one to the shared warm pool.  Either way the returned
     list is ordered and keyed by the plan, so downstream aggregation
     is independent of completion order.  Duplicate submissions are
     refused: the first occurrence runs, later ones are recorded as
@@ -442,7 +363,7 @@ def run_tasks(tasks: Sequence[CellTask], *, workers: int = 0,
             outcomes[index] = _outcome(task, _execute(task))
             reporter.report(outcomes[index])
     elif pending:
-        _run_batched(pending, workers, outcomes, reporter)
+        _run_on_pool(pending, workers, outcomes, reporter)
 
     if cache is not None:
         # Admission policy: clean, fresh, non-quarantined results only

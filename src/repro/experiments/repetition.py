@@ -1,23 +1,20 @@
 """Seed replication and confidence intervals.
 
 The paper reports single five-minute runs; a careful reproduction
-quantifies run-to-run spread.  :func:`replicate_experiment` re-runs a
-configuration across seeds and aggregates every scalar QoS metric into
-mean ± std with a t-based 95% confidence half-width, and
-:func:`significantly_better` provides the non-overlapping-interval
-check used when claiming one pipeline beats another.
+quantifies run-to-run spread.  A campaign's ``seeds`` replicate every
+cell (:func:`repro.experiments.campaign.run_campaign`), and
+:func:`aggregate_summaries` folds the per-seed summaries of one cell
+into mean ± std with a t-based 95% confidence half-width per scalar
+QoS metric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, Sequence
 
 import numpy as np
 from scipy import stats as scipy_stats
-
-from repro.experiments.runner import ExperimentSpec, run_experiment
-from repro.experiments.store import summarize_result
 
 
 @dataclass(frozen=True)
@@ -44,11 +41,6 @@ class ReplicatedMetric:
             return 0.0
         t_crit = float(scipy_stats.t.ppf(0.975, df=n - 1))
         return t_crit * self.std / np.sqrt(n)
-
-    @property
-    def interval(self) -> tuple:
-        half = self.ci95_halfwidth
-        return (self.mean - half, self.mean + half)
 
     def __str__(self) -> str:
         return (f"{self.name}: {self.mean:.2f} "
@@ -77,33 +69,3 @@ def aggregate_summaries(summaries: Sequence[Dict]
                 name=metric,
                 values=tuple(float(s[metric]) for s in summaries))
     return aggregated
-
-
-def replicate(run_fn: Callable[[int], Dict],
-              seeds: Sequence[int]) -> Dict[str, ReplicatedMetric]:
-    """Run ``run_fn(seed)`` per seed; aggregate its scalar outputs."""
-    if not seeds:
-        raise ValueError("need at least one seed")
-    summaries: List[Dict] = [run_fn(seed) for seed in seeds]
-    return aggregate_summaries(summaries)
-
-
-def replicate_experiment(spec: ExperimentSpec, *,
-                         seeds: Sequence[int] = (0, 1, 2)
-                         ) -> Dict[str, ReplicatedMetric]:
-    """Replicate one experiment across seeds (``spec.seed`` is
-    replaced by each seed in turn)."""
-    def run(seed: int) -> Dict:
-        return summarize_result(run_experiment(replace(spec, seed=seed)))
-
-    return replicate(run, seeds)
-
-
-def significantly_better(better: ReplicatedMetric,
-                         worse: ReplicatedMetric) -> bool:
-    """Whether ``better``'s 95% interval sits wholly above ``worse``'s.
-
-    Non-overlapping intervals are a conservative significance check —
-    suitable for the comparisons the benchmarks make.
-    """
-    return better.interval[0] > worse.interval[1]

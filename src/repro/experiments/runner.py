@@ -141,14 +141,6 @@ class ExperimentResult:
     #: Hex fingerprint of the kernel's event trajectory — the
     #: determinism-contract witness (same seed ⇒ same digest).
     trace_digest: Optional[str] = None
-    #: Feature-cache counters accumulated during this run (dict from
-    #: :meth:`repro.metrics.summary.CacheStats.as_dict`); real
-    #: wall-clock accounting only — never part of the digest contract.
-    feature_cache: Optional[dict] = None
-    #: Per-kernel wall-time attribution accumulated during this run
-    #: (from :class:`repro.metrics.profiling.StageProfiler`); empty
-    #: profiles are reported as None.
-    kernel_profile: Optional[dict] = None
     #: Per-event-kind counts and wall time from the simulator loop
     #: (from :class:`repro.metrics.profiling.EventProfile`); present
     #: only when the run was started with ``profile=True``.  Real
@@ -240,39 +232,6 @@ class ExperimentResult:
                             e2e_ms=self.mean_e2e_ms(),
                             success_rate=self.success_rate(),
                             jitter_ms=self.mean_jitter_ms())
-
-
-class _ComputeScope:
-    """Scopes feature-cache and profiler counters to one experiment.
-
-    Snapshot the process-wide cache/profiler before the run; the
-    deltas afterwards attribute hits/misses and kernel wall time to
-    this experiment even when several runs share the process.
-    """
-
-    def __init__(self):
-        from repro.metrics.profiling import default_profiler
-        from repro.vision.cache import default_feature_cache
-
-        self._cache = default_feature_cache()
-        self._profiler = default_profiler()
-        self._cache_before = self._cache.stats()
-        self._profile_before = self._profiler.snapshot()
-
-    def cache_delta(self) -> Optional[dict]:
-        delta = self._cache.stats().delta(self._cache_before)
-        if delta.lookups == 0 and delta.insertions == 0:
-            return None
-        return delta.as_dict()
-
-    def profile_delta(self) -> Optional[dict]:
-        delta = self._profiler.delta(self._profile_before)
-        if not delta:
-            return None
-        return {name: {"calls": record.calls,
-                       "total_ms": record.total_ms,
-                       "mean_ms": record.mean_ms}
-                for name, record in delta.items()}
 
 
 def build_experiment(spec: ExperimentSpec) -> tuple:
@@ -413,7 +372,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     Sidecar analytics watch every scAtteR++ run with sidecars unless
     chaos or mobility is attached.
     """
-    scope = _ComputeScope()
     sim, testbed, orchestrator, pipeline, clients = build_experiment(spec)
     detector = injector = None
     if spec.plan is not None:
@@ -479,8 +437,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         monitor=orchestrator.monitor, testbed=testbed,
         analytics=analytics, tracer=tracer,
         trace_digest=sim.fingerprint(),
-        feature_cache=scope.cache_delta(),
-        kernel_profile=scope.profile_delta(),
         event_profile=(sim.profile.as_dict() if sim.profile is not None
                        and sim.profile.events else None),
         flow=flow_summary(pipeline, clients, spec.flow))

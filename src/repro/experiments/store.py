@@ -1,10 +1,9 @@
-"""Persisting and comparing experiment results.
+"""Persisting experiment results.
 
-Reproduction work is iterative: recalibrate, re-run, compare.  This
-module serializes an :class:`~repro.experiments.runner.
-ExperimentResult` into a plain-JSON summary, stores collections of
-them, and diffs two runs metric by metric — the regression check a
-maintainer runs before accepting a calibration change.
+This module serializes an :class:`~repro.experiments.runner.
+ExperimentResult` into a plain-JSON summary, which is what a campaign
+cell sends back from a worker process and what the cell cache stores,
+and writes campaign cells to a directory of named JSON files.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ import json
 import os
 import pathlib
 import tempfile
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, Union
 
 PathLike = Union[str, pathlib.Path]
 
@@ -63,12 +61,6 @@ def summarize_result(result) -> Dict:
         "gpu_util": result.machine_gpu_util(),
         "drops": result.drop_counts(),
         "trace_digest": getattr(result, "trace_digest", None),
-        # Wall-clock observability only: cache hit/miss deltas and
-        # kernel stage timings never feed back into simulated time,
-        # so they ride along without touching the determinism
-        # contract (which compares metrics and digests, not these).
-        "feature_cache": getattr(result, "feature_cache", None),
-        "kernel_profile": getattr(result, "kernel_profile", None),
         # Flow-control ledgers (admission/batching/credits counters);
         # None for every run without a flow config.  Carried in the
         # summary so conservation invariants are checkable across the
@@ -122,100 +114,8 @@ class ResultStore:
         payload = json.dumps(summary, indent=2, sort_keys=True)
         return atomic_write_text(self._path(name), payload)
 
-    def merge(self, source: Union["ResultStore", PathLike], *,
-              overwrite: bool = True) -> List[str]:
-        """Fold another store's entries into this one.
-
-        Each entry is re-saved atomically, so merging per-worker shard
-        stores into the campaign store is safe even while workers are
-        still writing.  Returns the names merged (sorted).
-        """
-        other = (source if isinstance(source, ResultStore)
-                 else ResultStore(source))
-        merged: List[str] = []
-        for name in other.names():
-            if not overwrite and self._path(name).exists():
-                continue
-            self.save(name, other.load(name))
-            merged.append(name)
-        return merged
-
     def load(self, name: str) -> Dict:
         path = self._path(name)
         if not path.exists():
             raise KeyError(f"no stored result named {name!r}")
         return json.loads(path.read_text())
-
-    def names(self) -> List[str]:
-        return sorted(path.stem for path in
-                      self.directory.glob("*.json"))
-
-    def delete(self, name: str) -> None:
-        self._path(name).unlink(missing_ok=True)
-
-
-@dataclass(frozen=True)
-class MetricDelta:
-    """One metric's change between two stored runs."""
-
-    metric: str
-    before: float
-    after: float
-
-    @property
-    def absolute(self) -> float:
-        return self.after - self.before
-
-    @property
-    def relative(self) -> Optional[float]:
-        if self.before == 0:
-            return None
-        return self.absolute / self.before
-
-
-#: Top-level scalar metrics compared by :func:`diff_results`.
-SCALAR_METRICS = ("fps", "success_rate", "e2e_ms", "jitter_ms",
-                  "qoe_mos")
-
-
-def diff_results(before: Dict, after: Dict) -> List[MetricDelta]:
-    """Metric-by-metric deltas of two result summaries.
-
-    Includes the scalar QoS metrics plus the per-service latency and
-    memory breakdowns (as dotted metric names).
-    """
-    deltas: List[MetricDelta] = []
-    for metric in SCALAR_METRICS:
-        deltas.append(MetricDelta(metric=metric,
-                                  before=float(before[metric]),
-                                  after=float(after[metric])))
-    for family in ("service_latency_ms", "service_memory_gb"):
-        services = (set(before.get(family, {}))
-                    | set(after.get(family, {})))
-        for service in sorted(services):
-            deltas.append(MetricDelta(
-                metric=f"{family}.{service}",
-                before=float(before.get(family, {}).get(service, 0.0)),
-                after=float(after.get(family, {}).get(service, 0.0))))
-    return deltas
-
-
-def regressions(before: Dict, after: Dict, *,
-                fps_tolerance: float = 0.10,
-                latency_tolerance: float = 0.15) -> List[MetricDelta]:
-    """Deltas that look like QoS regressions.
-
-    FPS / success / QoE falling beyond ``fps_tolerance``, or E2E
-    latency rising beyond ``latency_tolerance``, relative to before.
-    """
-    flagged: List[MetricDelta] = []
-    for delta in diff_results(before, after):
-        relative = delta.relative
-        if relative is None:
-            continue
-        if (delta.metric in ("fps", "success_rate", "qoe_mos")
-                and relative < -fps_tolerance):
-            flagged.append(delta)
-        elif delta.metric == "e2e_ms" and relative > latency_tolerance:
-            flagged.append(delta)
-    return flagged

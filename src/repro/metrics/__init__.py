@@ -12,8 +12,7 @@ read together (insight I):
 """
 
 from repro.metrics.hardware import HardwareMonitor, HardwareSample
-from repro.metrics.profiling import (StageProfiler, StageRecord,
-                                     default_profiler)
+from repro.metrics.profiling import StageProfiler, StageRecord
 from repro.metrics.qos import ClientStats
 from repro.metrics.sketch import PercentileSketch, merge_sketches
 from repro.metrics.summary import (CacheStats, SampleReservoir,
@@ -35,7 +34,6 @@ __all__ = [
     "StageRecord",
     "Summary",
     "build_resilience_report",
-    "default_profiler",
     "energy_summary",
     "merge_sketches",
     "safe_percentile",

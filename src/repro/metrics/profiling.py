@@ -17,14 +17,12 @@ Design constraints:
 * **Deterministic accounting** — counters are plain dicts keyed by
   stage name; two runs of the same workload produce the same call
   counts (durations naturally vary with the host).  Snapshots/deltas
-  mirror :class:`repro.metrics.summary.CacheStats` so the experiment
-  runner can scope measurements per cell.
+  mirror :class:`repro.metrics.summary.CacheStats`.
 * **Near-zero cost when disabled** — the ``stage`` context manager
   short-circuits before touching the clock, so production campaigns
   can leave profiler hooks in place.
-* **No global mutable surprises** — a module-level default profiler
-  exists for convenience (CLI, benchmarks), but every hook accepts an
-  explicit profiler so tests can isolate their measurements.
+* **No global mutable state** — there is no default profiler; every
+  hook takes an explicit one (or none), so measurements are isolated.
 """
 
 from __future__ import annotations
@@ -193,12 +191,3 @@ class EventProfile:
         return {"events": self.events,
                 "total_ms": total_ns / 1e6,
                 "kinds": kinds}
-
-
-#: Shared default used by the CLI and benchmarks; tests should build
-#: their own :class:`StageProfiler` for isolation.
-DEFAULT_PROFILER = StageProfiler()
-
-
-def default_profiler() -> StageProfiler:
-    return DEFAULT_PROFILER

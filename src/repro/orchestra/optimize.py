@@ -47,10 +47,14 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from repro.scatter import config as scatter_config
 from repro.scatter.config import PIPELINE_ORDER, PlacementConfig
+
+if TYPE_CHECKING:
+    from repro.experiments.cache import CampaignCellCache
 
 #: Genome spec strings start with this prefix; everything after it is
 #: the encoded placement.  The grammar is comma-free so specs survive
@@ -276,7 +280,8 @@ class CampaignOracle:
 
     def __init__(self, *, ladder: Tuple[int, ...] = (1, 2, 3, 4),
                  duration_s: float = 4.0, seed: int = 0,
-                 workers: int = 0, cache=None):
+                 workers: int = 0,
+                 cache: Optional[CampaignCellCache] = None):
         if not ladder or list(ladder) != sorted(set(ladder)):
             raise OptimizeError(
                 f"ladder must be strictly increasing, got {ladder}")
@@ -284,12 +289,9 @@ class CampaignOracle:
         self.duration_s = duration_s
         self.seed = seed
         self.workers = workers
-        # Accept a CampaignCellCache, a directory path, or True (same
-        # contract as run_campaign) and hold one resolved instance so
-        # hit/miss counters accumulate across rounds.
-        from repro.experiments.cache import resolve_cell_cache
-
-        self.cache = resolve_cell_cache(cache, None)
+        # One CampaignCellCache (or None) for every round, so hit/miss
+        # counters accumulate across the search.
+        self.cache = cache
 
     def evaluate(self, specs: Sequence[str]
                  ) -> Tuple[Dict[str, Objectives], List[Dict]]:
@@ -452,7 +454,7 @@ class PlacementSearch:
     """Seeded random sampling with Pareto ranking over the archive."""
 
     def __init__(self, config: OptimizeConfig, *, oracle=None,
-                 cache=None):
+                 cache: Optional[CampaignCellCache] = None):
         self.config = config
         self.space = SearchSpace(
             machines=tuple(config.machines),
@@ -525,6 +527,7 @@ class PlacementSearch:
 
 
 def run_search(config: OptimizeConfig, *,
-               cache=None) -> OptimizationReport:
+               cache: Optional[CampaignCellCache] = None
+               ) -> OptimizationReport:
     """Convenience wrapper: build and run one search."""
     return PlacementSearch(config, cache=cache).run()

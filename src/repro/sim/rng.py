@@ -9,7 +9,7 @@ spawning keyed children, which gives high-quality independent streams.
 
 from __future__ import annotations
 
-import zlib
+import binascii
 from typing import Dict
 
 import numpy as np
@@ -30,7 +30,7 @@ class RngRegistry:
         """
         generator = self._streams.get(name)
         if generator is None:
-            key = zlib.crc32(name.encode("utf-8"))
+            key = binascii.crc32(name.encode("utf-8"))
             sequence = np.random.SeedSequence(
                 entropy=self.seed, spawn_key=(key,))
             generator = np.random.default_rng(sequence)

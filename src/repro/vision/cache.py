@@ -30,8 +30,8 @@ entry count and total payload bytes.  Counters are surfaced as
 
 Scoping: campaign workers are separate processes, so each worker owns
 an independent module-level default cache — cells never share hits
-across a process boundary, and per-cell stats are scoped with
-``CacheStats.delta`` snapshots inside the experiment runners.
+across a process boundary.  Stats are read from the cache itself
+(:meth:`FeatureCache.stats`); no cell summary carries them.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ import numpy as np
 
 from repro.metrics.summary import CacheStats
 
-#: Environment switch honoured by :func:`default_feature_cache`; the
-#: CLI flag ``--no-feature-cache`` sets it for worker processes.
+#: Environment switch honoured by :func:`default_feature_cache`; set
+#: before the process starts, worker processes inherit it.
 DISABLE_ENV = "REPRO_NO_FEATURE_CACHE"
 
 
@@ -230,6 +230,6 @@ def default_feature_cache() -> FeatureCache:
 
 
 def reset_default_feature_cache() -> None:
-    """Forget the process-wide cache (tests and CLI runs)."""
+    """Forget the process-wide cache (tests)."""
     global _DEFAULT
     _DEFAULT = None

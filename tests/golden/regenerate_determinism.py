@@ -26,6 +26,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve()
                        .parents[2] / "src"))
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2]))
 
+from repro.experiments.cache import CampaignCellCache  # noqa: E402
 from repro.experiments.campaign import run_campaign  # noqa: E402
 
 from tests.test_determinism import (  # noqa: E402
@@ -43,8 +44,8 @@ from tests.test_determinism import (  # noqa: E402
 def _cached_replay(campaign):
     """Digests of a cold cache-on run, then of a fully-cached rerun."""
     with tempfile.TemporaryDirectory(prefix="regen-cells-") as cells:
-        cold = run_campaign(campaign, cache_dir=cells)
-        warm = run_campaign(campaign, cache_dir=cells)
+        cold = run_campaign(campaign, cache=CampaignCellCache(cells))
+        warm = run_campaign(campaign, cache=CampaignCellCache(cells))
         tasks = len(campaign.cells) * len(campaign.seeds)
         assert warm.cache["hits"] == tasks, "rerun was not fully cached"
         return _digest_map(cold), _digest_map(warm)

@@ -34,6 +34,21 @@ def test_campaign_validation():
         tiny_campaign(seeds=())
 
 
+@pytest.mark.parametrize("axis,values", [
+    ("pipelines", ("scatter", "scatter")),
+    ("placements", ("C1", "C1")),
+    ("client_counts", (1, 1)),
+    ("client_counts", (0, 1)),
+    ("seeds", (0, 0)),
+])
+def test_campaign_refuses_bad_axis_values(axis, values):
+    """A repeated value would plan a task twice, and the runner's
+    duplicate refusal would fail a cell that ran fine; a client count
+    below 1 has no client to run."""
+    with pytest.raises(ValueError, match=axis):
+        tiny_campaign(**{axis: values})
+
+
 def test_resolve_placement_variants():
     assert resolve_placement("C12").name == "C12"
     assert resolve_placement("cloud").name == "cloud"

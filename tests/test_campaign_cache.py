@@ -23,7 +23,6 @@ from repro.experiments.cache import (
     CampaignCellCache,
     code_fingerprint,
     reset_code_fingerprint_cache,
-    resolve_cell_cache,
     task_fingerprint,
 )
 from repro.experiments.campaign import Campaign, run_campaign
@@ -153,7 +152,7 @@ def test_source_edit_invalidates_cached_cells(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Round trip, stats, resolver
+# Round trip and stats
 # ----------------------------------------------------------------------
 def test_round_trip_returns_exactly_the_stored_summary(cache):
     summary = {"fps": 29.5, "trace_digest": "abc",
@@ -167,29 +166,9 @@ def test_round_trip_returns_exactly_the_stored_summary(cache):
     assert report["entries"] == 1 and report["corrupt"] == 0
 
 
-def test_disabled_cache_never_reads_or_writes(tmp_path):
-    cache = CampaignCellCache(tmp_path / "cells", enabled=False)
-    assert cache.put(make_task(), {"fps": 1.0}) is None
-    assert cache.get(make_task()) is None
-    assert len(cache) == 0
-
-
 def test_put_rejects_non_dict_summaries(cache):
     with pytest.raises(TypeError):
         cache.put(make_task(), [1, 2, 3])
-
-
-def test_resolve_cell_cache_normalizes_arguments(tmp_path, cache):
-    assert resolve_cell_cache(None) is None
-    assert resolve_cell_cache(False, tmp_path / "x") is None
-    assert resolve_cell_cache(cache) is cache
-    by_dir = resolve_cell_cache(None, tmp_path / "a")
-    assert isinstance(by_dir, CampaignCellCache)
-    assert by_dir.directory == tmp_path / "a"
-    by_flag = resolve_cell_cache(True, tmp_path / "b")
-    assert by_flag.directory == tmp_path / "b"
-    by_path = resolve_cell_cache(tmp_path / "c")
-    assert by_path.directory == tmp_path / "c"
 
 
 # ----------------------------------------------------------------------
@@ -210,9 +189,9 @@ def test_raising_cells_are_never_cached(monkeypatch, cache):
 
 @requires_fork
 def test_quarantined_cells_are_never_cached(monkeypatch, cache):
-    """A SIGKILL breaks the batch; quarantine retries the casualties.
-    Neither the lethal task nor its quarantine-recovered batchmates
-    may be admitted — recovery under a broken pool is not a clean run."""
+    """A SIGKILL breaks the pool; quarantine retries the casualties.
+    Neither the lethal task nor the tasks recovered in quarantine may
+    be admitted — recovery under a broken pool is not a clean run."""
     monkeypatch.setitem(campaign_mod.RUNNERS, "scatter",
                         killer_runner)
     tasks = plan_tasks(Campaign(
@@ -324,11 +303,13 @@ def test_campaign_rerun_replays_from_cache(monkeypatch, tmp_path):
                         duration_s=1.0, seeds=(0, 1))
     tasks = len(campaign.cells) * len(campaign.seeds)
 
-    cold = run_campaign(campaign, cache_dir=str(tmp_path / "cells"))
+    cold = run_campaign(campaign,
+                        cache=CampaignCellCache(tmp_path / "cells"))
     assert cold.cache["misses"] == tasks
     assert cold.cache["stored"] == tasks
 
-    warm = run_campaign(campaign, cache_dir=str(tmp_path / "cells"))
+    warm = run_campaign(campaign,
+                        cache=CampaignCellCache(tmp_path / "cells"))
     assert warm.cache["hits"] == tasks
     assert warm.cache["misses"] == 0
     assert warm.cache["stored"] == 0

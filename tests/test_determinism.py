@@ -30,6 +30,7 @@ import pathlib
 
 import pytest
 
+from repro.experiments.cache import CampaignCellCache
 from repro.experiments.campaign import PRESETS, Campaign, run_campaign
 from repro.experiments.runner import (ExperimentSpec, MobilitySpec,
                                       run_experiment)
@@ -103,11 +104,10 @@ def runner_cells():
 
 
 def runner_cell_digests(key):
-    """Trace digest plus a digest of the stored summary (wall-clock
-    fields dropped, the chaos report added) of one runner cell."""
+    """Trace digest plus a digest of the stored summary (the chaos
+    report added) of one runner cell."""
     result = runner_cells()[key]()
     summary = summarize_result(result)
-    del summary["feature_cache"], summary["kernel_profile"]
     if result.resilience is not None:
         summary["resilience"] = dataclasses.asdict(result.resilience)
     text = json.dumps(summary, sort_keys=True, default=repr)
@@ -209,12 +209,11 @@ def test_cached_rerun_matches_serial_and_golden(serial_report,
     """Three-way contract: a cold cache-on run and a fully-cached
     rerun both reproduce the uncached serial digests and metrics
     exactly, at every worker count, and still match the goldens."""
-    cache_dir = str(tmp_path / "cells")
     tasks = (len(CONTRACT_CAMPAIGN.cells)
              * len(CONTRACT_CAMPAIGN.seeds))
 
     cold = run_campaign(CONTRACT_CAMPAIGN, workers=workers,
-                        cache_dir=cache_dir)
+                        cache=CampaignCellCache(tmp_path / "cells"))
     assert not cold.failures
     assert cold.cache["misses"] == tasks
     assert cold.cache["stored"] == tasks
@@ -223,7 +222,7 @@ def test_cached_rerun_matches_serial_and_golden(serial_report,
     assert _metric_map(cold) == _metric_map(serial_report)
 
     warm = run_campaign(CONTRACT_CAMPAIGN, workers=workers,
-                        cache_dir=cache_dir)
+                        cache=CampaignCellCache(tmp_path / "cells"))
     assert not warm.failures
     assert warm.cache["hits"] == tasks
     assert warm.cache["misses"] == 0

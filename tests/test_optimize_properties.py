@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.cache import CampaignCellCache
 from repro.orchestra.optimize import (Genome, Objectives,
                                       OptimizeConfig, PlacementSearch,
                                       SearchSpace, dominates,
@@ -211,10 +212,10 @@ def test_workers_zero_and_four_identical_front():
 
 def test_cell_cache_dedups_across_runs(tmp_path):
     config = OptimizeConfig(seed=7, **TINY)
-    cold = run_search(config, cache=str(tmp_path))
+    cold = run_search(config, cache=CampaignCellCache(tmp_path))
     assert cold.cache["misses"] == len(cold.oracle_calls)
     assert cold.cache["hits"] == 0
-    warm = run_search(config, cache=str(tmp_path))
+    warm = run_search(config, cache=CampaignCellCache(tmp_path))
     assert warm.cache["misses"] == 0
     assert warm.cache["hits"] == len(warm.oracle_calls)
     assert warm.front == cold.front

@@ -25,7 +25,6 @@ from repro.experiments.parallel import (
     CellTask,
     plan_tasks,
     run_tasks,
-    shard_tasks,
     shutdown_pool,
     warm_pool,
 )
@@ -83,7 +82,7 @@ def fake_pipeline(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Plan / shard determinism
+# Plan determinism
 # ----------------------------------------------------------------------
 def test_plan_tasks_canonical_order():
     campaign = tiny_campaign()
@@ -92,18 +91,6 @@ def test_plan_tasks_canonical_order():
         "scatter/C1/1c/seed0", "scatter/C1/1c/seed1",
         "scatter/C2/1c/seed0", "scatter/C2/1c/seed1"]
     assert plan_tasks(campaign) == tasks  # stable
-
-
-def test_shard_tasks_partitions_deterministically():
-    tasks = plan_tasks(tiny_campaign(client_counts=(1, 2, 3)))
-    shards = shard_tasks(tasks, 4)
-    assert len(shards) == 4
-    flattened = [task for shard in shards for task in shard]
-    assert sorted(flattened, key=str) == sorted(tasks, key=str)
-    assert shards == shard_tasks(tasks, 4)  # timing-independent
-    assert shards[0] == tasks[0::4]
-    with pytest.raises(ValueError):
-        shard_tasks(tasks, 0)
 
 
 def test_run_tasks_rejects_negative_workers():
@@ -180,11 +167,11 @@ def test_killed_worker_marked_lost_others_survive(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Batched submission on the warm pool
+# Per-task submission on the warm pool
 # ----------------------------------------------------------------------
-def test_batched_submission_preserves_plan_order(fake_pipeline):
-    """Round-robin batching must not reorder outcomes: position i of
-    the result always belongs to task i of the plan."""
+def test_per_task_submission_preserves_plan_order(fake_pipeline):
+    """Completion order must not reorder outcomes: position i of the
+    result always belongs to task i of the plan."""
     campaign = tiny_campaign(placements=("C2", "C1"),
                              client_counts=(1, 2, 3), seeds=(0, 1))
     tasks = plan_tasks(campaign)
@@ -197,17 +184,18 @@ def test_batched_submission_preserves_plan_order(fake_pipeline):
         f"digest-{t.placement}-{t.clients}c-s{t.seed}" for t in tasks]
 
 
-def test_sigkill_in_batch_quarantines_only_the_lethal_tasks(
+def test_sigkill_on_the_pool_quarantines_only_the_lethal_tasks(
         monkeypatch):
-    """A SIGKILL takes down its whole batch, but quarantine retries the
-    casualties one at a time: healthy batchmates still produce results
-    and only the lethal tasks end up ``worker-lost``."""
+    """A SIGKILL breaks the pool and fails every future in flight, but
+    quarantine retries the casualties one at a time: healthy tasks
+    still produce results and only the lethal tasks end up
+    ``worker-lost``."""
     monkeypatch.setitem(campaign_mod.RUNNERS, "scatter",
                         killer_runner)
     campaign = tiny_campaign(placements=("C2", "C1"),
                              client_counts=(1, 2, 3), seeds=(0,))
     tasks = plan_tasks(campaign)
-    warm_pool(2)  # 6 tasks across 4 batches: killers share batches
+    warm_pool(2)  # 6 tasks on 2 workers: killers and healthy in flight
     outcomes = run_tasks(tasks, workers=2)
     assert [outcome.task for outcome in outcomes] == tasks
     for outcome in outcomes:

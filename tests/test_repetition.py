@@ -1,15 +1,27 @@
-"""Tests for seed replication and confidence intervals."""
+"""Tests for seed replication and confidence intervals.
+
+A campaign's ``seeds`` are the replication path: ``run_campaign`` runs
+every cell once per seed and aggregates the per-seed summaries into
+:class:`ReplicatedMetric`\\ s.
+"""
 
 import pytest
 
+from repro.experiments import campaign as campaign_mod
+from repro.experiments.campaign import Campaign, run_campaign
 from repro.experiments.repetition import (
     ReplicatedMetric,
-    replicate,
-    replicate_experiment,
-    significantly_better,
+    aggregate_summaries,
 )
-from repro.experiments.runner import ExperimentSpec
-from repro.scatter.config import baseline_configs
+
+
+def replicated_cell(pipeline, clients, duration_s, *, seeds=(0, 1, 2)):
+    """The replicated metrics of one C1 cell across ``seeds``."""
+    report = run_campaign(Campaign(
+        name="replication", pipelines=(pipeline,), placements=("C1",),
+        client_counts=(clients,), duration_s=duration_s, seeds=seeds))
+    assert not report.failures
+    return report.cells[(pipeline, "C1", clients)]
 
 
 def test_replicated_metric_statistics():
@@ -17,15 +29,13 @@ def test_replicated_metric_statistics():
     assert metric.mean == pytest.approx(12.0)
     assert metric.std == pytest.approx(2.0)
     assert metric.ci95_halfwidth > 0
-    low, high = metric.interval
-    assert low < 12.0 < high
 
 
 def test_single_value_has_zero_interval():
     metric = ReplicatedMetric("fps", (10.0,))
+    assert metric.mean == 10.0
     assert metric.std == 0.0
     assert metric.ci95_halfwidth == 0.0
-    assert metric.interval == (10.0, 10.0)
 
 
 def test_identical_values_zero_spread():
@@ -34,40 +44,31 @@ def test_identical_values_zero_spread():
     assert metric.ci95_halfwidth == 0.0
 
 
-def test_significantly_better_logic():
-    high = ReplicatedMetric("fps", (20.0, 21.0, 22.0))
-    low = ReplicatedMetric("fps", (10.0, 11.0, 12.0))
-    touching = ReplicatedMetric("fps", (18.0, 21.0, 24.0))
-    assert significantly_better(high, low)
-    assert not significantly_better(low, high)
-    assert not significantly_better(touching, high)
-
-
 def test_replicate_validation():
     with pytest.raises(ValueError):
-        replicate(lambda seed: {}, seeds=())
+        aggregate_summaries([])
+    with pytest.raises(ValueError):
+        Campaign(name="replication", seeds=())
 
 
-def test_replicate_runs_all_seeds():
+def test_replicate_runs_all_seeds(monkeypatch):
     seen = []
 
-    def fake_run(seed):
+    def fake_runner(placement, *, num_clients, duration_s, seed):
         seen.append(seed)
         return {"fps": 10.0 + seed, "success_rate": 0.5,
                 "e2e_ms": 40.0, "jitter_ms": 2.0, "qoe_mos": 3.0}
 
-    metrics = replicate(fake_run, seeds=(1, 2, 3))
+    monkeypatch.setitem(campaign_mod.RUNNERS, "scatter", fake_runner)
+    metrics = replicated_cell("scatter", 1, 1.0, seeds=(1, 2, 3))
     assert seen == [1, 2, 3]
     assert metrics["fps"].values == (11.0, 12.0, 13.0)
     assert set(metrics) == {"fps", "success_rate", "e2e_ms",
                             "jitter_ms", "qoe_mos"}
 
 
-def test_replicate_experiment_end_to_end():
-    metrics = replicate_experiment(ExperimentSpec(
-        baseline_configs()["C1"], num_clients=2, duration_s=6.0),
-        seeds=(0, 1, 2))
-    fps = metrics["fps"]
+def test_campaign_seeds_vary_fps_end_to_end():
+    fps = replicated_cell("scatter", 2, 6.0)["fps"]
     assert len(fps.values) == 3
     assert fps.mean > 0
     # Different seeds produce different (but nearby) outcomes.
@@ -76,12 +77,9 @@ def test_replicate_experiment_end_to_end():
 
 
 def test_scatterpp_significantly_beats_scatter():
-    """The headline claim survives seed variation."""
-    seeds = (0, 1, 2)
-    scatter = replicate_experiment(ExperimentSpec(
-        baseline_configs()["C1"], num_clients=4, duration_s=8.0),
-        seeds=seeds)
-    scatterpp = replicate_experiment(ExperimentSpec(
-        baseline_configs()["C1"], num_clients=4, duration_s=8.0,
-        scatterpp=True), seeds=seeds)
-    assert significantly_better(scatterpp["fps"], scatter["fps"])
+    """The headline claim survives seed variation: scAtteR++'s 95%
+    interval sits wholly above scAtteR's."""
+    scatter = replicated_cell("scatter", 4, 8.0)["fps"]
+    scatterpp = replicated_cell("scatterpp", 4, 8.0)["fps"]
+    assert (scatterpp.mean - scatterpp.ci95_halfwidth
+            > scatter.mean + scatter.ci95_halfwidth)
