@@ -221,6 +221,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         ["E2E latency (ms)", result.mean_e2e_ms()],
         ["jitter (ms)", result.mean_jitter_ms()],
         ["estimated QoE (MOS 1-5)", result.qoe().mos],
+        ["trace digest", result.trace_digest],
+        ["outcome digest", result.outcome_digest()],
     ]))
     print()
     print(format_table(

@@ -13,8 +13,9 @@ Definitions follow §3.2:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -234,3 +235,33 @@ class ClientStats:
         for t in arrivals:
             series[int((t - start) / bucket_s)] += 1
         return [count / bucket_s for count in series]
+
+
+def outcome_digest(clients: Iterable[ClientStats], tracer=None) -> str:
+    """Hex fingerprint of every frame's fate, blind to event bookkeeping.
+
+    Folds, per client and frame (in frame-number order), the send time
+    and the frame's outcome: received or degraded at a time, paced at
+    a time, lost with a reason, or none of these (unanswered).  With a
+    :class:`~repro.metrics.tracing.Tracer` it also folds every span of
+    the frame — stage, kind, instance, start and end — and its
+    delivery time.  Unlike the kernel's trace digest it does not hash
+    event sequence numbers, so a change that only removes
+    same-instant bookkeeping events keeps it, while any change to when
+    or where a frame was served, or how it ended, moves it.
+    """
+    digest = hashlib.blake2b(digest_size=16)
+    for stats in clients:
+        for frame in sorted(stats.sent):
+            fate = (stats.client_id, frame, stats.sent[frame],
+                    stats.received.get(frame), stats.degraded.get(frame),
+                    stats.paced.get(frame), stats.lost.get(frame))
+            trace = (tracer.trace((stats.client_id, frame))
+                     if tracer is not None else None)
+            if trace is not None:
+                fate += (trace.delivered_s, [
+                    (span.name, span.kind, span.instance, span.start_s,
+                     span.end_s) for span in trace.spans])
+            digest.update(repr(fate).encode())
+            digest.update(b"\n")
+    return digest.hexdigest()

@@ -11,10 +11,16 @@ golden file cannot paper over), then replays it a third time through
 the content-addressed cell cache (refusing to write if the cached
 replay disagrees — a golden regenerated past a broken cache would pin
 the wrong digests), and rewrites
-``tests/golden/determinism_digests.json``.  It then replays the runner
-cells (one per mode the campaigns never reach) in-process and on two
-worker processes, refusing to write if they disagree, and rewrites
+``tests/golden/determinism_digests.json``: the trace digests under
+``digests``, and beside them each cell's trace-free summary digest and
+outcome digest.  It then replays the runner cells (one per mode the
+campaigns never reach) in-process and on two worker processes,
+refusing to write if they disagree, and rewrites
 ``tests/golden/runner_digests.json``.
+
+A change meant to remove events without moving a frame regenerates
+only trace digests: ``git diff tests/golden`` must then show no
+``summary_digest``/``outcome_digest`` line moving.
 """
 
 import json
@@ -37,6 +43,7 @@ from tests.test_determinism import (  # noqa: E402
     RUNNER_CELL_S,
     RUNNER_GOLDEN_PATH,
     _digest_map,
+    campaign_cell_digests,
     replay_runner_cells,
 )
 
@@ -69,7 +76,8 @@ def _regenerate(campaign, path) -> bool:
     path.write_text(json.dumps(
         {"campaign": campaign.name,
          "duration_s": campaign.duration_s,
-         "digests": first}, indent=2, sort_keys=True) + "\n")
+         "digests": first, **campaign_cell_digests(campaign)},
+        indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(first)} digests to {path}")
     return True
 

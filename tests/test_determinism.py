@@ -31,7 +31,8 @@ import pathlib
 import pytest
 
 from repro.experiments.cache import CampaignCellCache
-from repro.experiments.campaign import PRESETS, Campaign, run_campaign
+from repro.experiments.campaign import (PRESETS, RUNNERS, Campaign,
+                                        resolve_placement, run_campaign)
 from repro.experiments.runner import (ExperimentSpec, MobilitySpec,
                                       run_experiment)
 from repro.experiments.store import summarize_result
@@ -103,17 +104,42 @@ def runner_cells():
     }
 
 
+def summary_digest(summary):
+    """Digest of a stored summary without its trace digest: the
+    statistics alone, so a change that only adds or removes events
+    keeps it while any moved statistic moves it."""
+    text = json.dumps({key: value for key, value in summary.items()
+                       if key != "trace_digest"},
+                      sort_keys=True, default=repr)
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+
 def runner_cell_digests(key):
-    """Trace digest plus a digest of the stored summary (the chaos
-    report added) of one runner cell."""
+    """Trace digest, trace-free summary digest (the chaos report
+    added) and outcome digest of one runner cell."""
     result = runner_cells()[key]()
     summary = summarize_result(result)
     if result.resilience is not None:
         summary["resilience"] = dataclasses.asdict(result.resilience)
-    text = json.dumps(summary, sort_keys=True, default=repr)
     return {"trace_digest": result.trace_digest,
-            "summary_digest": hashlib.blake2b(
-                text.encode(), digest_size=16).hexdigest()}
+            "summary_digest": summary_digest(summary),
+            "outcome_digest": result.outcome_digest()}
+
+
+def campaign_cell_digests(campaign):
+    """Trace-free summary and outcome digests of every cell of
+    ``campaign``, each run in-process the way a campaign worker runs
+    it, keyed like the golden ``digests`` map."""
+    summaries, outcomes = {}, {}
+    for pipeline, placement, clients in campaign.cells:
+        for seed in campaign.seeds:
+            result = RUNNERS[pipeline](
+                resolve_placement(placement), num_clients=clients,
+                duration_s=campaign.duration_s, seed=seed)
+            key = f"{pipeline}/{placement}/{clients}c/seed{seed}"
+            summaries[key] = summary_digest(summarize_result(result))
+            outcomes[key] = result.outcome_digest()
+    return {"summary_digests": summaries, "outcome_digests": outcomes}
 
 
 def replay_runner_cells(workers=0):
@@ -300,6 +326,21 @@ def test_flow_on_digests_match_committed_golden_file(flow_report):
         "substrate's determinism has been broken.")
 
 
+@pytest.mark.parametrize("campaign,path", [
+    (CONTRACT_CAMPAIGN, GOLDEN_PATH), (FLOW_CAMPAIGN, FLOW_GOLDEN_PATH)],
+    ids=["determinism", "determinism-flow"])
+def test_campaign_cells_match_golden_summary_and_outcome_digests(
+        campaign, path):
+    """Every contract cell's statistics and per-frame fates are pinned
+    apart from its event trajectory: a change that only removes
+    bookkeeping events moves the trace digests and nothing here."""
+    golden = json.loads(path.read_text())
+    digests = campaign_cell_digests(campaign)
+    assert digests == {name: golden[name] for name in digests}, (
+        f"Summary or outcome digests drifted from {path.name}: a "
+        "statistic or a frame's fate changed.")
+
+
 def test_flow_on_walks_a_different_trajectory(flow_report,
                                               serial_report):
     """Flow on really engages: its digests differ from flow off."""
@@ -353,7 +394,7 @@ def test_optimize_oracle_cells_replay_flow_goldens():
                          tuple(dict.fromkeys((0,) + _worker_counts())))
 def test_runner_cells_match_committed_golden_file(workers):
     """Ramp, mobility, chaos and cohort cells replay their pinned
-    trace and summary digests, in-process and across worker
+    trace, summary and outcome digests, in-process and across worker
     processes."""
     golden = json.loads(RUNNER_GOLDEN_PATH.read_text())
     assert golden["duration_s"] == RUNNER_CELL_S

@@ -317,6 +317,46 @@ def test_client_stats_fps_series_validation():
         ClientStats(client_id=0).fps_series(bucket_s=0.0)
 
 
+def _fates(received_at=0.05, lost_reason="retry-exhausted"):
+    stats = ClientStats(client_id=3)
+    for frame in range(4):
+        stats.record_sent(frame, frame / 30.0)
+    stats.record_received(0, received_at)
+    stats.record_degraded(1, 0.09)
+    stats.record_paced(2, 0.07)
+    stats.record_lost(3, lost_reason)
+    return stats
+
+
+def _traced(instance="e1:6001", end_s=0.04):
+    from repro.metrics.tracing import Tracer
+
+    tracer = Tracer()
+    tracer.record_span((3, 0), 0.0, name="sift", kind="service",
+                       instance=instance, start_s=0.01, end_s=end_s)
+    tracer.record_delivery((3, 0), 0.0, 0.05)
+    return tracer
+
+
+def test_outcome_digest_is_stable_and_moves_with_any_fate():
+    from repro.metrics.qos import outcome_digest
+
+    base = outcome_digest([_fates()])
+    assert outcome_digest([_fates()]) == base
+    assert len(base) == 32
+    assert outcome_digest([_fates(received_at=0.06)]) != base
+    assert outcome_digest([_fates(lost_reason="no-fallback")]) != base
+    unanswered = _fates()
+    del unanswered.lost[3]
+    assert outcome_digest([unanswered]) != base
+    # Spans count only when a tracer is given, and every field counts.
+    traced = outcome_digest([_fates()], _traced())
+    assert traced != base
+    assert outcome_digest([_fates()], _traced()) == traced
+    assert outcome_digest([_fates()], _traced(instance="e2:6001")) != traced
+    assert outcome_digest([_fates()], _traced(end_s=0.03)) != traced
+
+
 # ----------------------------------------------------------------------
 # HardwareMonitor
 # ----------------------------------------------------------------------
