@@ -69,6 +69,10 @@ class Orchestrator:
         #: accounting — can still see instances that are no longer in
         #: the live replica set.
         self._retired: Dict[str, List[StreamService]] = {}
+        #: Distributed tracer (see repro.metrics.tracing) handed to
+        #: every replica deployed from now on — watchdog, failure
+        #: detector and handover deploys included.
+        self.tracer = None
 
     # ------------------------------------------------------------------
     # Deployment
@@ -113,6 +117,7 @@ class Orchestrator:
         address = Address(machine.name, self._next_port)
         self._next_port += 1
         instance = factory(sla, machine, address)
+        instance.tracer = self.tracer
         instance.start()
         self.monitor.watch(instance.container)
         self._instances.setdefault(sla.service, []).append(instance)

@@ -1,5 +1,7 @@
 """Tests for per-frame distributed tracing."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.runner import ExperimentSpec, run_experiment
@@ -119,6 +121,29 @@ def test_scatterpp_traces_include_queue_spans():
         services = {span.name for span in trace.spans
                     if span.kind == "service"}
         assert services == set(PIPELINE_ORDER)
+
+
+def test_replicas_deployed_mid_run_are_traced():
+    """The sift replica the failure detector deploys after a crash
+    records spans like the ones alive at start: every delivered frame
+    carries a service span for all five stages, and tracing still
+    leaves the trajectory alone."""
+    from repro.chaos.faults import FaultPlan, InstanceCrash
+
+    spec = ExperimentSpec(
+        baseline_configs()["C2"], num_clients=1, duration_s=6.0, seed=0,
+        scatterpp=True, tracing=True,
+        plan=FaultPlan(faults=[InstanceCrash(at_s=0.5, service="sift")]))
+    traced = run_experiment(spec)
+    assert traced.pipeline.orchestrator.redeploy_count >= 1
+    completed = traced.tracer.completed_traces()
+    assert len(completed) >= 50
+    for trace in completed:
+        services = {span.name for span in trace.spans
+                    if span.kind == "service"}
+        assert services == set(PIPELINE_ORDER), trace.key
+    plain = run_experiment(dataclasses.replace(spec, tracing=False))
+    assert traced.trace_digest == plain.trace_digest
 
 
 def test_tracing_off_by_default():
