@@ -84,7 +84,10 @@ class GpuDevice:
         """
         if not 0.0 < intensity <= 1.0:
             raise ValueError(f"intensity must be in (0, 1], got {intensity}")
-        yield self.slot.acquire()
+        # A free slot is taken on the spot: waiting for a grant that is
+        # already given would only add two events at this instant.
+        if not self.slot.try_acquire():
+            yield self.slot.acquire()
         self.meter.add(intensity)
         try:
             yield self.sim.timeout(self.scaled_time(base_time_s))

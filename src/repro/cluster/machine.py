@@ -57,7 +57,8 @@ class Machine:
 
     def execute_cpu(self, base_time_s: float):
         """Process generator: hold one CPU core for a scaled duration."""
-        yield self.cpu.acquire()
+        if not self.cpu.try_acquire():  # a free core is taken at once
+            yield self.cpu.acquire()
         self.cpu_meter.add(1.0)
         try:
             yield self.sim.timeout(base_time_s * self.cpu_factor)
