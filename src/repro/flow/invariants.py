@@ -54,7 +54,6 @@ class SidecarLedger:
     detach_refused: int
     dispatched: int
     dropped_stale: int
-    dispatch_failed: int
     detach_drained: int
     pending: int
     in_flight: int
@@ -69,8 +68,7 @@ class SidecarLedger:
     def exits(self) -> int:
         """Admitted frames that have left (or still occupy) the queue."""
         return (self.dispatched + self.dropped_stale
-                + self.dispatch_failed + self.detach_drained
-                + self.pending + self.in_flight)
+                + self.detach_drained + self.pending + self.in_flight)
 
     @property
     def balance(self) -> int:
@@ -97,7 +95,6 @@ def sidecar_ledger(service) -> SidecarLedger:
         detach_refused=stats.detach_refused,
         dispatched=stats.dispatched,
         dropped_stale=stats.dropped_stale,
-        dispatch_failed=stats.dispatch_failed,
         detach_drained=stats.dropped_detach - stats.detach_refused,
         pending=sidecar.depth,
         in_flight=sidecar.in_flight)

@@ -5,8 +5,8 @@ through full scAtteR++ deployments and audits four invariants after
 every run:
 
 * **conservation** — every sidecar's ledger balances exactly:
-  ``enqueued == dispatched + dropped_stale + dispatch_failed +
-  detach_drained + pending + in_flight`` (and arrivals partition into
+  ``enqueued == dispatched + dropped_stale + detach_drained +
+  pending + in_flight`` (and arrivals partition into
   enqueued/rejected/overflow/refused);
 * **per-client FIFO** — at any one sidecar, a client's frames are
   taken off the queue in the order they entered it;
