@@ -66,29 +66,3 @@ class FrameRecord:
     def age_s(self, now: float) -> float:
         """Time since client capture — what the sidecar thresholds on."""
         return now - self.created_s
-
-
-@dataclass
-class FrameBatch:
-    """Several frames handed to a service in one batched dispatch.
-
-    Built by the sidecar when flow control enables batched dispatch
-    (``batch_max > 1`` and at least two fresh frames were queued); a
-    singleton hand-off always ships the bare :class:`FrameRecord`, so
-    the legacy wire format — and the flow-off event trajectory — is
-    untouched.
-    """
-
-    records: list
-
-    def __post_init__(self) -> None:
-        if len(self.records) < 2:
-            raise ValueError(
-                f"a batch needs >= 2 records, got {len(self.records)}")
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def size_bytes(self) -> int:
-        return sum(record.size_bytes for record in self.records)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.dsp.record import FrameBatch, FrameRecord
 from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.flow import (
     ADMISSION_POLICIES,
@@ -17,7 +16,6 @@ from repro.flow import (
     default_flow_config,
     neutral_flow_config,
 )
-from repro.net.addresses import Address
 from repro.scatter.config import baseline_configs
 from repro.scatterpp.sidecar import SidecarStats
 
@@ -192,23 +190,6 @@ def test_queue_gradient_sheds_on_projected_overflow():
                               depth=4 * step, target_depth=8)
                  for step in range(1, 8)]
     assert not all(decisions)
-
-
-# ----------------------------------------------------------------------
-# FrameBatch
-# ----------------------------------------------------------------------
-def _record(frame_number, size_bytes=1000):
-    return FrameRecord(client_id=0, frame_number=frame_number,
-                       reply_to=Address("nuc0", 9000), step="sift",
-                       created_s=0.0, size_bytes=size_bytes)
-
-
-def test_frame_batch_requires_two_records():
-    with pytest.raises(ValueError):
-        FrameBatch([_record(0)])
-    batch = FrameBatch([_record(0, 100), _record(1, 200)])
-    assert len(batch) == 2
-    assert batch.size_bytes == 300
 
 
 # ----------------------------------------------------------------------
