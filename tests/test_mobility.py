@@ -29,7 +29,7 @@ from repro.mobility import (
     random_trajectory,
 )
 from repro.net.netem import lte_profile
-from repro.scatter.config import baseline_configs
+from repro.scatter.config import PIPELINE_ORDER, baseline_configs
 
 PLACEMENT = baseline_configs()["C1"]
 
@@ -275,6 +275,28 @@ def test_source_crash_mid_handover_fails_over_forward():
     if record["outcome"] == "failed-over":
         assert "source-crashed" in record["abort_reasons"]
     _check_all(result, DURATION_S)
+
+
+def test_replicas_deployed_mid_run_route_by_session():
+    """A replica deployed mid-run — the failure detector's replacement
+    primary, a handover's target sift — consults the session directory
+    like the replicas deployed at start."""
+    result = run_experiment(ExperimentSpec(
+        PLACEMENT, num_clients=2, duration_s=4.0, seed=0,
+        scatterpp=True, stateless_sift=False,
+        mobility=MobilitySpec(mean_dwell_s=0.6, min_dwell_s=0.3),
+        plan=FaultPlan([InstanceCrash(at_s=1.0, service="primary")])))
+    orchestrator = result.pipeline.orchestrator
+    replicas = [instance for service in orchestrator.services()
+                for instance in (orchestrator.instances(service)
+                                 + orchestrator.retired_instances(service))]
+    first_late_port = orchestrator.BASE_PORT + len(PIPELINE_ORDER)
+    late = {instance.name for instance in replicas
+            if instance.address.port >= first_late_port}
+    assert {"primary", "sift"} <= late
+    routers = {id(instance.session_router) for instance in replicas}
+    assert routers == {id(replicas[0].session_router)}
+    assert replicas[0].session_router is not None
 
 
 def test_handover_retries_with_bounded_backoff_then_abandons():
