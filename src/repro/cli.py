@@ -437,8 +437,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     estimates = optimizer.search()
     print(format_table(
         ["assignment [primary,sift,encoding,lsh,matching]",
-         "pred FPS", "pred E2E(ms)"],
-        [[e.placement.name, e.throughput_fps, e.e2e_ms]
+         "pred FPS", "pred E2E(ms)", "bottleneck"],
+        [[e.placement.name, e.throughput_fps, e.e2e_ms, e.bottleneck]
          for e in estimates[:args.top]]))
     best = optimizer.best(args.objective)
     print(f"\nbest by {args.objective}: {best.placement.name} "

@@ -79,6 +79,14 @@ class Container:
             return 0.0
         return self.base_memory_bytes + self.state_memory_bytes
 
+    def scaled_time(self, base_time_s: float) -> float:
+        """Seconds an E1-calibrated ``base_time_s`` of work takes here:
+        the pinned GPU's speed factor for GPU services, the host's CPU
+        factor otherwise — the branch :meth:`compute` takes."""
+        if self.uses_gpu and self.gpu is not None:
+            return self.gpu.scaled_time(base_time_s)
+        return base_time_s * self.machine.cpu_factor
+
     def compute(self, base_time_s: float, gpu_intensity: float = 1.0):
         """Process generator: run one unit of work on GPU or CPU.
 

@@ -106,3 +106,12 @@ def build_paper_testbed(sim: Simulator, rng: RngRegistry,
         testbed.client_nodes.append(node)
 
     return testbed
+
+
+def server_machines() -> Dict[str, Machine]:
+    """The testbed's server machines by name, built on a throwaway
+    simulator for code that needs their specs without a run."""
+    testbed = build_paper_testbed(Simulator(), RngRegistry(0),
+                                  num_clients=1)
+    return {name: machine for name, machine in testbed.machines.items()
+            if name not in testbed.client_nodes}

@@ -13,7 +13,7 @@ machinery never perturbs microscopic trajectories; with macro members
 the whole macro layer is deterministic per seed.
 """
 
-from repro.cohort.engine import CohortEngine, PipelineCapacityModel
+from repro.cohort.engine import CohortEngine
 from repro.cohort.population import (DEFAULT_TICK_S, LOAD_PROCESSES,
                                      CohortSpec, LoadProcess,
                                      build_load_process)
@@ -29,7 +29,6 @@ __all__ = [
     "DEFAULT_TICK_S",
     "LOAD_PROCESSES",
     "LoadProcess",
-    "PipelineCapacityModel",
     "build_load_process",
     "check_cohort_conservation",
     "merge_cohort_dicts",

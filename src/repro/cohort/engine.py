@@ -15,12 +15,13 @@ fluid population:
   :class:`~repro.flow.credits.TokenBucket`, and an aggregate admission
   bucket scaled to the membership;
 * admitted frames enter a virtual FIFO whose drain rate is the
-  pipeline's analytic bottleneck capacity — per-replica service times
-  scaled by device speed factors, RPC hand-off overhead amortized
-  over the flow config's ``batch_max``, **minus the capacity the
-  tracer clients are observably consuming** (measured from the live
-  sidecars' dispatch counters each tick, so macro and micro load
-  contend for the same modeled hardware);
+  pipeline's analytic bottleneck capacity
+  (:func:`~repro.orchestra.placement.pipeline_capacity`: device-scaled
+  replica times, batching and hand-off amortized over the flow
+  config's ``batch_max``, GPU sharing between co-located replicas),
+  **minus the capacity the tracer clients are observably consuming**
+  (measured from the live sidecars' dispatch counters each tick, so
+  macro and micro load contend for the same modeled hardware);
 * served frames record an analytic latency (pipeline base time plus
   virtual queueing delay) into mergeable
   :class:`~repro.metrics.sketch.PercentileSketch` es by weighted
@@ -48,52 +49,8 @@ from repro.flow.config import FlowConfig
 from repro.flow.credits import (CreditAdvertisement, CreditLedger,
                                 TokenBucket)
 from repro.metrics.sketch import PercentileSketch
-from repro.scatter.config import PIPELINE_ORDER
-from repro.scatterpp.sidecar import RPC_OVERHEAD_S
+from repro.orchestra.placement import pipeline_capacity
 from repro.sim.kernel import Simulator
-
-
-def _speed_factor(instance) -> float:
-    """Device speed scaling for one replica (E1-calibrated base)."""
-    container = instance.container
-    if container.uses_gpu and container.gpu is not None:
-        return container.gpu.architecture.speed_factor
-    return container.machine.cpu_factor
-
-
-class PipelineCapacityModel:
-    """Analytic frames-per-second capacity of a deployed pipeline.
-
-    Mirrors the batched-dispatch cost model the sidecars actually run:
-    per-frame compute is the replica's device-scaled base time (batch
-    compute amortized by ``BATCH_MARGINAL_COST``), plus the gRPC
-    hand-off overhead amortized over ``batch_max``.
-    """
-
-    def __init__(self, pipeline, flow: Optional[FlowConfig] = None):
-        from repro.dsp.operator import StreamService
-
-        batch = flow.batch_max if flow is not None else 1
-        marginal = StreamService.BATCH_MARGINAL_COST
-        #: Compute multiplier for a full batch, per frame.
-        compute_scale = (1.0 + marginal * (batch - 1)) / batch
-        rpc_per_frame = RPC_OVERHEAD_S / batch
-        self.capacity_fps = {}
-        self.base_latency_s = 0.0
-        for service in PIPELINE_ORDER:
-            rate = 0.0
-            slowest = 0.0
-            for instance in pipeline.instances(service):
-                per_frame = (instance.base_time_s
-                             * _speed_factor(instance)
-                             * compute_scale) + rpc_per_frame
-                rate += 1.0 / per_frame
-                slowest = max(slowest, per_frame)
-            self.capacity_fps[service] = rate
-            self.base_latency_s += slowest
-        self.bottleneck_service = min(
-            self.capacity_fps, key=lambda s: self.capacity_fps[s])
-        self.bottleneck_fps = self.capacity_fps[self.bottleneck_service]
 
 
 class CohortEngine:
@@ -122,7 +79,7 @@ class CohortEngine:
         self.ledger = CohortLedger()
         self.latency = PercentileSketch()
         self.queue_wait = PercentileSketch()
-        self.capacity = PipelineCapacityModel(pipeline, flow=flow)
+        self.capacity = pipeline_capacity(pipeline, flow=flow)
         members = spec.macro_members
         self.pacer: Optional[TokenBucket] = None
         self.admission: Optional[TokenBucket] = None

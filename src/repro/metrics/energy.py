@@ -126,21 +126,6 @@ class PowerModel:
 DEFAULT_POWER_MODEL = PowerModel()
 
 
-def _effective_frame_s(instance, service: str) -> float:
-    """Seconds of compute one frame keeps this replica busy.
-
-    Mirrors the simulator's timing: GPU services scale the
-    E1-calibrated base time by the device architecture's speed
-    factor, CPU services by the machine's CPU factor.
-    """
-    machine = instance.container.machine
-    if scatter_config.SERVICE_USES_GPU[service] and machine.gpus:
-        factor = machine.gpus[0].architecture.speed_factor
-    else:
-        factor = machine.cpu_factor
-    return instance.base_time_s * factor
-
-
 def energy_summary(result, model: PowerModel = DEFAULT_POWER_MODEL
                    ) -> Dict:
     """Attribute the joules of one finished experiment run.
@@ -148,8 +133,9 @@ def energy_summary(result, model: PowerModel = DEFAULT_POWER_MODEL
     Reads only post-run counters (never the event queue):
 
     * **per-stage** — for every live replica, ``processed`` frames ×
-      effective per-frame compute seconds × the stage's active watts
-      on its machine;
+      its device-scaled per-frame compute seconds
+      (:meth:`~repro.cluster.container.Container.scaled_time`) × the
+      stage's active watts on its machine;
     * **idle** — every machine hosting at least one replica (placement
       machines plus any a handover scaled a replica onto) burns its
       idle draw for the whole run;
@@ -174,7 +160,8 @@ def energy_summary(result, model: PowerModel = DEFAULT_POWER_MODEL
             machines.add(machine.name)
             replicas += 1
             busy_s = (instance.stats.processed
-                      * _effective_frame_s(instance, service))
+                      * instance.container.scaled_time(
+                          instance.base_time_s))
             stage_j += busy_s * model.active_watts(machine.name,
                                                    service)
             cost_units += duration * model.cost_rate[machine.name]

@@ -50,6 +50,8 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
+from repro.cluster.machine import GB
+from repro.cluster.testbed import server_machines
 from repro.scatter import config as scatter_config
 from repro.scatter.config import PIPELINE_ORDER, PlacementConfig
 
@@ -61,11 +63,6 @@ if TYPE_CHECKING:
 #: the CLI's ``--placements a,b,c`` splitting:
 #: ``opt:primary=e1;sift=e2+e1;...;matching=e2``.
 SPEC_PREFIX = "opt:"
-
-#: Testbed machine memory (GB) — the schedulability check the search
-#: space enforces so sampling never sends the oracle a genome the
-#: scheduler would reject.
-MACHINE_MEMORY_GB = {"e1": 128.0, "e2": 264.0, "cloud": 64.0}
 
 
 class OptimizeError(ValueError):
@@ -169,8 +166,12 @@ class SearchSpace:
 
     machines: Tuple[str, ...] = ("e1", "e2")
     max_replicas_per_service: int = 3
-    memory_gb: Mapping[str, float] = field(
-        default_factory=lambda: dict(MACHINE_MEMORY_GB))
+    #: Machine memory (GB), the testbed's by default — the fit check
+    #: that keeps sampling from sending the oracle a genome the
+    #: scheduler would reject.
+    memory_gb: Mapping[str, float] = field(default_factory=lambda: {
+        name: machine.memory.capacity_bytes / GB
+        for name, machine in server_machines().items()})
 
     def __post_init__(self) -> None:
         if not self.machines:
@@ -195,8 +196,6 @@ class SearchSpace:
                 loads[machine] = (
                     loads.get(machine, 0.0)
                     + scatter_config.SERVICE_MEMORY_BYTES[service])
-        from repro.cluster.machine import GB
-
         for machine, used in loads.items():
             if used > self.memory_gb[machine] * GB:
                 return False
@@ -431,10 +430,9 @@ class OptimizationReport:
         return self.front[0] if self.front else None
 
 
-def static_seed_genomes(space: SearchSpace) -> List[Genome]:
-    """Known-good static placements lifted into genome space — the
-    paper's configurations open round 0 so the front starts at the
-    characterized frontier and can only improve on it."""
+def static_placements() -> List[PlacementConfig]:
+    """The paper's characterized placements: C1, C2, C12, C21, cloud,
+    hybrid and three scaled replica vectors."""
     from repro.scatter.config import (baseline_configs, cloud_config,
                                       hybrid_config, scaling_config)
 
@@ -442,8 +440,15 @@ def static_seed_genomes(space: SearchSpace) -> List[Genome]:
     candidates += [cloud_config(), hybrid_config()]
     candidates += [scaling_config(vector) for vector in
                    ([2, 2, 1, 1, 1], [1, 2, 1, 1, 2], [1, 2, 2, 1, 2])]
+    return candidates
+
+
+def static_seed_genomes(space: SearchSpace) -> List[Genome]:
+    """Known-good static placements lifted into genome space — the
+    paper's configurations open round 0 so the front starts at the
+    characterized frontier and can only improve on it."""
     genomes = []
-    for placement in candidates:
+    for placement in static_placements():
         genome = Genome.from_placement(placement)
         if space.is_schedulable(genome):
             genomes.append(genome)

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cohort import (CohortEngine, CohortLedger, CohortSpec,
-                          LOAD_PROCESSES, PipelineCapacityModel,
-                          build_load_process,
+                          LOAD_PROCESSES, build_load_process,
                           check_cohort_conservation,
                           merge_cohort_dicts)
 from repro.cohort.report import CohortReport
@@ -19,6 +18,7 @@ from repro.flow.credits import (CreditAdvertisement, CreditLedger,
                                 TokenBucket)
 from repro.flow.invariants import ConservationError
 from repro.metrics.sketch import PercentileSketch
+from repro.orchestra.placement import PlacementOptimizer, pipeline_capacity
 
 
 # ----------------------------------------------------------------------
@@ -227,23 +227,42 @@ def deployed():
 
 def test_capacity_model_covers_every_service(deployed):
     __, pipeline, flow = deployed
-    model = PipelineCapacityModel(pipeline, flow=flow)
+    model = pipeline_capacity(pipeline, flow=flow)
     assert set(model.capacity_fps) == {"primary", "sift", "encoding",
                                        "lsh", "matching"}
     assert all(rate > 0 for rate in model.capacity_fps.values())
     assert model.bottleneck_fps == min(model.capacity_fps.values())
-    # SIFT is the paper's slowest stage; with one replica each it is
-    # the bottleneck.
+    # SIFT is the paper's slowest stage; on C1 it shares E1's first
+    # GPU with lsh, and the first of the tied pair is the bottleneck.
     assert model.bottleneck_service == "sift"
+    assert model.capacity_fps["lsh"] == model.bottleneck_fps
     assert model.base_latency_s > 0
 
 
 def test_batching_raises_modeled_capacity(deployed):
     __, pipeline, flow = deployed
-    batched = PipelineCapacityModel(pipeline, flow=flow)
-    unbatched = PipelineCapacityModel(pipeline, flow=None)
+    batched = pipeline_capacity(pipeline, flow=flow)
+    unbatched = pipeline_capacity(pipeline, flow=None)
     assert flow.batch_max > 1
     assert batched.bottleneck_fps > unbatched.bottleneck_fps
+
+
+def test_engine_and_optimizer_agree_on_the_bottleneck():
+    """Both callers read one model: on C12, E2's first GPU carries
+    encoding and matching, so encoding binds — not sift, the slowest
+    stage on its own."""
+    from repro.experiments.runner import ExperimentSpec, build_experiment
+    from repro.scatter.config import PIPELINE_ORDER, baseline_configs
+
+    placement = baseline_configs()["C12"]
+    sim, __, __, pipeline, __ = build_experiment(
+        ExperimentSpec(placement, 1, scatterpp=True))
+    engine = CohortEngine(sim, CohortSpec(size=100, tracers=1), pipeline)
+    estimate = PlacementOptimizer().estimate(
+        {s: placement.placements[s][0] for s in PIPELINE_ORDER})
+    assert engine.capacity.bottleneck_service == estimate.bottleneck \
+        == "encoding"
+    assert engine.capacity.bottleneck_fps == estimate.throughput_fps
 
 
 def test_engine_validation(deployed):
