@@ -12,8 +12,8 @@ pre-optimization kernel, kept as an executable baseline):
   in subprocesses, one per kernel.  The baseline child runs under
   ``REPRO_SIM_KERNEL=reference``, so every module — sockets, stores,
   sidecars — binds the reference classes at import; there is no
-  cross-kernel object mixing.  Gated: ``MIN_E2E_SPEEDUP`` on wall
-  clock.
+  cross-kernel object mixing.  Gated: the median of the per-pair wall
+  clock ratios must clear ``MIN_E2E_SPEEDUP``.
 
 Both arms double as equivalence witnesses: they assert the two
 kernels execute the same number of events and produce byte-identical
@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import statistics
 import subprocess
 import sys
 import time
@@ -53,18 +54,17 @@ REPEATS = 3 if SMOKE else 7
 MIN_KERNEL_SPEEDUP = 1.05 if SMOKE else 1.5
 
 # --- end-to-end campaign-cell shape ----------------------------------
-# The cell walls are small (the PR-3 feature cache makes the vision
-# compute cheap), so one subprocess per repeat and interleaved arms:
-# best-of-N per kernel with the repeats alternating ref/opt, which
-# keeps slow clock drift from systematically favouring either arm.
-# The kernel is ~1/3 of a cell's wall, so the microbench win
-# compresses to a measured 1.18-1.48x band here on a shared 2-vCPU
-# host (best-of-5 interleaved; the band is box-load variance, not
-# kernel variance).
-# The gate is therefore a regression tripwire below the band's floor,
-# not the headline: the enforced perf bar is MIN_KERNEL_SPEEDUP.
-E2E_DURATION_S = 2.0 if SMOKE else 12.0
-E2E_REPEATS = 2 if SMOKE else 5
+# One subprocess per run, run in pairs (reference and optimized, the
+# order alternating pair by pair so slow clock drift favours neither
+# arm), and the gate reads the median of the per-pair ratios.  The
+# kernel is about a third of a cell's wall, so the microbench win
+# compresses here; the cell runs for minutes of virtual time so that
+# each wall is seconds long — a 12 s cell walls about 0.18 s, where
+# host noise alone moved the ratio from 0.98 to 1.15 between runs.
+# The gate is a regression tripwire below the compressed win, not the
+# headline: the enforced perf bar is MIN_KERNEL_SPEEDUP.
+E2E_DURATION_S = 2.0 if SMOKE else 180.0
+E2E_PAIRS = 2 if SMOKE else 5
 MIN_E2E_SPEEDUP = 0.85 if SMOKE else 1.05
 
 
@@ -143,19 +143,19 @@ def _run_e2e_once(kernel_name):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _run_e2e_arms():
-    """Interleaved best-of-``E2E_REPEATS`` for both kernels."""
-    arms = {"reference": None, "optimized": None}
-    for _ in range(E2E_REPEATS):
-        for name in arms:
-            sample = _run_e2e_once(name)
-            held = arms[name]
-            if held is not None:
-                assert sample["digest"] == held["digest"]
-                sample["wall_s"] = min(sample["wall_s"],
-                                       held["wall_s"])
-            arms[name] = sample
-    return arms["reference"], arms["optimized"]
+def _run_e2e_pairs():
+    """``E2E_PAIRS`` (reference, optimized) runs, alternating which
+    kernel goes first; every run must replay the same trajectory."""
+    pairs = []
+    for index in range(E2E_PAIRS):
+        order = (["reference", "optimized"] if index % 2 == 0
+                 else ["optimized", "reference"])
+        pair = {name: _run_e2e_once(name) for name in order}
+        pairs.append((pair["reference"], pair["optimized"]))
+    digests = {sample["digest"] for pair in pairs for sample in pair}
+    assert len(digests) == 1, (
+        "cross-kernel trace digests diverged on a real campaign cell")
+    return pairs
 
 
 def test_kernel_and_campaign_cell_speedups(save_result):
@@ -171,12 +171,11 @@ def test_kernel_and_campaign_cell_speedups(save_result):
 
     kernel_speedup = opt["events_per_s"] / ref["events_per_s"]
 
-    # End-to-end: one full scAtteR++ cell per kernel, one subprocess
-    # per repeat with the arms interleaved.
-    e2e_ref, e2e_opt = _run_e2e_arms()
-    assert e2e_opt["digest"] == e2e_ref["digest"], (
-        "cross-kernel trace digests diverged on a real campaign cell")
-    e2e_speedup = e2e_ref["wall_s"] / e2e_opt["wall_s"]
+    # End-to-end: one full scAtteR++ cell per kernel and subprocess,
+    # run in interleaved pairs; the gate reads the median pair ratio.
+    pairs = _run_e2e_pairs()
+    ratios = [ref["wall_s"] / opt["wall_s"] for ref, opt in pairs]
+    e2e_speedup = statistics.median(ratios)
 
     entry = {
         "smoke": SMOKE,
@@ -194,9 +193,12 @@ def test_kernel_and_campaign_cell_speedups(save_result):
         "campaign_cell": {
             "pipeline": "scatterpp", "placement": "C1",
             "clients": 2, "duration_s": E2E_DURATION_S,
-            "repeats": E2E_REPEATS,
-            "reference_wall_s": round(e2e_ref["wall_s"], 6),
-            "optimized_wall_s": round(e2e_opt["wall_s"], 6),
+            "pairs": E2E_PAIRS,
+            "reference_wall_s": [round(ref["wall_s"], 6)
+                                 for ref, __ in pairs],
+            "optimized_wall_s": [round(opt["wall_s"], 6)
+                                 for __, opt in pairs],
+            "ratios": [round(ratio, 3) for ratio in ratios],
             "speedup": round(e2e_speedup, 3),
             "min_speedup": MIN_E2E_SPEEDUP,
             "digests_equal": True,
