@@ -38,6 +38,7 @@ admitted (see :func:`repro.experiments.parallel.run_tasks`).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import pathlib
@@ -55,7 +56,10 @@ DEFAULT_CACHE_DIR = ".repro-cell-cache"
 ENTRY_FORMAT = 1
 
 
+@functools.lru_cache(maxsize=None)
 def _package_root() -> pathlib.Path:
+    """The installed ``repro`` tree, resolved once per process (every
+    cache key asks for it)."""
     import repro
 
     return pathlib.Path(repro.__file__).resolve().parent

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 @dataclass(frozen=True)
@@ -39,6 +38,10 @@ class ReplicatedMetric:
         n = len(self.values)
         if n < 2 or self.std == 0.0:
             return 0.0
+        # Only multi-seed reports get here; importing scipy.stats at
+        # module level would cost every simulator process ~1 s.
+        from scipy import stats as scipy_stats
+
         t_crit = float(scipy_stats.t.ppf(0.975, df=n - 1))
         return t_crit * self.std / np.sqrt(n)
 

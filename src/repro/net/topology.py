@@ -4,14 +4,15 @@ The :class:`Network` owns all nodes, the directed links between them and
 the bound datagram sockets.  Delivery walks the (precomputed) shortest
 path hop by hop: each hop applies that link's loss, queueing and delay,
 so a multi-hop path (client → E1 → E2) composes impairments exactly as
-the physical testbed would.
+the physical testbed would.  The testbed is a handful of nodes, so
+routes come from a plain Dijkstra over an adjacency dict.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.net.addresses import Address
@@ -31,7 +32,8 @@ class Network:
                  rng: Optional[np.random.Generator] = None):
         self.sim = sim
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self._graph = nx.DiGraph()
+        #: node -> {neighbour: one-way latency}, in insertion order.
+        self._adjacency: Dict[str, Dict[str, float]] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self._sockets: Dict[Address, Callable] = {}
         self._routes: Dict[Tuple[str, str], List[str]] = {}
@@ -42,13 +44,13 @@ class Network:
     # Topology construction
     # ------------------------------------------------------------------
     def add_node(self, name: str) -> None:
-        self._graph.add_node(name)
+        self._adjacency.setdefault(name, {})
 
     def has_node(self, name: str) -> bool:
-        return self._graph.has_node(name)
+        return name in self._adjacency
 
     def nodes(self) -> List[str]:
-        return sorted(self._graph.nodes)
+        return sorted(self._adjacency)
 
     def add_link(self, src: str, dst: str, *, rtt_s: float,
                  bandwidth_bps: float = 1e9, jitter_s: float = 0.0,
@@ -60,15 +62,14 @@ class Network:
         created with identical parameters.
         """
         for name in (src, dst):
-            if not self._graph.has_node(name):
-                self._graph.add_node(name)
+            self.add_node(name)
         directions = [(src, dst), (dst, src)] if symmetric else [(src, dst)]
         for a, b in directions:
             link = Link(self.sim, a, b, latency_s=rtt_s / 2.0,
                         bandwidth_bps=bandwidth_bps, jitter_s=jitter_s,
                         loss=loss, rng=self.rng, netem=netem)
             self._links[(a, b)] = link
-            self._graph.add_edge(a, b, weight=rtt_s / 2.0)
+            self._adjacency[a][b] = rtt_s / 2.0
         self._routes.clear()
 
     def link(self, src: str, dst: str) -> Link:
@@ -126,12 +127,41 @@ class Network:
         key = (src, dst)
         path = self._routes.get(key)
         if path is None:
-            try:
-                path = nx.shortest_path(self._graph, src, dst, weight="weight")
-            except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-                raise NetworkError(f"no route {src} -> {dst}") from exc
+            path = self._shortest_path(src, dst)
             self._routes[key] = path
         return path
+
+    def _shortest_path(self, src: str, dst: str) -> List[str]:
+        """Dijkstra over one-way link latencies.
+
+        Of two equally short paths the first one found wins; the paper
+        testbed has no such ties.
+        """
+        for name in (src, dst):
+            if name not in self._adjacency:
+                raise NetworkError(
+                    f"no route {src} -> {dst}: unknown node {name!r}")
+        distance = {src: 0.0}
+        previous: Dict[str, str] = {}
+        settled = set()
+        frontier = [(0.0, src)]
+        while frontier:
+            reached, node = heapq.heappop(frontier)
+            if node == dst:
+                path = [dst]
+                while path[-1] != src:
+                    path.append(previous[path[-1]])
+                return path[::-1]
+            if node in settled:
+                continue
+            settled.add(node)
+            for neighbour, latency in self._adjacency[node].items():
+                candidate = reached + latency
+                if candidate < distance.get(neighbour, float("inf")):
+                    distance[neighbour] = candidate
+                    previous[neighbour] = node
+                    heapq.heappush(frontier, (candidate, neighbour))
+        raise NetworkError(f"no route {src} -> {dst}")
 
     def path_rtt(self, src: str, dst: str) -> float:
         """Sum of link RTTs along the route (no queueing/jitter)."""
@@ -145,7 +175,7 @@ class Network:
     # ------------------------------------------------------------------
     def bind(self, address: Address, handler: Callable) -> None:
         """Register a delivery callback for ``address``."""
-        if not self._graph.has_node(address.node):
+        if address.node not in self._adjacency:
             raise NetworkError(f"unknown node {address.node!r}")
         if address in self._sockets:
             raise NetworkError(f"address {address} already bound")

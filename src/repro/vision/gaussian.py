@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 #: Kernels are pure functions of sigma and every pyramid reuses the
 #: same few sigmas; memoizing avoids re-deriving them per blur.
@@ -40,8 +39,12 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur with edge-replication padding.
 
     The two 1-D passes use ``scipy.ndimage.convolve1d`` for speed; the
-    kernel itself is ours (:func:`gaussian_kernel_1d`).
+    kernel itself is ours (:func:`gaussian_kernel_1d`).  scipy is
+    imported here, not at module level, so simulated services that
+    never blur do not load it.
     """
+    from scipy import ndimage
+
     if image.ndim != 2:
         raise ValueError(f"expected a grayscale image, got {image.shape}")
     kernel = gaussian_kernel_1d(sigma)

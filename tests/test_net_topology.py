@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster.testbed import build_paper_testbed
 from repro.net import (
     Address,
     DatagramSocket,
@@ -12,6 +13,7 @@ from repro.net import (
     ServiceRegistry,
 )
 from repro.sim import Simulator
+from repro.sim.rng import RngRegistry
 
 
 def make_network(loss=0.0):
@@ -40,6 +42,68 @@ def test_no_route_raises():
     net.add_node("mainland")
     with pytest.raises(NetworkError):
         net.route("island", "mainland")
+
+
+#: Every route on the four-client paper testbed, as the graph library
+#: the router used before (bidirectional Dijkstra) chose them.
+PAPER_TESTBED_ROUTES = {
+    ("cloud", "e1"): ["cloud", "e1"],
+    ("cloud", "e2"): ["cloud", "e1", "e2"],
+    ("cloud", "nuc0"): ["cloud", "nuc0"],
+    ("cloud", "nuc1"): ["cloud", "nuc1"],
+    ("cloud", "nuc2"): ["cloud", "nuc2"],
+    ("cloud", "nuc3"): ["cloud", "nuc3"],
+    ("e1", "cloud"): ["e1", "cloud"],
+    ("e1", "e2"): ["e1", "e2"],
+    ("e1", "nuc0"): ["e1", "nuc0"],
+    ("e1", "nuc1"): ["e1", "nuc1"],
+    ("e1", "nuc2"): ["e1", "nuc2"],
+    ("e1", "nuc3"): ["e1", "nuc3"],
+    ("e2", "cloud"): ["e2", "e1", "cloud"],
+    ("e2", "e1"): ["e2", "e1"],
+    ("e2", "nuc0"): ["e2", "e1", "nuc0"],
+    ("e2", "nuc1"): ["e2", "e1", "nuc1"],
+    ("e2", "nuc2"): ["e2", "e1", "nuc2"],
+    ("e2", "nuc3"): ["e2", "e1", "nuc3"],
+    ("nuc0", "cloud"): ["nuc0", "cloud"],
+    ("nuc0", "e1"): ["nuc0", "e1"],
+    ("nuc0", "e2"): ["nuc0", "e1", "e2"],
+    ("nuc0", "nuc1"): ["nuc0", "e1", "nuc1"],
+    ("nuc0", "nuc2"): ["nuc0", "e1", "nuc2"],
+    ("nuc0", "nuc3"): ["nuc0", "e1", "nuc3"],
+    ("nuc1", "cloud"): ["nuc1", "cloud"],
+    ("nuc1", "e1"): ["nuc1", "e1"],
+    ("nuc1", "e2"): ["nuc1", "e1", "e2"],
+    ("nuc1", "nuc0"): ["nuc1", "e1", "nuc0"],
+    ("nuc1", "nuc2"): ["nuc1", "e1", "nuc2"],
+    ("nuc1", "nuc3"): ["nuc1", "e1", "nuc3"],
+    ("nuc2", "cloud"): ["nuc2", "cloud"],
+    ("nuc2", "e1"): ["nuc2", "e1"],
+    ("nuc2", "e2"): ["nuc2", "e1", "e2"],
+    ("nuc2", "nuc0"): ["nuc2", "e1", "nuc0"],
+    ("nuc2", "nuc1"): ["nuc2", "e1", "nuc1"],
+    ("nuc2", "nuc3"): ["nuc2", "e1", "nuc3"],
+    ("nuc3", "cloud"): ["nuc3", "cloud"],
+    ("nuc3", "e1"): ["nuc3", "e1"],
+    ("nuc3", "e2"): ["nuc3", "e1", "e2"],
+    ("nuc3", "nuc0"): ["nuc3", "e1", "nuc0"],
+    ("nuc3", "nuc1"): ["nuc3", "e1", "nuc1"],
+    ("nuc3", "nuc2"): ["nuc3", "e1", "nuc2"],
+}
+
+
+def test_paper_testbed_routes_match_the_recorded_table():
+    net = build_paper_testbed(Simulator(), RngRegistry(0),
+                              num_clients=4).network
+    nodes = net.nodes()
+    assert nodes == ["cloud", "e1", "e2", "nuc0", "nuc1", "nuc2", "nuc3"]
+    assert {(a, b): net.route(a, b) for a in nodes for b in nodes
+            if a != b} == PAPER_TESTBED_ROUTES
+    net.add_node("island")
+    for src, dst in (("nuc0", "ghost"), ("ghost", "e1"),
+                     ("e1", "island"), ("island", "cloud")):
+        with pytest.raises(NetworkError):
+            net.route(src, dst)
 
 
 def test_path_rtt_composes():
