@@ -12,8 +12,9 @@ pre-optimization kernel, kept as an executable baseline):
   in subprocesses, one per kernel.  The baseline child runs under
   ``REPRO_SIM_KERNEL=reference``, so every module — sockets, stores,
   sidecars — binds the reference classes at import; there is no
-  cross-kernel object mixing.  Gated: the median of the per-pair wall
-  clock ratios must clear ``MIN_E2E_SPEEDUP``.
+  cross-kernel object mixing.  Gated: the median of the per-pair CPU
+  time ratios must clear ``MIN_E2E_SPEEDUP``; the wall clock ratios
+  are recorded beside them.
 
 Both arms double as equivalence witnesses: they assert the two
 kernels execute the same number of events and produce byte-identical
@@ -61,6 +62,9 @@ MIN_KERNEL_SPEEDUP = 1.05 if SMOKE else 1.5
 # compresses here; the cell runs for minutes of virtual time so that
 # each wall is seconds long — a 12 s cell walls about 0.18 s, where
 # host noise alone moved the ratio from 0.98 to 1.15 between runs.
+# Each child times its own CPU (``time.process_time``): on a shared
+# host the wall clock also counts the time other tenants hold the
+# core, and one run's wall pairs read from 0.833 to 1.716.
 # The gate is a regression tripwire below the compressed win, not the
 # headline: the enforced perf bar is MIN_KERNEL_SPEEDUP.
 E2E_DURATION_S = 2.0 if SMOKE else 180.0
@@ -124,12 +128,14 @@ from repro.scatter.config import baseline_configs
 import repro.experiments.runner as runner
 duration = float(sys.argv[1])
 placement = baseline_configs()["C1"]
-started = time.perf_counter()
+started, cpu_started = time.perf_counter(), time.process_time()
 result = runner.run_experiment(runner.ExperimentSpec(
     placement, num_clients=2, duration_s=duration, seed=0,
     scatterpp=True))
+cpu = time.process_time() - cpu_started
 elapsed = time.perf_counter() - started
-print(json.dumps({"wall_s": elapsed, "digest": result.trace_digest}))
+print(json.dumps({"wall_s": elapsed, "cpu_s": cpu,
+                  "digest": result.trace_digest}))
 """
 
 
@@ -172,10 +178,12 @@ def test_kernel_and_campaign_cell_speedups(save_result):
     kernel_speedup = opt["events_per_s"] / ref["events_per_s"]
 
     # End-to-end: one full scAtteR++ cell per kernel and subprocess,
-    # run in interleaved pairs; the gate reads the median pair ratio.
+    # run in interleaved pairs; the gate reads the median pair ratio
+    # of child CPU time.
     pairs = _run_e2e_pairs()
-    ratios = [ref["wall_s"] / opt["wall_s"] for ref, opt in pairs]
-    e2e_speedup = statistics.median(ratios)
+    cpu_ratios = [ref["cpu_s"] / opt["cpu_s"] for ref, opt in pairs]
+    wall_ratios = [ref["wall_s"] / opt["wall_s"] for ref, opt in pairs]
+    e2e_speedup = statistics.median(cpu_ratios)
 
     entry = {
         "smoke": SMOKE,
@@ -194,12 +202,18 @@ def test_kernel_and_campaign_cell_speedups(save_result):
             "pipeline": "scatterpp", "placement": "C1",
             "clients": 2, "duration_s": E2E_DURATION_S,
             "pairs": E2E_PAIRS,
+            "reference_cpu_s": [round(ref["cpu_s"], 6)
+                                for ref, __ in pairs],
+            "optimized_cpu_s": [round(opt["cpu_s"], 6)
+                                for __, opt in pairs],
+            "cpu_ratios": [round(ratio, 3) for ratio in cpu_ratios],
+            "speedup": round(e2e_speedup, 3),
             "reference_wall_s": [round(ref["wall_s"], 6)
                                  for ref, __ in pairs],
             "optimized_wall_s": [round(opt["wall_s"], 6)
                                  for __, opt in pairs],
-            "ratios": [round(ratio, 3) for ratio in ratios],
-            "speedup": round(e2e_speedup, 3),
+            "wall_ratios": [round(ratio, 3) for ratio in wall_ratios],
+            "wall_speedup": round(statistics.median(wall_ratios), 3),
             "min_speedup": MIN_E2E_SPEEDUP,
             "digests_equal": True,
         },

@@ -51,7 +51,24 @@ def _sim_hotpath(data: Dict[str, Any]) -> str:
     kernel = data.get("kernel", {})
     return (f"kernel {_fmt(kernel.get('speedup'))}x "
             f"({_fmt(kernel.get('optimized_events_per_s'))} ev/s), "
-            f"e2e {_fmt(_get(data, 'campaign_cell', 'speedup'))}x")
+            f"e2e cpu {_fmt(_get(data, 'campaign_cell', 'speedup'))}x "
+            f"(wall {_fmt(_get(data, 'campaign_cell', 'wall_speedup'))}x)")
+
+
+def _capacity_model(data: Dict[str, Any]) -> str:
+    assignments = data.get("assignments", {})
+    return (f"{_fmt(len(assignments.get('rows', [])))} assignments: "
+            f"Spearman {_fmt(assignments.get('spearman'), 3)}, "
+            f"max |error| {_fmt(assignments.get('max_abs_error'), 3)}")
+
+
+def _cold_start(data: Dict[str, Any]) -> str:
+    def arm(name: str) -> str:
+        return (f"{_fmt(_get(data, 'arms', name, 'wall_s_median'))} s "
+                f"{_fmt(_get(data, 'arms', name, 'rss_mb_median'), 1)} MB")
+
+    return (f"imports {arm('baseline')} -> {arm('entry_points')}, "
+            f"cold cell {arm('cli_cell_baseline')} -> {arm('cli_cell')}")
 
 
 #: file stem -> (PR, one-line what-it-measures, headline extractor).
@@ -91,6 +108,11 @@ TRAJECTORY: Dict[str, tuple] = {
                   f"{_fmt(_get(d, 'best_static', 'capacity'))} at "
                   f"{_fmt(_get(d, 'best_static', 'joules_per_frame'))}"
                   " J/frame"),
+    "capacity_model": (
+        "-", "analytic capacity model vs simulation", _capacity_model),
+    "cold_start": (
+        "-", "import footprint: scipy/networkx preloaded -> "
+             "entry points", _cold_start),
 }
 
 

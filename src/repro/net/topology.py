@@ -143,7 +143,6 @@ class Network:
                     f"no route {src} -> {dst}: unknown node {name!r}")
         distance = {src: 0.0}
         previous: Dict[str, str] = {}
-        settled = set()
         frontier = [(0.0, src)]
         while frontier:
             reached, node = heapq.heappop(frontier)
@@ -152,9 +151,8 @@ class Network:
                 while path[-1] != src:
                     path.append(previous[path[-1]])
                 return path[::-1]
-            if node in settled:
-                continue
-            settled.add(node)
+            if reached > distance[node]:
+                continue  # superseded by a shorter entry
             for neighbour, latency in self._adjacency[node].items():
                 candidate = reached + latency
                 if candidate < distance.get(neighbour, float("inf")):
