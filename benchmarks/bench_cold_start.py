@@ -4,8 +4,8 @@ Every campaign worker, search worker and CLI call is a fresh
 interpreter, so import time and resident memory are paid per process.
 The entry points load neither scipy nor networkx: ``scipy.stats`` is
 imported inside ``ReplicatedMetric.ci95_halfwidth`` (multi-seed
-reports only), ``scipy.ndimage`` inside the vision blur, and the
-router is a Dijkstra of its own.
+reports only), the vision blur is NumPy's and the router is a
+Dijkstra of its own.
 
 Arms, each a fresh child interpreter that reports its own wall time
 (from its first statement to the end of its work) and ``ru_maxrss``;
@@ -16,9 +16,11 @@ host drift favours none:
   avoids;
 * ``entry_points`` — the simulator's entry points;
 * ``baseline`` — the entry points plus ``BASELINE_PRELOAD``, the import
-  set they had when these loaded at module level (networkx is no
-  longer a dependency; where it is not installed the baseline goes
-  without it, and the JSON's ``baseline_preload`` says so);
+  set they had when these loaded at module level.  It keeps
+  ``scipy.ndimage``, which the vision blur used until it became
+  NumPy's, so the arm stays the same historical baseline.  networkx
+  is no longer a dependency; where it is not installed the baseline
+  goes without it, and the JSON's ``baseline_preload`` says so;
 * ``cli_cell`` — a cold ``python -m repro run --config C1 --pipeline
   scatterpp --clients 1 --duration 5``, the end-to-end number;
 * ``cli_cell_baseline`` — the same cell with the baseline preloaded.

@@ -21,7 +21,15 @@ The **pose** arm times RANSAC on the correspondences the recognizer
 actually hands it (the perfbench ``vision`` frame pool): the
 per-hypothesis loop twin against the batched production kernel, with
 the repeats interleaved and best-of-N per arm.  It lands in the same
-file as a ``pose`` block.
+file as a ``pose`` block.  The batched kernel draws its sample tables
+once per correspondence count, so after the bit-identity pass every
+timed call reuses a table, as a long-running recognizer does.
+
+The **blur** arm replays every blur the recognizer's training and
+the same frames run — each distinct image shape, sigma and memory
+layout — through the NumPy blur and ``scipy.ndimage.convolve1d``,
+checks that the outputs are bit-identical, and reports best-of-N µs
+per blur for both.  The times are reported, not gated.
 
 Set ``PERF_KERNELS_SMOKE=1`` to shrink the workload (CI).
 """
@@ -40,7 +48,9 @@ from repro.scatter.content import FrameFeatureExtractor
 from repro.vision import recognizer as recognizer_module
 from repro.vision.cache import FeatureCache
 from repro.vision.dataset import WorkplaceDataset
+from repro.vision import gaussian as gaussian_module
 from repro.vision.fisher import FisherEncoder, GaussianMixture
+from repro.vision.gaussian import gaussian_blur, gaussian_kernel_1d
 from repro.vision.image import to_grayscale
 from repro.vision.pca import Pca
 from repro.vision.pose import estimate_homography_ransac
@@ -65,9 +75,14 @@ FRAME_SIZE = (96, 128) if SMOKE else (144, 192)
 #: 12 equal stretches of the 300-frame video), or its first 4 frames.
 POSE_FRAMES = [k * 25 + 12 for k in range(4 if SMOKE else 12)]
 POSE_REPEATS = 3 if SMOKE else 7
-#: The loop costs about 6-7x the batched pass per call, so a 2x gate
+#: The loop costs about 6-9x the batched pass per call, so a 2x gate
 #: sits far outside run-to-run swing; smoke only asks for a win.
 MIN_POSE_SPEEDUP = 1.0 if SMOKE else 2.0
+
+#: Blur arm: best of this many timings per blur and arm, each timing
+#: ``BLUR_CALLS`` back-to-back calls.
+BLUR_REPEATS = 3 if SMOKE else 7
+BLUR_CALLS = 5
 
 
 def _workload():
@@ -95,21 +110,31 @@ def _timed(fn, frames) -> tuple:
     return len(frames) / elapsed, outputs
 
 
-def _recognizer_ransac_calls():
-    """The ``(src, dst, kwargs)`` the recognizer hands RANSAC on
-    :data:`POSE_FRAMES`."""
+def _recognizer_calls():
+    """What the recognizer hands its kernels on :data:`POSE_FRAMES`.
+
+    Returns ``(ransac, training_blurs, frame_blurs)``: the
+    ``(src, dst, kwargs)`` of every RANSAC call, and the
+    ``(image, sigma)`` of every blur in training and in the frames.
+    """
     dataset = WorkplaceDataset(seed=0)
-    recognizer = RecognizerTrainer(seed=0).train(
-        dataset, SiftExtractor(contrast_threshold=0.01,
-                               max_keypoints=300))
+    with mock.patch.object(gaussian_module, "gaussian_blur",
+                           wraps=gaussian_blur) as training_blurs:
+        recognizer = RecognizerTrainer(seed=0).train(
+            dataset, SiftExtractor(contrast_threshold=0.01,
+                                   max_keypoints=300))
     video = SyntheticVideo(seed=0, dataset=dataset)
     with mock.patch.object(
             recognizer_module, "estimate_homography_ransac",
-            wraps=estimate_homography_ransac) as spy:
+            wraps=estimate_homography_ransac) as ransac, \
+            mock.patch.object(gaussian_module, "gaussian_blur",
+                              wraps=gaussian_blur) as frame_blurs:
         for number in POSE_FRAMES:
             recognizer.process_frame(video.frame(number).image)
-    return [(src, dst, kwargs)
-            for (src, dst), kwargs in spy.call_args_list]
+    return ([(src, dst, kwargs)
+             for (src, dst), kwargs in ransac.call_args_list],
+            [call.args for call in training_blurs.call_args_list],
+            [call.args for call in frame_blurs.call_args_list])
 
 
 def _pose_bytes(result) -> bytes:
@@ -119,9 +144,8 @@ def _pose_bytes(result) -> bytes:
             + np.float64(result.mean_error).tobytes())
 
 
-def _pose_arm() -> dict:
+def _pose_arm(calls) -> dict:
     """Loop twin vs batched RANSAC on the recognizer's own inputs."""
-    calls = _recognizer_ransac_calls()
     arms = {"reference": reference_estimate_homography_ransac,
             "batched": estimate_homography_ransac}
 
@@ -156,6 +180,78 @@ def _pose_arm() -> dict:
             best["batched"] / len(calls) * 1e3, 3),
         "speedup": round(best["reference"] / best["batched"], 2),
         "min_speedup": MIN_POSE_SPEEDUP,
+        "bit_identical": True,
+    }
+
+
+def _ndimage_blur(image, sigma):
+    """The blur as ``scipy.ndimage`` runs it: rows, then columns."""
+    from scipy import ndimage
+
+    kernel = gaussian_kernel_1d(sigma)
+    rows = ndimage.convolve1d(image, kernel, axis=1, mode="nearest")
+    return ndimage.convolve1d(rows, kernel, axis=0, mode="nearest")
+
+
+def _blur_key(image, sigma):
+    return image.shape, float(sigma), image.flags.c_contiguous
+
+
+def _blur_arm(training, frames) -> dict:
+    """NumPy blur vs ``scipy.ndimage`` on every distinct blur of the
+    recognizer's training and frames."""
+    arms = {"ndimage": _ndimage_blur, "numpy": gaussian_blur}
+    distinct = {}
+    for image, sigma in training + frames:
+        distinct.setdefault(_blur_key(image, sigma), (image, sigma))
+    # Equal results before any time is trusted.
+    for image, sigma in distinct.values():
+        assert gaussian_blur(image, sigma).tobytes() == \
+            _ndimage_blur(image, sigma).tobytes(), (image.shape, sigma)
+
+    best = {}
+    for key, (image, sigma) in distinct.items():
+        times = {name: float("inf") for name in arms}
+        for repeat in range(BLUR_REPEATS):
+            order = list(arms) if repeat % 2 == 0 else list(arms)[::-1]
+            for name in order:
+                started = time.perf_counter()
+                for __ in range(BLUR_CALLS):
+                    arms[name](image, sigma)
+                times[name] = min(times[name], (time.perf_counter()
+                                                - started) / BLUR_CALLS)
+        best[key] = times
+
+    def total_ms(calls, name):
+        return round(sum(best[_blur_key(image, sigma)][name]
+                         for image, sigma in calls) * 1e3, 3)
+
+    shapes = {}
+    for (shape, __, __), times in sorted(best.items()):
+        row = shapes.setdefault(f"{shape[0]}x{shape[1]}",
+                                {"blurs": 0, "ndimage_us": 0.0,
+                                 "numpy_us": 0.0})
+        row["blurs"] += 1
+        row["ndimage_us"] += times["ndimage"] * 1e6
+        row["numpy_us"] += times["numpy"] * 1e6
+    for row in shapes.values():
+        row["ratio"] = round(row["numpy_us"] / row["ndimage_us"], 2)
+        row["ndimage_us"] = round(row["ndimage_us"], 1)
+        row["numpy_us"] = round(row["numpy_us"], 1)
+    frame_ndimage = total_ms(frames, "ndimage") / len(POSE_FRAMES)
+    frame_numpy = total_ms(frames, "numpy") / len(POSE_FRAMES)
+    return {
+        "distinct_blurs": len(distinct),
+        "training_calls": len(training),
+        "frame_calls": len(frames),
+        "repeats": BLUR_REPEATS,
+        "calls_per_timing": BLUR_CALLS,
+        "shapes": shapes,
+        "training_ndimage_ms": total_ms(training, "ndimage"),
+        "training_numpy_ms": total_ms(training, "numpy"),
+        "frame_ndimage_ms": round(frame_ndimage, 3),
+        "frame_numpy_ms": round(frame_numpy, 3),
+        "frame_ratio": round(frame_numpy / frame_ndimage, 2),
         "bit_identical": True,
     }
 
@@ -210,8 +306,10 @@ def test_kernel_throughput(save_result):
         "cache": stats.as_dict(),
         "profile": profiler.as_dict(),
         "bit_identical": True,
-        "pose": _pose_arm(),
     }
+    ransac_calls, training_blurs, frame_blurs = _recognizer_calls()
+    entry["pose"] = _pose_arm(ransac_calls)
+    entry["blur"] = _blur_arm(training_blurs, frame_blurs)
     save_bench_json("perf_kernels", entry)
     save_result("perf_kernels", json.dumps(entry, indent=2,
                                            sort_keys=True))

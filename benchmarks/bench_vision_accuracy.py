@@ -7,6 +7,12 @@ recognize the workplace objects in the synthetic video, or the
 calibrated service model would be simulating a pipeline that cannot
 exist.  Also compares SIFT against the FAST+BRIEF fast model on
 matching quality (the speed/robustness trade of §5).
+
+The recognizer's scores land in the committed repo-root
+``BENCH_vision_accuracy.json`` as full floats, with no timing in them,
+so the file is the referee for changes that claim to leave the vision
+kernels' outputs as they are: regenerated on such a change, it must
+come out byte-identical.
 """
 
 import numpy as np
@@ -22,6 +28,8 @@ from repro.vision.fast_features import (
 from repro.vision.recognizer import RecognizerTrainer
 from repro.vision.sift import SiftExtractor
 from repro.vision.video import SyntheticVideo
+
+from benchmarks.conftest import save_bench_json
 
 FRAME_INDICES = tuple(range(0, 300, 20))
 
@@ -52,6 +60,19 @@ def test_vision_accuracy(benchmark, save_result):
              for name, value in sorted(report.per_object_recall.items())]
     save_result("vision_accuracy", format_table(["metric", "value"],
                                                 rows))
+    save_bench_json("vision_accuracy", {
+        "frame_indices": list(FRAME_INDICES),
+        "frames": report.frames,
+        "true_positives": report.true_positives,
+        "false_positives": report.false_positives,
+        "false_negatives": report.false_negatives,
+        "precision": report.precision,
+        "recall": report.recall,
+        "f1": report.f1,
+        "mean_iou": report.mean_iou,
+        "mean_localization_error_px": report.mean_localization_error_px,
+        "per_object_recall": report.per_object_recall,
+    })
 
     # The pipeline must be a working recognizer, not a prop.
     assert report.frames == len(FRAME_INDICES)

@@ -49,10 +49,25 @@ def _fmt(value, digits: int = 2) -> str:
 
 def _sim_hotpath(data: Dict[str, Any]) -> str:
     kernel = data.get("kernel", {})
-    return (f"kernel {_fmt(kernel.get('speedup'))}x "
-            f"({_fmt(kernel.get('optimized_events_per_s'))} ev/s), "
+    return (f"kernel cpu {_fmt(kernel.get('speedup'))}x "
+            f"(wall {_fmt(kernel.get('wall_speedup'))}x), "
             f"e2e cpu {_fmt(_get(data, 'campaign_cell', 'speedup'))}x "
             f"(wall {_fmt(_get(data, 'campaign_cell', 'wall_speedup'))}x)")
+
+
+def _perf_kernels(data: Dict[str, Any]) -> str:
+    return (f"batched {_fmt(data.get('vectorized_speedup'))}x, "
+            f"cached {_fmt(data.get('cached_speedup'))}x, "
+            f"pose {_fmt(_get(data, 'pose', 'speedup'))}x, "
+            f"blur {_fmt(_get(data, 'blur', 'frame_numpy_ms'))} ms/frame "
+            f"(ndimage {_fmt(_get(data, 'blur', 'frame_ndimage_ms'))})")
+
+
+def _vision_accuracy(data: Dict[str, Any]) -> str:
+    return (f"{_fmt(data.get('frames'))} frames: precision "
+            f"{_fmt(data.get('precision'), 3)}, recall "
+            f"{_fmt(data.get('recall'), 3)}, F1 {_fmt(data.get('f1'), 3)}, "
+            f"mean IoU {_fmt(data.get('mean_iou'), 3)}")
 
 
 def _capacity_model(data: Dict[str, Any]) -> str:
@@ -75,10 +90,7 @@ def _cold_start(data: Dict[str, Any]) -> str:
 TRAJECTORY: Dict[str, tuple] = {
     "perf_kernels": (
         "PR 3/15", "vectorized vision kernels + feature cache + "
-                   "batched RANSAC pose",
-        lambda d: f"batched {_fmt(d.get('vectorized_speedup'))}x, "
-                  f"cached {_fmt(d.get('cached_speedup'))}x, "
-                  f"pose {_fmt(_get(d, 'pose', 'speedup'))}x"),
+                   "batched RANSAC pose + NumPy blur", _perf_kernels),
     "capacity_flow": (
         "PR 4", "SLO capacity with flow control (C12)",
         lambda d: f"capacity {_fmt(d.get('capacity_on'))} vs "
@@ -113,6 +125,8 @@ TRAJECTORY: Dict[str, tuple] = {
     "cold_start": (
         "-", "import footprint: scipy/networkx preloaded -> "
              "entry points", _cold_start),
+    "vision_accuracy": (
+        "-", "recognizer accuracy on the replay video", _vision_accuracy),
 }
 
 

@@ -41,8 +41,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import pathlib
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.metrics.summary import CacheStats
 
@@ -152,14 +153,15 @@ class CampaignCellCache:
     def _path(self, key: str) -> pathlib.Path:
         return self.directory / f"{key}.json"
 
-    def get(self, task) -> Optional[Dict]:
+    def get(self, task, *, key: Optional[str] = None) -> Optional[Dict]:
         """Cached summary for ``task``, or ``None`` on a miss.
 
+        ``key`` is ``self.key(task)`` when the caller already has it.
         A corrupt entry (truncated file, bad JSON, wrong schema) is a
         miss: it is counted, unlinked best-effort, and recomputed —
         never an exception and never a partial summary.
         """
-        path = self._path(self.key(task))
+        path = self._path(key or self.key(task))
         try:
             raw = path.read_text()
         except OSError:
@@ -182,9 +184,11 @@ class CampaignCellCache:
         self._hits += 1
         return entry["summary"]
 
-    def put(self, task, summary: Dict) -> Optional[pathlib.Path]:
+    def put(self, task, summary: Dict, *,
+            key: Optional[str] = None) -> Optional[pathlib.Path]:
         """Admit one *clean* cell summary (atomic write; returns path).
 
+        ``key`` is ``self.key(task)`` when the caller already has it.
         Callers are responsible for the no-poisoning policy: only
         summaries from successful, non-quarantined outcomes may be
         offered.  Serialization failures propagate loudly — a summary
@@ -193,7 +197,7 @@ class CampaignCellCache:
         if not isinstance(summary, dict):
             raise TypeError(
                 f"cell summaries are dicts, got {type(summary).__name__}")
-        path = self._path(self.key(task))
+        path = self._path(key or self.key(task))
         payload = json.dumps(
             {"format": ENTRY_FORMAT,
              "task": {"pipeline": task.pipeline,
@@ -209,23 +213,35 @@ class CampaignCellCache:
         self._insertions += 1
         return path
 
+    def _scan(self) -> Tuple[int, int]:
+        """``(entries, bytes)`` on disk, in one directory pass."""
+        entries = size = 0
+        with os.scandir(self.directory) as scan:
+            for entry in scan:
+                if entry.name.endswith(".json"):
+                    try:
+                        size += entry.stat().st_size
+                    except FileNotFoundError:
+                        continue  # unlinked since the listing
+                    entries += 1
+        return entries, size
+
     def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.json"))
+        return self._scan()[0]
 
     @property
     def corrupt(self) -> int:
         return self._corrupt
 
     def stats(self) -> CacheStats:
-        entries = len(self)
+        entries, size_bytes = self._scan()
         return CacheStats(
             hits=self._hits,
             misses=self._misses,
             insertions=self._insertions,
             evictions=0,
             entries=entries,
-            size_bytes=sum(path.stat().st_size for path in
-                           self.directory.glob("*.json")),
+            size_bytes=size_bytes,
         )
 
     def report(self) -> Dict[str, Any]:

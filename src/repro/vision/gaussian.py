@@ -4,6 +4,11 @@ Implements the scale-space construction of Lowe's SIFT [Lowe 2004]:
 each octave holds ``intervals + 3`` progressively blurred images; the
 DoG pyramid is the difference of adjacent levels; the next octave
 starts from the level with twice the base sigma, downsampled 2×.
+
+The separable blur is plain NumPy.  It repeats the arithmetic of
+``scipy.ndimage.convolve1d`` for a symmetric kernel in the same order,
+so its output is bit-identical to the ndimage blur this module used
+before, and the vision pipeline loads no scipy.
 """
 
 from __future__ import annotations
@@ -35,21 +40,87 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return kernel
 
 
+#: Pair sums one ufunc call forms.  On the small upper octaves a pass
+#: forms all of its pairs at once, because per-call overhead dominates
+#: there; on a full frame it forms one or two at a time into a buffer
+#: that stays in cache.
+_PAIR_BLOCK = 1 << 16
+
+
+def _correlate_symmetric(padded: np.ndarray, step: int,
+                         kernel: np.ndarray, out: np.ndarray) -> None:
+    """One 1-D pass of ``scipy.ndimage``'s symmetric-kernel loop.
+
+    ``padded`` is a flat, edge-padded, contiguous buffer.  Output ``k``
+    is centred on ``padded[r·step + k]`` (``r`` the kernel radius), and
+    its taps lie ``step`` elements apart.  With ``x[j]`` the tap ``j``
+    steps away and ``w`` the kernel, each output is ``x[0]·w[r]``, then
+    ``+= (x[j] + x[−j])·w[r+j]`` for ``j = −r … −1``.  That is
+    ``NI_Correlate1D``'s loop for a symmetric kernel, operation for
+    operation, so the result is bit-identical to
+    ``ndimage.convolve1d``.  The kernel is exactly symmetric, so the
+    reversal that turns ``convolve1d`` into a correlation leaves it as
+    it is.
+    """
+    radius = len(kernel) // 2
+    size = out.size
+    item = padded.itemsize
+    np.multiply(padded[radius * step:radius * step + size],
+                kernel[radius], out=out)
+    # Row m of ``left`` is the tap m - r steps away, row m of ``right``
+    # the tap r - m steps away, both as views into ``padded``.
+    strides = (step * item, item)
+    left = np.ndarray((radius, size), np.float64, padded, 0, strides)
+    right = np.ndarray((radius, size), np.float64, padded,
+                       (radius + 1) * step * item, strides)[::-1]
+    group = max(1, min(radius, _PAIR_BLOCK // size))
+    pairs = np.empty((group, size))
+    for first in range(0, radius, group):
+        block = pairs[:min(group, radius - first)]
+        last = first + len(block)
+        np.add(left[first:last], right[first:last], out=block)
+        block *= kernel[first:last, None]
+        for pair in block:  # in order: the sum must not be reordered
+            out += pair
+
+
 def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur with edge-replication padding.
 
-    The two 1-D passes use ``scipy.ndimage.convolve1d`` for speed; the
-    kernel itself is ours (:func:`gaussian_kernel_1d`).  scipy is
-    imported here, not at module level, so simulated services that
-    never blur do not load it.
+    Rows first, then columns, each a pass of
+    :func:`_correlate_symmetric` over the kernel of
+    :func:`gaussian_kernel_1d`.  The result (float64) is bit-identical
+    to ``ndimage.convolve1d(image, kernel, axis=1, mode="nearest")``
+    followed by the same along axis 0 (DESIGN §21), with no scipy
+    import.
     """
-    from scipy import ndimage
-
     if image.ndim != 2:
         raise ValueError(f"expected a grayscale image, got {image.shape}")
+    if image.size == 0:
+        return np.zeros(image.shape)
     kernel = gaussian_kernel_1d(sigma)
-    blurred = ndimage.convolve1d(image, kernel, axis=1, mode="nearest")
-    return ndimage.convolve1d(blurred, kernel, axis=0, mode="nearest")
+    radius = len(kernel) // 2
+    height, width = image.shape
+    # Rows: pad each row with ``radius`` copies of its edge pixels and
+    # run the pass over the flat buffer.  Outputs whose taps straddle
+    # two rows land in the padding columns and are dropped.
+    rows = np.empty((height, width + 2 * radius))
+    rows[:, radius:radius + width] = image
+    rows[:, :radius] = image[:, :1]
+    rows[:, radius + width:] = image[:, -1:]
+    across = np.empty(rows.shape)
+    _correlate_symmetric(rows.reshape(-1), 1, kernel,
+                         across.reshape(-1)[:across.size - 2 * radius])
+    # Columns: padded whole rows are contiguous, so a tap is a plain
+    # offset of ``width`` elements per row.
+    columns = np.empty((height + 2 * radius, width))
+    columns[radius:radius + height] = across[:, :width]
+    columns[:radius] = columns[radius]
+    columns[radius + height:] = columns[radius + height - 1]
+    blurred = np.empty((height, width))
+    _correlate_symmetric(columns.reshape(-1), width, kernel,
+                         blurred.reshape(-1))
+    return blurred
 
 
 def downsample(image: np.ndarray) -> np.ndarray:

@@ -13,10 +13,16 @@ LAPACK/BLAS routine once per slice, so every hypothesis is
 bit-identical to :func:`estimate_homography_dlt` on its four points.
 ``repro.vision.reference`` keeps the per-hypothesis loop as the test
 twin.
+
+The hypotheses' four-point samples depend only on the correspondence
+count, the iteration count and the seed, so :func:`_sample_table`
+draws each such table once and every later call with the same three
+values reuses it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -149,6 +155,25 @@ def _sample_homographies(src: np.ndarray, dst: np.ndarray):
     return matrices[usable] / h22[usable], valid
 
 
+@functools.lru_cache(maxsize=128)
+def _sample_table(n: int, max_iterations: int, seed: int) -> np.ndarray:
+    """RANSAC's ``(max_iterations, 4)`` four-point samples, read-only.
+
+    One ``rng.choice`` per hypothesis, in order, as the loop twin
+    draws them: these calls define the RNG stream, and a vectorised
+    draw would pick different samples.  Those 200 calls (the default)
+    cost about 2 ms, and the table is a pure function of its three
+    arguments, so it is memoized: the recognizer always passes seed 0
+    and its correspondence counts take a few dozen values, so after
+    the first frames every call reuses a table.
+    """
+    rng = np.random.default_rng(seed)
+    samples = np.asarray([rng.choice(n, size=4, replace=False)
+                          for __ in range(max_iterations)])
+    samples.setflags(write=False)
+    return samples
+
+
 def estimate_homography_ransac(
         src: np.ndarray, dst: np.ndarray, *,
         threshold: float = 3.0, max_iterations: int = 200,
@@ -167,17 +192,10 @@ def estimate_homography_ransac(
         raise ValueError(f"expected matching (N, 2) arrays, got "
                          f"{src.shape} and {dst.shape}")
     n = src.shape[0]
-    if n < 4:
+    if n < 4 or max_iterations < 1:
         return None
 
-    # One choice() per hypothesis, in order: these calls define the RNG
-    # stream, and a vectorised draw would pick different samples.
-    rng = np.random.default_rng(seed)
-    samples = [rng.choice(n, size=4, replace=False)
-               for __ in range(max_iterations)]
-    if not samples:
-        return None
-    samples = np.asarray(samples)
+    samples = _sample_table(n, max_iterations, seed)
     matrices, valid = _sample_homographies(src[samples], dst[samples])
     inliers = np.zeros((len(samples), n), dtype=bool)
     errors = np.linalg.norm(_apply_homography(matrices, src) - dst,

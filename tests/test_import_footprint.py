@@ -1,11 +1,13 @@
-"""The simulator's entry points load neither scipy nor networkx.
+"""The simulator's entry points load neither scipy nor networkx, and
+the vision pipeline loads no scipy.
 
 Every campaign worker, search worker and CLI call is a fresh
 interpreter, and these imports cost about 1 s and 80 MB in each.
 scipy loads only where it computes: ``scipy.stats`` in
-``ReplicatedMetric.ci95_halfwidth`` (multi-seed reports) and
-``scipy.ndimage`` in the vision blur.  The router is a Dijkstra of its
-own.  ``benchmarks/bench_cold_start.py`` measures what this saves.
+``ReplicatedMetric.ci95_halfwidth`` (multi-seed reports).  The blur is
+NumPy's (bit-identical to the ``scipy.ndimage`` one it replaced) and
+the router is a Dijkstra of its own.
+``benchmarks/bench_cold_start.py`` measures what this saves.
 """
 
 import json
@@ -20,9 +22,14 @@ ENTRY_POINTS = ("repro.cli", "repro.experiments.campaign",
                 "repro.experiments.cache", "repro.orchestra.optimize",
                 "repro.vision.recognizer")
 
-#: Imports the entry points, then runs one short scAtteR++ cell, and
-#: prints the scipy and networkx modules loaded by then.
-_PROBE = r"""
+#: Prints the scipy and networkx modules loaded by the probe above it.
+_LOADED = r"""
+print(json.dumps(sorted(name for name in sys.modules
+                        if name.split(".")[0] in ("scipy", "networkx"))))
+"""
+
+#: Imports the entry points, then runs one short scAtteR++ cell.
+_CELL_PROBE = r"""
 import importlib, json, sys
 for name in sys.argv[1:]:
     importlib.import_module(name)
@@ -30,15 +37,37 @@ from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.scatter.config import baseline_configs
 run_experiment(ExperimentSpec(baseline_configs()["C1"], num_clients=1,
                               duration_s=1.0, seed=0, scatterpp=True))
-print(json.dumps(sorted(name for name in sys.modules
-                        if name.split(".")[0] in ("scipy", "networkx"))))
-"""
+""" + _LOADED
+
+#: Trains the recognizer as perfbench ``vision`` does and recognizes
+#: one frame of its pool.
+_VISION_PROBE = r"""
+import json, sys
+from repro.vision.dataset import WorkplaceDataset
+from repro.vision.recognizer import RecognizerTrainer
+from repro.vision.sift import SiftExtractor
+from repro.vision.video import SyntheticVideo
+dataset = WorkplaceDataset(seed=0)
+recognizer = RecognizerTrainer(seed=0).train(
+    dataset, SiftExtractor(contrast_threshold=0.01, max_keypoints=300))
+result = recognizer.process_frame(
+    SyntheticVideo(seed=0, dataset=dataset).frame(12).image)
+assert result.num_keypoints > 0 and result.recognitions
+""" + _LOADED
+
+
+def _loaded(probe, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", probe, *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def test_entry_points_load_neither_scipy_nor_networkx():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *ENTRY_POINTS],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+    assert _loaded(_CELL_PROBE, *ENTRY_POINTS) == []
+
+
+def test_vision_frame_loads_no_scipy():
+    assert _loaded(_VISION_PROBE) == []

@@ -10,7 +10,9 @@ configurations, RANSAC correspondence sets) and every comparison is
 "no BLAS ``gemm``" rule of :mod:`repro.vision.reference`: it runs
 per-slice ``matmul``/LAPACK at the single-call shapes, so it is
 certified hypothesis by hypothesis against the single-sample DLT as
-well as end to end against the loop.
+well as end to end against the loop, and its memoized sample tables
+are checked against fresh draws.  The Gaussian blur's twin is
+``scipy.ndimage.convolve1d``, the implementation it replaced.
 
 The second half certifies the content-addressed
 :class:`~repro.vision.cache.FeatureCache` as *behaviour-invisible*:
@@ -25,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.scatter.content import FrameFeatureExtractor
+from repro.vision import gaussian as gaussian_module
 from repro.vision import recognizer as recognizer_module
 from repro.vision.cache import (
     DISABLE_ENV,
@@ -34,12 +37,18 @@ from repro.vision.cache import (
 )
 from repro.vision.dataset import WorkplaceDataset
 from repro.vision.fisher import FisherEncoder, GaussianMixture
+from repro.vision.gaussian import (
+    build_scale_space,
+    gaussian_blur,
+    gaussian_kernel_1d,
+)
 from repro.vision.image import to_grayscale
 from repro.vision.lsh import LshIndex
 from repro.vision.matching import match_descriptors
 from repro.vision.pca import Pca
 from repro.vision.pose import (
     _sample_homographies,
+    _sample_table,
     estimate_homography_dlt,
     estimate_homography_ransac,
 )
@@ -112,6 +121,49 @@ def test_sift_randomized_config_sweep():
                 _assert_bit_equal(ref_desc, vec_desc)
                 total_keypoints += len(vec_kps)
     assert total_keypoints > 100  # the sweep exercised real work
+
+
+# ----------------------------------------------------------------------
+# Gaussian blur
+# ----------------------------------------------------------------------
+def _ndimage_blur(image, sigma):
+    from scipy import ndimage
+
+    kernel = gaussian_kernel_1d(sigma)
+    rows = ndimage.convolve1d(image, kernel, axis=1, mode="nearest")
+    return ndimage.convolve1d(rows, kernel, axis=0, mode="nearest")
+
+
+def _scale_space_sigmas():
+    """Every sigma ``build_scale_space`` blurs with, for 1-4 intervals."""
+    with mock.patch.object(gaussian_module, "gaussian_blur",
+                           wraps=gaussian_blur) as spy:
+        for intervals in range(1, 5):
+            build_scale_space(np.zeros((32, 32)), intervals=intervals)
+    return sorted({float(call.args[1]) for call in spy.call_args_list})
+
+
+#: Edge sigmas: the smallest radius, radii where ``3 sigma`` is an
+#: exact integer, and radii wider than every small image below.
+EDGE_SIGMAS = [0.05, 1.0 / 3.0, 1.0, 2.0, 6.0, 11.0]
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 1), (1, 9), (1, 40), (9, 1), (40, 1), (2, 3), (3, 2), (5, 5),
+    (18, 24), (21, 42), (37, 51), (72, 96), (144, 192), (0, 5), (4, 0),
+], ids=lambda shape: f"{shape[0]}x{shape[1]}")
+def test_blur_bit_identical_to_ndimage(shape):
+    """Rows then columns, ``mode="nearest"``, on contiguous images and
+    on the strided views the octave downsampling hands the blur."""
+    sigmas = _scale_space_sigmas()
+    assert len(sigmas) > 10  # non-vacuous: every interval count's set
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    height, width = shape
+    for sigma in sigmas + EDGE_SIGMAS:
+        for image in (rng.random(shape),
+                      rng.random((2 * height, 2 * width))[::2, ::2]):
+            _assert_bit_equal(_ndimage_blur(image, sigma),
+                              gaussian_blur(image, sigma))
 
 
 # ----------------------------------------------------------------------
@@ -310,6 +362,42 @@ def test_ransac_hypotheses_bit_identical_to_dlt():
             valid += _assert_hypotheses_match_dlt(src, dst, samples)
             total += len(samples)
     assert 0 < valid < total  # both valid and degenerate hypotheses
+
+
+def test_sample_tables_are_read_only_and_drawn_as_the_loop_draws():
+    _sample_table.cache_clear()
+    table = _sample_table(12, 200, 0)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    assert _sample_table(12, 200, 0) is table
+    _assert_bit_equal(_samples(12, seed=0, count=200), table)
+    _assert_bit_equal(_samples(12, seed=3, count=50),
+                      _sample_table(12, 50, 3))
+
+
+def test_ransac_on_memoized_tables_matches_reference():
+    """Every correspondence count 4-40 in shuffled order, with repeats,
+    so later calls run on tables memoized by earlier ones."""
+    rng = np.random.default_rng(7)
+    src = rng.uniform(0.0, 160.0, (40, 2))
+    dst = _similarity(rng, src) + rng.normal(0.0, 0.4, (40, 2))
+    outliers = rng.choice(40, 12, replace=False)
+    dst[outliers] = rng.uniform(0.0, 160.0, (12, 2))
+    counts = list(range(4, 41)) + list(range(4, 41, 3))
+    rng.shuffle(counts)
+    _sample_table.cache_clear()
+    found = 0
+    for n in counts:
+        seed = n % 2
+        expected = reference_estimate_homography_ransac(
+            src[:n], dst[:n], min_inliers=4, seed=seed)
+        _assert_same_pose(expected, estimate_homography_ransac(
+            src[:n], dst[:n], min_inliers=4, seed=seed))
+        found += expected is not None
+    info = _sample_table.cache_info()
+    assert info.misses == 37 and info.hits == len(counts) - 37
+    assert found > len(counts) // 2  # non-vacuous: most counts pose
 
 
 @pytest.fixture(scope="module")

@@ -28,11 +28,9 @@ SRC = ROOT / "src"
 ROOT_MODULES = ("repro.experiments.campaign", "repro.experiments.figures",
                 "repro.cli", "repro.__main__")
 
-EXEMPT = {
-    # perfbench ``vision`` runs the recognizer, and the evaluator's
-    # video test is the only check of its precision, recall and IoU.
-    "repro.vision.evaluation",
-}
+#: Modules kept although no entry point reaches them, each with its
+#: reason.  Empty: every module is reached.
+EXEMPT = set()
 
 
 def _module_file(name):
