@@ -45,10 +45,10 @@ import numpy as np
 
 from repro.metrics.profiling import StageProfiler
 from repro.scatter.content import FrameFeatureExtractor
+from repro.vision import gaussian as gaussian_module
 from repro.vision import recognizer as recognizer_module
 from repro.vision.cache import FeatureCache
 from repro.vision.dataset import WorkplaceDataset
-from repro.vision import gaussian as gaussian_module
 from repro.vision.fisher import FisherEncoder, GaussianMixture
 from repro.vision.gaussian import gaussian_blur, gaussian_kernel_1d
 from repro.vision.image import to_grayscale
@@ -222,24 +222,24 @@ def _blur_arm(training, frames) -> dict:
                                                 - started) / BLUR_CALLS)
         best[key] = times
 
-    def total_ms(calls, name):
-        return round(sum(best[_blur_key(image, sigma)][name]
-                         for image, sigma in calls) * 1e3, 3)
+    def total_ms(calls, name, per=1):
+        return sum(best[_blur_key(image, sigma)][name]
+                   for image, sigma in calls) * 1e3 / per
 
+    # Per image size: the sum over its distinct blurs, each best-of-N.
     shapes = {}
     for (shape, __, __), times in sorted(best.items()):
         row = shapes.setdefault(f"{shape[0]}x{shape[1]}",
                                 {"blurs": 0, "ndimage_us": 0.0,
                                  "numpy_us": 0.0})
         row["blurs"] += 1
-        row["ndimage_us"] += times["ndimage"] * 1e6
-        row["numpy_us"] += times["numpy"] * 1e6
+        for name in arms:
+            row[f"{name}_us"] += times[name] * 1e6
     for row in shapes.values():
         row["ratio"] = round(row["numpy_us"] / row["ndimage_us"], 2)
-        row["ndimage_us"] = round(row["ndimage_us"], 1)
-        row["numpy_us"] = round(row["numpy_us"], 1)
-    frame_ndimage = total_ms(frames, "ndimage") / len(POSE_FRAMES)
-    frame_numpy = total_ms(frames, "numpy") / len(POSE_FRAMES)
+        for name in arms:
+            row[f"{name}_us"] = round(row[f"{name}_us"], 1)
+    frames_per = len(POSE_FRAMES)
     return {
         "distinct_blurs": len(distinct),
         "training_calls": len(training),
@@ -247,11 +247,13 @@ def _blur_arm(training, frames) -> dict:
         "repeats": BLUR_REPEATS,
         "calls_per_timing": BLUR_CALLS,
         "shapes": shapes,
-        "training_ndimage_ms": total_ms(training, "ndimage"),
-        "training_numpy_ms": total_ms(training, "numpy"),
-        "frame_ndimage_ms": round(frame_ndimage, 3),
-        "frame_numpy_ms": round(frame_numpy, 3),
-        "frame_ratio": round(frame_numpy / frame_ndimage, 2),
+        "training_ndimage_ms": round(total_ms(training, "ndimage"), 3),
+        "training_numpy_ms": round(total_ms(training, "numpy"), 3),
+        "frame_ndimage_ms": round(
+            total_ms(frames, "ndimage", frames_per), 3),
+        "frame_numpy_ms": round(total_ms(frames, "numpy", frames_per), 3),
+        "frame_ratio": round(total_ms(frames, "numpy")
+                             / total_ms(frames, "ndimage"), 2),
         "bit_identical": True,
     }
 
