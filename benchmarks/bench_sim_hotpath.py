@@ -51,9 +51,11 @@ SMOKE = os.environ.get("SIM_HOTPATH_SMOKE") == "1"
 SRC_DIR = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 # --- kernel microbench shape -----------------------------------------
-# Best-of-N CPU time: on a shared host the wall clock also counts the
-# time other tenants hold the core, and with the kernel unchanged the
-# wall ratio read 1.33 and 1.47 in two runs against this 1.5 bar.
+# Best-of-N CPU time, which drops the time other tenants hold the core
+# (with the kernel unchanged the wall ratio read 1.33 and 1.47 in two
+# runs against this 1.5 bar).  It does not drop swings in the core's
+# throughput: on a shared 2-vCPU host the CPU ratio has read 1.34 and
+# 1.45 in full runs, matching the wall ratio to 0.001.
 PROCS = 40 if SMOKE else 150
 STEPS = 60 if SMOKE else 200
 REPEATS = 3 if SMOKE else 7

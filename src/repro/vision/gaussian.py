@@ -7,8 +7,9 @@ starts from the level with twice the base sigma, downsampled 2×.
 
 The separable blur is plain NumPy.  It repeats the arithmetic of
 ``scipy.ndimage.convolve1d`` for a symmetric kernel in the same order,
-so its output is bit-identical to the ndimage blur this module used
-before, and the vision pipeline loads no scipy.
+so its output is bit-identical to ndimage's
+(``tests/test_kernel_equivalence.py`` holds it to that), and the
+vision pipeline loads no scipy.
 """
 
 from __future__ import annotations

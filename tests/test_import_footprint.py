@@ -22,7 +22,8 @@ ENTRY_POINTS = ("repro.cli", "repro.experiments.campaign",
                 "repro.experiments.cache", "repro.orchestra.optimize",
                 "repro.vision.recognizer")
 
-#: Prints the scipy and networkx modules loaded by the probe above it.
+#: Appended to each probe: prints the scipy and networkx modules it
+#: loaded.
 _LOADED = r"""
 print(json.dumps(sorted(name for name in sys.modules
                         if name.split(".")[0] in ("scipy", "networkx"))))
