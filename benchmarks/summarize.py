@@ -50,7 +50,7 @@ def _fmt(value, digits: int = 2) -> str:
 def _sim_hotpath(data: Dict[str, Any]) -> str:
     kernel = data.get("kernel", {})
     return (f"kernel cpu {_fmt(kernel.get('speedup'))}x "
-            f"(wall {_fmt(kernel.get('wall_speedup'))}x), "
+            f"({_fmt(kernel.get('optimized_events_per_cpu_s'))} ev/cpu-s), "
             f"e2e cpu {_fmt(_get(data, 'campaign_cell', 'speedup'))}x "
             f"(wall {_fmt(_get(data, 'campaign_cell', 'wall_speedup'))}x)")
 

@@ -153,15 +153,14 @@ class CampaignCellCache:
     def _path(self, key: str) -> pathlib.Path:
         return self.directory / f"{key}.json"
 
-    def get(self, task, *, key: Optional[str] = None) -> Optional[Dict]:
+    def get(self, task) -> Optional[Dict]:
         """Cached summary for ``task``, or ``None`` on a miss.
 
-        ``key`` is ``self.key(task)`` when the caller already has it.
         A corrupt entry (truncated file, bad JSON, wrong schema) is a
         miss: it is counted, unlinked best-effort, and recomputed —
         never an exception and never a partial summary.
         """
-        path = self._path(key or self.key(task))
+        path = self._path(self.key(task))
         try:
             raw = path.read_text()
         except OSError:
@@ -184,11 +183,9 @@ class CampaignCellCache:
         self._hits += 1
         return entry["summary"]
 
-    def put(self, task, summary: Dict, *,
-            key: Optional[str] = None) -> Optional[pathlib.Path]:
+    def put(self, task, summary: Dict) -> Optional[pathlib.Path]:
         """Admit one *clean* cell summary (atomic write; returns path).
 
-        ``key`` is ``self.key(task)`` when the caller already has it.
         Callers are responsible for the no-poisoning policy: only
         summaries from successful, non-quarantined outcomes may be
         offered.  Serialization failures propagate loudly — a summary
@@ -197,7 +194,7 @@ class CampaignCellCache:
         if not isinstance(summary, dict):
             raise TypeError(
                 f"cell summaries are dicts, got {type(summary).__name__}")
-        path = self._path(key or self.key(task))
+        path = self._path(self.key(task))
         payload = json.dumps(
             {"format": ENTRY_FORMAT,
              "task": {"pipeline": task.pipeline,

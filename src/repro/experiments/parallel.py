@@ -346,11 +346,9 @@ def run_tasks(tasks: Sequence[CellTask], *, workers: int = 0,
         runnable.append((index, task))
 
     pending: List[Tuple[int, CellTask]] = []
-    keys: Dict[int, str] = {}  # computed once, shared by get and put
     if cache is not None:
         for index, task in runnable:
-            keys[index] = cache.key(task)
-            summary = cache.get(task, key=keys[index])
+            summary = cache.get(task)
             if summary is not None:
                 outcomes[index] = TaskOutcome(task=task, summary=summary,
                                               cached=True)
@@ -374,6 +372,6 @@ def run_tasks(tasks: Sequence[CellTask], *, workers: int = 0,
         for index, _task in pending:
             outcome = outcomes[index]
             if outcome.ok and not outcome.quarantined:
-                cache.put(outcome.task, outcome.summary, key=keys[index])
+                cache.put(outcome.task, outcome.summary)
 
     return [outcomes[index] for index in range(len(tasks))]
