@@ -16,6 +16,12 @@ headline claim:
 * the rerun replays **>= 50 % of oracle calls from the cell cache**
   (in practice 100 %: every cell was just simulated).
 
+Beside the gates it records what a warm cache hit costs, with no time
+gate: the median microseconds per ``task_fingerprint`` over the
+search's tasks (the cache-key layer), and the median wall time of
+``WARM_RERUNS`` same-seed reruns, each asserted all hits and
+reproducing the cold front (end to end).
+
 Results land in the committed repo-root ``BENCH_placement_search.json``.
 
 ``OPTIMIZE_SMOKE=1`` shrinks the ladder/duration/budget for CI and
@@ -28,8 +34,11 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
+import time
 
-from repro.experiments.cache import CampaignCellCache
+from repro.experiments.cache import CampaignCellCache, task_fingerprint
+from repro.experiments.parallel import CellTask
 from repro.orchestra.optimize import (CampaignOracle, OptimizeConfig,
                                       SearchSpace, run_search,
                                       static_seed_genomes)
@@ -48,6 +57,21 @@ GENERATIONS = 1 if SMOKE else 5
 #: reaches capacity 5 more often than the genetic loop did
 #: (DESIGN §15).
 SEED = 4
+#: Same-seed warm reruns timed end to end, and timing repeats of the
+#: fingerprint layer over the search's tasks.
+WARM_RERUNS = 10
+FINGERPRINT_REPEATS = 20
+
+
+def fingerprint_us(tasks) -> float:
+    """Median microseconds per ``task_fingerprint`` over ``tasks``."""
+    per_task = []
+    for __ in range(FINGERPRINT_REPEATS):
+        started = time.perf_counter()
+        for task in tasks:
+            task_fingerprint(task)
+        per_task.append((time.perf_counter() - started) / len(tasks))
+    return statistics.median(per_task) * 1e6
 
 
 def test_search_beats_static_placements(save_result, tmp_path,
@@ -108,6 +132,22 @@ def test_search_beats_static_placements(save_result, tmp_path,
     hit_rate = rerun.cache["hits"] / total if total else 0.0
     assert hit_rate >= 0.5, rerun.cache
 
+    # --- what a warm hit costs (reported, not gated) -----------------
+    tasks = [CellTask(pipeline="optimize", placement=call["genome"],
+                      clients=call["clients"], seed=call["seed"],
+                      duration_s=DURATION_S)
+             for call in rerun.oracle_calls]
+    assert [task_fingerprint(task) for task in tasks] == [
+        call["fingerprint"] for call in rerun.oracle_calls]
+    warm_ms = []
+    for __ in range(WARM_RERUNS):
+        started = time.perf_counter()
+        warm = run_search(config, cache=CampaignCellCache(cache_dir))
+        warm_ms.append((time.perf_counter() - started) * 1e3)
+        assert warm.cache["hits"] == len(tasks), warm.cache
+        assert warm.cache["misses"] == 0, warm.cache
+        assert warm.front_digest() == report.front_digest()
+
     entry = {
         "mode": "smoke" if SMOKE else "full",
         "ladder": list(LADDER),
@@ -126,7 +166,11 @@ def test_search_beats_static_placements(save_result, tmp_path,
                      "evaluations": report.evaluations,
                      "front_digest": report.front_digest()},
         "rerun": {"front_digest": rerun.front_digest(),
-                  "cache_hit_rate": hit_rate},
+                  "cache_hit_rate": hit_rate,
+                  "fingerprint_us_median": round(fingerprint_us(tasks), 2),
+                  "warm_reruns": WARM_RERUNS,
+                  "warm_rerun_ms_median":
+                      round(statistics.median(warm_ms), 2)},
     }
     save_bench_json("placement_search", entry)
 
@@ -143,4 +187,8 @@ def test_search_beats_static_placements(save_result, tmp_path,
     lines.append(f"  evaluations={report.evaluations} "
                  f"rerun_hit_rate={hit_rate:.0%} "
                  f"front_digest={report.front_digest()}")
+    lines.append(f"  warm hit: {entry['rerun']['fingerprint_us_median']} "
+                 f"us per key, rerun of {len(tasks)} cells "
+                 f"{entry['rerun']['warm_rerun_ms_median']} ms "
+                 f"(median of {WARM_RERUNS})")
     save_result("BENCH_placement_search", "\n".join(lines))
