@@ -15,7 +15,6 @@ from typing import Optional
 
 from repro.cluster.gpu import GpuDevice
 from repro.cluster.machine import Machine
-from repro.cluster.resources import UsageMeter
 
 
 class ContainerState(enum.Enum):
@@ -44,9 +43,6 @@ class Container:
         self.gpu = gpu
         self.state = ContainerState.PENDING
         self.state_memory_bytes = 0.0
-        # Per-container busy meter (1 slot: a container's worker is
-        # single-threaded per the one-frame-at-a-time design, §3.1).
-        self.busy_meter = UsageMeter(machine.sim, capacity=1.0)
 
     def start(self) -> None:
         if self.state is ContainerState.RUNNING:
@@ -88,22 +84,17 @@ class Container:
         return base_time_s * self.machine.cpu_factor
 
     def compute(self, base_time_s: float, gpu_intensity: float = 1.0):
-        """Process generator: run one unit of work on GPU or CPU.
+        """The process generator that runs one unit of work on GPU or
+        CPU: ``yield from container.compute(...)``.
 
         GPU services contend on the pinned device's execution slot
         (``gpu_intensity`` is the share of device compute their kernels
         keep busy); CPU-only services (``primary``) contend on host
         cores.
         """
-        self.busy_meter.add(1.0)
-        try:
-            if self.uses_gpu and self.gpu is not None:
-                yield from self.gpu.execute(base_time_s,
-                                            intensity=gpu_intensity)
-            else:
-                yield from self.machine.execute_cpu(base_time_s)
-        finally:
-            self.busy_meter.remove(1.0)
+        if self.uses_gpu and self.gpu is not None:
+            return self.gpu.execute(base_time_s, intensity=gpu_intensity)
+        return self.machine.execute_cpu(base_time_s)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = self.gpu.name if self.gpu else "cpu"

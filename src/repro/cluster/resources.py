@@ -50,7 +50,13 @@ class UsageMeter:
 
     def add(self, amount: float = 1.0) -> None:
         """Mark ``amount`` more units busy."""
-        self._advance()
+        # _advance inlined: every compute adds and removes once.
+        now = self.sim.now
+        delta = now - self._last_change
+        if delta > 0:
+            self._area += self._level * delta
+            self._window_area += self._level * delta
+            self._last_change = now
         self._level += amount
         if self._level > self.capacity + 1e-9:
             raise ValueError(
@@ -58,7 +64,12 @@ class UsageMeter:
 
     def remove(self, amount: float = 1.0) -> None:
         """Mark ``amount`` units idle again."""
-        self._advance()
+        now = self.sim.now  # _advance inlined, as in add
+        delta = now - self._last_change
+        if delta > 0:
+            self._area += self._level * delta
+            self._window_area += self._level * delta
+            self._last_change = now
         self._level -= amount
         if self._level < -1e-9:
             raise ValueError(f"level went negative: {self._level}")

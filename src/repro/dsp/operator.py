@@ -16,9 +16,10 @@ and use :meth:`compute` / :meth:`send` / :meth:`send_downstream`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -61,8 +62,9 @@ class ServiceStats:
     shed_backpressure: int = 0
     latency_samples_s: PercentileSketch = field(
         default_factory=PercentileSketch)
-    #: (timestamp, count) arrival markers for ingress-FPS accounting.
-    arrival_times_s: List[float] = field(
+    #: Arrival timestamps for ingress-FPS accounting, appended at
+    #: ``sim.now`` and so nondecreasing.
+    arrival_times_s: Deque[float] = field(
         default_factory=lambda: deque(maxlen=ARRIVAL_WINDOW_SAMPLES))
 
     def mean_latency_s(self) -> float:
@@ -72,8 +74,10 @@ class ServiceStats:
         """Arrivals per second over the trailing window."""
         if window_s <= 0:
             raise ValueError(f"window_s must be positive, got {window_s}")
-        start = now - window_s
-        recent = sum(1 for t in self.arrival_times_s if t >= start)
+        # The markers never decrease, so those inside the window are
+        # the ones after the first marker at or past its start.
+        arrivals = self.arrival_times_s
+        recent = len(arrivals) - bisect_left(arrivals, now - window_s)
         return recent / window_s
 
 
@@ -280,18 +284,20 @@ class StreamService:
     # Helpers for subclasses
     # ------------------------------------------------------------------
     def compute(self, base_time_s: Optional[float] = None):
-        """Consume compute on this replica's container (generator).
+        """Consume compute on this replica's container.
 
         Applies the device speed factor (via the container) and a
         small lognormal noise term so service times are not perfectly
-        deterministic.
+        deterministic.  Returns the device's process generator; the
+        noise is drawn when this is called, so call it where the
+        compute starts: ``yield from self.compute()``.
         """
         base = self.base_time_s if base_time_s is None else base_time_s
         noisy = base * float(self.rng.lognormal(0.0, self.TIME_NOISE_SIGMA))
         if self.rng.random() < self.SPIKE_PROB:
             noisy *= self.SPIKE_FACTOR
-        yield from self.container.compute(noisy,
-                                          gpu_intensity=self.gpu_intensity)
+        return self.container.compute(noisy,
+                                      gpu_intensity=self.gpu_intensity)
 
     def compute_batch(self, records: List[FrameRecord],
                       base_time_s: Optional[float] = None):
@@ -301,6 +307,8 @@ class StreamService:
         costs :attr:`BATCH_MARGINAL_COST` of it (setup paid once, the
         vectorized kernels do the rest).  One noise/spike draw covers
         the batch — two RNG draws per *round* instead of per frame.
+        Like :meth:`compute`, it draws when called and returns the
+        device's process generator.
         """
         if not records:
             raise ValueError("compute_batch needs at least one record")
@@ -311,8 +319,8 @@ class StreamService:
             self.rng.lognormal(0.0, self.TIME_NOISE_SIGMA))
         if self.rng.random() < self.SPIKE_PROB:
             noisy *= self.SPIKE_FACTOR
-        yield from self.container.compute(noisy,
-                                          gpu_intensity=self.gpu_intensity)
+        return self.container.compute(noisy,
+                                      gpu_intensity=self.gpu_intensity)
 
     def process_batch(self, records: List[FrameRecord]):
         """Handle a batched dispatch (simulation-process generator).

@@ -27,9 +27,12 @@ class RecordKind(enum.Enum):
     RESULT = "result"                  # matching -> client final output
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameRecord:
-    """One unit of pipeline work."""
+    """One unit of pipeline work.
+
+    Slotted: every hop of every frame allocates one.
+    """
 
     client_id: int
     frame_number: int

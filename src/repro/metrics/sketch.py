@@ -102,9 +102,6 @@ class PercentileSketch:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def _index(self, magnitude: float) -> int:
-        return int(math.ceil(math.log(magnitude) / self._log_gamma))
-
     def insert(self, value: float, count: int = 1) -> None:
         """Record ``value`` with multiplicity ``count``.
 
@@ -125,18 +122,34 @@ class PercentileSketch:
             self._min = value
         if value > self._max:
             self._max = value
+        self._bin(value, count)
+
+    def append(self, value: float) -> None:
+        """Record one sample: :meth:`insert` with ``count=1``, the
+        arithmetic unchanged (``value * 1`` is ``value``)."""
+        value = float(value)
+        self.total += 1
+        if not math.isfinite(value):
+            self.skipped_nonfinite += 1
+            return
+        self._sum += value
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
+        self._bin(value, 1)
+
+    def _bin(self, value: float, count: int) -> None:
+        """Count a finite ``value`` ``count`` times in its bucket."""
         magnitude = abs(value)
         if magnitude < self.min_magnitude:
             self._zeros += count
             return
         bins = self._pos if value > 0.0 else self._neg
-        index = self._index(magnitude)
+        index = int(math.ceil(math.log(magnitude) / self._log_gamma))
         bins[index] = bins.get(index, 0) + count
         if len(bins) > self.max_bins:
             self._collapse(bins)
-
-    def append(self, value: float) -> None:
-        self.insert(value, 1)
 
     def extend(self, values: Iterable[float]) -> None:
         """Bulk-record samples (vectorized binning)."""

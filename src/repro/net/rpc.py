@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
 from repro.net.addresses import Address
+from repro.net.datagram import Datagram
 from repro.net.topology import Network, NetworkError
 from repro.sim.kernel import Signal, Waitable
 
@@ -88,6 +89,8 @@ class RpcChannel:
             raise NetworkError(f"unknown node {src_node!r}")
         self.network = network
         self.src_node = src_node
+        #: Source address of notifications: the node, no port.
+        self._notify_src = Address(src_node, 0)
         self.calls_issued = 0
         self.notifications_sent = 0
 
@@ -119,15 +122,13 @@ class RpcChannel:
         travels back, and the caller never blocks.  Returns whether
         the message survived the path.
         """
-        from repro.net.datagram import Datagram
-
         self.notifications_sent += 1
         delay = reliable_path_delay(self.network, self.src_node,
                                     dst.node, size_bytes=size_bytes)
         if delay is None:
             return False
         datagram = Datagram(payload=payload, size_bytes=size_bytes,
-                            src=Address(self.src_node, 0), dst=dst)
+                            src=self._notify_src, dst=dst)
         self.network.deliver_after(delay, dst, datagram)
         return True
 
@@ -145,12 +146,8 @@ def reliable_path_delay(network: Network, src: str, dst: str,
     """
     if src == dst:
         return 0.0
-    path = network.route(src, dst)
     total = 0.0
-    # Indexed walk: no ``path[1:]`` slice allocation per call (this
-    # runs once per RPC and once per reliable-transport send).
-    for hop in range(len(path) - 1):
-        link = network.link(path[hop], path[hop + 1])
+    for link in network.route_links(src, dst):
         for attempt in range(MAX_ATTEMPTS):
             delay = link.transmit(size_bytes)
             if delay is not None:

@@ -37,6 +37,8 @@ class Network:
         self._links: Dict[Tuple[str, str], Link] = {}
         self._sockets: Dict[Address, Callable] = {}
         self._routes: Dict[Tuple[str, str], List[str]] = {}
+        #: (src, dst) -> the route's links in order, beside ``_routes``.
+        self._route_links: Dict[Tuple[str, str], Tuple[Link, ...]] = {}
         self.stats_delivered = 0
         self.stats_lost = 0
 
@@ -71,6 +73,7 @@ class Network:
             self._links[(a, b)] = link
             self._adjacency[a][b] = rtt_s / 2.0
         self._routes.clear()
+        self._route_links.clear()
 
     def link(self, src: str, dst: str) -> Link:
         try:
@@ -130,6 +133,18 @@ class Network:
             path = self._shortest_path(src, dst)
             self._routes[key] = path
         return path
+
+    def route_links(self, src: str, dst: str) -> Tuple[Link, ...]:
+        """The links along :meth:`route`, hop by hop (cached; empty
+        when ``src == dst``)."""
+        key = (src, dst)
+        links = self._route_links.get(key)
+        if links is None:
+            path = self.route(src, dst)
+            links = tuple(self._links[(a, b)]
+                          for a, b in zip(path, path[1:]))
+            self._route_links[key] = links
+        return links
 
     def _shortest_path(self, src: str, dst: str) -> List[str]:
         """Dijkstra over one-way link latencies.
@@ -195,10 +210,12 @@ class Network:
         """
         if size_bytes < 0:
             raise NetworkError(f"negative size {size_bytes}")
-        path = self.route(src, dst_address.node)
+        links = self._route_links.get((src, dst_address.node))
+        if links is None:
+            links = self.route_links(src, dst_address.node)
         total_delay = 0.0
-        for a, b in zip(path, path[1:]):
-            delay = self._links[(a, b)].transmit(size_bytes)
+        for link in links:
+            delay = link.transmit(size_bytes)
             if delay is None:
                 self.stats_lost += 1
                 return False

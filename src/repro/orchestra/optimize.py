@@ -251,15 +251,22 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
 def pareto_front(archive: Mapping[str, Objectives]
                  ) -> List[Tuple[str, Objectives]]:
     """Nondominated members of the archive, deterministically ordered
-    (best capacity first, then p95, joules, cost, spec)."""
-    entries = sorted(archive.items(),
-                     key=lambda kv: (kv[1].vector(), kv[0]))
+    (best capacity first, then p95, joules, cost, spec).
+
+    Each entry is tested only against the front members accepted
+    before it.  That is enough: a dominator is no worse anywhere and
+    better somewhere, so it sorts first, and since dominance is
+    transitive every dominated entry has a nondominated dominator.
+    (The oracle's vectors hold no NaN, which would break both.)
+    """
+    entries = sorted((objectives.vector(), spec, objectives)
+                     for spec, objectives in archive.items())
     front: List[Tuple[str, Objectives]] = []
-    for spec, objectives in entries:
-        vector = objectives.vector()
-        if any(dominates(other.vector(), vector)
-               for __, other in entries):
+    kept: List[Tuple[float, float, float, float]] = []
+    for vector, spec, objectives in entries:
+        if any(dominates(other, vector) for other in kept):
             continue
+        kept.append(vector)
         front.append((spec, objectives))
     return front
 

@@ -251,7 +251,8 @@ def test_container_gpu_compute_busy_meter():
 
     sim.spawn(work())
     sim.run(until=0.010)
-    assert container.busy_meter.utilization() == pytest.approx(1.0)
+    # The pinned device's meter is the busy meter: busy the whole run.
+    assert container.gpu.meter.utilization() == pytest.approx(1.0)
     assert machine.gpu_utilization() == pytest.approx(0.5)  # 1 of 2 GPUs
 
 

@@ -7,6 +7,7 @@ from repro.cluster import Container, Machine
 from repro.cluster.gpu import RTX_2080
 from repro.cluster.machine import GB
 from repro.dsp import FrameRecord, RecordKind, StateStore, StreamService
+from repro.dsp.operator import ServiceStats
 from repro.net import Address, Network, ServiceRegistry
 from repro.sim import Simulator
 
@@ -181,6 +182,24 @@ def test_ingress_fps_window():
     sim.run()
     assert service.stats.ingress_fps(1.0, sim.now) == pytest.approx(
         30.0, rel=0.2)
+
+
+def test_ingress_fps_bisect_matches_the_scan():
+    """The bisect count equals a scan of every marker, window edges on
+    tied markers included (a dyadic grid keeps ``now - window`` exact).
+    """
+    rng = np.random.default_rng(7)
+    for __ in range(300):
+        stats = ServiceStats()
+        steps = rng.integers(0, 3, size=rng.integers(0, 40))
+        markers = np.cumsum(steps) * 0.25  # nondecreasing, with ties
+        stats.arrival_times_s.extend(markers.tolist())
+        now = float(markers[-1] if len(markers) else 0.0) + 0.25 * int(
+            rng.integers(0, 3))
+        window = 0.25 * int(rng.integers(1, 12))
+        scanned = sum(1 for t in stats.arrival_times_s
+                      if t >= now - window) / window
+        assert stats.ingress_fps(window, now) == scanned
 
 
 def test_send_downstream_uses_registry():

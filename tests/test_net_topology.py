@@ -112,6 +112,23 @@ def test_path_rtt_composes():
     assert net.path_rtt("client", "cloud") == pytest.approx(0.016)
 
 
+def test_send_takes_the_links_of_a_route_shortened_by_add_link():
+    sim, net = make_network()
+    dst = Address("e2", 5000)
+    arrivals = []
+    net.bind(dst, lambda payload: arrivals.append(sim.now))
+    assert net.send("client", dst, "via e1", 100)
+    net.add_link("client", "e2", rtt_s=0.0004)  # a shorter direct hop
+    sim.run()
+    assert net.send("client", dst, "direct", 100)
+    sim.run()
+    assert net.link("client", "e1").stats.packets_sent == 1
+    assert net.link("e1", "e2").stats.packets_sent == 1
+    assert net.link("client", "e2").stats.packets_sent == 1
+    assert arrivals[0] == pytest.approx(0.002, abs=1e-5)
+    assert arrivals[1] - arrivals[0] == pytest.approx(0.0002, abs=1e-5)
+
+
 def test_datagram_delivery_end_to_end():
     sim, net = make_network()
     dst = Address("e2", 5000)

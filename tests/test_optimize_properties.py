@@ -111,6 +111,33 @@ def test_off_front_entries_are_dominated(seed):
                    for __, member in front), spec
 
 
+def reference_pareto_front(archive):
+    """The all-pairs formula ``pareto_front`` replaced: every entry is
+    tested against every archive entry, vectors rebuilt per pair."""
+    entries = sorted(archive.items(),
+                     key=lambda kv: (kv[1].vector(), kv[0]))
+    return [(spec, objectives) for spec, objectives in entries
+            if not any(dominates(other.vector(), objectives.vector())
+                       for __, other in entries)]
+
+
+# Few values per objective, so archives hold tied vectors and entries
+# that tie on some objectives but not others.
+tied_objectives = st.builds(
+    Objectives,
+    capacity=st.integers(min_value=0, max_value=3),
+    p95_ms=st.sampled_from([0.0, 40.0, 60.5, 99.0]),
+    joules_per_frame=st.sampled_from([2.0, 3.5, float("inf")]),
+    cost_units=st.sampled_from([8.0, 12.0]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.dictionaries(st.text(min_size=1, max_size=6), tied_objectives,
+                       max_size=40))
+def test_front_matches_the_all_pairs_formula(archive):
+    assert pareto_front(archive) == reference_pareto_front(archive)
+
+
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(seeds)
 def test_front_monotonically_non_worsening(seed):
