@@ -7,11 +7,16 @@ removes the fetch dependency loop; sidecars remove busy-drops and ride
 out service-time spikes — but, notably, sidecars *without*
 statelessness amplify the loop, because queueing delays the state
 fetch past matching's tolerance.
+
+Results land in the committed repo-root
+``BENCH_ablation_components.json``.
 """
 
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.scatter.config import baseline_configs
+
+from benchmarks.conftest import save_bench_json
 
 DURATION_S = 30.0
 
@@ -39,6 +44,7 @@ def run_grid():
 def test_ablation_components(benchmark, save_result):
     rows = benchmark.pedantic(run_grid, rounds=1, iterations=1)
 
+    save_bench_json("ablation_components", {"rows": rows})
     save_result("ablation_components", format_table(
         ["variant", "FPS", "success", "E2E(ms)"],
         [[row["variant"], row["fps"], row["success"], row["e2e_ms"]]

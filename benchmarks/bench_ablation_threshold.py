@@ -5,11 +5,16 @@ never sweeps it.  This bench quantifies the trade-off the choice
 embodies: a tight threshold sheds more queued frames (lower FPS,
 lower latency), a loose one serves stale frames (higher FPS, latency
 past the XR budget).
+
+Results land in the committed repo-root
+``BENCH_ablation_threshold.json``.
 """
 
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.scatter.config import baseline_configs
+
+from benchmarks.conftest import save_bench_json
 
 THRESHOLDS_S = (0.050, 0.100, 0.200)
 DURATION_S = 30.0
@@ -36,6 +41,7 @@ def run_sweep():
 def test_ablation_threshold(benchmark, save_result):
     rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
 
+    save_bench_json("ablation_threshold", {"rows": rows})
     save_result("ablation_threshold", format_table(
         ["threshold(ms)", "clients", "FPS", "E2E(ms)", "success"],
         [[row["threshold_ms"], row["clients"], row["fps"],

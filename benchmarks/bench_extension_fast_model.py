@@ -10,12 +10,18 @@ This bench runs both pipelines with the standard SIFT service time
 real extractors live in ``repro.vision.fast_features`` and are an
 order of magnitude cheaper per frame), and locates the saturation
 knee: the client count where FPS first falls 20% below real-time.
+
+Results land in the committed repo-root
+``BENCH_extension_fast_model.json``: per model and pipeline, the knee
+and the FPS at 1 to ``MAX_CLIENTS`` clients.
 """
 
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.scatter.config import uniform_config
 from repro.scatterpp.pipeline import scatterpp_pipeline_kwargs
+
+from benchmarks.conftest import save_bench_json
 
 DURATION_S = 20.0
 REALTIME_FLOOR_FPS = 20.0
@@ -76,6 +82,12 @@ def run_grid():
 def test_extension_fast_model(benchmark, save_result):
     variants = benchmark.pedantic(run_grid, rounds=1, iterations=1)
 
+    save_bench_json("extension_fast_model", {"rows": [
+        {"model": model, "pipeline": pipeline,
+         "knee": saturation_knee(series),
+         "fps": [series[n] for n in range(1, MAX_CLIENTS + 1)]}
+        for model, pipelines in variants.items()
+        for pipeline, series in pipelines.items()]})
     rows = []
     for model, pipelines in variants.items():
         for pipeline, series in pipelines.items():

@@ -11,7 +11,9 @@ crash is detected by heartbeats and repaired within a few detector
 windows; availability stays above the raw pipeline success rate
 because degraded (locally tracked) frames fill part of each outage.
 
-Set ``RESILIENCE_SMOKE=1`` to run a single short intensity (CI).
+Results land in the committed repo-root ``BENCH_resilience.json``.
+Set ``RESILIENCE_SMOKE=1`` to run a single short intensity (CI); the
+file then carries ``"smoke": true``.
 """
 
 import os
@@ -22,6 +24,8 @@ from repro.chaos import FaultPlan
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.scatter.config import baseline_configs
+
+from benchmarks.conftest import save_bench_json
 
 DURATION_S = 40.0
 SMOKE = os.environ.get("RESILIENCE_SMOKE") == "1"
@@ -60,6 +64,7 @@ def test_resilience_sweep(benchmark, save_result):
     duration_s = 20.0 if SMOKE else DURATION_S
     rows = benchmark.pedantic(lambda: _sweep(duration_s),
                               rounds=1, iterations=1)
+    save_bench_json("resilience", {"smoke": SMOKE, "rows": rows})
 
     table = format_table(
         ["crashes", "avail", "success", "degraded", "MTTR(s)",

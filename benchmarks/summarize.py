@@ -89,6 +89,34 @@ def _cold_start(data: Dict[str, Any]) -> str:
             f"cold cell {arm('cli_cell_baseline')} -> {arm('cli_cell')}")
 
 
+def _ablation_components(data: Dict[str, Any]) -> str:
+    return "FPS " + ", ".join(
+        f"{row['variant']} {_fmt(row['fps'])}"
+        for row in data.get("rows", []))
+
+
+def _ablation_threshold(data: Dict[str, Any]) -> str:
+    return "at 4 clients " + ", ".join(
+        f"{_fmt(row['threshold_ms'], 0)} ms: {_fmt(row['fps'])} FPS "
+        f"{_fmt(row['e2e_ms'], 0)} ms E2E"
+        for row in data.get("rows", []) if row["clients"] == 4)
+
+
+def _extension_fast_model(data: Dict[str, Any]) -> str:
+    return "knee " + ", ".join(
+        f"{row['model']}/{row['pipeline']} {_fmt(row['knee'])}"
+        for row in data.get("rows", []))
+
+
+def _resilience(data: Dict[str, Any]) -> str:
+    worst = max(data.get("rows", []), key=lambda row: row["crashes"],
+                default={})
+    return (f"{_fmt(worst.get('crashes'))} crashes: availability "
+            f"{_fmt(worst.get('availability'))}, MTTR "
+            f"{_fmt(worst.get('mttr_s'))} s, "
+            f"{_fmt(worst.get('unrecovered'))} unrecovered")
+
+
 #: file stem -> (PR, one-line what-it-measures, headline extractor).
 TRAJECTORY: Dict[str, tuple] = {
     "perf_kernels": (
@@ -130,6 +158,18 @@ TRAJECTORY: Dict[str, tuple] = {
              "entry points", _cold_start),
     "vision_accuracy": (
         "-", "recognizer accuracy on the replay video", _vision_accuracy),
+    "ablation_components": (
+        "-", "scAtteR++'s two changes, alone and together (C1, 4 "
+             "clients)", _ablation_components),
+    "ablation_threshold": (
+        "-", "sidecar staleness threshold 50/100/200 ms (C1)",
+        _ablation_threshold),
+    "extension_fast_model": (
+        "-", "faster feature model: saturation knee (E2)",
+        _extension_fast_model),
+    "resilience": (
+        "-", "crash intensity vs QoS under self-healing (C2)",
+        _resilience),
 }
 
 

@@ -129,10 +129,6 @@ class FaultPlan:
     def sorted_faults(self) -> List[Fault]:
         return sorted(self.faults, key=lambda f: f.at_s)
 
-    def crash_faults(self) -> List[Fault]:
-        return [f for f in self.sorted_faults()
-                if isinstance(f, CRASH_KINDS)]
-
     def __len__(self) -> int:
         return len(self.faults)
 

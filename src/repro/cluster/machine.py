@@ -40,7 +40,7 @@ class Machine:
             GpuDevice(sim, gpu_architecture, index=i)
             for i in range(gpu_count)
         ]
-        self.memory = MemoryAccount(sim, capacity_bytes=memory_gb * GB)
+        self.memory = MemoryAccount(capacity_bytes=memory_gb * GB)
         self._next_gpu = 0
 
     @property
@@ -65,19 +65,6 @@ class Machine:
         finally:
             self.cpu_meter.remove(1.0)
             self.cpu.release()
-
-    def cpu_utilization(self) -> float:
-        """Normalized CPU utilization in [0, 1] (against all cores)."""
-        return self.cpu_meter.utilization()
-
-    def gpu_utilization(self) -> float:
-        """Normalized GPU utilization across all devices, in [0, 1]."""
-        if not self.gpus:
-            return 0.0
-        return sum(g.meter.utilization() for g in self.gpus) / len(self.gpus)
-
-    def memory_used_gb(self) -> float:
-        return self.memory.in_use_bytes / GB
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         gpu = (f"{len(self.gpus)}x{self.gpus[0].architecture.name}"

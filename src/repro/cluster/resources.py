@@ -3,15 +3,12 @@
 The orchestrator (and the paper's figures) report utilization as busy
 time divided by capacity over the observation window — a
 :class:`UsageMeter` integrates concurrent busy intervals to provide
-exactly that.  :class:`MemoryAccount` tracks allocations with peak
-watermarks; scAtteR's stateful ``sift`` grows this account while frames
-wait for ``matching`` (§4, "memory utilization increases several
-folds").
+exactly that.  :class:`MemoryAccount` tracks allocations; scAtteR's
+stateful ``sift`` grows this account while frames wait for
+``matching`` (§4, "memory utilization increases several folds").
 """
 
 from __future__ import annotations
-
-from typing import List, Tuple
 
 from repro.sim.kernel import Simulator
 
@@ -30,8 +27,6 @@ class UsageMeter:
         self.sim = sim
         self.capacity = capacity
         self._level = 0.0
-        self._area = 0.0
-        self._created = sim.now
         self._last_change = sim.now
         self._window_start = sim.now
         self._window_area = 0.0
@@ -40,7 +35,6 @@ class UsageMeter:
         now = self.sim.now
         delta = now - self._last_change
         if delta > 0:
-            self._area += self._level * delta
             self._window_area += self._level * delta
             self._last_change = now
 
@@ -54,7 +48,6 @@ class UsageMeter:
         now = self.sim.now
         delta = now - self._last_change
         if delta > 0:
-            self._area += self._level * delta
             self._window_area += self._level * delta
             self._last_change = now
         self._level += amount
@@ -67,21 +60,12 @@ class UsageMeter:
         now = self.sim.now  # _advance inlined, as in add
         delta = now - self._last_change
         if delta > 0:
-            self._area += self._level * delta
             self._window_area += self._level * delta
             self._last_change = now
         self._level -= amount
         if self._level < -1e-9:
             raise ValueError(f"level went negative: {self._level}")
         self._level = max(0.0, self._level)
-
-    def utilization(self) -> float:
-        """Average utilization in [0, 1] since meter creation."""
-        self._advance()
-        elapsed = self.sim.now - self._created
-        if elapsed <= 0:
-            return 0.0
-        return self._area / (self.capacity * elapsed)
 
     def window_utilization(self, reset: bool = False) -> float:
         """Average utilization since the last window reset."""
@@ -98,25 +82,18 @@ class UsageMeter:
 
 
 class MemoryAccount:
-    """Byte-granular allocation tracking with peak watermarks."""
+    """Byte-granular allocation tracking."""
 
-    def __init__(self, sim: Simulator, capacity_bytes: float):
+    def __init__(self, capacity_bytes: float):
         if capacity_bytes <= 0:
             raise ValueError(
                 f"capacity must be positive, got {capacity_bytes}")
-        self.sim = sim
         self.capacity_bytes = capacity_bytes
         self._in_use = 0.0
-        self._peak = 0.0
-        self._samples: List[Tuple[float, float]] = []
 
     @property
     def in_use_bytes(self) -> float:
         return self._in_use
-
-    @property
-    def peak_bytes(self) -> float:
-        return self._peak
 
     @property
     def free_bytes(self) -> float:
@@ -126,7 +103,6 @@ class MemoryAccount:
         if amount_bytes < 0:
             raise ValueError(f"negative allocation {amount_bytes}")
         self._in_use += amount_bytes
-        self._peak = max(self._peak, self._in_use)
 
     def free(self, amount_bytes: float) -> None:
         if amount_bytes < 0:
@@ -135,17 +111,3 @@ class MemoryAccount:
         if self._in_use < -1e-6:
             raise ValueError("freed more memory than allocated")
         self._in_use = max(0.0, self._in_use)
-
-    def sample(self) -> None:
-        """Record (now, in_use) for time-series reporting."""
-        self._samples.append((self.sim.now, self._in_use))
-
-    @property
-    def samples(self) -> List[Tuple[float, float]]:
-        return list(self._samples)
-
-    def mean_usage_bytes(self) -> float:
-        """Mean of recorded samples (0 when never sampled)."""
-        if not self._samples:
-            return self._in_use
-        return sum(value for __, value in self._samples) / len(self._samples)

@@ -18,8 +18,7 @@ from repro.cohort.population import (DEFAULT_TICK_S, LOAD_PROCESSES,
                                      CohortSpec, LoadProcess,
                                      build_load_process)
 from repro.cohort.report import (CohortLedger, CohortReport,
-                                 check_cohort_conservation,
-                                 merge_cohort_dicts)
+                                 check_cohort_conservation)
 
 __all__ = [
     "CohortEngine",
@@ -31,5 +30,4 @@ __all__ = [
     "LoadProcess",
     "build_load_process",
     "check_cohort_conservation",
-    "merge_cohort_dicts",
 ]

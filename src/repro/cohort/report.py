@@ -11,7 +11,7 @@ live in carry accumulators that never enter the ledger).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.flow.invariants import ConservationError
 from repro.metrics.sketch import PercentileSketch
@@ -126,41 +126,3 @@ class CohortReport:
             "latency_sketch": self.latency.to_dict(),
             "queue_wait_sketch": self.queue_wait.to_dict(),
         }
-
-
-def merge_cohort_dicts(payloads) -> Optional[Dict[str, object]]:
-    """Fold per-shard ``as_dict`` payloads into one (``None`` if none).
-
-    Integer ledgers add; sketches merge losslessly; capacities and
-    spec fields must agree (same cell ⇒ same placement and cohort).
-    """
-    payloads = [p for p in payloads if p]
-    if not payloads:
-        return None
-    first = payloads[0]
-    ledger = CohortLedger()
-    latency = None
-    queue_wait = None
-    for payload in payloads:
-        for key in ("offered", "shed_credits", "paced", "rejected",
-                    "served", "dropped_stale", "pending"):
-            setattr(ledger, key,
-                    getattr(ledger, key) + payload["ledger"][key])
-        shard_latency = PercentileSketch.from_dict(
-            payload["latency_sketch"])
-        shard_wait = PercentileSketch.from_dict(
-            payload["queue_wait_sketch"])
-        latency = (shard_latency if latency is None
-                   else latency.merge(shard_latency))
-        queue_wait = (shard_wait if queue_wait is None
-                      else queue_wait.merge(shard_wait))
-    report = CohortReport(
-        spec=dict(first["spec"]),
-        ledger=ledger,
-        duration_s=float(first["duration_s"]),
-        bottleneck_service=first["bottleneck_service"],
-        bottleneck_capacity_fps=float(
-            first["bottleneck_capacity_fps"]),
-        tracer_mean_fps=float(first["tracer_mean_fps"]),
-        latency=latency, queue_wait=queue_wait)
-    return report.as_dict()

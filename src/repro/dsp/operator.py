@@ -67,9 +67,6 @@ class ServiceStats:
     arrival_times_s: Deque[float] = field(
         default_factory=lambda: deque(maxlen=ARRIVAL_WINDOW_SAMPLES))
 
-    def mean_latency_s(self) -> float:
-        return self.latency_samples_s.mean
-
     def ingress_fps(self, window_s: float, now: float) -> float:
         """Arrivals per second over the trailing window."""
         if window_s <= 0:
@@ -106,7 +103,6 @@ class StreamService:
                  registry: ServiceRegistry, container: Container,
                  address: Address, base_time_s: float,
                  gpu_intensity: float = 0.5,
-                 reliable_transport: bool = False,
                  rng: Optional[np.random.Generator] = None):
         if base_time_s <= 0:
             raise ValueError(
@@ -119,10 +115,6 @@ class StreamService:
         self.address = address
         self.base_time_s = base_time_s
         self.gpu_intensity = gpu_intensity
-        #: Use an ARQ transport for inter-service sends instead of
-        #: bare UDP — the "improved network protocols" direction of
-        #: Appendix A.1.2 (losses become retransmission delay).
-        self.reliable_transport = reliable_transport
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.stats = ServiceStats()
         #: Optional distributed tracer (see repro.metrics.tracing).
@@ -176,10 +168,6 @@ class StreamService:
         self.network.unbind(self.address)
         self.container.stop(failed=True)
         self._started = False
-
-    @property
-    def busy(self) -> bool:
-        return self._busy
 
     def is_running(self) -> bool:
         return self._started
@@ -333,24 +321,9 @@ class StreamService:
             yield from self.process(record)
 
     def send(self, destination: Address, record: FrameRecord) -> bool:
-        """Send a record to a concrete address.
-
-        Plain UDP by default; with ``reliable_transport`` losses turn
-        into retransmission delay instead of silent drops.
-        """
+        """Send a record to a concrete address over plain UDP."""
         datagram = Datagram(payload=record, size_bytes=record.size_bytes,
                             src=self.address, dst=destination)
-        if self.reliable_transport:
-            from repro.net.rpc import reliable_path_delay
-
-            delay = reliable_path_delay(self.network,
-                                        self.address.node,
-                                        destination.node,
-                                        record.size_bytes)
-            if delay is None:
-                return False
-            self.network.deliver_after(delay, destination, datagram)
-            return True
         return self.network.send(self.address.node, destination, datagram,
                                  record.size_bytes)
 

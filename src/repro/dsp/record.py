@@ -66,7 +66,3 @@ class FrameRecord:
             self.kind if kind is None else kind,
             self.sift_address,
             {**self.meta, **meta} if meta else dict(self.meta))
-
-    def age_s(self, now: float) -> float:
-        """Time since client capture — what the sidecar thresholds on."""
-        return now - self.created_s

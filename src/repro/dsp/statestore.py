@@ -49,7 +49,7 @@ class StateStore:
         #: on, on another replica.
         self.stats_discarded = 0
         #: Entries that died with the replica (stop/crash) — the
-        #: stateful-loss cost scale-downs and naive reconnects pay.
+        #: stateful-loss cost stopped replicas and naive reconnects pay.
         self.stats_dropped_stop = 0
         #: Entries exported (copied out, NOT removed) for transfer.
         self.stats_exported = 0
@@ -92,11 +92,6 @@ class StateStore:
         self._evict(key, expired=False)
         self.stats_fetched += 1
         return value
-
-    def peek(self, key: Hashable) -> Optional[Any]:
-        """Return the entry without removing it."""
-        entry = self._entries.get(key)
-        return entry[0] if entry is not None else None
 
     # ------------------------------------------------------------------
     # Session handover support
@@ -149,7 +144,7 @@ class StateStore:
     def drop_all(self) -> int:
         """Free every entry (the replica is stopping); returns count.
 
-        The dropped entries are the stateful loss a scale-down or
+        The dropped entries are the stateful loss a stopped replica or
         naive reconnect pays — counted here so the loss
         is never silent.
         """

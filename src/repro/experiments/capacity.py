@@ -89,12 +89,6 @@ class CapacityReport:
     #: Every probed cell, in ascending client order.
     probes: List[CellProbe] = field(default_factory=list)
 
-    def probe_for(self, clients: int) -> Optional[CellProbe]:
-        for probe in self.probes:
-            if probe.clients == clients:
-                return probe
-        return None
-
     def as_dict(self) -> Dict:
         return {"placement": self.placement,
                 "slo": {"min_fps": self.slo.min_fps,

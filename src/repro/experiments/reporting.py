@@ -6,7 +6,7 @@ plot; these helpers keep that output aligned and readable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 
 def format_table(headers: Sequence[str],
@@ -67,41 +67,6 @@ def utilization_table(rows: List[Dict]) -> str:
             + [100.0 * row["cpu_util"].get(m, 0.0) for m in machines]
             + [100.0 * row["gpu_util"].get(m, 0.0) for m in machines])
     return format_table(headers, body)
-
-
-#: Eight-level vertical bar glyphs for sparklines.
-_SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """Render a numeric series as a unicode sparkline."""
-    values = [float(v) for v in values]
-    if not values:
-        return ""
-    low = min(values)
-    span = max(values) - low
-    if span <= 0:
-        return _SPARK_GLYPHS[0] * len(values)
-    indices = [int((v - low) / span * (len(_SPARK_GLYPHS) - 1))
-               for v in values]
-    return "".join(_SPARK_GLYPHS[i] for i in indices)
-
-
-def bar_chart(rows: Sequence[Tuple[str, float]], *,
-              width: int = 40, unit: str = "") -> str:
-    """Horizontal ASCII bar chart of (label, value) pairs."""
-    rows = [(str(label), float(value)) for label, value in rows]
-    if not rows:
-        return ""
-    peak = max(value for __, value in rows) or 1.0
-    label_width = max(len(label) for label, __ in rows)
-    lines = []
-    for label, value in rows:
-        bar = "#" * max(1 if value > 0 else 0,
-                        int(round(value / peak * width)))
-        lines.append(f"{label.ljust(label_width)}  "
-                     f"{bar.ljust(width)}  {value:.2f}{unit}")
-    return "\n".join(lines)
 
 
 def analytics_table(report: Dict) -> str:

@@ -189,9 +189,6 @@ class ExperimentResult:
     def mean_e2e_ms(self) -> float:
         return self._e2e_ms(np.mean)
 
-    def median_e2e_ms(self) -> float:
-        return self._e2e_ms(np.median)
-
     def percentile_e2e_ms(self, percentile: float) -> float:
         """Tail latency — the metric XR budgets actually care about."""
         if not 0.0 < percentile < 100.0:

@@ -74,9 +74,7 @@ def summarize_result(result) -> Dict:
         "mobility": getattr(result, "mobility", None),
         # Macro-cohort summary (spec + exact frame ledger + analytic
         # capacity + serialized percentile sketches); None for every
-        # non-cohort run.  The sketches are mergeable, so shard
-        # summaries can be folded back together losslessly
-        # (:func:`repro.cohort.merge_cohort_dicts`).
+        # non-cohort run.
         "cohort": getattr(result, "cohort", None),
         # Post-hoc joules/cost attribution (per-stage, idle, device,
         # joules-per-frame) from the energy model; None unless the
@@ -114,8 +112,3 @@ class ResultStore:
         payload = json.dumps(summary, indent=2, sort_keys=True)
         return atomic_write_text(self._path(name), payload)
 
-    def load(self, name: str) -> Dict:
-        path = self._path(name)
-        if not path.exists():
-            raise KeyError(f"no stored result named {name!r}")
-        return json.loads(path.read_text())

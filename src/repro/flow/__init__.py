@@ -6,7 +6,7 @@ or consumes RNG, which is what keeps the flow-off trajectories
 byte-identical to the pre-flow simulator.
 """
 
-from repro.flow.admission import (AdmissionPolicy, AlwaysAdmit,
+from repro.flow.admission import (AdmissionPolicy,
                                   QueueGradientAdmission,
                                   TokenBucketAdmission, build_admission)
 from repro.flow.config import (ADMISSION_POLICIES, FlowConfig,
@@ -23,7 +23,6 @@ from repro.flow.invariants import (ConservationError, SidecarLedger,
 __all__ = [
     "ADMISSION_POLICIES",
     "AdmissionPolicy",
-    "AlwaysAdmit",
     "CREDIT_WIRE_BYTES",
     "ConservationError",
     "CreditAdvertisement",

@@ -6,7 +6,8 @@ filter only catches waste at dispatch, after the frame occupied memory
 and a queue slot.  Three policies ship:
 
 * ``always`` — admit everything (rejections then come only from queue
-  overflow); byte-identical to running without admission control.
+  overflow); it builds no policy object, so it is byte-identical to
+  running without admission control.
 * ``token-bucket`` — a per-client token bucket.  Fairness is the
   point: one hot client drains only its *own* bucket, so it cannot
   starve well-behaved clients out of the queue.
@@ -39,16 +40,6 @@ class AdmissionPolicy:
         ``target_depth`` the sidecar's serviceable window (how many
         entries it can still serve inside the staleness budget)."""
         raise NotImplementedError
-
-
-class AlwaysAdmit(AdmissionPolicy):
-    """The null policy: every frame enters the queue."""
-
-    name = "always"
-
-    def admit(self, *, client_id: int, now: float, depth: int,
-              target_depth: int) -> bool:
-        return True
 
 
 class _PerClientBuckets:

@@ -66,11 +66,6 @@ class TokenBucket:
                 self._tokens + (now - self._last_s) * self.rate_per_s)
             self._last_s = now
 
-    def tokens(self, now: float) -> float:
-        """Tokens available at ``now`` (refilled, not consumed)."""
-        self._refill(now)
-        return self._tokens
-
     def take(self, now: float) -> bool:
         """Consume one token if available."""
         self._refill(now)
@@ -170,17 +165,6 @@ class CreditLedger:
                  self._entries.items() if now - at > self.ttl_s]
         for instance in stale:
             del self._entries[instance]
-
-    def has_signal(self, now: float) -> bool:
-        """Whether any fresh advertisement is in view."""
-        self._expire(now)
-        return bool(self._entries)
-
-    def available(self, now: float) -> int:
-        """Fresh credits summed across downstream instances (>= 0)."""
-        self._expire(now)
-        return sum(credits for credits, __, __s in
-                   self._entries.values())
 
     def take(self, now: float) -> bool:
         """Spend one credit; ``True`` with no fresh signal (cold start).

@@ -15,9 +15,9 @@ Every frame that reaches a sidecar must be accounted for exactly once:
 in-flight term makes the equation an identity, not an inequality), and
 :func:`check_result_conservation` audits every sidecar of a finished
 experiment — the hook both the property suite and the capacity
-benchmark call per probed cell.  Replicas retired mid-run (scale-down,
-handover, self-healing replacement) are audited too: retirement moves
-frames and state around, it must not launder them.
+benchmark call per probed cell.  Replicas retired mid-run (handover,
+self-healing replacement) are audited too: retirement moves frames and
+state around, it must not launder them.
 
 Session handover extends the ledger family in two directions:
 
@@ -134,7 +134,7 @@ def check_result_conservation(result, *,
     flow summary).  Raises :class:`ConservationError` on the first
     imbalance.  Services without sidecars (plain scAtteR) are skipped.
     ``include_retired`` extends the audit over replicas removed mid-run
-    (scale-down, handover, watchdog replacement): a retired replica's
+    (handover, watchdog replacement): a retired replica's
     ledger must balance just like a live one's.
     """
     from repro.scatter.config import PIPELINE_ORDER

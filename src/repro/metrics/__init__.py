@@ -16,8 +16,7 @@ from repro.metrics.profiling import StageProfiler, StageRecord
 from repro.metrics.qos import ClientStats
 from repro.metrics.sketch import PercentileSketch, merge_sketches
 from repro.metrics.summary import (CacheStats, SampleReservoir,
-                                   Summary, safe_percentile,
-                                   summarize)
+                                   Summary, summarize)
 
 __all__ = [
     "CacheStats",
@@ -36,7 +35,6 @@ __all__ = [
     "build_resilience_report",
     "energy_summary",
     "merge_sketches",
-    "safe_percentile",
     "summarize",
 ]
 

@@ -93,16 +93,6 @@ class HardwareMonitor:
         values = [s.gpu.get(machine, 0.0) for s in self.samples]
         return float(np.mean(values)) if values else 0.0
 
-    def mean_container_memory_gb(self, container_id: str) -> float:
-        values = [s.memory_bytes[container_id] for s in self.samples
-                  if container_id in s.memory_bytes]
-        return float(np.mean(values)) / GB if values else 0.0
-
-    def peak_container_memory_gb(self, container_id: str) -> float:
-        values = [s.memory_bytes[container_id] for s in self.samples
-                  if container_id in s.memory_bytes]
-        return float(np.max(values)) / GB if values else 0.0
-
     def service_memory_gb(self) -> Dict[str, float]:
         """Mean memory per *service* (containers summed per service)."""
         per_service: Dict[str, List[float]] = {}

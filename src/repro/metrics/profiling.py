@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Dict, Iterator, Optional
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,6 @@ class StageRecord:
         if self.calls == 0:
             return None
         return self.total_ms / self.calls
-
-    def delta(self, earlier: "StageRecord") -> "StageRecord":
-        return StageRecord(calls=self.calls - earlier.calls,
-                           total_ns=self.total_ns - earlier.total_ns)
 
 
 @dataclass
@@ -102,17 +98,6 @@ class StageProfiler:
         return {name: StageRecord(calls=self._calls[name],
                                   total_ns=self._total_ns[name])
                 for name in sorted(self._calls)}
-
-    def delta(self, earlier: Mapping[str, StageRecord]) \
-            -> Dict[str, StageRecord]:
-        """Stage costs accumulated since an earlier ``snapshot()``."""
-        out: Dict[str, StageRecord] = {}
-        for name, record in self.snapshot().items():
-            base = earlier.get(name, StageRecord())
-            diff = record.delta(base)
-            if diff.calls or diff.total_ns:
-                out[name] = diff
-        return out
 
     def reset(self) -> None:
         self._calls.clear()

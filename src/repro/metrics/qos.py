@@ -19,8 +19,6 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.metrics.summary import Summary, summarize
-
 
 @dataclass
 class ClientStats:
@@ -164,12 +162,6 @@ class ClientStats:
             return 0.0
         return self.frames_received / self.frames_sent
 
-    def paced_rate(self) -> float:
-        """Fraction of frames withheld by flow-control pacing."""
-        if not self.sent:
-            return 0.0
-        return self.frames_paced / self.frames_sent
-
     def degraded_rate(self) -> float:
         if not self.sent:
             return 0.0
@@ -196,9 +188,6 @@ class ClientStats:
         if duration_s <= 0:
             return 0.0
         return self.frames_received / duration_s
-
-    def e2e_latency(self) -> Summary:
-        return summarize(self.e2e_latencies_s)
 
     def inter_arrival_deltas_s(self) -> List[float]:
         """Receive-time deltas between *consecutive* frame numbers.

@@ -121,15 +121,6 @@ class ResilienceReport:
         return sum(1 for r in self.recoveries if r.redeployed_s is None)
 
     # ------------------------------------------------------------------
-    def recovery_table(self) -> str:
-        return format_table(
-            ["fault", "detail", "t_inject", "detect(s)", "MTTR(s)"],
-            [[r.kind, r.detail, r.injected_s,
-              "-" if r.detection_latency_s is None
-              else f"{r.detection_latency_s:.2f}",
-              "-" if r.mttr_s is None else f"{r.mttr_s:.2f}"]
-             for r in self.recoveries])
-
     def summary_table(self) -> str:
         return format_table(
             ["metric", "value"],

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -42,11 +42,6 @@ class SampleReservoir(list):
             self.append(value)
 
     @property
-    def overflowed(self) -> bool:
-        """Whether more samples were offered than the reservoir holds."""
-        return self.total > self.maxlen
-
-    @property
     def overflow_ratio(self) -> float:
         """Fraction of offered samples not retained (subsampled away).
 
@@ -82,28 +77,6 @@ class Summary:
     def __str__(self) -> str:
         return (f"n={self.count} mean={self.mean:.3f} "
                 f"median={self.median:.3f} p95={self.p95:.3f}")
-
-
-def safe_percentile(values, q: float) -> Optional[float]:
-    """Percentile that degrades to ``None`` instead of raising.
-
-    Reservoirs for stages that never saw a sample (a service that was
-    down the whole run, a cache that was disabled) are empty, and
-    chaos runs can inject NaN placeholders for dropped measurements.
-    ``np.percentile`` raises on the former and poisons the latter;
-    reports must render both as "no data", not crash.  A
-    :class:`~repro.metrics.sketch.PercentileSketch` is answered from
-    its buckets directly — its raw samples no longer exist.
-    """
-    from repro.metrics.sketch import PercentileSketch
-
-    if isinstance(values, PercentileSketch):
-        return values.quantile(q)
-    data = np.asarray([float(v) for v in values], dtype=float)
-    data = data[np.isfinite(data)]
-    if data.size == 0:
-        return None
-    return float(np.percentile(data, q))
 
 
 def summarize(values) -> Summary:
@@ -155,10 +128,7 @@ class CacheStats:
     """Counter snapshot for a content-addressed cache.
 
     Instances are immutable snapshots; the live cache mutates its own
-    counters and exposes them through ``stats()``.  ``delta`` supports
-    per-cell scoping: take a snapshot before a cell runs, another
-    after, and the difference attributes hits/misses to that cell even
-    when the cache object is shared across cells in one process.
+    counters and exposes them through ``stats()``.
     """
 
     hits: int = 0
@@ -178,17 +148,6 @@ class CacheStats:
         if self.lookups == 0:
             return None
         return self.hits / self.lookups
-
-    def delta(self, earlier: "CacheStats") -> "CacheStats":
-        """Counters accumulated since ``earlier`` (gauges kept as-is)."""
-        return CacheStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            insertions=self.insertions - earlier.insertions,
-            evictions=self.evictions - earlier.evictions,
-            entries=self.entries,
-            size_bytes=self.size_bytes,
-        )
 
     def as_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = asdict(self)

@@ -75,15 +75,6 @@ class ClientTrajectory:
     def initial_site(self) -> str:
         return self.segments[0].site
 
-    def site_at(self, t: float) -> str:
-        """The site the client is attached to at time ``t``."""
-        current = self.segments[0].site
-        for segment in self.segments:
-            if segment.start_s > t:
-                break
-            current = segment.site
-        return current
-
     def handovers(self) -> List[Tuple[float, str, str]]:
         """``(at_s, from_site, to_site)`` for every site change."""
         moves = []

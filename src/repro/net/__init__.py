@@ -10,8 +10,8 @@ path (≈15 ms RTT).  Provides:
   (extra delay, delay oscillation, loss) used by Appendix A.1.1.
 * :class:`~repro.net.topology.Network` — node/link graph with
   shortest-path routing and datagram delivery.
-* :class:`~repro.net.datagram.DatagramSocket` — UDP-like unreliable
-  sockets (scAtteR's transport).
+* :class:`~repro.net.datagram.Datagram` — a UDP-like unreliable packet
+  (scAtteR's transport).
 * :class:`~repro.net.rpc.RpcChannel` — reliable request/response
   channel (the sidecar's gRPC hand-off in scAtteR++).
 * :class:`~repro.net.addresses.ServiceRegistry` — Oakestra-style
@@ -19,7 +19,7 @@ path (≈15 ms RTT).  Provides:
 """
 
 from repro.net.addresses import Address, ServiceRegistry
-from repro.net.datagram import Datagram, DatagramSocket
+from repro.net.datagram import Datagram
 from repro.net.link import Link
 from repro.net.netem import Netem
 from repro.net.rpc import RpcChannel, RpcServer, RpcTimeoutError
@@ -28,7 +28,6 @@ from repro.net.topology import Network, NetworkError
 __all__ = [
     "Address",
     "Datagram",
-    "DatagramSocket",
     "Link",
     "Netem",
     "Network",

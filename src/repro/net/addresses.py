@@ -70,14 +70,3 @@ class ServiceRegistry:
         counter = self._rr_counters.get(service, 0)
         self._rr_counters[service] = counter + 1
         return instances[counter % len(instances)]
-
-    def resolve_sticky(self, service: str, key: int) -> Address:
-        """Deterministically pin ``key`` to one instance (hash affinity).
-
-        scAtteR uses this for the stateful ``sift``: frames balanced
-        across sift replicas remain tied to one replica (§4).
-        """
-        instances = self._instances.get(service)
-        if not instances:
-            raise LookupError(f"no instances registered for {service!r}")
-        return instances[key % len(instances)]

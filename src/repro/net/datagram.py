@@ -1,20 +1,17 @@
-"""UDP-like datagram sockets.
+"""UDP-like datagrams and the health-probe packets that ride them.
 
 scAtteR uses UDP end-to-end (§3.1): no retransmission, no ordering
 guarantees beyond FIFO links, and receivers that are busy simply never
-see dropped packets.  A socket owns a receive queue (a FIFO
-:class:`~repro.sim.resources.Store`) that service processes block on.
+see dropped packets.  A receiver binds a handler to its address with
+:meth:`~repro.net.topology.Network.bind`; each delivery hands it one
+:class:`Datagram`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.net.addresses import Address
-from repro.net.topology import Network
-from repro.sim.kernel import Waitable
-from repro.sim.resources import Store
 
 
 @dataclass(slots=True)
@@ -57,46 +54,3 @@ class HealthAck:
     seq: int
     instance: Address
     probe_sent_s: float
-
-
-class DatagramSocket:
-    """An unreliable, connectionless socket bound to one address."""
-
-    def __init__(self, network: Network, address: Address,
-                 recv_capacity: Optional[int] = None):
-        self.network = network
-        self.address = address
-        self._queue = Store(network.sim, capacity=recv_capacity)
-        self.rx_count = 0
-        self.rx_dropped_full = 0
-        network.bind(address, self._on_delivery)
-
-    def close(self) -> None:
-        self.network.unbind(self.address)
-
-    def _on_delivery(self, datagram: Datagram) -> None:
-        self.rx_count += 1
-        if not self._queue.offer(datagram):
-            # Receive buffer overflow: kernel drops the packet, exactly
-            # like an overrun UDP socket buffer.
-            self.rx_dropped_full += 1
-
-    def sendto(self, dst: Address, payload: object, size_bytes: int) -> bool:
-        """Fire-and-forget send; returns in-network survival (UDP lies
-        to no one here, but real callers must not rely on it)."""
-        datagram = Datagram(payload=payload, size_bytes=size_bytes,
-                            src=self.address, dst=dst)
-        return self.network.send(self.address.node, dst, datagram,
-                                 size_bytes)
-
-    def recv(self) -> Waitable:
-        """Waitable firing with the next :class:`Datagram` (FIFO)."""
-        return self._queue.get()
-
-    def recv_nowait(self) -> Datagram:
-        """Immediate dequeue; raises :class:`LookupError` when empty."""
-        return self._queue.get_nowait()
-
-    @property
-    def pending(self) -> int:
-        return len(self._queue)

@@ -67,11 +67,6 @@ class Link:
         self.stats = LinkStats()
         self._busy_until = 0.0
 
-    @property
-    def queue_delay(self) -> float:
-        """Current egress queueing delay for a newly arriving packet."""
-        return max(0.0, self._busy_until - self.sim.now)
-
     def transmit(self, size_bytes: int) -> Optional[float]:
         """Send a packet of ``size_bytes``.
 

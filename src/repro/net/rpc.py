@@ -139,10 +139,7 @@ def reliable_path_delay(network: Network, src: str, dst: str,
 
     Walks the route like a datagram, but a per-hop loss draw costs a
     retransmission timeout instead of losing the message.  Returns
-    ``None`` only when every attempt on some hop is lost.  Used by the
-    RPC layer and by services configured for reliable inter-service
-    transport (the Appendix A.1.2 "improved network protocols"
-    direction).
+    ``None`` only when every attempt on some hop is lost.
     """
     if src == dst:
         return 0.0

@@ -197,9 +197,6 @@ class Network:
     def unbind(self, address: Address) -> None:
         self._sockets.pop(address, None)
 
-    def is_bound(self, address: Address) -> bool:
-        return address in self._sockets
-
     def send(self, src: str, dst_address: Address, payload: object,
              size_bytes: int) -> bool:
         """Best-effort datagram delivery.

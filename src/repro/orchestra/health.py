@@ -127,19 +127,6 @@ class FailureDetector:
             yield self.sim.timeout(self.interval_s)
 
     # ------------------------------------------------------------------
-    def healthy_instances(self, service: str) -> List[Address]:
-        return [r.address for r in self.records.values()
-                if r.service == service
-                and r.state is HealthState.HEALTHY]
-
-    def state_of(self, address: Address) -> Optional[HealthState]:
-        record = self.records.get(address)
-        return record.state if record is not None else None
-
-    def events_for(self, service: str) -> List[HealthEvent]:
-        return [e for e in self.events if e.service == service]
-
-    # ------------------------------------------------------------------
     def _tick(self) -> None:
         now = self.sim.now
         live: Dict[Address, tuple] = {}

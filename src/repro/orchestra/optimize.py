@@ -147,10 +147,6 @@ class Genome:
             for service in PIPELINE_ORDER))
 
 
-def is_genome_spec(name: str) -> bool:
-    return name.startswith(SPEC_PREFIX)
-
-
 # ----------------------------------------------------------------------
 # Search space: schedulability and sampling
 # ----------------------------------------------------------------------

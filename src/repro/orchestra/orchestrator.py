@@ -64,7 +64,7 @@ class Orchestrator:
         #: (timestamp, service) log of every self-healing redeploy —
         #: the recovery half of the MTTR metric.
         self.redeploy_events: List[Tuple[float, str]] = []
-        #: Replicas removed mid-run (scale-down, handover, replacement).
+        #: Replicas removed mid-run (handover, replacement).
         #: Kept so post-run audits — frame conservation, state-store
         #: accounting — can still see instances that are no longer in
         #: the live replica set.
@@ -102,15 +102,6 @@ class Orchestrator:
                     f"machines are {sla.allowed_machines}")
             sla = dataclasses.replace(sla, machine=machine)
         return self._deploy_one(sla, factory)
-
-    def scale_down(self, service: str) -> None:
-        """Remove the most recently added replica of ``service``."""
-        instances = self._instances.get(service)
-        if not instances:
-            raise OrchestratorError(f"no instances of {service!r}")
-        instance = instances.pop()
-        self._retired.setdefault(service, []).append(instance)
-        instance.stop()
 
     def _deploy_one(self, sla: ServiceSla,
                     factory: ServiceFactory) -> StreamService:

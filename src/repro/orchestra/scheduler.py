@@ -39,9 +39,6 @@ class Scheduler:
         else:
             self._offline.discard(name)
 
-    def is_offline(self, name: str) -> bool:
-        return name in self._offline
-
     def feasible_machines(self, sla: ServiceSla) -> List[Machine]:
         """All machines satisfying the SLA's constraints and demands."""
         feasible = []

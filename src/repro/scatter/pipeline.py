@@ -98,11 +98,6 @@ class ScatterPipeline:
             return 0.0
         return 1000.0 * merged.mean
 
-    def service_latency_sketch(self, service: str):
-        """The merged latency distribution across replicas (or None)."""
-        return merge_sketches(instance.stats.latency_samples_s
-                              for instance in self.instances(service))
-
     def drop_counts(self) -> Dict[str, int]:
         """Busy-drops per service (summed over replicas)."""
         return {

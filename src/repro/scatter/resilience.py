@@ -233,10 +233,6 @@ class LocalFallbackTracker:
         self.frames_tracked = 0
         self._last_frame_index: Optional[int] = None
 
-    @property
-    def engaged(self) -> bool:
-        return bool(self._anchors)
-
     def seed(self, recognitions: Sequence[Recognition]) -> None:
         """Remember the last known-good pipeline result."""
         self._anchors = list(recognitions)

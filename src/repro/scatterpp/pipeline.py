@@ -28,8 +28,6 @@ DEFAULT_THRESHOLD_S = 0.100
 def scatterpp_pipeline_kwargs(*, threshold_s: Optional[float] = None,
                               stateless_sift: bool = True,
                               with_sidecars: bool = True,
-                              queue_capacity: int = 256,
-                              discipline: str = "fifo",
                               flow=None,
                               service_kwargs: Optional[dict] = None) -> dict:
     """Keyword arguments for :class:`ScatterPipeline` deploying
@@ -57,9 +55,7 @@ def scatterpp_pipeline_kwargs(*, threshold_s: Optional[float] = None,
         classes["matching"] = StatelessMatchingService
     if with_sidecars:
         classes = {
-            name: sidecar_wrap(cls, threshold_s=threshold,
-                               queue_capacity=queue_capacity,
-                               discipline=discipline, flow=flow)
+            name: sidecar_wrap(cls, threshold_s=threshold, flow=flow)
             for name, cls in classes.items()
         }
     kwargs = {"service_classes": classes}

@@ -115,37 +115,19 @@ class SidecarStats:
         return self.rejected / arrivals if arrivals else 0.0
 
 
-#: Queue disciplines the sidecar supports.
-#:
-#: * ``fifo`` — the paper's design: oldest first, stale ones dropped
-#:   at dispatch.
-#: * ``lifo-fresh`` — newest first: under overload the service always
-#:   works on the freshest frame while older ones age out in the
-#:   queue.  For a real-time stream this trades fairness for
-#:   recency — frames that *are* served arrive with far less queueing
-#:   delay.
-QUEUE_DISCIPLINES = ("fifo", "lifo-fresh")
-
-
 class Sidecar:
     """Queue + filter + gRPC dispatcher for one service instance."""
 
     def __init__(self, service: "StreamService", *,
                  threshold_s: float = 0.100,
                  queue_capacity: int = 256,
-                 discipline: str = "fifo",
                  flow: Optional[FlowConfig] = None):
         if threshold_s <= 0:
             raise ValueError(
                 f"threshold_s must be positive, got {threshold_s}")
-        if discipline not in QUEUE_DISCIPLINES:
-            raise ValueError(
-                f"discipline must be one of {QUEUE_DISCIPLINES}, "
-                f"got {discipline!r}")
         self.service = service
         self.sim = service.sim
         self.threshold_s = threshold_s
-        self.discipline = discipline
         self.queue_capacity = queue_capacity
         self.flow = flow
         self.admission = (build_admission(flow)
@@ -155,14 +137,10 @@ class Sidecar:
         #: budget — the serviceable window credits are computed from.
         self._window = max(1, int(threshold_s /
                                   (service.base_time_s + RPC_OVERHEAD_S)))
-        #: Wake-up tokens; the entries deque holds the actual queue so
-        #: the discipline can choose which entry a token redeems.
+        #: Wake-up tokens; the entries deque holds the actual FIFO
+        #: queue, so a token redeems the oldest entry.
         self.queue: Store = Store(self.sim)
         self._entries: Deque[Tuple[FrameRecord, float]] = deque()
-        #: Takes the next entry per the queue discipline: the oldest
-        #: under fifo, the newest under lifo-fresh.
-        self._take = (self._entries.pop if discipline == "lifo-fresh"
-                      else self._entries.popleft)
         self.stats = SidecarStats()
         self._in_flight = 0
         #: Upstream ingress addresses -> last time they sent a frame;
@@ -280,7 +258,7 @@ class Sidecar:
                 return
             if not entries:
                 continue  # entries were drained while we slept
-            record, enqueued_at = self._take()
+            record, enqueued_at = entries.popleft()
             free_state(record.size_bytes)
             taken_at = sim.now
             if taken_at - enqueued_at > self.threshold_s:
@@ -303,7 +281,6 @@ class Sidecar:
             try:
                 yield sim.timeout(RPC_OVERHEAD_S)
                 start = sim.now if tracer is not None else None
-                service._busy = True
                 try:
                     if batch is None:
                         yield from service.process(record)
@@ -312,7 +289,6 @@ class Sidecar:
                             [queued for queued, __ in batch])
                     service_stats.processed += served
                 finally:
-                    service._busy = False
                     if tracer is not None:
                         for queued, __ in batch or ((record, enqueued_at),):
                             tracer.record_span(
@@ -355,7 +331,7 @@ class Sidecar:
                 self.queue.get_nowait()
             except LookupError:
                 break  # no matching token yet: leave the entry queued
-            record, enqueued_at = self._take()
+            record, enqueued_at = self._entries.popleft()
             self.service.container.free_state(record.size_bytes)
             if self.sim.now - enqueued_at > self.threshold_s:
                 self.stats.dropped_stale += 1
@@ -393,8 +369,6 @@ class Sidecar:
 
 def sidecar_wrap(base_class: Type[StreamService],
                  *, threshold_s: float = 0.100,
-                 queue_capacity: int = 256,
-                 discipline: str = "fifo",
                  flow: Optional[FlowConfig] = None) -> Type[StreamService]:
     """Build a sidecar-fronted variant of ``base_class``.
 
@@ -411,8 +385,6 @@ def sidecar_wrap(base_class: Type[StreamService],
             super().__init__(**kwargs)
             self.flow = flow
             self.sidecar = Sidecar(self, threshold_s=threshold_s,
-                                   queue_capacity=queue_capacity,
-                                   discipline=discipline,
                                    flow=flow)
 
         def start(self) -> None:

@@ -20,13 +20,6 @@ from repro.vision.dataset import ScenePlacement
 from repro.vision.recognizer import Recognition
 
 
-def polygon_area(corners: np.ndarray) -> float:
-    """Shoelace area of a (4, 2) polygon."""
-    x, y = corners[:, 0], corners[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1))
-                           - np.dot(y, np.roll(x, -1))))
-
-
 def bounding_box(corners: np.ndarray) -> Tuple[float, float, float, float]:
     """Axis-aligned (x0, y0, x1, y1) of a corner set."""
     return (float(corners[:, 0].min()), float(corners[:, 1].min()),

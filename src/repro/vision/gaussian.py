@@ -144,10 +144,6 @@ class ScaleSpace:
                      Tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False)
 
-    @property
-    def num_octaves(self) -> int:
-        return len(self.gaussians)
-
     def gradients(self, octave: int,
                   level: int) -> Tuple[np.ndarray, np.ndarray]:
         """Full-image (magnitude, orientation) of a Gaussian level.

@@ -74,19 +74,9 @@ class Pca:
         """
         return [self.transform(data) for data in data_sets]
 
-    def fit_transform(self, data: np.ndarray) -> np.ndarray:
-        return self.fit(data).transform(data)
-
     def fingerprint(self) -> str:
         """Digest of the fitted basis, for cache keying."""
         if not self.fitted:
             raise RuntimeError("Pca.fingerprint() before fit()")
         return config_fingerprint("pca", self.n_components, self.mean_,
                                   self.components_)
-
-    def inverse_transform(self, projected: np.ndarray) -> np.ndarray:
-        """Reconstruct from the projection (lossy)."""
-        if not self.fitted:
-            raise RuntimeError("Pca.inverse_transform() before fit()")
-        projected = np.asarray(projected, dtype=np.float64)
-        return projected @ self.components_ + self.mean_

@@ -35,10 +35,6 @@ class TrackedObject:
     def centre(self) -> np.ndarray:
         return self.corners.mean(axis=0)
 
-    @property
-    def coasting(self) -> bool:
-        return self.misses > 0
-
 
 class ObjectTracker:
     """Associates recognitions to tracks; smooths and coasts poses."""

@@ -175,11 +175,11 @@ def test_heartbeat_detects_crash_and_redeploys():
         plan=FaultPlan([InstanceCrash(at_s=crash_at, service="sift")]))
     # The watchdog is off: the only path to a redeploy is detection.
     assert orchestrator.redeploy_count == 1
-    states = [e.state for e in detector.events_for("sift")]
+    sift_events = [e for e in detector.events if e.service == "sift"]
+    states = [e.state for e in sift_events]
     assert HealthState.SUSPECT in states
     assert HealthState.DEAD in states
-    dead = [e for e in detector.events_for("sift")
-            if e.state is HealthState.DEAD][0]
+    dead = [e for e in sift_events if e.state is HealthState.DEAD][0]
     # Detected within the dead timeout plus a probe interval of slack.
     assert crash_at + detector.dead_timeout_s <= dead.timestamp_s \
         <= crash_at + detector.dead_timeout_s + 2 * detector.interval_s
@@ -223,7 +223,7 @@ def test_partition_then_heal_recovers_routing(scatterpp):
     # Every instance is HEALTHY and routed again at the end.
     for service in PIPELINE_ORDER:
         instance = orchestrator.instances(service)[0]
-        assert detector.state_of(instance.address) is \
+        assert detector.records[instance.address].state is \
             HealthState.HEALTHY
         assert orchestrator.registry.instances(service) == \
             [instance.address]

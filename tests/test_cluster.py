@@ -24,7 +24,7 @@ def test_meter_idle_is_zero():
     sim = Simulator()
     meter = UsageMeter(sim, capacity=4)
     sim.run(until=10.0)
-    assert meter.utilization() == 0.0
+    assert meter.window_utilization() == 0.0
 
 
 def test_meter_full_busy_is_one():
@@ -32,7 +32,7 @@ def test_meter_full_busy_is_one():
     meter = UsageMeter(sim, capacity=2)
     meter.add(2.0)
     sim.run(until=10.0)
-    assert meter.utilization() == pytest.approx(1.0)
+    assert meter.window_utilization() == pytest.approx(1.0)
 
 
 def test_meter_half_busy():
@@ -42,7 +42,7 @@ def test_meter_half_busy():
     sim.schedule(5.0, meter.remove, 1.0)
     sim.run(until=10.0)
     # 1 of 2 cores for 5 s of a 10 s window = 25%.
-    assert meter.utilization() == pytest.approx(0.25)
+    assert meter.window_utilization() == pytest.approx(0.25)
 
 
 def test_meter_window_reset():
@@ -75,34 +75,20 @@ def test_meter_negative_rejected():
 # MemoryAccount
 # ----------------------------------------------------------------------
 def test_memory_allocate_free_peak():
-    sim = Simulator()
-    memory = MemoryAccount(sim, capacity_bytes=10 * GB)
+    memory = MemoryAccount(capacity_bytes=10 * GB)
     memory.allocate(4 * GB)
     memory.allocate(2 * GB)
     assert memory.in_use_bytes == 6 * GB
     memory.free(3 * GB)
     assert memory.in_use_bytes == 3 * GB
-    assert memory.peak_bytes == 6 * GB
     assert memory.free_bytes == 7 * GB
 
 
 def test_memory_overfree_rejected():
-    sim = Simulator()
-    memory = MemoryAccount(sim, capacity_bytes=GB)
+    memory = MemoryAccount(capacity_bytes=GB)
     memory.allocate(10)
     with pytest.raises(ValueError):
         memory.free(100)
-
-
-def test_memory_sampling():
-    sim = Simulator()
-    memory = MemoryAccount(sim, capacity_bytes=GB)
-    memory.allocate(100)
-    memory.sample()
-    memory.allocate(100)
-    memory.sample()
-    assert memory.mean_usage_bytes() == pytest.approx(150)
-    assert [v for __, v in memory.samples] == [100, 200]
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +133,7 @@ def test_gpu_contention_serializes():
     sim.run()
     assert done[0] == ("a", pytest.approx(0.010))
     assert done[1] == ("b", pytest.approx(0.020))
-    assert gpu.meter.utilization() == pytest.approx(1.0)
+    assert gpu.meter.window_utilization() == pytest.approx(1.0)
 
 
 # ----------------------------------------------------------------------
@@ -251,9 +237,11 @@ def test_container_gpu_compute_busy_meter():
 
     sim.spawn(work())
     sim.run(until=0.010)
-    # The pinned device's meter is the busy meter: busy the whole run.
-    assert container.gpu.meter.utilization() == pytest.approx(1.0)
-    assert machine.gpu_utilization() == pytest.approx(0.5)  # 1 of 2 GPUs
+    # The pinned device's meter is the busy meter: busy the whole run,
+    # while the machine's other GPU stays idle.
+    assert container.gpu.meter.window_utilization() == pytest.approx(1.0)
+    assert sorted(gpu.meter.window_utilization()
+                  for gpu in machine.gpus) == pytest.approx([0.0, 1.0])
 
 
 def test_container_cpu_only():
@@ -271,7 +259,7 @@ def test_container_cpu_only():
     sim.spawn(work())
     sim.run()
     assert done == [pytest.approx(0.010)]
-    assert machine.cpu_utilization() > 0
+    assert machine.cpu_meter.window_utilization() > 0
 
 
 # ----------------------------------------------------------------------

@@ -59,7 +59,7 @@ def make_service(sim, network, machine, registry, base_time=0.010):
 def test_record_key_and_age():
     record = make_record(frame=7, client=3, now=1.0)
     assert record.key == (3, 7)
-    assert record.age_s(1.5) == pytest.approx(0.5)
+    assert record.created_s == 1.0
 
 
 def test_record_advanced_copies():
@@ -164,7 +164,6 @@ def test_service_latency_samples_recorded():
     # One sample: the sketch's exact mean *is* the sample.
     assert service.stats.latency_samples_s.mean == pytest.approx(
         0.010, rel=0.5)
-    assert service.stats.mean_latency_s() > 0
 
 
 def test_ingress_fps_window():
@@ -290,10 +289,12 @@ def test_store_replace_retimes_entry():
 
     sim.spawn(replace_later())
     sim.run(until=0.7)
-    # Replaced at 0.4 with a fresh TTL: still alive at 0.7.
-    assert store.peek("k") == "new"
+    # Replaced at 0.4 with a fresh TTL: still alive at 0.7, and only
+    # the new entry's bytes are charged.
+    assert store.keys() == ["k"]
+    assert machine.memory.in_use_bytes == GB + 200
     sim.run(until=1.0)
-    assert store.peek("k") is None
+    assert store.keys() == []
     assert machine.memory.in_use_bytes == GB
 
 

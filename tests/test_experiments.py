@@ -158,7 +158,7 @@ def test_runner_result_fields():
     assert len(result.clients) == 2
     assert result.analytics is None
     assert len(result.per_client_fps()) == 2
-    assert result.median_e2e_ms() > 0
+    assert result.mean_e2e_ms() > 0
 
 
 @pytest.mark.parametrize("fields", [

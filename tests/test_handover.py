@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster.testbed import build_paper_testbed
 from repro.experiments.runner import DRAIN_S
-from repro.net import Address, DatagramSocket, Netem, Network
+from repro.net import Address, Netem, Network
 from repro.net.netem import (
     apply_netem_schedule,
     lte_profile,

@@ -72,10 +72,6 @@ def test_trajectory_site_at_and_handovers():
         AttachmentSegment(9.0, "e1"),
     ))
     assert trajectory.initial_site == "e1"
-    assert trajectory.site_at(0.0) == "e1"
-    assert trajectory.site_at(3.999) == "e1"
-    assert trajectory.site_at(4.0) == "e2"
-    assert trajectory.site_at(100.0) == "e1"
     assert trajectory.handovers() == [(4.0, "e1", "e2"),
                                       (9.0, "e2", "e1")]
 

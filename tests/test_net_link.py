@@ -45,8 +45,7 @@ def test_queue_drains_as_time_advances():
     link.transmit(1000)
     sim.schedule(0.008, lambda: None)
     sim.run()
-    assert link.queue_delay == pytest.approx(0.0)
-    assert link.transmit(1000) == pytest.approx(0.008)
+    assert link.transmit(1000) == pytest.approx(0.008)  # queue drained
 
 
 def test_loss_drops_packets():

@@ -1,4 +1,4 @@
-"""Unit tests for the network topology, sockets and registry."""
+"""Unit tests for the network topology, datagram delivery and registry."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.cluster.testbed import build_paper_testbed
 from repro.net import (
     Address,
-    DatagramSocket,
+    Datagram,
     Netem,
     Network,
     NetworkError,
@@ -133,16 +133,11 @@ def test_datagram_delivery_end_to_end():
     sim, net = make_network()
     dst = Address("e2", 5000)
     src = Address("client", 4000)
-    server = DatagramSocket(net, dst)
-    client = DatagramSocket(net, src)
     got = []
-
-    def receiver():
-        datagram = yield server.recv()
-        got.append((sim.now, datagram.payload, datagram.src))
-
-    sim.spawn(receiver())
-    assert client.sendto(dst, "hello", size_bytes=100)
+    net.bind(dst, lambda datagram: got.append(
+        (sim.now, datagram.payload, datagram.src)))
+    datagram = Datagram(payload="hello", size_bytes=100, src=src, dst=dst)
+    assert net.send(src.node, dst, datagram, 100)
     sim.run()
     assert len(got) == 1
     when, payload, from_addr = got[0]
@@ -153,72 +148,51 @@ def test_datagram_delivery_end_to_end():
 
 def test_local_delivery_same_node():
     sim, net = make_network()
-    a = Address("e1", 1)
     b = Address("e1", 2)
-    sock_a = DatagramSocket(net, a)
-    sock_b = DatagramSocket(net, b)
     got = []
-
-    def receiver():
-        datagram = yield sock_b.recv()
-        got.append((sim.now, datagram.payload))
-
-    sim.spawn(receiver())
-    sock_a.sendto(b, "local", size_bytes=10)
+    net.bind(b, lambda payload: got.append((sim.now, payload)))
+    assert net.send("e1", b, "local", 10)
     sim.run()
     assert got == [(0.0, "local")]
 
 
 def test_lossy_link_drops_datagrams():
     sim, net = make_network(loss=1.0)
-    server = DatagramSocket(net, Address("e1", 5000))
-    client = DatagramSocket(net, Address("client", 4000))
-    assert not client.sendto(server.address, "x", size_bytes=10)
+    server = Address("e1", 5000)
+    got = []
+    net.bind(server, got.append)
+    assert not net.send("client", server, "x", 10)
     sim.run()
-    assert server.pending == 0
+    assert got == []
     assert net.stats_lost == 1
 
 
 def test_unbound_address_eats_packet():
     sim, net = make_network()
-    client = DatagramSocket(net, Address("client", 4000))
-    assert client.sendto(Address("e1", 9999), "void", size_bytes=10)
+    assert net.send("client", Address("e1", 9999), "void", 10)
     sim.run()  # must not raise
 
 
 def test_double_bind_rejected():
     __, net = make_network()
-    DatagramSocket(net, Address("e1", 5000))
+    net.bind(Address("e1", 5000), print)
     with pytest.raises(NetworkError):
-        DatagramSocket(net, Address("e1", 5000))
+        net.bind(Address("e1", 5000), print)
 
 
 def test_close_unbinds():
     sim, net = make_network()
-    sock = DatagramSocket(net, Address("e1", 5000))
-    sock.close()
-    DatagramSocket(net, Address("e1", 5000))  # rebinding now fine
-
-
-def test_recv_queue_capacity_overflow():
-    sim, net = make_network()
-    server = DatagramSocket(net, Address("e1", 5000), recv_capacity=2)
-    client = DatagramSocket(net, Address("client", 4000))
-    for __ in range(5):
-        client.sendto(server.address, "x", size_bytes=10)
-    sim.run()
-    assert server.pending == 2
-    assert server.rx_dropped_full == 3
-    assert server.rx_count == 5
+    net.bind(Address("e1", 5000), print)
+    net.unbind(Address("e1", 5000))
+    net.bind(Address("e1", 5000), print)  # rebinding now fine
 
 
 def test_set_netem_changes_behaviour():
     sim, net = make_network()
     net.set_netem("client", "e1", Netem(loss=1.0))
-    client = DatagramSocket(net, Address("client", 4000))
-    assert not client.sendto(Address("e1", 5000), "x", size_bytes=10)
+    assert not net.send("client", Address("e1", 5000), "x", 10)
     net.set_netem("client", "e1", None)
-    assert client.sendto(Address("e1", 5000), "x", size_bytes=10)
+    assert net.send("client", Address("e1", 5000), "x", 10)
 
 
 def test_registry_round_robin():
@@ -231,24 +205,10 @@ def test_registry_round_robin():
     assert picks == [a1, a2, a1, a2]
 
 
-def test_registry_sticky_affinity():
-    registry = ServiceRegistry()
-    a1 = Address("e1", 1)
-    a2 = Address("e2", 1)
-    registry.register("sift", a1)
-    registry.register("sift", a2)
-    assert registry.resolve_sticky("sift", 4) == a1
-    assert registry.resolve_sticky("sift", 7) == a2
-    # Affinity is stable across calls.
-    assert registry.resolve_sticky("sift", 4) == a1
-
-
 def test_registry_unknown_service():
     registry = ServiceRegistry()
     with pytest.raises(LookupError):
         registry.resolve("ghost")
-    with pytest.raises(LookupError):
-        registry.resolve_sticky("ghost", 0)
 
 
 def test_registry_register_idempotent_and_deregister():

@@ -16,7 +16,7 @@ import pytest
 from repro.experiments.campaign import Campaign, resolve_placement
 from repro.orchestra.optimize import (Genome, OptimizeConfig,
                                       OptimizeError, SearchSpace,
-                                      is_genome_spec, run_search)
+                                      run_search)
 from repro.scatter.config import (PIPELINE_ORDER, baseline_configs,
                                   cloud_config, hybrid_config,
                                   scaling_config)
@@ -39,7 +39,6 @@ def test_round_trip_every_static_placement():
     for name, placement in all_statics().items():
         genome = Genome.from_placement(placement)
         spec = genome.encode()
-        assert is_genome_spec(spec), name
         assert Genome.decode(spec) == genome, name
         assert genome.to_placement().placements == {
             s: list(placement.placements[s]) for s in PIPELINE_ORDER}
@@ -177,7 +176,7 @@ def test_tiny_budget_search_produces_valid_report():
     # a sampler that stalls after round 0 stops at 3.
     assert report.evaluations == 4
     for entry in report.front:
-        assert is_genome_spec(entry["genome"])
+        Genome.decode(entry["genome"])  # raises unless a genome spec
         obj = entry["objectives"]
         assert set(obj) == {"capacity", "p95_ms",
                             "joules_per_frame", "cost_units"}

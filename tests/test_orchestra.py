@@ -160,17 +160,6 @@ def test_scale_up_unknown_service(orchestrator):
         orchestrator.scale_up("ghost")
 
 
-def test_scale_down_removes_latest(orchestrator):
-    sla = ServiceSla("sift", memory_bytes=GB, machine="e1")
-    orchestrator.deploy(sla, null_factory, replicas=2)
-    orchestrator.scale_down("sift")
-    assert len(orchestrator.instances("sift")) == 1
-    assert len(orchestrator.registry.instances("sift")) == 1
-    orchestrator.scale_down("sift")  # down to zero is allowed
-    with pytest.raises(OrchestratorError):
-        orchestrator.scale_down("sift")
-
-
 def test_failure_redeploy(orchestrator):
     sla = ServiceSla("sift", memory_bytes=GB, machine="e1")
     instances = orchestrator.deploy(sla, null_factory)

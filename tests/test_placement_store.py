@@ -1,11 +1,13 @@
 """Tests for the placement optimizer and the result store."""
 
+import json
+import statistics
+
 import pytest
 
 from repro.experiments.runner import (ExperimentSpec, build_experiment,
                                       run_experiment)
 from repro.experiments.store import ResultStore, summarize_result
-from repro.experiments.reporting import bar_chart, sparkline
 from repro.orchestra.placement import PlacementOptimizer, pipeline_capacity
 from repro.scatter.config import (PIPELINE_ORDER, PlacementConfig,
                                   baseline_configs)
@@ -110,8 +112,6 @@ def sample_result():
 
 
 def test_summarize_result_is_json_friendly(sample_result):
-    import json
-
     summary = summarize_result(sample_result)
     encoded = json.dumps(summary)
     decoded = json.loads(encoded)
@@ -122,10 +122,8 @@ def test_summarize_result_is_json_friendly(sample_result):
 
 def test_store_roundtrip(tmp_path, sample_result):
     store = ResultStore(tmp_path / "results")
-    with pytest.raises(KeyError):
-        store.load("baseline")
-    store.save("baseline", sample_result)
-    assert store.load("baseline")["clients"] == 1
+    path = store.save("baseline", sample_result)
+    assert json.loads(path.read_text())["clients"] == 1
 
 
 def test_store_rejects_bad_names(tmp_path):
@@ -136,40 +134,13 @@ def test_store_rejects_bad_names(tmp_path):
         store.save("", {})
 
 
-# ----------------------------------------------------------------------
-# ASCII chart helpers
-# ----------------------------------------------------------------------
-def test_sparkline_shape():
-    line = sparkline([0, 1, 2, 3, 2, 1, 0])
-    assert len(line) == 7
-    assert line[0] == "▁"
-    assert line[3] == "█"
-
-
-def test_sparkline_flat_and_empty():
-    assert sparkline([5, 5, 5]) == "▁▁▁"
-    assert sparkline([]) == ""
-
-
-def test_bar_chart_rendering():
-    chart = bar_chart([("scatter", 5.0), ("scatter++", 15.0)],
-                      width=20, unit=" fps")
-    lines = chart.splitlines()
-    assert len(lines) == 2
-    assert lines[1].count("#") == 20  # the max fills the width
-    assert lines[0].count("#") == pytest.approx(7, abs=1)
-    assert "15.00 fps" in lines[1]
-
-
-def test_bar_chart_empty():
-    assert bar_chart([]) == ""
-
-
 def test_percentile_e2e(sample_result):
     p95 = sample_result.percentile_e2e_ms(95.0)
     p50 = sample_result.percentile_e2e_ms(50.0)
     assert p95 >= p50 > 0
-    assert p50 == pytest.approx(sample_result.median_e2e_ms())
+    latencies = [latency for client in sample_result.clients
+                 for latency in client.e2e_latencies_s]
+    assert p50 == pytest.approx(1000.0 * statistics.median(latencies))
     import pytest as _pytest
     with _pytest.raises(ValueError):
         sample_result.percentile_e2e_ms(0.0)
@@ -192,32 +163,31 @@ def test_summary_carries_trace_digest(sample_result):
 
 def test_failed_save_preserves_previous_entry(tmp_path):
     store = ResultStore(tmp_path)
-    store.save("cell", {"fps": 30.0})
+    path = store.save("cell", {"fps": 30.0})
     with pytest.raises(TypeError):  # not JSON-serializable
         store.save("cell", {"fps": object()})
     # The old entry is untouched and no temp litter remains.
-    assert store.load("cell") == {"fps": 30.0}
+    assert json.loads(path.read_text()) == {"fps": 30.0}
     assert [p.name for p in tmp_path.iterdir()] == ["cell.json"]
 
 
 def test_save_leaves_no_temp_files(tmp_path):
     store = ResultStore(tmp_path)
     for index in range(20):
-        store.save("cell", {"value": index})
+        path = store.save("cell", {"value": index})
     assert [p.name for p in tmp_path.iterdir()] == ["cell.json"]
-    assert store.load("cell") == {"value": 19}
+    assert json.loads(path.read_text()) == {"value": 19}
 
 
 def test_concurrent_writers_never_corrupt(tmp_path):
     """Hammer one entry from many threads; readers must always see a
     complete JSON document (the old write_text path could expose a
     truncated file mid-write)."""
-    import json
     import threading
 
     store = ResultStore(tmp_path)
     payload = {"values": list(range(5000))}  # big enough to straddle
-    store.save("hot", payload)               # one write() buffer
+    path = store.save("hot", payload)        # one write() buffer
     errors = []
     stop = threading.Event()
 
@@ -231,7 +201,7 @@ def test_concurrent_writers_never_corrupt(tmp_path):
     def reader():
         while not stop.is_set():
             try:
-                loaded = store.load("hot")
+                loaded = json.loads(path.read_text())
                 assert loaded == payload
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
@@ -246,7 +216,7 @@ def test_concurrent_writers_never_corrupt(tmp_path):
     for thread in readers:
         thread.join()
     assert errors == []
-    assert json.loads((tmp_path / "hot.json").read_text()) == payload
+    assert json.loads(path.read_text()) == payload
 
 
 def test_concurrent_process_writers(tmp_path):
@@ -258,11 +228,11 @@ def test_concurrent_process_writers(tmp_path):
         list(pool.map(_store_stress_write,
                       [(str(tmp_path), f"cell-{i}", i)
                        for i in range(12)]))
-    store = ResultStore(tmp_path)
     assert sorted(path.stem for path in tmp_path.glob("*.json")) \
         == sorted(f"cell-{i}" for i in range(12))
     for index in range(12):
-        assert store.load(f"cell-{index}") == {"value": index}
+        path = tmp_path / f"cell-{index}.json"
+        assert json.loads(path.read_text()) == {"value": index}
 
 
 def _store_stress_write(args):

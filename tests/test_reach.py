@@ -1,4 +1,5 @@
-"""The reach rule: every module in ``src/repro`` is run by an entry point.
+"""The reach rule: every module and def in ``src/repro`` is run by an
+entry point.
 
 A module stays only if something the project runs reaches it:
 
@@ -10,12 +11,23 @@ A module stays only if something the project runs reaches it:
 * the repository benchmark (``perfbench/``);
 * the examples the README lists as entry points (``examples/``).
 
+Every ``benchmarks/bench_*.py`` must be one of these roots.
+
 The walk parses every ``import`` and ``from ... import`` with
 :mod:`ast`, function-local ones included, and follows them
 transitively.  A name imported from a package resolves to the
 submodule the package's ``__init__`` imported it from; the
 ``__init__``'s other imports do not count, so a re-export alone keeps
 nothing alive.
+
+Below the module, every function, method and class defined in
+``src/repro`` must be named in a file that counts: a reached module or
+a root file.  A name counts as an identifier, an attribute or an
+identifier-like string; a package ``__init__``'s imports and
+``__all__`` do not count, and dunder defs are skipped.  The rule
+matches names only, so a def passes when its name matches any used
+identifier (a ``delta`` method beside a used ``delta`` variable, a
+``load`` beside ``json.load``); such defs are audited by hand.
 """
 
 import ast
@@ -31,6 +43,52 @@ ROOT_MODULES = ("repro.experiments.campaign", "repro.experiments.figures",
 #: Modules kept although no entry point reaches them, each with its
 #: reason.  Empty: every module is reached.
 EXEMPT = set()
+
+#: Defs kept although no file that counts names them: qualified name
+#: (module, then enclosing classes) -> reason.
+EXEMPT_DEFS = {
+    "repro.vision.reference.reference_match_descriptors":
+        "test twin: the vectorized matcher is checked against it",
+    "repro.vision.reference.reference_lsh_query":
+        "test twin: the vectorized LSH query is checked against it",
+    "repro.experiments.cache.reset_code_fingerprint_cache":
+        "tests edit source trees and must drop the memoized fingerprints",
+    "repro.vision.cache.reset_default_feature_cache":
+        "tests toggle the cache's environment switch and must drop the "
+        "process-wide cache",
+    "repro.flow.config.neutral_flow_config":
+        "the flow-neutral digest check in test_determinism builds its "
+        "config",
+    "repro.vision.camera.rotation_about":
+        "builds the ground-truth poses decompose_homography is tested on",
+    "repro.vision.camera.homography_from_pose":
+        "builds the ground-truth homographies decompose_homography is "
+        "tested on",
+    "repro.dsp.statestore.StateStore.bytes_in_use":
+        "test_invariants checks the container's state memory against it",
+    "repro.net.topology.Network.nodes":
+        "test_net_topology pins the paper testbed's node set with it",
+    "repro.cluster.resources.MemoryAccount.in_use_bytes":
+        "tests check containers' and state stores' memory charges with it",
+    "repro.metrics.sketch.PercentileSketch.merge":
+        "the sketch property suite checks update's merge laws with it",
+    "repro.metrics.sketch.PercentileSketch.from_dict":
+        "the sketch property suite checks that to_dict is lossless with "
+        "it",
+}
+#: ``repro/sim/*.py`` is hashed into ``BENCH_sim_hotpath.json``'s
+#: ``kernel_steadiness`` record, so its dead defs wait for a kernel
+#: change.
+EXEMPT_DEFS.update(dict.fromkeys((
+    "repro.sim._kernel_impl.Simulator.all_of",
+    "repro.sim.reference.Simulator.all_of",
+    "repro.sim.resources.Resource.in_use",
+    "repro.sim.resources.Resource.available",
+    "repro.sim.resources.Store.drain",
+    "repro.sim.resources.Store.peek_all",
+    "repro.sim.resources.Store.offer",
+    "repro.sim.rng.RngRegistry.fork",
+), "kernel source is pinned by the kernel_steadiness record"))
 
 
 def _module_file(name):
@@ -97,6 +155,7 @@ def _roots():
     return set(ROOT_MODULES) | {_module_name(path) for path in files}
 
 
+@lru_cache(maxsize=None)
 def _reached():
     reached, stack = set(), list(_roots())
     while stack:
@@ -114,7 +173,51 @@ def _reached():
     for module in list(reached):
         parts = module.split(".")
         reached.update(".".join(parts[:i]) for i in range(1, len(parts)))
-    return reached
+    return frozenset(reached)
+
+
+def _defs(path, module):
+    """``(qualified name, name)`` of every function, method and class."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                found.append((f"{prefix}.{child.name}", child.name))
+                visit(child, f"{prefix}.{child.name}")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text(), str(path)), module)
+    return found
+
+
+def _is_all(node):
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__"
+        for target in node.targets)
+
+
+def _names(path):
+    """Identifiers, attributes and identifier-like strings in a file."""
+    body = ast.parse(path.read_text(), str(path)).body
+    if path.name == "__init__.py":
+        body = [node for node in body
+                if not isinstance(node, (ast.Import, ast.ImportFrom))
+                and not _is_all(node)]
+    names = set()
+    for node in body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif (isinstance(sub, ast.Constant)
+                  and isinstance(sub.value, str)
+                  and sub.value.isidentifier()):
+                names.add(sub.value)
+    return names
 
 
 def test_every_repro_module_is_reached_from_an_entry_point():
@@ -126,3 +229,32 @@ def test_every_repro_module_is_reached_from_an_entry_point():
     unreached = sorted(modules - reached - EXEMPT)
     assert not unreached, \
         f"modules no entry point reaches: {unreached}"
+
+
+def test_every_bench_is_a_reach_root():
+    benches = {_module_name(path)
+               for path in (ROOT / "benchmarks").glob("bench_*.py")}
+    unrooted = sorted(benches - _roots())
+    assert not unrooted, \
+        f"benches that write no BENCH file and are no figure bench: " \
+        f"{unrooted}"
+
+
+def test_every_repro_def_is_named_where_it_counts():
+    used = set()
+    for module in _reached():
+        path = _module_file(module)
+        if path is not None:
+            used |= _names(path)
+    defs = {qualified: name
+            for path in (SRC / "repro").rglob("*.py")
+            for qualified, name in _defs(path, _module_name(path))
+            if not (name.startswith("__") and name.endswith("__"))}
+    assert all(EXEMPT_DEFS.values()), "every exemption needs its reason"
+    stale = sorted(qualified for qualified in EXEMPT_DEFS
+                   if qualified not in defs or defs[qualified] in used)
+    unnamed = sorted(qualified for qualified, name in defs.items()
+                     if name not in used and qualified not in EXEMPT_DEFS)
+    assert not stale and not unnamed, (
+        f"stale exemptions (the def is gone or named): {stale}; "
+        f"defs no file that counts names: {unnamed}")

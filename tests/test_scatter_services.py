@@ -98,8 +98,7 @@ def test_sift_stores_state_and_pins_address():
     harness.sim.run(until=0.2)  # well before the state TTL
     record = harness.received["encoding"][0]
     assert record.sift_address == sift.address
-    assert len(sift.state) == 1
-    assert sift.state.peek((0, 3)) is not None
+    assert sift.state.keys() == [(0, 3)]
     # The state bytes are charged to the container.
     assert sift.container.state_memory_bytes == \
         config.STATE_ENTRY_BYTES

@@ -9,7 +9,6 @@ from repro.vision.evaluation import (
     bounding_box,
     box_iou,
     evaluate_recognizer,
-    polygon_area,
     score_frame,
 )
 from repro.vision.recognizer import Recognition, RecognizerTrainer
@@ -37,10 +36,6 @@ def recognition(name, x0=10.0, y0=10.0, size=20.0):
 # ----------------------------------------------------------------------
 # Geometry helpers
 # ----------------------------------------------------------------------
-def test_polygon_area_square():
-    assert polygon_area(square(0, 0, 10)) == pytest.approx(100.0)
-
-
 def test_bounding_box():
     assert bounding_box(square(2, 3, 5)) == (2.0, 3.0, 7.0, 8.0)
 

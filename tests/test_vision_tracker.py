@@ -26,7 +26,7 @@ def test_track_created_and_confirmed():
     track = confirmed[0]
     assert track.name == "monitor"
     assert track.hits == 2
-    assert not track.coasting
+    assert track.misses == 0
 
 
 def test_track_follows_moving_object():
@@ -53,13 +53,13 @@ def test_coasting_through_recognition_gap():
     for frame in range(5, 8):
         tracks = tracker.update(frame, [])
         assert len(tracks) == 1
-        assert tracks[0].coasting
+        assert tracks[0].misses > 0  # coasting
     after_gap = tracker.confirmed_tracks()[0].centre
     assert after_gap[0] > before_gap[0] + 3.0
     # Recognition returns: the same track absorbs it (no new id).
     tracks = tracker.update(8, [make_recognition(centre=(66.0, 40.0))])
     assert tracks[0].track_id == 1
-    assert not tracks[0].coasting
+    assert tracks[0].misses == 0
 
 
 def test_track_retired_after_max_misses():
