@@ -3,13 +3,13 @@
 Sweeps the number of injected instance crashes {0, 1, 2, 4} over a
 fixed-length single-client scAtteR run with the full resilience stack
 on (heartbeat failure detection + redeploy, client retry + circuit
-breaker + local fast-feature fallback) and reports how availability,
+breaker + locally answered degraded frames) and reports how availability,
 success rate, MTTR and degradation move with intensity.
 
 Shapes asserted: the fault-free control needs no redeploys; every
 crash is detected by heartbeats and repaired within a few detector
 windows; availability stays above the raw pipeline success rate
-because degraded (locally tracked) frames fill part of each outage.
+because degraded (locally answered) frames fill part of each outage.
 
 Results land in the committed repo-root ``BENCH_resilience.json``.
 Set ``RESILIENCE_SMOKE=1`` to run a single short intensity (CI); the

@@ -55,12 +55,12 @@ class GpuDevice:
     """
 
     def __init__(self, sim: Simulator, architecture: GpuArchitecture,
-                 index: int = 0, concurrency: int = 1):
+                 index: int = 0):
         self.sim = sim
         self.architecture = architecture
         self.index = index
-        self.slot = Resource(sim, capacity=concurrency)
-        self.meter = UsageMeter(sim, capacity=float(concurrency))
+        self.slot = Resource(sim, capacity=1)
+        self.meter = UsageMeter(sim, capacity=1.0)
 
     @property
     def name(self) -> str:

@@ -24,14 +24,12 @@ from repro.cluster.testbed import Testbed, build_paper_testbed
 from repro.flow import FlowConfig
 from repro.metrics.hardware import HardwareMonitor
 from repro.metrics.qos import ClientStats, outcome_digest
-from repro.mobility.handover import HandoverConfig
 from repro.net.netem import Netem
 from repro.orchestra.orchestrator import Orchestrator
 from repro.scatter import config as scatter_config
 from repro.scatter.client import ArClient
 from repro.scatter.config import PlacementConfig
 from repro.scatter.pipeline import ScatterPipeline
-from repro.scatter.resilience import ResilienceConfig
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -53,7 +51,6 @@ class MobilitySpec:
     kill-and-reconnect with ``naive=True``."""
 
     trajectories: Optional[Sequence] = None
-    handover_config: Optional[HandoverConfig] = None
     naive: bool = False
     mean_dwell_s: float = 8.0
     min_dwell_s: float = 2.0
@@ -78,9 +75,9 @@ class ExperimentSpec:
       :class:`~repro.cohort.CohortEngine` (``cohort_load``,
       ``cohort_load_kwargs``, ``cohort_tick_s``).
     * ``plan`` (a :class:`~repro.chaos.faults.FaultPlan`) injects
-      faults; a heartbeat detector (``detector_kwargs``) then replaces
-      the orchestrator's watchdog.  Chaos and mobility runs give
-      clients the stock ``resilience`` layer unless one is set.
+      faults; a heartbeat detector then replaces the orchestrator's
+      watchdog.  Chaos and mobility runs give every client the
+      resilience layer (:mod:`repro.scatter.resilience`).
     * ``stage_s`` ramps the load: client *i* joins at ``i × stage_s``.
     * ``tracing`` and ``profile`` never move the trajectory.
     """
@@ -102,8 +99,6 @@ class ExperimentSpec:
     cohort_tick_s: Optional[float] = None
     mobility: Optional[MobilitySpec] = None
     plan: Optional[FaultPlan] = None
-    detector_kwargs: Optional[dict] = None
-    resilience: Optional[ResilienceConfig] = None
     stage_s: Optional[float] = None
     tracing: bool = False
     profile: bool = False
@@ -250,10 +245,7 @@ def build_experiment(spec: ExperimentSpec) -> tuple:
             with_sidecars=spec.with_sidecars, flow=spec.flow)
     else:
         pipeline_kwargs = spec.pipeline_kwargs or {}
-    resilience = spec.resilience
-    if resilience is None and (spec.plan is not None
-                               or spec.mobility is not None):
-        resilience = ResilienceConfig()
+    resilience = spec.plan is not None or spec.mobility is not None
     sim = Simulator(profile=spec.profile)
     rng = RngRegistry(spec.seed)
     testbed = build_paper_testbed(sim, rng, num_clients=spec.num_clients)
@@ -337,9 +329,8 @@ def _attach_mobility(spec: ExperimentSpec, sim, testbed, orchestrator,
         raise ValueError(
             f"need one trajectory per client: "
             f"{len(trajectories)} != {spec.num_clients}")
-    coordinator = HandoverCoordinator(
-        orchestrator, service="sift", config=mobility.handover_config,
-        naive=mobility.naive)
+    coordinator = HandoverCoordinator(orchestrator, service="sift",
+                                      naive=mobility.naive)
     # Upstream services consult the session directory before the
     # balancer, so a client's frames chase its session.
     orchestrator.attach(session_router=coordinator.directory)
@@ -380,8 +371,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         from repro.chaos.injector import FaultInjector
         from repro.orchestra.health import FailureDetector
 
-        detector = FailureDetector(orchestrator,
-                                   **(spec.detector_kwargs or {}))
+        detector = FailureDetector(orchestrator)
         detector.start()
         injector = FaultInjector(orchestrator, spec.plan)
         injector.start()

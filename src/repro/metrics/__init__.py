@@ -15,8 +15,7 @@ from repro.metrics.hardware import HardwareMonitor, HardwareSample
 from repro.metrics.profiling import StageProfiler, StageRecord
 from repro.metrics.qos import ClientStats
 from repro.metrics.sketch import PercentileSketch, merge_sketches
-from repro.metrics.summary import (CacheStats, SampleReservoir,
-                                   Summary, summarize)
+from repro.metrics.summary import CacheStats, Summary, summarize
 
 __all__ = [
     "CacheStats",
@@ -28,7 +27,6 @@ __all__ = [
     "PercentileSketch",
     "PowerModel",
     "ResilienceReport",
-    "SampleReservoir",
     "StageProfiler",
     "StageRecord",
     "Summary",

@@ -27,16 +27,17 @@ class ClientStats:
     client_id: int
     sent: Dict[int, float] = field(default_factory=dict)
     received: Dict[int, float] = field(default_factory=dict)
-    #: Frames answered by the *local* fallback tracker instead of the
-    #: pipeline (graceful degradation while the circuit breaker is open).
+    #: Frames answered locally instead of by the pipeline (graceful
+    #: degradation while the circuit breaker or a handover window is
+    #: open, and stale-epoch results after a handover).
     degraded: Dict[int, float] = field(default_factory=dict)
     #: Frames withheld at the client by flow-control pacing (the
     #: ingress sidecar's credits ran dry, or the client's own token
     #: bucket did).  Paced frames stay in ``sent`` — they count
     #: against the success rate like any other unanswered frame.
     paced: Dict[int, float] = field(default_factory=dict)
-    #: Frames the client has given up on, with a reason (``"retry-
-    #: exhausted"``, ``"no-fallback"``, ``"stale-epoch"``, ...).  A
+    #: Frames the client has given up on, with a reason; the client
+    #: gives one, ``"retry-exhausted"`` (every attempt timed out).  A
     #: late pipeline result supersedes the verdict (the frame moves to
     #: ``received``) — loss is a claim, arrival is the fact.
     lost: Dict[int, str] = field(default_factory=dict)
@@ -70,7 +71,7 @@ class ClientStats:
 
     def record_degraded(self, frame_number: int,
                         timestamp_s: float) -> None:
-        """A frame handled by local fallback tracking.
+        """A frame answered locally, after the fallback latency.
 
         Degraded frames keep the augmentation alive but do not count as
         pipeline successes: they appear in :meth:`availability` and

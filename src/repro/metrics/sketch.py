@@ -1,11 +1,10 @@
 """Mergeable streaming percentile sketches.
 
 City-scale cells record millions of latency and queue-wait samples
-per run; a bounded :class:`~repro.metrics.summary.SampleReservoir`
-caps memory but *subsamples*, and reservoirs from different campaign
-shards cannot be combined without re-biasing.  The
-:class:`PercentileSketch` here is a DDSketch-style log-bucketed
-histogram instead:
+per run; a bounded sample reservoir caps memory but *subsamples*, and
+reservoirs from different campaign shards cannot be combined without
+re-biasing.  The :class:`PercentileSketch` here is a DDSketch-style
+log-bucketed histogram instead:
 
 * **Constant memory** — samples land in geometrically spaced buckets;
   the bucket population grows with the sample's dynamic range, not its
@@ -57,7 +56,7 @@ DEFAULT_MIN_MAGNITUDE = 1e-9
 class PercentileSketch:
     """A mergeable, constant-memory quantile sketch.
 
-    Drop-in for the places a :class:`SampleReservoir` used to sit:
+    Drop-in for the places a sample reservoir used to sit:
     ``append``/``extend`` record samples, ``total`` counts every
     offered sample exactly, truthiness reflects emptiness.  On top of
     that it answers ``quantile(q)`` within ``alpha`` relative error

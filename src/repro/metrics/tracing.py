@@ -74,20 +74,16 @@ class FrameTrace:
 class Tracer:
     """Collects frame traces across the whole deployment."""
 
-    def __init__(self, max_frames: Optional[int] = None):
+    def __init__(self):
         self._traces: Dict[Tuple[int, int], FrameTrace] = {}
-        self.max_frames = max_frames
 
     def __len__(self) -> int:
         return len(self._traces)
 
     def _trace_for(self, key: Tuple[int, int],
-                   created_s: float) -> Optional[FrameTrace]:
+                   created_s: float) -> FrameTrace:
         trace = self._traces.get(key)
         if trace is None:
-            if (self.max_frames is not None
-                    and len(self._traces) >= self.max_frames):
-                return None
             trace = FrameTrace(key=key, created_s=created_s)
             self._traces[key] = trace
         return trace
@@ -103,17 +99,13 @@ class Tracer:
         if end_s < start_s:
             raise ValueError(f"span ends before it starts: "
                              f"{start_s} -> {end_s}")
-        trace = self._trace_for(key, created_s)
-        if trace is not None:
-            trace.spans.append(Span(name=name, kind=kind,
-                                    instance=instance,
-                                    start_s=start_s, end_s=end_s))
+        self._trace_for(key, created_s).spans.append(Span(
+            name=name, kind=kind, instance=instance, start_s=start_s,
+            end_s=end_s))
 
     def record_delivery(self, key: Tuple[int, int], created_s: float,
                         delivered_s: float) -> None:
-        trace = self._trace_for(key, created_s)
-        if trace is not None:
-            trace.delivered_s = delivered_s
+        self._trace_for(key, created_s).delivered_s = delivered_s
 
     # ------------------------------------------------------------------
     # Queries

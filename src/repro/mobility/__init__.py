@@ -11,7 +11,6 @@ mobility-off trace digests are untouched.
 """
 
 from repro.mobility.handover import (
-    HandoverConfig,
     HandoverCoordinator,
     HandoverNotice,
     HandoverRecord,
@@ -29,7 +28,6 @@ from repro.mobility.trajectory import (
 __all__ = [
     "AttachmentSegment",
     "ClientTrajectory",
-    "HandoverConfig",
     "HandoverCoordinator",
     "HandoverNotice",
     "HandoverRecord",

@@ -6,26 +6,26 @@ from the replica at its old attachment site to one at the new site,
 with the steps a real control plane pays for:
 
 1. **WARM** — ensure a replica at the target site (deploying one if
-   needed, charging ``warmup_s`` of container start).  The client is
+   needed, charging :data:`WARMUP_S` of container start).  The client is
    told the window opened (:class:`HandoverNotice` ``begin``) so it can
-   degrade gracefully to local tracking instead of stalling.
+   answer frames locally instead of stalling.
 2. **TRANSFER** — iterative pre-copy: snapshot the session's entries,
    ship them in chunks over :class:`~repro.net.rpc.RpcChannel` (real
    bytes on the wire, real import CPU at the target, remaining TTL
    preserved), re-snapshot the delta, repeat up to
-   ``max_transfer_rounds``.
+   :data:`MAX_TRANSFER_ROUNDS`.
 3. **CUTOVER** — ship the final delta, then atomically: discard the
    moved entries at the source, install a fetch-forwarding tombstone
    there (in-flight fetches chase the state), rebind the
    :class:`SessionDirectory` with a bumped epoch, retire the source
    from upstream credit ledgers (stale grants rejected), and notify the
    client (``commit`` — it resumes sending, stamping the new epoch).
-4. **DRAIN** — ``drain_s`` for stragglers; then the record closes.
+4. **DRAIN** — :data:`DRAIN_S` for stragglers; then the record closes.
 
 **Fault recovery** is the headline: a *target* crash or a lost/timed-out
 transfer aborts cleanly (nothing was mutated at the source — rollback
 is free), notifies the client (``abort``), and retries after a bounded
-deterministic backoff up to ``max_attempts`` before abandoning the
+deterministic backoff up to :data:`MAX_ATTEMPTS` before abandoning the
 handover (the session stays at the source: graceful local fallback).
 A *source* crash mid-transfer switches to forward recovery: the target
 already holds every shipped chunk, so the session fails over to it and
@@ -65,6 +65,26 @@ TRANSFER_PORT_OFFSET = 20000
 
 #: CPU time the target pays to deserialize one imported entry.
 IMPORT_TIME_PER_ENTRY_S = 2e-4
+
+#: Container start on a freshly deployed target replica.
+WARMUP_S = 0.5
+#: Straggler window after cutover before the record closes.
+DRAIN_S = 0.5
+#: Max payload bytes per transfer chunk.
+CHUNK_BYTES = 32 * 1024 * 1024
+#: Serialization overhead per entry on the wire.
+ENTRY_OVERHEAD_BYTES = 256
+#: Pre-copy rounds before the cutover delta ships regardless.
+MAX_TRANSFER_ROUNDS = 3
+#: Guard on each chunk RPC (beyond the RPC's own retransmissions).
+TRANSFER_TIMEOUT_S = 2.0
+#: Attempts before the handover is abandoned (session stays put).
+MAX_ATTEMPTS = 3
+#: Deterministic backoff before attempt ``k + 1``: ``RETRY_BACKOFF_S *
+#: BACKOFF_MULTIPLIER ** (k - 1)`` — bounded, no jitter, so handover
+#: schedules replay bit-identically.
+RETRY_BACKOFF_S = 0.25
+BACKOFF_MULTIPLIER = 2.0
 
 
 class HandoverError(RuntimeError):
@@ -143,50 +163,6 @@ class SessionDirectory:
         return entry.instance.address
 
 
-@dataclass(frozen=True)
-class HandoverConfig:
-    """Knobs of the handover protocol (all deterministic)."""
-
-    #: Container start on a freshly deployed target replica.
-    warmup_s: float = 0.5
-    #: Straggler window after cutover before the record closes.
-    drain_s: float = 0.5
-    #: Max payload bytes per transfer chunk.
-    chunk_bytes: int = 32 * 1024 * 1024
-    #: Serialization overhead per entry on the wire.
-    entry_overhead_bytes: int = 256
-    #: Pre-copy rounds before the cutover delta ships regardless.
-    max_transfer_rounds: int = 3
-    #: Guard on each chunk RPC (beyond the RPC's own retransmissions).
-    transfer_timeout_s: float = 2.0
-    #: Attempts before the handover is abandoned (session stays put).
-    max_attempts: int = 3
-    #: Deterministic backoff between attempts: ``retry_backoff_s *
-    #: backoff_multiplier ** (attempt - 1)`` — bounded, no jitter, so
-    #: handover schedules replay bit-identically.
-    retry_backoff_s: float = 0.25
-    backoff_multiplier: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.chunk_bytes <= 0 or self.transfer_timeout_s <= 0:
-            raise ValueError("chunk_bytes/transfer_timeout_s must be "
-                             "positive")
-        if self.warmup_s < 0 or self.drain_s < 0:
-            raise ValueError("warmup_s/drain_s must be non-negative")
-        if self.retry_backoff_s <= 0 or self.backoff_multiplier < 1.0:
-            raise ValueError("backoff must be positive and "
-                             "non-shrinking")
-        if self.max_transfer_rounds < 1:
-            raise ValueError("max_transfer_rounds must be >= 1")
-
-    def backoff_s(self, attempt: int) -> float:
-        return (self.retry_backoff_s
-                * self.backoff_multiplier ** max(0, attempt - 1))
-
-
 @dataclass
 class HandoverRecord:
     """Timeline and accounting of one session handover."""
@@ -254,14 +230,11 @@ class HandoverCoordinator:
     """Runs stateful session handovers on an orchestrated deployment."""
 
     def __init__(self, orchestrator: "Orchestrator", *,
-                 service: str = "sift",
-                 config: Optional[HandoverConfig] = None,
-                 naive: bool = False):
+                 service: str = "sift", naive: bool = False):
         self.orchestrator = orchestrator
         self.sim = orchestrator.sim
         self.network = orchestrator.testbed.network
         self.service = service
-        self.config = config if config is not None else HandoverConfig()
         self.naive = naive
         self.directory = SessionDirectory(service)
         self.records: List[HandoverRecord] = []
@@ -345,14 +318,13 @@ class HandoverCoordinator:
 
     def _run(self, client_id: int, to_site: str,
              record: HandoverRecord, generation: int):
-        config = self.config
-        for attempt in range(1, config.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             record.attempts = attempt
             outcome = yield from self._attempt(
                 client_id, to_site, record, generation)
             if outcome in ("committed", "failed-over"):
                 # Straggler drain, then the record closes.
-                yield self.sim.timeout(config.drain_s)
+                yield self.sim.timeout(DRAIN_S)
                 record.completed_s = self.sim.now
                 record.outcome = ("completed" if outcome == "committed"
                                   else "failed-over")
@@ -365,8 +337,9 @@ class HandoverCoordinator:
             # sending at the source, then back off and retry.
             self._notify(client_id, record, "abort",
                          from_node=record.from_site)
-            if attempt < config.max_attempts:
-                yield self.sim.timeout(config.backoff_s(attempt))
+            if attempt < MAX_ATTEMPTS:
+                yield self.sim.timeout(
+                    RETRY_BACKOFF_S * BACKOFF_MULTIPLIER ** (attempt - 1))
                 if self._superseded(client_id, generation):
                     record.outcome = "superseded"
                     return
@@ -377,7 +350,6 @@ class HandoverCoordinator:
 
     def _attempt(self, client_id: int, to_site: str,
                  record: HandoverRecord, generation: int):
-        config = self.config
         entry = self.directory.entry(client_id)
         if entry is None:
             return "abort"
@@ -396,7 +368,7 @@ class HandoverCoordinator:
             return "abort"
         record.target = str(target.address)
         if not had_replica:
-            yield self.sim.timeout(config.warmup_s)
+            yield self.sim.timeout(WARMUP_S)
         if record.warmed_s is None:
             record.warmed_s = self.sim.now
         if self._superseded(client_id, generation):
@@ -409,7 +381,7 @@ class HandoverCoordinator:
         channel = RpcChannel(self.network, source.address.node)
         transfer_to = self._ensure_transfer_server(target)
         shipped: set = set()
-        for __ in range(config.max_transfer_rounds):
+        for __ in range(MAX_TRANSFER_ROUNDS):
             if not source.is_running():
                 return self._fail_over(client_id, record, source,
                                        target, shipped, generation)
@@ -463,17 +435,16 @@ class HandoverCoordinator:
               generation: int, entries, record: HandoverRecord,
               final: bool):
         """Ship one snapshot in bounded chunks; ``"ok"`` or a reason."""
-        config = self.config
-        for chunk in _chunk_entries(entries, config.chunk_bytes):
+        for chunk in _chunk_entries(entries):
             if self._superseded(client_id, generation):
                 return "superseded"
             size = int(sum(entry[3] for entry in chunk)
-                       + config.entry_overhead_bytes * len(chunk))
+                       + ENTRY_OVERHEAD_BYTES * len(chunk))
             payload = _TransferChunk(client_id=client_id,
                                      generation=generation,
                                      entries=tuple(chunk), final=final)
             call = channel.call(transfer_to, payload, size_bytes=size)
-            guard = self.sim.timeout(config.transfer_timeout_s)
+            guard = self.sim.timeout(TRANSFER_TIMEOUT_S)
             try:
                 winner, value = yield self.sim.any_of([call, guard])
             except RpcTimeoutError:
@@ -628,13 +599,13 @@ class HandoverCoordinator:
                           NOTICE_WIRE_BYTES)
 
 
-def _chunk_entries(entries, chunk_bytes: int):
+def _chunk_entries(entries):
     """Split exported entries into chunks of bounded wire size."""
     chunk: list = []
     used = 0
     for entry in entries:
         size = entry[3]
-        if chunk and used + size > chunk_bytes:
+        if chunk and used + size > CHUNK_BYTES:
             yield chunk
             chunk, used = [], 0
         chunk.append(entry)

@@ -10,7 +10,7 @@ address chosen by a balancing policy (round-robin by default).  The
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 
 @dataclass(frozen=True, order=True)
@@ -24,20 +24,16 @@ class Address:
         return f"{self.node}:{self.port}"
 
 
-BalancerFn = Callable[[str, List[Address]], Address]
-
-
 class ServiceRegistry:
-    """Maps service names to instance addresses with pluggable balancing.
+    """Maps service names to instance addresses, round-robin.
 
-    The default policy is round-robin per service name, mirroring
-    Oakestra's replica balancing (§3.2, §4 "Service Scalability").
+    The policy is round-robin per service name, mirroring Oakestra's
+    replica balancing (§3.2, §4 "Service Scalability").
     """
 
-    def __init__(self, balancer: Optional[BalancerFn] = None):
+    def __init__(self):
         self._instances: Dict[str, List[Address]] = {}
         self._rr_counters: Dict[str, int] = {}
-        self._balancer = balancer
 
     def register(self, service: str, address: Address) -> None:
         """Add an instance address for ``service`` (idempotent)."""
@@ -58,15 +54,13 @@ class ServiceRegistry:
         return sorted(self._instances)
 
     def resolve(self, service: str) -> Address:
-        """Pick one instance of ``service`` via the balancing policy.
+        """Pick the next instance of ``service``, round-robin.
 
         Raises :class:`LookupError` when the service has no instances.
         """
         instances = self._instances.get(service)
         if not instances:
             raise LookupError(f"no instances registered for {service!r}")
-        if self._balancer is not None:
-            return self._balancer(service, list(instances))
         counter = self._rr_counters.get(service, 0)
         self._rr_counters[service] = counter + 1
         return instances[counter % len(instances)]

@@ -7,13 +7,13 @@ orchestrator since) actually uses: the control plane **probes** every
 instance over the network and infers health from silence.
 
 * A :class:`~repro.net.datagram.HealthProbe` is sent to each live
-  instance every ``interval_s``; instances ack from their ingress
-  socket (control plane, bypasses the busy-drop rule).
-* Silence longer than ``suspect_timeout_s`` moves an instance to
+  instance every :data:`PROBE_INTERVAL_S`; instances ack from their
+  ingress socket (control plane, bypasses the busy-drop rule).
+* Silence longer than :data:`SUSPECT_TIMEOUT_S` moves an instance to
   **SUSPECT**: the service registry stops routing new frames to it,
   but nothing is killed — a transient partition or loss burst can
   still clear.
-* Silence longer than ``dead_timeout_s`` moves it to **DEAD**: the
+* Silence longer than :data:`DEAD_TIMEOUT_S` moves it to **DEAD**: the
   orchestrator replaces it through its normal redeploy path.
 * An ack from a SUSPECT instance recovers it to **HEALTHY** and
   re-registers it for routing.
@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.dsp.operator import StreamService
 from repro.net.addresses import Address
 from repro.net.datagram import (
     HEALTH_WIRE_BYTES,
@@ -41,6 +40,15 @@ from repro.net.datagram import (
 )
 from repro.orchestra.orchestrator import Orchestrator
 from repro.orchestra.scheduler import SchedulingError
+
+#: The detector's home node and port.
+PROBE_ADDRESS = Address("e1", 5950)
+#: Time between two probes of an instance.
+PROBE_INTERVAL_S = 0.25
+#: Silence that makes an instance SUSPECT (unrouted).
+SUSPECT_TIMEOUT_S = 0.75
+#: Silence that makes an instance DEAD (replaced).
+DEAD_TIMEOUT_S = 1.5
 
 
 class HealthState(enum.Enum):
@@ -79,35 +87,12 @@ class InstanceHealth:
 class FailureDetector:
     """Probes every orchestrated instance and reacts to silence."""
 
-    #: Port the detector binds on its home node.
-    PROBE_PORT = 5950
-
-    def __init__(self, orchestrator: Orchestrator, *,
-                 node: str = "e1",
-                 interval_s: float = 0.25,
-                 suspect_timeout_s: float = 0.75,
-                 dead_timeout_s: float = 1.5,
-                 port: Optional[int] = None,
-                 redeploy: bool = True):
-        if interval_s <= 0:
-            raise ValueError(
-                f"interval_s must be positive, got {interval_s}")
-        if not 0 < suspect_timeout_s < dead_timeout_s:
-            raise ValueError(
-                f"need 0 < suspect_timeout_s < dead_timeout_s, got "
-                f"{suspect_timeout_s} / {dead_timeout_s}")
+    def __init__(self, orchestrator: Orchestrator):
         self.orchestrator = orchestrator
         self.sim = orchestrator.sim
         self.network = orchestrator.testbed.network
         self.registry = orchestrator.registry
-        self.interval_s = interval_s
-        self.suspect_timeout_s = suspect_timeout_s
-        self.dead_timeout_s = dead_timeout_s
-        #: Replace DEAD instances through the orchestrator; disable to
-        #: observe raw detection behaviour in tests.
-        self.redeploy = redeploy
-        self.address = Address(node,
-                               self.PROBE_PORT if port is None else port)
+        self.address = PROBE_ADDRESS
         self.records: Dict[Address, InstanceHealth] = {}
         self.events: List[HealthEvent] = []
         self._seq = 0
@@ -124,7 +109,7 @@ class FailureDetector:
     def _probe_loop(self):
         while True:
             self._tick()
-            yield self.sim.timeout(self.interval_s)
+            yield self.sim.timeout(PROBE_INTERVAL_S)
 
     # ------------------------------------------------------------------
     def _tick(self) -> None:
@@ -146,20 +131,18 @@ class FailureDetector:
                                         first_seen_s=now, last_ack_s=now)
                 self.records[address] = record
             silence = record.silence_s(now)
-            if silence >= self.dead_timeout_s:
+            if silence >= DEAD_TIMEOUT_S:
                 if record.state is not HealthState.DEAD:
                     self._transition(record, HealthState.DEAD)
                     self.registry.deregister(service, address)
-                if self.redeploy:
-                    try:
-                        self.orchestrator.replace_instance(service,
-                                                           instance)
-                    except SchedulingError:
-                        # No feasible machine right now (e.g. the
-                        # pinned node is down): stay DEAD and retry
-                        # on a later tick.
-                        pass
-            elif (silence >= self.suspect_timeout_s
+                try:
+                    self.orchestrator.replace_instance(service, instance)
+                except SchedulingError:
+                    # No feasible machine right now (e.g. the pinned
+                    # node is down): stay DEAD and retry on a later
+                    # tick.
+                    pass
+            elif (silence >= SUSPECT_TIMEOUT_S
                     and record.state is HealthState.HEALTHY):
                 self._transition(record, HealthState.SUSPECT)
                 # Stop routing new frames at a silent instance.

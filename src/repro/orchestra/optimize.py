@@ -64,6 +64,9 @@ if TYPE_CHECKING:
 #: ``opt:primary=e1;sift=e2+e1;...;matching=e2``.
 SPEC_PREFIX = "opt:"
 
+#: Most replicas a genome may give one pipeline stage.
+MAX_REPLICAS_PER_SERVICE = 3
+
 
 class OptimizeError(ValueError):
     """Raised for malformed genomes, infeasible search configs, or
@@ -161,7 +164,6 @@ class SearchSpace:
     """
 
     machines: Tuple[str, ...] = ("e1", "e2")
-    max_replicas_per_service: int = 3
     #: Machine memory (GB), the testbed's by default — the fit check
     #: that keeps sampling from sending the oracle a genome the
     #: scheduler would reject.
@@ -176,15 +178,13 @@ class SearchSpace:
             if machine not in self.memory_gb:
                 raise OptimizeError(
                     f"machine {machine!r} missing from memory_gb")
-        if self.max_replicas_per_service < 1:
-            raise OptimizeError("max_replicas_per_service must be >= 1")
 
     # ------------------------------------------------------------------
     def is_schedulable(self, genome: Genome) -> bool:
         """Replica bounds, known machines, and memory fit."""
         loads: Dict[str, float] = {}
         for service, replicas in zip(PIPELINE_ORDER, genome.machines):
-            if not 1 <= len(replicas) <= self.max_replicas_per_service:
+            if not 1 <= len(replicas) <= MAX_REPLICAS_PER_SERVICE:
                 return False
             for machine in replicas:
                 if machine not in self.machines:
@@ -201,8 +201,7 @@ class SearchSpace:
     def random_genome(self, rng: random.Random) -> Genome:
         machines = []
         for __ in PIPELINE_ORDER:
-            count = rng.choice(
-                (1, 1, min(2, self.max_replicas_per_service)))
+            count = rng.choice((1, 1, 2))
             machines.append(tuple(rng.choice(self.machines)
                                   for __ in range(count)))
         genome = Genome(machines=tuple(machines))
@@ -375,7 +374,6 @@ class OptimizeConfig:
     oracle_seed: int = 0
     workers: int = 0
     machines: Tuple[str, ...] = ("e1", "e2")
-    max_replicas_per_service: int = 3
 
     def __post_init__(self) -> None:
         if self.population < 2:
@@ -393,9 +391,7 @@ class OptimizeConfig:
                 "ladder": list(self.ladder),
                 "duration_s": self.duration_s,
                 "oracle_seed": self.oracle_seed,
-                "machines": list(self.machines),
-                "max_replicas_per_service":
-                    self.max_replicas_per_service}
+                "machines": list(self.machines)}
 
 
 @dataclass
@@ -464,9 +460,7 @@ class PlacementSearch:
     def __init__(self, config: OptimizeConfig, *, oracle=None,
                  cache: Optional[CampaignCellCache] = None):
         self.config = config
-        self.space = SearchSpace(
-            machines=tuple(config.machines),
-            max_replicas_per_service=config.max_replicas_per_service)
+        self.space = SearchSpace(machines=tuple(config.machines))
         self.oracle = oracle if oracle is not None else CampaignOracle(
             ladder=config.ladder, duration_s=config.duration_s,
             seed=config.oracle_seed, workers=config.workers,

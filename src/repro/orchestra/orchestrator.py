@@ -40,17 +40,14 @@ class Orchestrator:
     BASE_PORT = 6000
 
     def __init__(self, testbed: Testbed, *,
-                 registry: Optional[ServiceRegistry] = None,
-                 monitor_interval_s: float = 1.0,
                  redeploy_delay_s: float = 1.0,
                  base_port: Optional[int] = None):
         self.testbed = testbed
         self.sim = testbed.sim
-        self.registry = registry if registry is not None else ServiceRegistry()
+        self.registry = ServiceRegistry()
         self.scheduler = Scheduler(testbed.machines)
-        self.monitor = HardwareMonitor(
-            testbed.sim, testbed.machines.values(),
-            interval_s=monitor_interval_s)
+        self.monitor = HardwareMonitor(testbed.sim,
+                                       testbed.machines.values())
         self.redeploy_delay_s = redeploy_delay_s
         self._instances: Dict[str, List[StreamService]] = {}
         self._factories: Dict[str, ServiceFactory] = {}

@@ -25,13 +25,7 @@ from repro.scatter.config import (
     scaling_config,
 )
 from repro.scatter.pipeline import ScatterPipeline
-from repro.scatter.resilience import (
-    BreakerState,
-    CircuitBreaker,
-    LocalFallbackTracker,
-    ResilienceConfig,
-    RetryPolicy,
-)
+from repro.scatter.resilience import BreakerState, CircuitBreaker
 from repro.scatter.services import (
     EncodingService,
     LshService,
@@ -45,9 +39,6 @@ __all__ = [
     "BreakerState",
     "CircuitBreaker",
     "EncodingService",
-    "LocalFallbackTracker",
-    "ResilienceConfig",
-    "RetryPolicy",
     "LshService",
     "MatchingService",
     "PIPELINE_ORDER",

@@ -5,23 +5,22 @@ Clients run as containers on NUC machines and replay the pre-recorded
 ingress (``primary``) over UDP and collecting results into
 :class:`~repro.metrics.qos.ClientStats`.
 
-With a :class:`~repro.scatter.resilience.ResilienceConfig` attached the
-send path gains three layers (all off by default, preserving the
-paper's baseline behaviour):
+With ``resilience=True`` the send path gains three layers (off by
+default, preserving the paper's baseline behaviour), at the fixed
+setting of :mod:`repro.scatter.resilience`:
 
-* frames with no result within ``request_timeout_s`` are retried with
-  exponential backoff (:class:`~repro.scatter.resilience.RetryPolicy`);
+* frames with no result within the request timeout are retried with
+  exponential backoff;
 * consecutive failures trip a per-client circuit breaker — while it is
   open no frames are sent, so a dead or partitioned pipeline costs one
   timeout window instead of one per frame;
-* while the breaker is open, frames degrade to *local* fast-feature
-  tracking (:class:`~repro.scatter.resilience.LocalFallbackTracker`),
-  recorded as ``degraded`` rather than lost.
+* while the breaker is open, frames are answered locally at the
+  fallback latency and recorded as ``degraded`` rather than lost.
 
 A mobility experiment additionally wires the client into the session
 handover protocol (:mod:`repro.mobility.handover`): ``begin``/``commit``
 /``abort`` notices bracket handover windows, during which the client
-degrades to the local tracker instead of racing frames against a moving
+answers frames locally instead of racing them against a moving
 session; committed handovers bump the client's *session epoch*, which
 stamps outgoing frames so late results produced under a previous epoch
 (at the old site) are rejected, never double-counted.  All of it is
@@ -45,9 +44,14 @@ from repro.net.datagram import Datagram
 from repro.net.topology import Network
 from repro.scatter import config
 from repro.scatter.resilience import (
+    FALLBACK_LATENCY_S,
+    MAX_ATTEMPTS,
+    REQUEST_TIMEOUT_S,
+    RETRY_BASE_DELAY_S,
+    RETRY_JITTER,
+    RETRY_MAX_DELAY_S,
+    RETRY_MULTIPLIER,
     CircuitBreaker,
-    LocalFallbackTracker,
-    ResilienceConfig,
 )
 from repro.sim.kernel import Simulator
 
@@ -60,8 +64,7 @@ class ArClient:
     def __init__(self, *, client_id: int, node: str, network: Network,
                  registry: ServiceRegistry,
                  fps: float = config.CLIENT_FPS,
-                 start_offset_s: Optional[float] = None,
-                 resilience: Optional[ResilienceConfig] = None,
+                 resilience: bool = False,
                  flow=None,
                  rng: Optional[np.random.Generator] = None):
         if fps <= 0:
@@ -73,21 +76,12 @@ class ArClient:
         self.registry = registry
         self.fps = fps
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        # Desynchronize clients slightly, as independent devices are.
-        if start_offset_s is None:
-            start_offset_s = float(client_id) * 0.7 / fps
-        self.start_offset_s = start_offset_s
         self.address = Address(node, self.BASE_PORT + client_id)
         self.stats = ClientStats(client_id=client_id)
         #: Optional distributed tracer (see repro.metrics.tracing).
         self.tracer = None
-        self.resilience = resilience
-        self.breaker: Optional[CircuitBreaker] = None
-        self.fallback: Optional[LocalFallbackTracker] = None
-        if resilience is not None:
-            self.breaker = resilience.build_breaker(self.sim)
-            if resilience.fallback:
-                self.fallback = LocalFallbackTracker(seed=client_id)
+        self.breaker: Optional[CircuitBreaker] = (
+            CircuitBreaker(self.sim) if resilience else None)
         #: Flow control (see repro.flow): with ``client_pacing`` on the
         #: send path consults a token bucket plus the ingress sidecar's
         #: advertised credits instead of blind fire-and-drop.  ``None``
@@ -127,15 +121,9 @@ class ArClient:
                 # A late result computed at the pre-handover site under
                 # a previous epoch: the session moved on; rejecting it
                 # keeps old and new sites from double-answering.  The
-                # frame itself still gets served — the local tracker
-                # carries it (graceful fallback) — unless degradation
-                # is off, in which case the loss is on the record.
+                # frame itself is still answered locally.
                 self.stats.rejected_stale_results += 1
-                if self.resilience is not None and self.resilience.fallback:
-                    self._degrade(record)
-                else:
-                    self.stats.record_lost(record.frame_number,
-                                           "stale-epoch")
+                self._degrade(record)
                 return
             self.stats.record_received(record.frame_number, self.sim.now)
             if self.breaker is not None:
@@ -173,7 +161,8 @@ class ArClient:
                        name=f"client-{self.client_id}")
 
     def _stream(self, duration_s: float):
-        yield self.sim.timeout(self.start_offset_s)
+        # Desynchronize clients slightly, as independent devices are.
+        yield self.sim.timeout(float(self.client_id) * 0.7 / self.fps)
         interval = 1.0 / self.fps
         deadline = self.sim.now + duration_s
         frame_number = 0
@@ -199,12 +188,12 @@ class ArClient:
         if self.tracer is not None:
             self.tracer.ensure((self.client_id, frame_number),
                                self.sim.now)
-        if self.handover_window and self.fallback is not None:
+        if self.handover_window and self.breaker is not None:
             # Mid-handover the session state is in flight between
             # sites: answer locally instead of racing the move.
             self._degrade(record)
             return
-        if self.resilience is None:
+        if self.breaker is None:
             self._transmit(record)
         else:
             self._dispatch(record, attempt=0)
@@ -245,7 +234,6 @@ class ArClient:
     # ------------------------------------------------------------------
     def _dispatch(self, record: FrameRecord, attempt: int) -> None:
         """Send (or re-send) one frame under breaker control."""
-        assert self.resilience is not None and self.breaker is not None
         if record.frame_number in self.stats.received:
             return  # a retry raced a late result
         if not self.breaker.allow():
@@ -255,17 +243,16 @@ class ArClient:
         # suspected) still consumes the timeout window, so the breaker
         # learns about it the same way it learns about silence.
         self._transmit(record)
-        self.sim.schedule(self.resilience.request_timeout_s,
-                          self._check_timeout, record, attempt)
+        self.sim.schedule(REQUEST_TIMEOUT_S, self._check_timeout, record,
+                          attempt)
 
     def _check_timeout(self, record: FrameRecord, attempt: int) -> None:
-        assert self.resilience is not None and self.breaker is not None
         if record.frame_number in self.stats.received:
             return
         self.stats.timeouts += 1
         self.breaker.record_failure()
         next_attempt = attempt + 1
-        if next_attempt >= self.resilience.retry.max_attempts:
+        if next_attempt >= MAX_ATTEMPTS:
             # Retry budget exhausted: the frame is lost, with a paper
             # trail (conservation audits match every sent frame to a
             # verdict; a late result still supersedes this one).
@@ -276,26 +263,17 @@ class ArClient:
             self._degrade(record)
             return
         self.stats.retries += 1
-        delay = self.resilience.retry.delay_s(next_attempt, self.rng)
+        delay = min(RETRY_BASE_DELAY_S * RETRY_MULTIPLIER ** attempt,
+                    RETRY_MAX_DELAY_S)
+        delay *= 1.0 + RETRY_JITTER * float(self.rng.uniform(-1.0, 1.0))
         self.sim.schedule(delay, self._dispatch, record, next_attempt)
 
     def _degrade(self, record: FrameRecord) -> None:
-        """Answer a frame locally while the breaker is open."""
-        assert self.resilience is not None
-        if not self.resilience.fallback:
-            # Degradation disabled: the frame is lost — but accounted.
-            self.stats.record_lost(record.frame_number, "no-fallback")
-            return
-        self.sim.schedule(self.resilience.fallback_latency_s,
-                          self._complete_degraded, record.frame_number)
+        """Answer a frame locally, after the fallback latency."""
+        self.sim.schedule(FALLBACK_LATENCY_S, self._complete_degraded,
+                          record.frame_number)
 
     def _complete_degraded(self, frame_number: int) -> None:
         if frame_number in self.stats.received:
-            return  # a late pipeline result beat the local tracker
-        if (self.fallback is not None
-                and self.resilience.fallback_video is not None):
-            frame = self.resilience.fallback_video.frame(frame_number)
-            self.fallback.track(frame_number, frame.image)
-        elif self.fallback is not None:
-            self.fallback.frames_tracked += 1
+            return  # a late pipeline result beat the local answer
         self.stats.record_degraded(frame_number, self.sim.now)

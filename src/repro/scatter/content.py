@@ -16,8 +16,7 @@ import numpy as np
 
 from repro.metrics.profiling import StageProfiler
 from repro.metrics.summary import CacheStats
-from repro.vision.cache import (FeatureCache, array_digest,
-                                default_feature_cache)
+from repro.vision.cache import FeatureCache, array_digest
 from repro.vision.image import to_grayscale
 
 
@@ -25,7 +24,8 @@ class FrameFeatureExtractor:
     """SIFT features and Fisher vectors per frame number, cached.
 
     Cached results are bit-identical to recomputes, so the cache
-    changes wall-clock cost only.
+    changes wall-clock cost only; ``cache=None`` recomputes every
+    lookup.
     """
 
     def __init__(self, video, extractor, *, pca=None, encoder=None,
@@ -35,8 +35,7 @@ class FrameFeatureExtractor:
         self.extractor = extractor
         self.pca = pca
         self.encoder = encoder
-        self.cache = cache if cache is not None \
-            else default_feature_cache()
+        self.cache = cache
         self.profiler = profiler if profiler is not None \
             else StageProfiler(enabled=False)
 
@@ -48,8 +47,7 @@ class FrameFeatureExtractor:
         gray = self._gray(frame_number)
         key = ("sift", array_digest(gray), self.extractor.fingerprint)
         with self.profiler.stage("backend.sift"):
-            return self.cache.get_or_compute(
-                key, lambda: self._extract(gray))
+            return self._lookup(key, lambda: self._extract(gray))
 
     def _extract(self, gray: np.ndarray) -> Tuple[tuple, np.ndarray]:
         keypoints, descriptors = \
@@ -68,9 +66,13 @@ class FrameFeatureExtractor:
         key = ("fisher", array_digest(descriptors),
                self.pca.fingerprint(), self.encoder.fingerprint())
         with self.profiler.stage("backend.encode"):
-            return self.cache.get_or_compute(
-                key, lambda: self.encoder.encode(
-                    self.pca.transform(descriptors)))
+            return self._lookup(key, lambda: self.encoder.encode(
+                self.pca.transform(descriptors)))
+
+    def _lookup(self, key: tuple, compute):
+        if self.cache is None:
+            return compute()
+        return self.cache.get_or_compute(key, compute)
 
     def stats(self) -> CacheStats:
         return self.cache.stats()

@@ -59,6 +59,10 @@ from repro.sim.resources import Store
 #: no link, draws no loss and cannot be retransmitted.
 RPC_OVERHEAD_S = 0.0004
 
+#: Queued frames a sidecar holds; an arrival beyond it is dropped as
+#: overflow.
+QUEUE_CAPACITY = 256
+
 
 @dataclass
 class SidecarStats:
@@ -120,7 +124,6 @@ class Sidecar:
 
     def __init__(self, service: "StreamService", *,
                  threshold_s: float = 0.100,
-                 queue_capacity: int = 256,
                  flow: Optional[FlowConfig] = None):
         if threshold_s <= 0:
             raise ValueError(
@@ -128,7 +131,6 @@ class Sidecar:
         self.service = service
         self.sim = service.sim
         self.threshold_s = threshold_s
-        self.queue_capacity = queue_capacity
         self.flow = flow
         self.admission = (build_admission(flow)
                           if flow is not None else None)
@@ -205,7 +207,7 @@ class Sidecar:
                 depth=len(entries), target_depth=self._window):
             stats.rejected += 1
             return False
-        if len(entries) >= self.queue_capacity:
+        if len(entries) >= QUEUE_CAPACITY:
             stats.dropped_overflow += 1
             return False
         entries.append((record, now))
@@ -233,7 +235,7 @@ class Sidecar:
         """
         backlog = len(self._entries) + self._in_flight
         serviceable = max(0, self._window - backlog)
-        headroom = max(0, self.queue_capacity - len(self._entries))
+        headroom = max(0, QUEUE_CAPACITY - len(self._entries))
         return min(serviceable, headroom)
 
     # ------------------------------------------------------------------

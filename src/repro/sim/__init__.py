@@ -19,7 +19,7 @@ from repro.sim.kernel import (
     Timeout,
     TraceDigest,
 )
-from repro.sim.resources import Resource, Store, StoreFullError
+from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngRegistry
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Store",
-    "StoreFullError",
     "Timeout",
     "TraceDigest",
 ]

@@ -342,9 +342,6 @@ class Simulator:
     def any_of(self, children: Iterable[Waitable]) -> AnyOf:
         return AnyOf(self, children)
 
-    def all_of(self, children: Iterable[Waitable]) -> AllOf:
-        return AllOf(self, children)
-
     def spawn(self, generator: ProcessGenerator,
               name: Optional[str] = None) -> Process:
         """Start a new process from a generator."""

@@ -3,13 +3,9 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from repro.sim.kernel import Signal, SimulationError, Simulator, Waitable
-
-
-class StoreFullError(SimulationError):
-    """Raised by :meth:`Store.put_nowait` when the store is at capacity."""
 
 
 class Resource:
@@ -27,14 +23,6 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._queue: Deque[Signal] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self._in_use
 
     @property
     def queued(self) -> int:
@@ -68,46 +56,28 @@ class Resource:
 
 
 class Store:
-    """A FIFO item queue with optional capacity.
+    """An unbounded FIFO item queue.
 
-    ``yield store.get()`` suspends until an item is available.  Puts are
-    non-blocking: :meth:`put_nowait` raises :class:`StoreFullError` when
-    the store is full (callers model drop policies on top of this), and
-    :meth:`offer` is the drop-on-full convenience wrapper.
+    ``yield store.get()`` suspends until an item is available; puts
+    never block (callers that bound a queue model the drop policy on
+    top of it).
     """
 
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.capacity = capacity
         self._items: Deque[Any] = deque()
         self._getters: Deque[Signal] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
-
     def put_nowait(self, item: Any) -> None:
-        """Enqueue ``item``; raise :class:`StoreFullError` when full."""
+        """Enqueue ``item``, or hand it to the oldest waiting getter."""
         if self._getters:
             getter = self._getters.popleft()
             getter.fire(item)
             return
-        if self.full:
-            raise StoreFullError("store is full")
         self._items.append(item)
-
-    def offer(self, item: Any) -> bool:
-        """Enqueue ``item`` if there is room; return whether it was taken."""
-        try:
-            self.put_nowait(item)
-        except StoreFullError:
-            return False
-        return True
 
     def get(self) -> Waitable:
         """Return a waitable firing with the next item (FIFO)."""
@@ -124,13 +94,3 @@ class Store:
         if not self._items:
             raise LookupError("store is empty")
         return self._items.popleft()
-
-    def drain(self) -> list[Any]:
-        """Remove and return every queued item."""
-        items = list(self._items)
-        self._items.clear()
-        return items
-
-    def peek_all(self) -> list[Any]:
-        """Return queued items without removing them."""
-        return list(self._items)

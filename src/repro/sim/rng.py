@@ -37,9 +37,5 @@ class RngRegistry:
             self._streams[name] = generator
         return generator
 
-    def fork(self, salt: int) -> "RngRegistry":
-        """Derive a child registry (e.g. one per experiment repetition)."""
-        return RngRegistry(seed=(self.seed * 1_000_003 + int(salt)) & 0x7FFFFFFF)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngRegistry(seed={self.seed}, streams={sorted(self._streams)})"

@@ -20,34 +20,30 @@ fingerprint of the kernel configuration that would process it
   There is no invalidation protocol; changing any parameter changes
   the key.
 * **Invisible to the determinism contract** — the cache changes only
-  *real* wall time, never the simulator's virtual time, so trace
-  digests are identical with the cache enabled or disabled (enforced
-  by ``tests/test_kernel_equivalence.py``).
+  *real* wall time; no simulation runs vision, so no trace digest can
+  see it (hits are checked bit-identical to recomputes by
+  ``tests/test_kernel_equivalence.py``).
 
 Bounds: LRU over an :class:`collections.OrderedDict`, limited by both
 entry count and total payload bytes.  Counters are surfaced as
 :class:`repro.metrics.summary.CacheStats` snapshots.
 
-Scoping: campaign workers are separate processes, so each worker owns
-an independent module-level default cache — cells never share hits
-across a process boundary.  Stats are read from the cache itself
-(:meth:`FeatureCache.stats`); no cell summary carries them.
+Scoping: there is no process-wide cache.  Whoever runs the kernels
+owns a cache and passes it in (``FrameFeatureExtractor(cache=)``,
+``ObjectRecognizer(feature_cache=)``); ``None`` means uncached.  Stats
+are read from the cache itself (:meth:`FeatureCache.stats`); no cell
+summary carries them.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from typing import Any, Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro.metrics.summary import CacheStats
-
-#: Environment switch honoured by :func:`default_feature_cache`; set
-#: before the process starts, worker processes inherit it.
-DISABLE_ENV = "REPRO_NO_FEATURE_CACHE"
 
 
 def array_digest(array: np.ndarray) -> str:
@@ -110,8 +106,7 @@ class FeatureCache:
     """
 
     def __init__(self, max_entries: int = 4096,
-                 max_bytes: int = 256 * 1024 * 1024,
-                 enabled: bool = True):
+                 max_bytes: int = 256 * 1024 * 1024):
         if max_entries < 1:
             raise ValueError(
                 f"max_entries must be >= 1, got {max_entries}")
@@ -120,7 +115,6 @@ class FeatureCache:
                 f"max_bytes must be >= 1, got {max_bytes}")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.enabled = enabled
         self._entries: "OrderedDict[Tuple[str, ...], Any]" = \
             OrderedDict()
         self._sizes: "OrderedDict[Tuple[str, ...], int]" = \
@@ -140,9 +134,6 @@ class FeatureCache:
 
     def get(self, key: Tuple[str, ...]) -> Optional[Any]:
         """Look up ``key``; a hit refreshes LRU recency."""
-        if not self.enabled:
-            self._misses += 1
-            return None
         if key in self._entries:
             self._hits += 1
             self._entries.move_to_end(key)
@@ -159,8 +150,6 @@ class FeatureCache:
         returned frozen but not retained.
         """
         frozen = _freeze(payload)
-        if not self.enabled:
-            return frozen
         nbytes = _payload_nbytes(frozen)
         if nbytes > self.max_bytes:
             return frozen
@@ -206,30 +195,3 @@ class FeatureCache:
             size_bytes=self._size_bytes,
         )
 
-
-def cache_enabled_by_env() -> bool:
-    """Whether the environment allows the default cache."""
-    return os.environ.get(DISABLE_ENV, "") not in ("1", "true", "yes")
-
-
-_DEFAULT: Optional[FeatureCache] = None
-
-
-def default_feature_cache() -> FeatureCache:
-    """Per-process shared cache (honours ``REPRO_NO_FEATURE_CACHE``).
-
-    Campaign worker processes each build their own on first use, so
-    cells sharing a worker share warm entries while cells on other
-    workers stay isolated — exactly the per-process scoping the
-    determinism tests rely on.
-    """
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = FeatureCache(enabled=cache_enabled_by_env())
-    return _DEFAULT
-
-
-def reset_default_feature_cache() -> None:
-    """Forget the process-wide cache (tests)."""
-    global _DEFAULT
-    _DEFAULT = None

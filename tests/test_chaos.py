@@ -132,15 +132,15 @@ from repro.experiments.runner import (  # noqa: E402
     run_experiment,
 )
 from repro.orchestra.health import (  # noqa: E402
+    DEAD_TIMEOUT_S,
+    PROBE_INTERVAL_S,
     FailureDetector,
     HealthState,
 )
-from repro.scatter.resilience import ResilienceConfig  # noqa: E402
 
 
 def run_with_detector(*, plan, config_name="C2", scatterpp=False,
-                      duration_s=20.0, num_clients=1,
-                      detector_kwargs=None, resilience=None):
+                      duration_s=20.0, num_clients=1, resilience=False):
     """Manual twin of a chaos :func:`run_experiment` that returns the
     live detector/injector objects for assertions."""
     sim = Simulator()
@@ -152,7 +152,7 @@ def run_with_detector(*, plan, config_name="C2", scatterpp=False,
                                baseline_configs()[config_name], **kwargs)
     pipeline.deploy()
     orchestrator.start(watchdog=False)
-    detector = FailureDetector(orchestrator, **(detector_kwargs or {}))
+    detector = FailureDetector(orchestrator)
     detector.start()
     injector = FaultInjector(orchestrator, plan)
     injector.start()
@@ -181,8 +181,8 @@ def test_heartbeat_detects_crash_and_redeploys():
     assert HealthState.DEAD in states
     dead = [e for e in sift_events if e.state is HealthState.DEAD][0]
     # Detected within the dead timeout plus a probe interval of slack.
-    assert crash_at + detector.dead_timeout_s <= dead.timestamp_s \
-        <= crash_at + detector.dead_timeout_s + 2 * detector.interval_s
+    assert crash_at + DEAD_TIMEOUT_S <= dead.timestamp_s \
+        <= crash_at + DEAD_TIMEOUT_S + 2 * PROBE_INTERVAL_S
     redeploy_t, service = orchestrator.redeploy_events[0]
     assert service == "sift"
     assert redeploy_t >= dead.timestamp_s
@@ -200,16 +200,15 @@ def test_heartbeat_detects_crash_and_redeploys():
 @pytest.mark.parametrize("scatterpp", [False, True])
 def test_partition_then_heal_recovers_routing(scatterpp):
     """A short partition suspends routing; healing restores it."""
-    part_start, part_len = 8.0, 2.0
+    part_start, part_len = 8.0, 1.0
     plan = FaultPlan([NetworkPartition(
         at_s=part_start, duration_s=part_len,
         group_a=("e1",), group_b=("e2",))])
-    # dead_timeout longer than the partition: instances must come back
-    # via SUSPECT -> HEALTHY, never via redeploy.
+    # The partition heals inside the dead timeout: instances must come
+    # back via SUSPECT -> HEALTHY, never via redeploy.
+    assert part_len < DEAD_TIMEOUT_S
     sim, orchestrator, detector, injector, clients = run_with_detector(
-        plan=plan, scatterpp=scatterpp,
-        detector_kwargs={"suspect_timeout_s": 0.75,
-                         "dead_timeout_s": 10.0})
+        plan=plan, scatterpp=scatterpp)
     assert orchestrator.redeploy_count == 0
     suspects = [e for e in detector.events
                 if e.state is HealthState.SUSPECT]
@@ -238,9 +237,8 @@ def test_gray_failure_invisible_to_detector_visible_to_breaker():
     """A silent slowdown never trips heartbeats, only the breaker."""
     plan = FaultPlan([GrayFailure(at_s=6.0, duration_s=6.0,
                                   service="matching", slowdown=25.0)])
-    resilience = ResilienceConfig(request_timeout_s=0.2)
     sim, orchestrator, detector, __, clients = run_with_detector(
-        plan=plan, duration_s=16.0, resilience=resilience)
+        plan=plan, duration_s=16.0, resilience=True)
     # The replica keeps acking: zero detector transitions, no redeploy.
     assert detector.events == []
     assert orchestrator.redeploy_count == 0

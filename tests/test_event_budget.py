@@ -5,8 +5,8 @@ does.  The scAtteR++ sidecar runs the hand-off to its co-located
 service inline (DESIGN.md §19), which keeps scAtteR++ within twice
 scAtteR's events per sent frame.  A sidecar round runs in one
 generator that resumes the stage's ``process`` and the device's
-generator directly (DESIGN.md §22), so a budget cell makes 8.3–9.9
-calls into ``repro`` per event (9.1 over all six cells), where it made
+generator directly (DESIGN.md §22), so a budget cell makes 8.2–9.8
+calls into ``repro`` per event (9.0 over all six cells), where it made
 10.9–12.7 (11.9) when a round resumed seven generators.
 
 Each cell pins its exact event count and frames sent — both repeat
@@ -50,11 +50,11 @@ BUDGET_CELLS = {
 #: resume included, counted on CPython 3.11 with the optimized kernel.
 BUDGET_CALLS = {
     ("scatter", "C12", 4): 76008,
-    ("scatterpp", "C2", 3): 124200,
-    ("scatterpp-flow", "C1", 3): 125815,
-    ("mobility", "C1", 3): 119242,
-    ("cohort", "C1", 2): 93636,
-    ("optimize", "C21", 2): 93034,
+    ("scatterpp", "C2", 3): 123183,
+    ("scatterpp-flow", "C1", 3): 124986,
+    ("mobility", "C1", 3): 118171,
+    ("cohort", "C1", 2): 93440,
+    ("optimize", "C21", 2): 92870,
 }
 
 _REPRO_DIR = os.path.dirname(repro.__file__) + os.sep

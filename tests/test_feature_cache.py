@@ -2,34 +2,14 @@
 
 Covers the correctness-by-construction story (hits return exactly the
 inserted payload, frozen against mutation), the LRU bounds (entry
-count and byte budget, eviction order, recency refresh), counter
-accounting, environment gating, and — via fake campaign runners — the
-per-process isolation that sharded campaigns rely on.
+count and byte budget, eviction order, recency refresh) and counter
+accounting.
 """
-
-import multiprocessing
-import os
-import time
 
 import numpy as np
 import pytest
 
-from repro.experiments import campaign as campaign_mod
-from repro.experiments.campaign import Campaign
-from repro.experiments.parallel import (
-    plan_tasks,
-    run_tasks,
-    shutdown_pool,
-    warm_pool,
-)
-from repro.vision.cache import (
-    DISABLE_ENV,
-    FeatureCache,
-    array_digest,
-    config_fingerprint,
-    default_feature_cache,
-    reset_default_feature_cache,
-)
+from repro.vision.cache import FeatureCache, array_digest, config_fingerprint
 
 
 # ----------------------------------------------------------------------
@@ -172,94 +152,8 @@ def test_clear_drops_entries_but_keeps_counters():
     assert cache.stats().insertions == 1
 
 
-def test_disabled_cache_counts_misses_and_stores_nothing():
-    cache = FeatureCache(enabled=False)
-    frozen = cache.put(("k",), np.zeros(4))
-    assert not frozen.flags.writeable
-    assert cache.get(("k",)) is None
-    assert len(cache) == 0
-    stats = cache.stats()
-    assert stats.misses == 1 and stats.insertions == 0
-
-
 def test_validation():
     with pytest.raises(ValueError):
         FeatureCache(max_entries=0)
     with pytest.raises(ValueError):
         FeatureCache(max_bytes=0)
-
-
-# ----------------------------------------------------------------------
-# Process-default cache + environment gating
-# ----------------------------------------------------------------------
-def test_default_cache_is_a_per_process_singleton():
-    reset_default_feature_cache()
-    try:
-        assert default_feature_cache() is default_feature_cache()
-    finally:
-        reset_default_feature_cache()
-
-
-def test_env_variable_disables_default_cache(monkeypatch):
-    monkeypatch.setenv(DISABLE_ENV, "1")
-    reset_default_feature_cache()
-    try:
-        assert not default_feature_cache().enabled
-    finally:
-        # monkeypatch restores the environment; dropping the singleton
-        # makes the next consumer re-read it.
-        reset_default_feature_cache()
-
-
-# ----------------------------------------------------------------------
-# Per-process isolation under a sharded campaign
-# ----------------------------------------------------------------------
-def _cache_probe_runner(placement, *, num_clients, duration_s, seed):
-    """Fake cell: touch one shared key in the worker's default cache."""
-    cache = default_feature_cache()
-    before = cache.stats()
-    cache.get_or_compute(("shared-probe",), lambda: np.arange(16.0))
-    time.sleep(0.1)  # keep this worker busy so peers pick up tasks
-    after = cache.stats()
-    return {"trace_digest": f"probe-{seed}", "pid": os.getpid(),
-            "cache": {key: getattr(after, key) - getattr(before, key)
-                      for key in ("hits", "misses", "insertions")}}
-
-
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="fake-runner injection into pool workers requires fork")
-def test_worker_caches_are_isolated_per_process(monkeypatch):
-    """Every worker process pays exactly one cold miss for a shared key.
-
-    If caches leaked across the process boundary, a later worker would
-    observe a hit on its first lookup; if a worker's cache leaked
-    *into* later cells on the same worker, those cells would observe
-    extra misses.  Both directions are pinned here.
-    """
-    monkeypatch.setitem(campaign_mod.RUNNERS, "scatter",
-                        _cache_probe_runner)
-    campaign = Campaign(
-        name="iso", pipelines=("scatter",), placements=("C1",),
-        client_counts=(1, 2), duration_s=0.1,
-        seeds=(0, 1, 2, 3))
-    # The probe needs (a) workers forked *after* the monkeypatch —
-    # drop any earlier pool — and (b) a genuine multi-worker fan-out,
-    # so warm an exact-size pool (overrides the cpu-count cap).
-    shutdown_pool()
-    warm_pool(4)
-    try:
-        outcomes = run_tasks(plan_tasks(campaign), workers=4)
-    finally:
-        shutdown_pool()
-    assert all(outcome.ok for outcome in outcomes)
-
-    by_pid = {}
-    for outcome in outcomes:
-        by_pid.setdefault(outcome.summary["pid"], []).append(
-            outcome.summary["cache"])
-    assert len(by_pid) >= 2  # the pool really fanned out
-    for deltas in by_pid.values():
-        assert sum(d["misses"] for d in deltas) == 1
-        assert sum(d["insertions"] for d in deltas) == 1
-        assert sum(d["hits"] for d in deltas) == len(deltas) - 1

@@ -116,7 +116,7 @@ def test_gpu_meters_return_to_idle(scatter_run):
     for machine in scatter_run.testbed.machines.values():
         for gpu in machine.gpus:
             assert gpu.meter.level == pytest.approx(0.0)
-            assert gpu.slot.in_use == 0
+            assert gpu.slot.queued == 0 and gpu.slot.try_acquire()
         assert machine.cpu_meter.level == pytest.approx(0.0)
 
 

@@ -16,9 +16,7 @@ are checked against fresh draws.  The Gaussian blur's twin is
 
 The second half certifies the content-addressed
 :class:`~repro.vision.cache.FeatureCache` as *behaviour-invisible*:
-cached results are bit-identical to recomputes, and the committed
-golden trace digests (``tests/golden/determinism_digests.json``) are
-byte-identical with the cache enabled or disabled, serial or sharded.
+cached results are bit-identical to recomputes.
 """
 
 from unittest import mock
@@ -29,12 +27,7 @@ import pytest
 from repro.scatter.content import FrameFeatureExtractor
 from repro.vision import gaussian as gaussian_module
 from repro.vision import recognizer as recognizer_module
-from repro.vision.cache import (
-    DISABLE_ENV,
-    FeatureCache,
-    default_feature_cache,
-    reset_default_feature_cache,
-)
+from repro.vision.cache import FeatureCache
 from repro.vision.dataset import WorkplaceDataset
 from repro.vision.fisher import FisherEncoder, GaussianMixture
 from repro.vision.gaussian import (
@@ -545,8 +538,7 @@ def test_cached_backend_bit_identical_to_uncached(trained_stack):
         video, extractor, pca=pca, encoder=encoder,
         cache=FeatureCache())
     uncached = FrameFeatureExtractor(
-        video, extractor, pca=pca, encoder=encoder,
-        cache=FeatureCache(enabled=False))
+        video, extractor, pca=pca, encoder=encoder, cache=None)
 
     for frame_number in (2, 11, 2, 11, 2):  # repeats hit the cache
         ckps, cdesc = cached.features(frame_number)
@@ -558,44 +550,3 @@ def test_cached_backend_bit_identical_to_uncached(trained_stack):
 
     stats = cached.stats()
     assert stats.hits > 0 and stats.misses > 0
-    assert uncached.stats().hits == 0
-
-
-# ----------------------------------------------------------------------
-# The determinism contract survives the cache
-# ----------------------------------------------------------------------
-@pytest.fixture
-def feature_cache_disabled(monkeypatch):
-    """Disable the process-default cache for one test, then restore."""
-    monkeypatch.setenv(DISABLE_ENV, "1")
-    reset_default_feature_cache()
-    assert not default_feature_cache().enabled
-    yield
-    # monkeypatch restores the environment after this; dropping the
-    # singleton makes the next consumer re-read it.
-    reset_default_feature_cache()
-
-
-@pytest.mark.parametrize("workers", [0, 4])
-def test_golden_digests_unchanged_with_cache_disabled(
-        feature_cache_disabled, workers):
-    """The committed golden digests hold with caching off, any shard.
-
-    ``tests/test_determinism.py`` pins the digests with the default
-    (enabled) cache; this is the other half of the regression — the
-    cache being *absent* is equally invisible.  Worker processes
-    inherit the disabling environment variable.
-    """
-    import json
-
-    from repro.experiments.campaign import run_campaign
-    from tests.test_determinism import (
-        CONTRACT_CAMPAIGN,
-        GOLDEN_PATH,
-        _digest_map,
-    )
-
-    report = run_campaign(CONTRACT_CAMPAIGN, workers=workers)
-    assert not report.failures
-    golden = json.loads(GOLDEN_PATH.read_text())
-    assert _digest_map(report) == golden["digests"]

@@ -13,7 +13,6 @@ from repro.metrics import (
     StageProfiler,
     summarize,
 )
-from repro.metrics.summary import SampleReservoir
 from repro.sim import Simulator
 
 
@@ -104,17 +103,10 @@ def test_summarize_all_non_finite_sketch_is_empty():
     assert summarize(sketch) == summarize([])
 
 
-def test_overflow_ratio_consistent_between_reservoir_and_sketch():
-    """The same overloaded stream reports overflow the same way
-    whether it lands in a bounded reservoir (subsampling) or a
-    bin-capped sketch (bound-collapsing): zero when nothing was
-    dropped, positive and equal to the affected fraction otherwise."""
-    reservoir = SampleReservoir(maxlen=10)
-    reservoir.extend(float(i) for i in range(40))
-    assert reservoir.overflow_ratio == pytest.approx(30 / 40)
-    assert summarize(reservoir).overflow_ratio == \
-        reservoir.overflow_ratio
-
+def test_sketch_overflow_ratio_reaches_the_summary():
+    """A bin-capped sketch reports its collapsed fraction through
+    :func:`summarize`: zero when nothing collapsed, the affected
+    fraction otherwise."""
     healthy = PercentileSketch()
     healthy.extend(range(1, 41))
     assert healthy.overflow_ratio == 0.0

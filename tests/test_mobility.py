@@ -12,7 +12,7 @@ see ``tests/test_handover_conservation.py`` for the randomized sweep.
 import numpy as np
 import pytest
 
-from repro.chaos import FaultPlan, InstanceCrash
+from repro.chaos import FaultPlan, InstanceCrash, NetworkPartition
 from repro.experiments.runner import (DRAIN_S, ExperimentSpec, MobilitySpec,
                                       run_experiment)
 from repro.flow import (
@@ -23,15 +23,24 @@ from repro.flow import (
 from repro.mobility import (
     AttachmentSegment,
     ClientTrajectory,
-    HandoverConfig,
     SessionDirectory,
     default_site_profiles,
     random_trajectory,
 )
+from repro.mobility.handover import (BACKOFF_MULTIPLIER, MAX_ATTEMPTS,
+                                     RETRY_BACKOFF_S)
 from repro.net.netem import lte_profile
-from repro.scatter.config import PIPELINE_ORDER, baseline_configs
+from repro.scatter.config import (PIPELINE_ORDER, PlacementConfig,
+                                  baseline_configs)
 
 PLACEMENT = baseline_configs()["C1"]
+#: C2 with a second sift replica at e1, where the roaming client's
+#: session starts: its move to e2 finds a warm replica there, so the
+#: first snapshot is taken in the same event as the trigger and catches
+#: the session entries in flight instead of letting them drain during
+#: a container warmup.
+WARM_TARGET = PlacementConfig("C2+sift@e1", {
+    **baseline_configs()["C2"].placements, "sift": ["e1", "e2"]})
 
 #: Outer bound on how long the resilience layer may take to reach a
 #: verdict on one frame (retry budget + breaker window + fallback).
@@ -115,7 +124,7 @@ def test_random_trajectory_validation():
 
 
 # ----------------------------------------------------------------------
-# Session directory + config
+# Session directory
 # ----------------------------------------------------------------------
 class _FakeInstance:
     def __init__(self, address, running=True):
@@ -141,25 +150,6 @@ def test_session_directory_routes_only_its_service():
     assert directory.route("sift", 7) is None
 
 
-def test_handover_config_validation_and_backoff():
-    with pytest.raises(ValueError):
-        HandoverConfig(max_attempts=0)
-    with pytest.raises(ValueError):
-        HandoverConfig(chunk_bytes=0)
-    with pytest.raises(ValueError):
-        HandoverConfig(warmup_s=-0.1)
-    with pytest.raises(ValueError):
-        HandoverConfig(retry_backoff_s=0.0)
-    with pytest.raises(ValueError):
-        HandoverConfig(backoff_multiplier=0.5)
-    with pytest.raises(ValueError):
-        HandoverConfig(max_transfer_rounds=0)
-    config = HandoverConfig(retry_backoff_s=0.25, backoff_multiplier=2.0)
-    assert config.backoff_s(1) == pytest.approx(0.25)
-    assert config.backoff_s(2) == pytest.approx(0.5)
-    assert config.backoff_s(3) == pytest.approx(1.0)
-
-
 # ----------------------------------------------------------------------
 # The protocol, end to end
 # ----------------------------------------------------------------------
@@ -170,19 +160,16 @@ ONE_MOVE = ClientTrajectory(client_id=0, segments=(
 DURATION_S = 10.0
 
 
-def _mobility(*, seed=0, plan=None, **mobility):
+def _mobility(*, seed=0, plan=None, placement=PLACEMENT, **mobility):
     mobility.setdefault("trajectories", [ONE_MOVE])
     return run_experiment(ExperimentSpec(
-        PLACEMENT, num_clients=1, duration_s=DURATION_S, seed=seed,
+        placement, num_clients=1, duration_s=DURATION_S, seed=seed,
         scatterpp=True, stateless_sift=False, plan=plan,
         mobility=MobilitySpec(**mobility)))
 
 
 def test_stateful_handover_moves_state_without_loss():
-    # warmup_s=0 snapshots the source in the same event as the
-    # handover trigger, so the in-flight session entries are caught
-    # mid-pipeline instead of draining during the container warmup.
-    result = _mobility(handover_config=HandoverConfig(warmup_s=0.0))
+    result = _mobility(placement=WARM_TARGET)
     report = result.mobility["report"]
     assert report["planned"] == 1
     assert report["started"] == 1
@@ -296,18 +283,22 @@ def test_replicas_deployed_mid_run_route_by_session():
 
 
 def test_handover_retries_with_bounded_backoff_then_abandons():
-    # An unwarmable target: C1 pins everything on e1/e2; ask for a
-    # site that exists but has no room by saturating... simpler: a
-    # target site name with no machine capacity is a scheduling error
-    # path — instead force aborts via an impossible transfer timeout.
-    config = HandoverConfig(transfer_timeout_s=1e-6, warmup_s=0.0,
-                            retry_backoff_s=0.05, max_attempts=2)
-    result = _mobility(handover_config=config)
+    # The sites partition just before the move and stay apart past the
+    # run: matching at e2 can no longer fetch the session's entries at
+    # e1, so every attempt has state to ship, and every chunk is lost.
+    plan = FaultPlan([NetworkPartition(
+        at_s=3.9, duration_s=DURATION_S + DRAIN_S - 3.9,
+        group_a=("e1",), group_b=("e2",))])
+    result = _mobility(placement=WARM_TARGET, plan=plan)
     (record,) = result.mobility["handovers"]
     assert record["outcome"] == "abandoned"
-    assert record["attempts"] == 2
-    assert all(reason == "transfer-timeout"
-               for reason in record["abort_reasons"])
+    assert record["attempts"] == MAX_ATTEMPTS
+    assert record["abort_reasons"] == ["transfer-lost"] * MAX_ATTEMPTS
+    # The attempts are spaced by the deterministic backoff, no more.
+    backoff_s = sum(RETRY_BACKOFF_S * BACKOFF_MULTIPLIER ** k
+                    for k in range(MAX_ATTEMPTS - 1))
+    assert record["completed_s"] - record["started_s"] == \
+        pytest.approx(backoff_s)
     report = result.mobility["report"]
     assert report["abandoned"] == 1 and report["retried"] == 1
     # Nothing moved, and — rollback being free pre-cutover — nothing

@@ -219,14 +219,3 @@ def test_registry_register_idempotent_and_deregister():
     assert registry.instances("svc") == [addr]
     registry.deregister("svc", addr)
     assert registry.instances("svc") == []
-
-
-def test_registry_custom_balancer():
-    def always_last(service, instances):
-        return instances[-1]
-
-    registry = ServiceRegistry(balancer=always_last)
-    registry.register("svc", Address("e1", 1))
-    registry.register("svc", Address("e2", 1))
-    assert registry.resolve("svc") == Address("e2", 1)
-    assert registry.resolve("svc") == Address("e2", 1)

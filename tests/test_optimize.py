@@ -104,12 +104,11 @@ def test_campaign_accepts_genome_specs_and_fails_fast_on_bad():
 # Search-space schedulability
 # ----------------------------------------------------------------------
 def test_schedulability_checks():
-    space = SearchSpace(machines=("e1", "e2"),
-                        max_replicas_per_service=2)
+    space = SearchSpace(machines=("e1", "e2"))
     ok = Genome(machines=(("e1",), ("e2", "e1"), ("e1",),
                           ("e2",), ("e1",)))
     assert space.is_schedulable(ok)
-    too_many = Genome(machines=(("e1", "e1", "e1"),) + (("e1",),) * 4)
+    too_many = Genome(machines=(("e1",) * 4,) + (("e1",),) * 4)
     assert not space.is_schedulable(too_many)
     unknown = Genome(machines=(("cloud",),) + (("e1",),) * 4)
     assert not space.is_schedulable(unknown)

@@ -74,19 +74,23 @@ def test_store_preserves_fifo_order(items):
 def test_resource_never_exceeds_capacity(capacity, jobs):
     sim = Simulator()
     resource = Resource(sim, capacity=capacity)
+    holders = [0]
     peak = []
 
     def worker():
         yield resource.acquire()
-        peak.append(resource.in_use)
+        holders[0] += 1
+        peak.append(holders[0])
         yield sim.timeout(1.0)
+        holders[0] -= 1
         resource.release()
 
     for __ in range(jobs):
         sim.spawn(worker())
     sim.run()
     assert max(peak) <= capacity
-    assert resource.in_use == 0
+    assert resource.queued == 0
+    assert all(resource.try_acquire() for __ in range(capacity))
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,14 @@ identifier-like string; a package ``__init__``'s imports and
 matches names only, so a def passes when its name matches any used
 identifier (a ``delta`` method beside a used ``delta`` variable, a
 ``load`` beside ``json.load``); such defs are audited by hand.
+
+Settings obey the same rule.  Every field of a ``src/repro`` dataclass
+whose name ends in ``Config``, ``Spec``, ``Slo`` or ``Policy`` must be
+passed by keyword, or stored as a string key of a dict, in a root file
+or in a reached ``src/repro`` module other than the one defining it; a
+field only its own module or the tests set is a constant.  This rule
+matches names only, too: a ``credits=`` keyword anywhere that counts
+passes ``FlowConfig.credits``, whatever it is passed to.
 """
 
 import ast
@@ -53,9 +61,6 @@ EXEMPT_DEFS = {
         "test twin: the vectorized LSH query is checked against it",
     "repro.experiments.cache.reset_code_fingerprint_cache":
         "tests edit source trees and must drop the memoized fingerprints",
-    "repro.vision.cache.reset_default_feature_cache":
-        "tests toggle the cache's environment switch and must drop the "
-        "process-wide cache",
     "repro.flow.config.neutral_flow_config":
         "the flow-neutral digest check in test_determinism builds its "
         "config",
@@ -76,19 +81,28 @@ EXEMPT_DEFS = {
         "the sketch property suite checks that to_dict is lossless with "
         "it",
 }
-#: ``repro/sim/*.py`` is hashed into ``BENCH_sim_hotpath.json``'s
-#: ``kernel_steadiness`` record, so its dead defs wait for a kernel
-#: change.
-EXEMPT_DEFS.update(dict.fromkeys((
-    "repro.sim._kernel_impl.Simulator.all_of",
-    "repro.sim.reference.Simulator.all_of",
-    "repro.sim.resources.Resource.in_use",
-    "repro.sim.resources.Resource.available",
-    "repro.sim.resources.Store.drain",
-    "repro.sim.resources.Store.peek_all",
-    "repro.sim.resources.Store.offer",
-    "repro.sim.rng.RngRegistry.fork",
-), "kernel source is pinned by the kernel_steadiness record"))
+
+#: Settings kept although no file that counts sets them: qualified name
+#: (module, class, field) -> reason.
+EXEMPT_SETTINGS = dict.fromkeys((
+    f"repro.flow.config.FlowConfig.{name}" for name in (
+        "admission_rate_fps", "admission_burst", "gradient_lookahead_s",
+        "advertise_interval_s", "credit_ttl_s", "upstream_window_s",
+        "client_pacing", "client_rate_fps", "client_burst")),
+    "flow_summary stores the whole config in every flow cell's "
+    "summary, so dropping the field moves the pinned summary digests; "
+    "it goes with the per-cell telemetry record (ROADMAP item 7)")
+EXEMPT_SETTINGS.update(dict.fromkeys((
+    "repro.experiments.runner.ExperimentSpec.cohort_load_kwargs",
+    "repro.experiments.runner.ExperimentSpec.cohort_tick_s",
+    "repro.cohort.population.CohortSpec.member_fps"),
+    "goes with the cohort layer (ROADMAP item 5), which waits for a "
+    "benchmark change that drops perfbench's cohort cell"))
+EXEMPT_SETTINGS["repro.experiments.runner.MobilitySpec.trajectories"] = (
+    "a scenario input: tests script exact moves with it, the way a "
+    "FaultPlan scripts faults")
+
+SETTING_SUFFIXES = ("Config", "Spec", "Slo", "Policy")
 
 
 def _module_file(name):
@@ -258,3 +272,70 @@ def test_every_repro_def_is_named_where_it_counts():
     assert not stale and not unnamed, (
         f"stale exemptions (the def is gone or named): {stale}; "
         f"defs no file that counts names: {unnamed}")
+
+
+def _is_dataclass(node):
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) \
+            else decorator
+        name = target.attr if isinstance(target, ast.Attribute) \
+            else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _settings(path, module):
+    """Qualified name -> field name of every settings dataclass field."""
+    found = {}
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not (isinstance(node, ast.ClassDef)
+                and node.name.endswith(SETTING_SUFFIXES)
+                and _is_dataclass(node)):
+            continue
+        for item in node.body:
+            if (isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(item.annotation)):
+                found[f"{module}.{node.name}.{item.target.id}"] = \
+                    item.target.id
+    return found
+
+
+def _set_names(path):
+    """Keywords passed, and string keys a file stores into a dict."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.keyword) and node.arg is not None:
+            names.add(node.arg)
+        elif isinstance(node, ast.Dict):
+            names.update(key.value for key in node.keys
+                         if isinstance(key, ast.Constant)
+                         and isinstance(key.value, str))
+        elif (isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.slice, ast.Constant)
+                and isinstance(node.slice.value, str)):
+            names.add(node.slice.value)
+    return names
+
+
+def test_every_setting_is_set_where_it_counts():
+    set_in = {module: _set_names(_module_file(module))
+              for module in _reached() if _module_file(module)}
+    settings = {}
+    for path in (SRC / "repro").rglob("*.py"):
+        module = _module_name(path)
+        for qualified, name in _settings(path, module).items():
+            settings[qualified] = any(
+                name in names for other, names in set_in.items()
+                if other != module)
+    assert all(EXEMPT_SETTINGS.values()), \
+        "every exemption needs its reason"
+    stale = sorted(qualified for qualified in EXEMPT_SETTINGS
+                   if settings.get(qualified, True))
+    unset = sorted(qualified for qualified, is_set in settings.items()
+                   if not is_set and qualified not in EXEMPT_SETTINGS)
+    assert not stale and not unset, (
+        f"stale exemptions (the field is gone or set): {stale}; "
+        f"settings no file that counts sets ({len(unset)}): {unset}")

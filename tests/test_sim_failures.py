@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AnyOf, Interrupt, Simulator, SimulationError
+from repro.sim import AllOf, AnyOf, Interrupt, Simulator, SimulationError
 from repro.sim.kernel import Signal, Waitable
 
 
@@ -57,7 +57,7 @@ def test_all_of_propagates_first_failure():
 
     def waiter():
         try:
-            yield sim.all_of([sim.timeout(1.0), bad])
+            yield AllOf(sim, [sim.timeout(1.0), bad])
         except ValueError:
             caught.append(sim.now)
 
@@ -72,7 +72,7 @@ def test_all_of_empty_fires_immediately():
     got = []
 
     def waiter():
-        values = yield sim.all_of([])
+        values = yield AllOf(sim, [])
         got.append((sim.now, values))
 
     sim.spawn(waiter())

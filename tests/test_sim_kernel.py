@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import (
+    AllOf,
     AnyOf,
     Interrupt,
     Simulator,
@@ -167,7 +168,7 @@ def test_all_of_collects_values():
     got = []
 
     def waiter():
-        values = yield sim.all_of([sim.timeout(1.0, "a"), sim.timeout(2.0, "b")])
+        values = yield AllOf(sim, [sim.timeout(1.0, "a"), sim.timeout(2.0, "b")])
         got.append((sim.now, values))
 
     sim.spawn(waiter())
@@ -362,8 +363,8 @@ def _random_program(seed, mod=kernel_mod):
                          sim.timeout(rng.randrange(1, 250) / 100.0,
                                      "deadline")])
                 elif roll < 0.65:
-                    value = yield sim.all_of(
-                        [sim.timeout(rng.randrange(0, 150) / 100.0),
+                    value = yield mod.AllOf(
+                        sim, [sim.timeout(rng.randrange(0, 150) / 100.0),
                          sim.timeout(rng.randrange(0, 150) / 100.0)])
                 elif roll < 0.85:
                     value = yield sim.spawn(
@@ -522,7 +523,7 @@ def test_all_of_with_prefired_child_still_waits_for_the_rest():
     got = []
 
     def waiter():
-        values = yield sim.all_of([first, sim.timeout(1.0, "b")])
+        values = yield AllOf(sim, [first, sim.timeout(1.0, "b")])
         got.append((sim.now, values))
 
     sim.spawn(waiter())
@@ -535,7 +536,7 @@ def test_all_of_empty_fires_with_empty_list():
     got = []
 
     def waiter():
-        values = yield sim.all_of([])
+        values = yield AllOf(sim, [])
         got.append((sim.now, values))
 
     sim.spawn(waiter())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Resource, Simulator, SimulationError, Store, StoreFullError
+from repro.sim import Resource, Simulator, SimulationError, Store
 
 
 def test_resource_grants_up_to_capacity():
@@ -11,8 +11,6 @@ def test_resource_grants_up_to_capacity():
     assert res.try_acquire()
     assert res.try_acquire()
     assert not res.try_acquire()
-    assert res.in_use == 2
-    assert res.available == 0
 
 
 def test_resource_release_wakes_fifo_waiter():
@@ -108,20 +106,9 @@ def test_store_get_blocks_until_put():
     assert got == [(4.0, "late")]
 
 
-def test_store_capacity_enforced():
-    sim = Simulator()
-    store = Store(sim, capacity=2)
-    store.put_nowait(1)
-    store.put_nowait(2)
-    with pytest.raises(StoreFullError):
-        store.put_nowait(3)
-    assert store.offer(3) is False
-    assert len(store) == 2
-
-
 def test_store_put_bypasses_queue_when_getter_waiting():
     sim = Simulator()
-    store = Store(sim, capacity=1)
+    store = Store(sim)
     store.put_nowait("fills")
     got = []
 
@@ -132,14 +119,15 @@ def test_store_put_bypasses_queue_when_getter_waiting():
 
     sim.spawn(consumer())
     sim.run(until=0.5)
-    # Consumer drained the single slot and is now waiting; a put goes
-    # straight to it even though capacity is 1.
-    assert store.offer("direct")
+    # Consumer drained the store and is now waiting; a put goes
+    # straight to it instead of into the queue.
+    store.put_nowait("direct")
+    assert len(store) == 0
     sim.run()
     assert got == [("fills", "direct")]
 
 
-def test_store_get_nowait_and_drain():
+def test_store_get_nowait():
     sim = Simulator()
     store = Store(sim)
     with pytest.raises(LookupError):
@@ -148,20 +136,5 @@ def test_store_get_nowait_and_drain():
     store.put_nowait("b")
     assert store.get_nowait() == "a"
     store.put_nowait("c")
-    assert store.drain() == ["b", "c"]
+    assert [store.get_nowait(), store.get_nowait()] == ["b", "c"]
     assert len(store) == 0
-
-
-def test_store_peek_all_does_not_remove():
-    sim = Simulator()
-    store = Store(sim)
-    store.put_nowait(1)
-    store.put_nowait(2)
-    assert store.peek_all() == [1, 2]
-    assert len(store) == 2
-
-
-def test_store_capacity_validation():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Store(sim, capacity=0)

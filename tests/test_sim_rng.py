@@ -39,18 +39,3 @@ def test_creation_order_does_not_matter():
     again = backward.stream("one").random(8)
     assert np.array_equal(first, again)
 
-
-def test_fork_produces_distinct_registry():
-    base = RngRegistry(seed=5)
-    child_a = base.fork(1)
-    child_b = base.fork(2)
-    assert child_a.seed != child_b.seed
-    a = child_a.stream("x").random(8)
-    b = child_b.stream("x").random(8)
-    assert not np.array_equal(a, b)
-
-
-def test_fork_is_deterministic():
-    a = RngRegistry(seed=5).fork(3).stream("x").random(8)
-    b = RngRegistry(seed=5).fork(3).stream("x").random(8)
-    assert np.array_equal(a, b)

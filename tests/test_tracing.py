@@ -46,13 +46,6 @@ def test_incomplete_trace_loss_attribution():
     assert losses == {"(ingress)": 1, "primary": 1, "sift": 1}
 
 
-def test_tracer_max_frames_cap():
-    tracer = Tracer(max_frames=2)
-    for frame in range(5):
-        tracer.ensure((0, frame), 0.0)
-    assert len(tracer) == 2
-
-
 def test_invalid_span_rejected():
     tracer = Tracer()
     with pytest.raises(ValueError):
