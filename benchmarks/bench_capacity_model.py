@@ -15,7 +15,7 @@ Rows (scAtteR++, seed 0):
   each, without flow, at 8 clients — the optimizer's search space;
 * the nine static placements the search opens with (C1, C2, C12, C21,
   cloud, hybrid and three scaled vectors) without flow at 8 and 12
-  clients, and with the default flow config at 10 and 14 clients.
+  clients, and with flow on at 10 and 14 clients.
 
 Gates:
 
@@ -43,7 +43,6 @@ from scipy.stats import spearmanr
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import (ExperimentSpec, build_experiment,
                                       run_experiment)
-from repro.flow import default_flow_config
 from repro.orchestra.optimize import static_placements
 from repro.orchestra.placement import PlacementOptimizer, pipeline_capacity
 from repro.scatter.config import baseline_configs
@@ -74,7 +73,7 @@ PICK_DURATION_S = 8.0 if SMOKE else 30.0
 MIN_PICK_RATIO = 0.97
 
 
-def served_fps(placement, clients, flow=None, duration_s=DURATION_S):
+def served_fps(placement, clients, flow=False, duration_s=DURATION_S):
     result = run_experiment(ExperimentSpec(
         placement, num_clients=clients, duration_s=duration_s,
         seed=SEED, scatterpp=True, flow=flow))
@@ -102,8 +101,7 @@ def run_fidelity():
                        e.bottleneck) for e in estimates]
 
     statics = {}
-    for group, flow_on, clients in STATIC_GROUPS:
-        flow = default_flow_config() if flow_on else None
+    for group, flow, clients in STATIC_GROUPS:
         rows = []
         for placement in static_placements():
             pipeline = build_experiment(ExperimentSpec(
@@ -112,7 +110,7 @@ def run_fidelity():
             rows.append(row(placement, capacity.bottleneck_fps,
                             served_fps(placement, clients, flow),
                             capacity.bottleneck_service))
-        statics[group] = {"flow": flow_on, "clients": clients,
+        statics[group] = {"flow": flow, "clients": clients,
                           "max_abs_error": max_abs_error(rows),
                           "max_abs_error_bound": MAX_STATIC_ERROR[group],
                           "rows": rows}

@@ -34,7 +34,6 @@ import time
 import tracemalloc
 
 from repro.experiments.runner import ExperimentSpec, run_experiment
-from repro.flow import default_flow_config
 from repro.scatter.config import baseline_configs
 
 from benchmarks.conftest import save_bench_json
@@ -80,17 +79,16 @@ def _flow_conserves(flow_block) -> bool:
 
 def test_cohort_scale(save_result):
     placement = baseline_configs()["C1"]
-    flow = default_flow_config()
 
     micro, micro_wall, micro_peak = _measured(
         lambda: run_experiment(ExperimentSpec(
             placement, num_clients=MICRO_CLIENTS,
-            duration_s=DURATION_S, seed=SEED, flow=flow,
+            duration_s=DURATION_S, seed=SEED, flow=True,
             scatterpp=True)))
     hybrid, cohort_wall, cohort_peak = _measured(
         lambda: run_experiment(ExperimentSpec(
             placement, num_clients=MICRO_CLIENTS,
-            duration_s=DURATION_S, seed=SEED, flow=flow,
+            duration_s=DURATION_S, seed=SEED, flow=True,
             scatterpp=True, cohort_size=COHORT_SIZE)))
 
     macro = hybrid.cohort

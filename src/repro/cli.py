@@ -24,6 +24,13 @@ from repro.experiments.reporting import (
     utilization_table,
 )
 from repro.experiments.campaign import resolve_placement
+from repro.experiments.capacity import (
+    DEFAULT_MAX_CLIENTS,
+    DEFAULT_PROBE_DURATION_S,
+    CapacitySlo,
+    run_capacity_comparison,
+    run_capacity_experiment,
+)
 from repro.experiments.runner import (
     ExperimentSpec,
     MobilitySpec,
@@ -143,23 +150,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _flow_from_args(args: argparse.Namespace):
-    """Build a FlowConfig from ``run``'s flow flags (None when off)."""
-    if not (args.flow or args.admission or args.batch_max):
-        return None
-    if args.pipeline != "scatterpp":
-        raise SystemExit("--flow requires --pipeline scatterpp "
-                         "(the flow substrate lives in the sidecars)")
-    from repro.flow import default_flow_config
-
-    overrides = {}
-    if args.admission:
-        overrides["admission"] = args.admission
-    if args.batch_max:
-        overrides["batch_max"] = args.batch_max
-    return default_flow_config().with_overrides(**overrides)
-
-
 def _crash_plan(crashes: List[str]):
     """A FaultPlan from ``--crash SERVICE@SECONDS`` flags (None if none)."""
     if not crashes:
@@ -186,7 +176,9 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
             stateless_sift=False, plan=_crash_plan(args.crash),
             mobility=MobilitySpec(naive=args.naive,
                                   mean_dwell_s=args.dwell), **task)
-    flow = _flow_from_args(args)
+    if args.flow and args.pipeline != "scatterpp":
+        raise SystemExit("--flow requires --pipeline scatterpp "
+                         "(the flow substrate lives in the sidecars)")
     if args.cohort_size is None:
         if args.tracers is not None or args.cohort_load != "constant":
             raise SystemExit("--tracers and --cohort-load require "
@@ -198,7 +190,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     clients = args.tracers if args.tracers is not None else args.clients
     return ExperimentSpec(
         placement, clients, scatterpp=args.pipeline == "scatterpp",
-        flow=flow, cohort_size=args.cohort_size,
+        flow=args.flow, cohort_size=args.cohort_size,
         cohort_load=args.cohort_load, tracing=args.trace, **task)
 
 
@@ -379,14 +371,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_capacity(args: argparse.Namespace) -> int:
-    from repro.experiments import capacity as capacity_mod
-    from repro.experiments.capacity import (
-        CapacitySlo,
-        run_capacity_comparison,
-        run_capacity_experiment,
-    )
-    from repro.flow import default_flow_config
-
     config = _placement(args.config)
     slo_kwargs = {}
     if args.slo_fps is not None:
@@ -395,12 +379,8 @@ def cmd_capacity(args: argparse.Namespace) -> int:
         slo_kwargs["max_p95_ms"] = args.slo_p95_ms
     slo = CapacitySlo(**slo_kwargs)
     kwargs = dict(
-        slo=slo, seed=args.seed,
-        duration_s=(args.duration if args.duration is not None
-                    else capacity_mod.DEFAULT_PROBE_DURATION_S),
-        max_clients=(args.max_clients
-                     if args.max_clients is not None
-                     else capacity_mod.DEFAULT_MAX_CLIENTS),
+        slo=slo, seed=args.seed, duration_s=args.duration,
+        max_clients=args.max_clients,
         progress=lambda line: print(f"  ... {line}"))
 
     def print_report(report) -> None:
@@ -419,8 +399,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
         print_report(comparison["on"])
         print(f"\ncapacity gain (on/off): {comparison['gain']:.2f}x")
     else:
-        flow = default_flow_config() if args.flow else None
-        report = run_capacity_experiment(config, flow=flow, **kwargs)
+        report = run_capacity_experiment(config, flow=args.flow, **kwargs)
         arm = "ON" if args.flow else "OFF"
         print(f"\n# flow {arm} ({config.name})")
         print_report(report)
@@ -555,13 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="engage the flow-control substrate "
                           "(admission control + credit backpressure "
                           "+ batched dispatch); scatterpp only")
-    run.add_argument("--admission", default=None,
-                     choices=("always", "token-bucket",
-                              "queue-gradient"),
-                     help="admission policy (implies --flow)")
-    run.add_argument("--batch-max", type=int, default=None,
-                     help="max frames per dispatch batch "
-                          "(implies --flow)")
     run.add_argument("--cohort-size", type=int, default=None,
                      help="model this many total clients as a "
                           "statistical cohort (scatterpp only); "
@@ -630,10 +602,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="binary-search max clients meeting the FPS/p95 SLO")
     capacity.add_argument("--config", default="C12",
                           help="C1|C2|C12|C21|cloud|hybrid|1,2,2,1,2")
-    capacity.add_argument("--duration", type=float, default=None,
+    capacity.add_argument("--duration", type=float,
+                          default=DEFAULT_PROBE_DURATION_S,
                           help="virtual seconds per probe")
     capacity.add_argument("--seed", type=int, default=0)
-    capacity.add_argument("--max-clients", type=int, default=None,
+    capacity.add_argument("--max-clients", type=int,
+                          default=DEFAULT_MAX_CLIENTS,
                           help="probe ceiling for the search")
     capacity.add_argument("--slo-fps", type=float, default=None,
                           help="minimum mean per-client FPS")

@@ -13,12 +13,14 @@ fluid population:
   credits** (folded into a :class:`~repro.flow.credits.CreditLedger`
   and spent with ``take_many``), an aggregate client-pacing
   :class:`~repro.flow.credits.TokenBucket`, and an aggregate admission
-  bucket scaled to the membership;
+  bucket scaled to the membership, at the constants of
+  :mod:`repro.flow.config`;
 * admitted frames enter a virtual FIFO whose drain rate is the
   pipeline's analytic bottleneck capacity
   (:func:`~repro.orchestra.placement.pipeline_capacity`: device-scaled
-  replica times, batching and hand-off amortized over the flow
-  config's ``batch_max``, GPU sharing between co-located replicas),
+  replica times, batching and hand-off amortized over
+  :data:`~repro.flow.config.BATCH_MAX`, GPU sharing between co-located
+  replicas),
   **minus the capacity the tracer clients are observably consuming**
   (measured from the live sidecars' dispatch counters each tick, so
   macro and micro load contend for the same modeled hardware);
@@ -45,7 +47,8 @@ import numpy as np
 
 from repro.cohort.population import CohortSpec
 from repro.cohort.report import CohortLedger, CohortReport
-from repro.flow.config import FlowConfig
+from repro.flow.config import (ADMISSION_BURST, ADMISSION_RATE_FPS,
+                               CLIENT_BURST, CLIENT_RATE_FPS, CREDIT_TTL_S)
 from repro.flow.credits import (CreditAdvertisement, CreditLedger,
                                 TokenBucket)
 from repro.metrics.sketch import PercentileSketch
@@ -60,7 +63,7 @@ class CohortEngine:
     CREDIT_VIEW = "cohort-view"
 
     def __init__(self, sim: Simulator, spec: CohortSpec, pipeline, *,
-                 flow: Optional[FlowConfig] = None,
+                 flow: bool = False,
                  threshold_s: float = 0.100,
                  rng: Optional[np.random.Generator] = None):
         if threshold_s <= 0:
@@ -69,7 +72,6 @@ class CohortEngine:
         self.sim = sim
         self.spec = spec
         self.pipeline = pipeline
-        self.flow = flow
         self.threshold_s = threshold_s
         self.rng = rng
         self.load = spec.build_load()
@@ -84,19 +86,12 @@ class CohortEngine:
         self.pacer: Optional[TokenBucket] = None
         self.admission: Optional[TokenBucket] = None
         self.credits: Optional[CreditLedger] = None
-        if flow is not None and members > 0:
-            if flow.client_pacing:
-                rate = (flow.client_rate_fps
-                        if flow.client_rate_fps is not None
-                        else spec.member_fps)
-                self.pacer = TokenBucket(rate * members,
-                                         flow.client_burst * members)
-                self.credits = CreditLedger(
-                    "primary", ttl_s=flow.credit_ttl_s)
-            if flow.admission != "always":
-                self.admission = TokenBucket(
-                    flow.admission_rate_fps * members,
-                    flow.admission_burst * members)
+        if flow and members > 0:
+            self.pacer = TokenBucket(CLIENT_RATE_FPS * members,
+                                     CLIENT_BURST * members)
+            self.credits = CreditLedger("primary", ttl_s=CREDIT_TTL_S)
+            self.admission = TokenBucket(ADMISSION_RATE_FPS * members,
+                                         ADMISSION_BURST * members)
         #: Virtual FIFO backlog (whole frames).
         self.backlog = 0
         self._offer_carry = 0.0

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.cluster.container import Container
 from repro.dsp.record import FrameRecord, RecordKind
+from repro.flow.config import CREDIT_TTL_S
 from repro.flow.credits import CreditAdvertisement, CreditLedger
 from repro.metrics.sketch import PercentileSketch
 from repro.net.addresses import Address, ServiceRegistry
@@ -119,9 +120,9 @@ class StreamService:
         self.stats = ServiceStats()
         #: Optional distributed tracer (see repro.metrics.tracing).
         self.tracer = None
-        #: Flow-control config (see repro.flow); ``None`` keeps every
-        #: send path byte-identical to the pre-flow simulator.
-        self.flow = None
+        #: Flow control (see repro.flow); off keeps every send path
+        #: byte-identical to the pre-flow simulator.
+        self.flow = False
         #: Downstream credit views, keyed by downstream service name,
         #: populated from CreditAdvertisement packets when flow is on.
         self._credit_ledgers: Dict[str, CreditLedger] = {}
@@ -253,14 +254,14 @@ class StreamService:
     def on_credit(self, advertisement: CreditAdvertisement) -> None:
         """Fold a downstream sidecar's credit advertisement in.
 
-        Without a flow config the packet is ignored (a no-flow service
-        can receive one when only part of the pipeline runs flow)."""
-        if self.flow is None or not self.flow.credits:
+        With flow off the packet is ignored (a no-flow service can
+        receive one when only part of the pipeline runs flow)."""
+        if not self.flow:
             return
         ledger = self._credit_ledgers.get(advertisement.service)
         if ledger is None:
             ledger = CreditLedger(advertisement.service,
-                                  ttl_s=self.flow.credit_ttl_s)
+                                  ttl_s=CREDIT_TTL_S)
             self._credit_ledgers[advertisement.service] = ledger
         ledger.update(advertisement, self.sim.now)
 
@@ -335,8 +336,7 @@ class StreamService:
         in its queue, so the bytes never travel (``shed_backpressure``).
         Without a fresh credit signal the send always proceeds.
         """
-        if (self.flow is not None and self.flow.credits
-                and record.kind is RecordKind.FRAME):
+        if self.flow and record.kind is RecordKind.FRAME:
             ledger = self._credit_ledgers.get(service)
             if ledger is not None and not ledger.take(self.sim.now):
                 self.stats.shed_backpressure += 1

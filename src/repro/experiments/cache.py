@@ -16,7 +16,7 @@ The key is a blake2b digest over two fingerprints:
   replica map changes the key even though its name does not) plus any
   pipeline-specific extras registered in
   :data:`repro.experiments.campaign.RUNNER_FINGERPRINTS` (the cohort
-  runner contributes its multiplier and default flow config).  The
+  runner contributes its multiplier and flow switch).  The
   encoded placement is memoized per name and the encoded extras per
   value, so a warm hit derives neither from scratch;
 * **code fingerprint** — blake2b over every ``*.py`` file of the

@@ -44,7 +44,6 @@ from repro.experiments.runner import (
     run_experiment,
 )
 from repro.experiments.store import ResultStore
-from repro.flow import default_flow_config
 from repro.metrics.energy import DEFAULT_POWER_MODEL, energy_summary
 from repro.scatter.config import (
     PlacementConfig,
@@ -64,7 +63,7 @@ def _cohort_spec(placement, *, num_clients: int, **task) -> ExperimentSpec:
     """The ``cohort`` preset: ``num_clients`` tracers ride a flow-on
     cohort :data:`DEFAULT_COHORT_MULTIPLIER` times their number."""
     return ExperimentSpec(
-        placement, num_clients, scatterpp=True, flow=default_flow_config(),
+        placement, num_clients, scatterpp=True, flow=True,
         cohort_size=num_clients * DEFAULT_COHORT_MULTIPLIER, **task)
 
 
@@ -73,8 +72,7 @@ def _cohort_spec(placement, *, num_clients: int, **task) -> ExperimentSpec:
 PRESETS: Dict[str, Callable[..., ExperimentSpec]] = {
     "scatter": ExperimentSpec,
     "scatterpp": partial(ExperimentSpec, scatterpp=True),
-    "scatterpp-flow": partial(ExperimentSpec, scatterpp=True,
-                              flow=default_flow_config()),
+    "scatterpp-flow": partial(ExperimentSpec, scatterpp=True, flow=True),
     "mobility": partial(ExperimentSpec, scatterpp=True,
                         stateless_sift=False, mobility=MobilitySpec()),
     "cohort": _cohort_spec,

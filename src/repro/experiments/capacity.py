@@ -14,7 +14,7 @@ with a full simulated run.  Every probed cell is passed through the
 frame-conservation invariant checker
 (:func:`repro.flow.check_result_conservation`) — a capacity number
 derived from a run that *loses* frames unaccountably would be
-meaningless.  Probing with ``flow`` set measures what admission
+meaningless.  Probing with ``flow=True`` measures what admission
 control, credit backpressure and batched dispatch buy;
 :func:`run_capacity_comparison` runs both arms and reports the gain.
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.experiments.runner import ExperimentSpec, run_experiment
-from repro.flow import FlowConfig, check_result_conservation
+from repro.flow import check_result_conservation
 from repro.scatter import config as scatter_config
 from repro.scatter.config import PlacementConfig
 
@@ -99,17 +99,15 @@ class CapacityReport:
 
 
 def probe_cell(placement: PlacementConfig, clients: int, *,
-               flow: Optional[FlowConfig] = None,
+               flow: bool = False,
                slo: Optional[CapacitySlo] = None,
                duration_s: float = DEFAULT_PROBE_DURATION_S,
-               seed: int = 0,
-               check_conservation: bool = True) -> CellProbe:
+               seed: int = 0) -> CellProbe:
     """Run one client count and grade it against the SLO.
 
-    With ``check_conservation`` (the default) the run's sidecar
-    ledgers must balance — every enqueued frame accounted for as
-    served, dropped, failed, drained, pending or in flight — or a
-    :class:`~repro.flow.ConservationError` is raised.
+    The run's sidecar ledgers must balance — every enqueued frame
+    accounted for as served, dropped, failed, drained, pending or in
+    flight — or a :class:`~repro.flow.ConservationError` is raised.
     """
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
@@ -117,8 +115,7 @@ def probe_cell(placement: PlacementConfig, clients: int, *,
     result = run_experiment(ExperimentSpec(
         placement, clients, duration_s=duration_s, seed=seed,
         scatterpp=True, flow=flow))
-    if check_conservation:
-        check_result_conservation(result)
+    check_result_conservation(result)
     fps = result.mean_fps()
     p95 = result.percentile_e2e_ms(95.0)
     return CellProbe(clients=clients, fps=fps, p95_e2e_ms=p95,
@@ -129,12 +126,11 @@ def probe_cell(placement: PlacementConfig, clients: int, *,
 
 def run_capacity_experiment(
         placement: PlacementConfig, *,
-        flow: Optional[FlowConfig] = None,
+        flow: bool = False,
         slo: Optional[CapacitySlo] = None,
         duration_s: float = DEFAULT_PROBE_DURATION_S,
         seed: int = 0,
         max_clients: int = DEFAULT_MAX_CLIENTS,
-        check_conservation: bool = True,
         progress=None) -> CapacityReport:
     """Find the largest client count meeting the SLO.
 
@@ -154,8 +150,7 @@ def run_capacity_experiment(
         if n not in probed:
             probed[n] = probe_cell(
                 placement, n, flow=flow, slo=slo,
-                duration_s=duration_s, seed=seed,
-                check_conservation=check_conservation)
+                duration_s=duration_s, seed=seed)
             if progress is not None:
                 cell = probed[n]
                 progress(f"{n} client(s): {cell.fps:.1f} FPS, "
@@ -184,19 +179,17 @@ def run_capacity_experiment(
 
     report = CapacityReport(
         placement=placement.name, slo=slo,
-        flow_enabled=flow is not None, max_clients=low,
+        flow_enabled=flow, max_clients=low,
         probes=[probed[n] for n in sorted(probed)])
     return report
 
 
 def run_capacity_comparison(
         placement: PlacementConfig, *,
-        flow: Optional[FlowConfig] = None,
         slo: Optional[CapacitySlo] = None,
         duration_s: float = DEFAULT_PROBE_DURATION_S,
         seed: int = 0,
         max_clients: int = DEFAULT_MAX_CLIENTS,
-        check_conservation: bool = True,
         progress=None) -> Dict:
     """Probe capacity with the flow substrate off, then on.
 
@@ -205,21 +198,14 @@ def run_capacity_comparison(
     >= 1.5x gain on the reference deployment; see
     ``benchmarks/bench_capacity_flow.py``).
     """
-    from repro.flow import default_flow_config
-
-    flow = flow if flow is not None else default_flow_config()
-    if progress is not None:
-        progress("probing with flow OFF")
-    off = run_capacity_experiment(
-        placement, flow=None, slo=slo, duration_s=duration_s,
-        seed=seed, max_clients=max_clients,
-        check_conservation=check_conservation, progress=progress)
-    if progress is not None:
-        progress("probing with flow ON")
-    on = run_capacity_experiment(
-        placement, flow=flow, slo=slo, duration_s=duration_s,
-        seed=seed, max_clients=max_clients,
-        check_conservation=check_conservation, progress=progress)
+    arms = {}
+    for arm, flow in (("off", False), ("on", True)):
+        if progress is not None:
+            progress(f"probing with flow {arm.upper()}")
+        arms[arm] = run_capacity_experiment(
+            placement, flow=flow, slo=slo, duration_s=duration_s,
+            seed=seed, max_clients=max_clients, progress=progress)
+    off, on = arms["off"], arms["on"]
     gain = (on.max_clients / off.max_clients
             if off.max_clients else float(on.max_clients))
     return {"off": off, "on": on, "gain": gain}

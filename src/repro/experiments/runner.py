@@ -10,7 +10,9 @@ equivalent and the full five minutes is available via ``duration_s``).
 Every experiment is one frozen :class:`ExperimentSpec` — the placement,
 the client count and run length, the pipeline variant, and optional
 attachments (flow control, a cohort, mobility, chaos, a staged client
-ramp, tracing, profiling) — executed by :func:`run_experiment`.
+ramp, tracing, profiling) — executed by :func:`run_experiment`.  Flow
+control is a switch: ``flow=True`` runs the substrate at the constants
+of :mod:`repro.flow.config`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.cluster.testbed import Testbed, build_paper_testbed
-from repro.flow import FlowConfig
 from repro.metrics.hardware import HardwareMonitor
 from repro.metrics.qos import ClientStats, outcome_digest
 from repro.net.netem import Netem
@@ -68,8 +69,7 @@ class ExperimentSpec:
       ``pipeline_kwargs`` instead.
     * ``client_netem`` impairs every client's link; ``mobility`` (a
       :class:`MobilitySpec`) makes the clients roam between sites.
-    * ``flow`` (a :class:`~repro.flow.FlowConfig`) engages the flow
-      substrate on every sidecar and client.
+    * ``flow`` engages the flow substrate on every sidecar and client.
     * ``cohort_size`` models that many clients in all: the microscopic
       clients are its tracers, the rest ride a fluid
       :class:`~repro.cohort.CohortEngine` (``cohort_load``,
@@ -92,7 +92,7 @@ class ExperimentSpec:
     stateless_sift: bool = True
     with_sidecars: bool = True
     client_netem: Optional[Netem] = None
-    flow: Optional[FlowConfig] = None
+    flow: bool = False
     cohort_size: Optional[int] = None
     cohort_load: str = "constant"
     cohort_load_kwargs: Optional[dict] = None
@@ -141,9 +141,8 @@ class ExperimentResult:
     #: only when the run was started with ``profile=True``.  Real
     #: wall-clock accounting only — never part of the digest contract.
     event_profile: Optional[dict] = None
-    #: Flow-control summary — the active config plus per-service frame
-    #: conservation ledgers; present only when the run had a flow
-    #: config attached.
+    #: Flow-control summary — per-service frame conservation ledgers
+    #: and the substrate's counters; present only for flow runs.
     flow: Optional[dict] = None
     #: Mobility/handover summary — per-handover records plus the
     #: aggregate report (MTTR, state moved, frames lost by reason);
@@ -266,18 +265,17 @@ def build_experiment(spec: ExperimentSpec) -> tuple:
     return sim, testbed, orchestrator, pipeline, clients
 
 
-def flow_summary(pipeline: ScatterPipeline, clients, flow
+def flow_summary(pipeline: ScatterPipeline, clients, flow: bool
                  ) -> Optional[dict]:
     """JSON-ready flow ledger for a finished run (``None`` sans flow).
 
-    Carries the active knobs plus every sidecar's conservation ledger
-    summed per service — which is how the workers-0/4 invariant checks
-    see the counters across a process boundary.
+    Carries every sidecar's conservation ledger summed per service —
+    which is how the workers-0/4 invariant checks see the counters
+    across a process boundary — plus the pacing, batching and
+    backpressure counters.
     """
-    if flow is None:
+    if not flow:
         return None
-    from dataclasses import asdict
-
     from repro.flow.invariants import ledger_totals, sidecar_ledger
 
     instances = [instance
@@ -286,7 +284,6 @@ def flow_summary(pipeline: ScatterPipeline, clients, flow
     wrapped = [instance for instance in instances
                if hasattr(instance, "sidecar")]
     return {
-        "config": asdict(flow),
         "services": ledger_totals([sidecar_ledger(instance)
                                    for instance in wrapped]),
         "paced_frames": sum(c.stats.frames_paced for c in clients),

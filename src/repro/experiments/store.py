@@ -62,7 +62,7 @@ def summarize_result(result) -> Dict:
         "drops": result.drop_counts(),
         "trace_digest": getattr(result, "trace_digest", None),
         # Flow-control ledgers (admission/batching/credits counters);
-        # None for every run without a flow config.  Carried in the
+        # None for every flow-off run.  Carried in the
         # summary so conservation invariants are checkable across the
         # campaign's process boundary (workers 0 vs N).
         "flow": getattr(result, "flow", None),

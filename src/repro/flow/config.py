@@ -1,126 +1,39 @@
-"""Flow-control configuration.
+"""Flow-control constants.
 
-One :class:`FlowConfig` parameterizes the whole substrate: the sidecar
-admission policy, the batched-dispatch window, credit advertisement,
-and client-side pacing.  ``flow=None`` everywhere means *off* — the
-code paths then reduce byte-for-byte to the pre-flow behaviour (the
-determinism regression in ``tests/test_determinism.py`` pins this).
+The flow substrate runs at one fixed setting, as the paper's sidecar
+runs one fixed policy: ``flow=True`` engages per-client token-bucket
+admission, batched dispatch, credit advertisement and client pacing
+at the values below.  ``flow=False`` everywhere means *off* — the code
+paths then reduce byte-for-byte to the pre-flow behaviour (the flow-off
+golden digests in ``tests/golden/determinism_digests.json`` pin this).
 """
 
-from __future__ import annotations
+#: Per-client admission rate (frames/s) and burst of the sidecar's
+#: token buckets.  The rate sits above the 30 FPS replay rate: honest
+#: clients are never clipped, only misbehaving (hot) ones.
+ADMISSION_RATE_FPS = 45.0
+ADMISSION_BURST = 12
 
-from dataclasses import dataclass, replace
-from typing import Optional
+#: Frames one dispatch round may drain into a single batched hand-off.
+#: Calibrated against the C12 capacity probe: batches of three amortize
+#: enough dispatch/compute overhead to lift throughput without letting
+#: whole-batch completion inflate the p95 past the 100 ms XR budget
+#: (larger batches gain throughput the SLO cannot spend).
+BATCH_MAX = 3
 
-#: Admission policies the sidecar supports (see
-#: :mod:`repro.flow.admission`).
-ADMISSION_POLICIES = ("always", "token-bucket", "queue-gradient")
+#: Interval between a sidecar's credit advertisements.
+ADVERTISE_INTERVAL_S = 0.050
+#: Advertisements older than this are ignored (a silent downstream
+#: must not wedge senders at its last advertised value).
+CREDIT_TTL_S = 0.500
+#: Upstream addresses not heard from for this long stop receiving
+#: advertisements.
+UPSTREAM_WINDOW_S = 5.0
 
-
-@dataclass(frozen=True)
-class FlowConfig:
-    """Knobs for the backpressure / admission / batching substrate.
-
-    * ``admission`` — ingress policy name; ``always`` admits every
-      frame (rejections then come only from queue overflow).
-    * ``batch_max`` — how many queued frames one dispatch round may
-      drain into a single batched RPC; ``1`` keeps the paper's
-      one-frame-at-a-time hand-off (and its exact event trajectory).
-    * ``credits`` — whether sidecars advertise serviceable-slot
-      credits upstream; senders shed work the downstream queue could
-      not serve within the staleness budget anyway.
-    * ``client_pacing`` — whether :class:`~repro.scatter.client.
-      ArClient` paces sends with a token bucket + the primary
-      sidecar's advertised credits instead of blind fire-and-drop.
-    """
-
-    admission: str = "token-bucket"
-    #: Per-client admission rate (frames/s) and burst for the
-    #: token-bucket and queue-gradient policies.  The default sits
-    #: above the 30 FPS replay rate: honest clients are never clipped,
-    #: only misbehaving (hot) ones.
-    admission_rate_fps: float = 45.0
-    admission_burst: int = 12
-    #: Queue-gradient lookahead: reject when the projected depth over
-    #: this horizon exceeds the serviceable window.
-    gradient_lookahead_s: float = 0.050
-
-    #: Calibrated against the C12 capacity probe: batches of three
-    #: amortize enough dispatch/compute overhead to lift throughput
-    #: without letting whole-batch completion inflate the p95 past the
-    #: 100 ms XR budget (larger batches gain throughput the SLO cannot
-    #: spend).
-    batch_max: int = 3
-
-    credits: bool = True
-    advertise_interval_s: float = 0.050
-    #: Advertisements older than this are ignored (a silent downstream
-    #: must not wedge senders at its last advertised value).
-    credit_ttl_s: float = 0.500
-    #: Upstream addresses not heard from for this long stop receiving
-    #: advertisements.
-    upstream_window_s: float = 5.0
-
-    client_pacing: bool = True
-    #: Client token-bucket rate; ``None`` uses the client's own FPS
-    #: (pacing then engages only when credits run dry).  The default
-    #: paces below the 30 FPS replay rate: the capacity probe shows
-    #: offering the full rate to a contended deployment only buys
-    #: queueing delay — 22 FPS keeps the p95 inside the 100 ms budget
-    #: while clearing the 20 FPS SLO floor with margin.
-    client_rate_fps: Optional[float] = 22.0
-    client_burst: int = 3
-
-    def __post_init__(self) -> None:
-        if self.admission not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"admission must be one of {ADMISSION_POLICIES}, "
-                f"got {self.admission!r}")
-        if self.batch_max < 1:
-            raise ValueError(
-                f"batch_max must be >= 1, got {self.batch_max}")
-        if self.admission_rate_fps <= 0:
-            raise ValueError("admission_rate_fps must be positive, "
-                             f"got {self.admission_rate_fps}")
-        if self.admission_burst < 1:
-            raise ValueError("admission_burst must be >= 1, "
-                             f"got {self.admission_burst}")
-        if self.gradient_lookahead_s < 0:
-            raise ValueError("gradient_lookahead_s must be >= 0, "
-                             f"got {self.gradient_lookahead_s}")
-        if self.advertise_interval_s <= 0:
-            raise ValueError("advertise_interval_s must be positive, "
-                             f"got {self.advertise_interval_s}")
-        if self.credit_ttl_s <= 0:
-            raise ValueError("credit_ttl_s must be positive, "
-                             f"got {self.credit_ttl_s}")
-        if self.upstream_window_s <= 0:
-            raise ValueError("upstream_window_s must be positive, "
-                             f"got {self.upstream_window_s}")
-        if self.client_rate_fps is not None and self.client_rate_fps <= 0:
-            raise ValueError("client_rate_fps must be positive, "
-                             f"got {self.client_rate_fps}")
-        if self.client_burst < 1:
-            raise ValueError("client_burst must be >= 1, "
-                             f"got {self.client_burst}")
-
-    def with_overrides(self, **overrides) -> "FlowConfig":
-        """A copy with the given fields replaced (validated again)."""
-        return replace(self, **overrides)
-
-
-def default_flow_config() -> FlowConfig:
-    """The canonical flow-on configuration (benchmarks, goldens)."""
-    return FlowConfig()
-
-
-def neutral_flow_config() -> FlowConfig:
-    """A flow config with every mechanism disabled.
-
-    Admission always admits, batches are size one, no credits are
-    advertised and clients do not pace — the event trajectory must be
-    byte-identical to ``flow=None`` (pinned by the determinism
-    regression suite).
-    """
-    return FlowConfig(admission="always", batch_max=1, credits=False,
-                      client_pacing=False)
+#: Client send pacing: token-bucket rate and burst.  The rate paces
+#: below the 30 FPS replay rate: the capacity probe shows offering the
+#: full rate to a contended deployment only buys queueing delay — 22
+#: FPS keeps the p95 inside the 100 ms budget while clearing the 20 FPS
+#: SLO floor with margin.
+CLIENT_RATE_FPS = 22.0
+CLIENT_BURST = 3

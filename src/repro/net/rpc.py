@@ -26,6 +26,10 @@ RETRANSMIT_TIMEOUT_S = 0.020
 #: Give up after this many transmission attempts.
 MAX_ATTEMPTS = 8
 
+#: When a transfer every attempt loses fails: the time the modelled
+#: retransmissions take.
+GIVE_UP_S = MAX_ATTEMPTS * RETRANSMIT_TIMEOUT_S
+
 
 class RpcTimeoutError(RuntimeError):
     """Raised inside callers when an RPC exhausts its attempts."""
@@ -75,8 +79,10 @@ class RpcServer:
                                      envelope.src_node,
                                      size_bytes=max(64, envelope.size_bytes // 8))
         if delay is None:
-            envelope.reply_to.fail(RpcTimeoutError(
-                f"response from {self.address} lost after {MAX_ATTEMPTS} attempts"))
+            self.network.sim.schedule(
+                GIVE_UP_S, envelope.reply_to.fail,
+                RpcTimeoutError(f"response from {self.address} lost "
+                                f"after {MAX_ATTEMPTS} attempts"))
         else:
             self.network.sim.schedule(delay, envelope.reply_to.fire, response)
 
@@ -106,8 +112,9 @@ class RpcChannel:
                                      size_bytes=size_bytes)
         if delay is None:
             self.network.sim.schedule(
-                0.0, reply.fail,
-                RpcTimeoutError(f"request to {dst} lost after {MAX_ATTEMPTS} attempts"))
+                GIVE_UP_S, reply.fail,
+                RpcTimeoutError(f"request to {dst} lost after "
+                                f"{MAX_ATTEMPTS} attempts"))
         else:
             self.network.deliver_after(delay, dst, envelope)
         return reply

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.cluster.testbed import server_machines
 from repro.dsp.operator import StreamService
-from repro.flow.config import FlowConfig
+from repro.flow.config import BATCH_MAX
 from repro.scatter.config import PIPELINE_ORDER, PlacementConfig
 
 
@@ -40,14 +40,13 @@ class PipelineCapacity:
     base_latency_s: float
 
 
-def pipeline_capacity(pipeline, flow: Optional[FlowConfig] = None
-                      ) -> PipelineCapacity:
+def pipeline_capacity(pipeline, flow: bool = False) -> PipelineCapacity:
     """Predict the frame rate a built scAtteR++ ``pipeline`` sustains.
 
     * A replica's frame time is its device-scaled base time; with
-      ``flow``, a batch of ``batch_max`` frames costs ``1 +
-      BATCH_MARGINAL_COST × (batch_max - 1)`` base times.  A sidecar
-      replica adds ``RPC_OVERHEAD_S / batch_max`` of hand-off a frame.
+      ``flow``, a batch of ``BATCH_MAX`` frames costs ``1 +
+      BATCH_MARGINAL_COST × (BATCH_MAX - 1)`` base times.  A sidecar
+      replica adds ``RPC_OVERHEAD_S / BATCH_MAX`` of hand-off a frame.
     * The balancer gives each of a service's ``n`` replicas ``1/n`` of
       its frames.  A replica serves one round at a time, so it caps
       the service at ``n / (frame time + hand-off)``.
@@ -61,7 +60,7 @@ def pipeline_capacity(pipeline, flow: Optional[FlowConfig] = None
     # scAtteR++ builds on the orchestra package: import it late.
     from repro.scatterpp.sidecar import RPC_OVERHEAD_S
 
-    batch = flow.batch_max if flow is not None else 1
+    batch = BATCH_MAX if flow else 1
     compute_scale = (1.0 + StreamService.BATCH_MARGINAL_COST
                      * (batch - 1)) / batch
     replicas = {service: pipeline.instances(service)

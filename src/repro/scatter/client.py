@@ -35,6 +35,7 @@ from typing import Optional
 import numpy as np
 
 from repro.dsp.record import FrameRecord, RecordKind
+from repro.flow.config import CLIENT_BURST, CLIENT_RATE_FPS, CREDIT_TTL_S
 from repro.flow.credits import (CreditAdvertisement, CreditLedger,
                                 TokenBucket)
 from repro.metrics.qos import ClientStats
@@ -65,7 +66,7 @@ class ArClient:
                  registry: ServiceRegistry,
                  fps: float = config.CLIENT_FPS,
                  resilience: bool = False,
-                 flow=None,
+                 flow: bool = False,
                  rng: Optional[np.random.Generator] = None):
         if fps <= 0:
             raise ValueError(f"fps must be positive, got {fps}")
@@ -82,19 +83,16 @@ class ArClient:
         self.tracer = None
         self.breaker: Optional[CircuitBreaker] = (
             CircuitBreaker(self.sim) if resilience else None)
-        #: Flow control (see repro.flow): with ``client_pacing`` on the
-        #: send path consults a token bucket plus the ingress sidecar's
-        #: advertised credits instead of blind fire-and-drop.  ``None``
+        #: Flow control (see repro.flow): with ``flow`` on the send
+        #: path consults a token bucket plus the ingress sidecar's
+        #: advertised credits instead of blind fire-and-drop.  Off
         #: keeps the paper's baseline behaviour exactly.
-        self.flow = flow
         self.pacer: Optional[TokenBucket] = None
         self.ingress_credits: Optional[CreditLedger] = None
-        if flow is not None and flow.client_pacing:
-            rate = (flow.client_rate_fps
-                    if flow.client_rate_fps is not None else fps)
-            self.pacer = TokenBucket(rate, flow.client_burst)
-            self.ingress_credits = CreditLedger(
-                "primary", ttl_s=flow.credit_ttl_s)
+        if flow:
+            self.pacer = TokenBucket(CLIENT_RATE_FPS, CLIENT_BURST)
+            self.ingress_credits = CreditLedger("primary",
+                                                ttl_s=CREDIT_TTL_S)
         #: Session-handover state (see repro.mobility.handover): the
         #: epoch of the last committed handover stamps outgoing frames,
         #: and ``handover_window`` is True between a ``begin`` notice
@@ -207,12 +205,8 @@ class ArClient:
         the send log as *paced* — honest accounting: they count
         against the success rate like any other unanswered frame.
         """
-        assert self.pacer is not None
         now = self.sim.now
-        admitted = (self.ingress_credits is None
-                    or self.ingress_credits.take(now))
-        if admitted:
-            admitted = self.pacer.take(now)
+        admitted = self.ingress_credits.take(now) and self.pacer.take(now)
         if not admitted:
             self.stats.record_sent(frame_number, now)
             self.stats.record_paced(frame_number, now)

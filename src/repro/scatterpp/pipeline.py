@@ -28,7 +28,7 @@ DEFAULT_THRESHOLD_S = 0.100
 def scatterpp_pipeline_kwargs(*, threshold_s: Optional[float] = None,
                               stateless_sift: bool = True,
                               with_sidecars: bool = True,
-                              flow=None,
+                              flow: bool = False,
                               service_kwargs: Optional[dict] = None) -> dict:
     """Keyword arguments for :class:`ScatterPipeline` deploying
     scAtteR++ (or one of its ablations).
@@ -36,15 +36,15 @@ def scatterpp_pipeline_kwargs(*, threshold_s: Optional[float] = None,
     * ``stateless_sift=False`` keeps the stateful sift↔matching loop.
     * ``with_sidecars=False`` keeps scAtteR's drop-when-busy ingress.
     * Both False reduces to plain scAtteR.
-    * ``flow`` (a :class:`~repro.flow.FlowConfig`) threads the flow
-      substrate through every sidecar; ``None`` keeps the paper's
-      behaviour — and the golden trace digests — exactly.
+    * ``flow=True`` switches the flow substrate on in every sidecar;
+      off keeps the paper's behaviour — and the golden trace digests —
+      exactly.
     """
     threshold = (DEFAULT_THRESHOLD_S if threshold_s is None
                  else threshold_s)
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    if flow is not None and not with_sidecars:
+    if flow and not with_sidecars:
         raise ValueError("flow control requires with_sidecars=True")
 
     classes = dict(SERVICE_CLASSES)

@@ -16,19 +16,21 @@ Attached to every service's ingress, the sidecar:
   and the threshold drop ratio — attached to the data's state and
   exported to :class:`~repro.scatterpp.analytics.SidecarAnalytics`.
 
-With a :class:`~repro.flow.FlowConfig` attached (``flow=``), three
-further mechanisms engage (see DESIGN.md §10):
+With ``flow=True`` three further mechanisms engage, at the constants
+of :mod:`repro.flow.config` (see DESIGN.md §10):
 
-* **admission control** — a pluggable policy rejects frames at
-  ingress, before they cost a queue slot and state bytes;
-* **batched dispatch** — one dispatch round drains up to ``batch_max``
-  fresh frames and hands them over together, amortizing the RPC
-  overhead and letting batch-aware stages vectorize their compute;
+* **admission control** — a per-client token bucket rejects frames at
+  ingress, before they cost a queue slot and state bytes; one hot
+  client drains only its own bucket;
+* **batched dispatch** — one dispatch round drains up to
+  :data:`~repro.flow.config.BATCH_MAX` fresh frames and hands them
+  over together, amortizing the RPC overhead and letting batch-aware
+  stages vectorize their compute;
 * **credit advertisement** — the sidecar periodically tells its
   upstreams how many more frames it could serve inside the staleness
   budget, so senders can shed doomed work at the source.
 
-``flow=None`` (the default everywhere) spawns no extra processes and
+``flow=False`` (the default everywhere) spawns no extra processes and
 draws no RNG, so the event trajectory — and hence the golden trace
 digests — is byte-identical to the pre-flow sidecar.
 
@@ -45,9 +47,11 @@ from typing import Deque, Dict, List, Optional, Tuple, Type
 
 from repro.dsp.operator import StreamService
 from repro.dsp.record import FrameRecord
-from repro.flow.admission import build_admission
-from repro.flow.config import FlowConfig
-from repro.flow.credits import CREDIT_WIRE_BYTES, CreditAdvertisement
+from repro.flow.config import (ADMISSION_BURST, ADMISSION_RATE_FPS,
+                               ADVERTISE_INTERVAL_S, BATCH_MAX,
+                               UPSTREAM_WINDOW_S)
+from repro.flow.credits import (CREDIT_WIRE_BYTES, CreditAdvertisement,
+                                TokenBucket)
 from repro.metrics.sketch import PercentileSketch
 from repro.net.addresses import Address
 from repro.net.datagram import Datagram, HealthProbe
@@ -78,8 +82,8 @@ class SidecarStats:
     """
 
     enqueued: int = 0
-    #: Frames refused by the admission policy (flow control); they
-    #: never occupy a queue slot.
+    #: Frames refused by admission control (flow control); they never
+    #: occupy a queue slot.
     rejected: int = 0
     dropped_stale: int = 0
     dropped_overflow: int = 0
@@ -124,7 +128,7 @@ class Sidecar:
 
     def __init__(self, service: "StreamService", *,
                  threshold_s: float = 0.100,
-                 flow: Optional[FlowConfig] = None):
+                 flow: bool = False):
         if threshold_s <= 0:
             raise ValueError(
                 f"threshold_s must be positive, got {threshold_s}")
@@ -132,9 +136,9 @@ class Sidecar:
         self.sim = service.sim
         self.threshold_s = threshold_s
         self.flow = flow
-        self.admission = (build_admission(flow)
-                          if flow is not None else None)
-        self._batch_max = flow.batch_max if flow is not None else 1
+        #: Client id -> its admission token bucket (flow on).
+        self._buckets: Dict[int, TokenBucket] = {}
+        self._batch_max = BATCH_MAX if flow else 1
         #: Frames one service pass could clear inside the staleness
         #: budget — the serviceable window credits are computed from.
         self._window = max(1, int(threshold_s /
@@ -162,7 +166,7 @@ class Sidecar:
         self._epoch += 1
         self.sim.spawn(self._dispatch_loop(),
                        name=f"sidecar-{self.service.name}")
-        if self.flow is not None and self.flow.credits:
+        if self.flow:
             self.sim.spawn(self._advertise_loop(self._epoch),
                            name=f"sidecar-credits-{self.service.name}")
 
@@ -198,15 +202,17 @@ class Sidecar:
             stats.detach_refused += 1
             return False
         now = self.sim.now
-        flow = self.flow
         entries = self._entries
-        if source is not None and flow is not None and flow.credits:
-            self._upstreams[source] = now
-        if self.admission is not None and not self.admission.admit(
-                client_id=record.client_id, now=now,
-                depth=len(entries), target_depth=self._window):
-            stats.rejected += 1
-            return False
+        if self.flow:
+            if source is not None:
+                self._upstreams[source] = now
+            bucket = self._buckets.get(record.client_id)
+            if bucket is None:
+                bucket = self._buckets[record.client_id] = TokenBucket(
+                    ADMISSION_RATE_FPS, ADMISSION_BURST)
+            if not bucket.take(now):
+                stats.rejected += 1
+                return False
         if len(entries) >= QUEUE_CAPACITY:
             stats.dropped_overflow += 1
             return False
@@ -344,16 +350,14 @@ class Sidecar:
     # ------------------------------------------------------------------
     def _advertise_loop(self, epoch: int):
         """Periodically push serviceable credits to known upstreams."""
-        interval = self.flow.advertise_interval_s
-        window = self.flow.upstream_window_s
         instance = str(self.service.address)
         while True:
-            yield self.sim.timeout(interval)
+            yield self.sim.timeout(ADVERTISE_INTERVAL_S)
             if self._detached or self._epoch != epoch:
                 return
             now = self.sim.now
-            silent = [address for address, last in
-                      self._upstreams.items() if now - last > window]
+            silent = [address for address, last in self._upstreams.items()
+                      if now - last > UPSTREAM_WINDOW_S]
             for address in silent:
                 del self._upstreams[address]
             if not self._upstreams:
@@ -371,14 +375,14 @@ class Sidecar:
 
 def sidecar_wrap(base_class: Type[StreamService],
                  *, threshold_s: float = 0.100,
-                 flow: Optional[FlowConfig] = None) -> Type[StreamService]:
+                 flow: bool = False) -> Type[StreamService]:
     """Build a sidecar-fronted variant of ``base_class``.
 
     The generated class replaces busy-drop ingress with sidecar
     queueing while reusing the stage's ``process`` logic unchanged.
-    ``flow`` (optional) threads one flow-control config through both
-    the sidecar (admission, batching, credit advertisement) and the
-    service itself (credit-aware downstream sends).
+    ``flow`` switches flow control on in both the sidecar (admission,
+    batching, credit advertisement) and the service itself
+    (credit-aware downstream sends).
     """
 
     class SidecarService(base_class):  # type: ignore[misc, valid-type]

@@ -45,6 +45,21 @@ def test_run_command_scatterpp_with_trace(capsys):
     assert "network" in out
 
 
+def test_run_command_scatterpp_with_flow(capsys):
+    code = main(["run", "--config", "C1", "--pipeline", "scatterpp",
+                 "--clients", "2", "--duration", "3", "--flow"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "enqueued" in out and "rejected" in out
+    assert "client frames paced:" in out and "batched:" in out
+
+
+def test_run_command_flow_needs_scatterpp():
+    with pytest.raises(SystemExit, match="--flow requires --pipeline "
+                                         "scatterpp"):
+        main(["run", "--duration", "1", "--flow"])
+
+
 def test_run_command_replica_vector(capsys):
     code = main(["run", "--config", "1,2,1,1,2", "--clients", "1",
                  "--duration", "2"])

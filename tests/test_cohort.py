@@ -11,7 +11,7 @@ import pytest
 from repro.cohort import (CohortEngine, CohortLedger, CohortSpec,
                           LOAD_PROCESSES, build_load_process,
                           check_cohort_conservation)
-from repro.flow import default_flow_config
+from repro.flow.config import BATCH_MAX
 from repro.flow.credits import (CreditAdvertisement, CreditLedger,
                                 TokenBucket)
 from repro.flow.invariants import ConservationError
@@ -177,16 +177,15 @@ def deployed():
     from repro.experiments.runner import ExperimentSpec, build_experiment
     from repro.scatter.config import baseline_configs
 
-    flow = default_flow_config()
     sim, testbed, orchestrator, pipeline, clients = build_experiment(
         ExperimentSpec(baseline_configs()["C1"], 1, scatterpp=True,
-                       flow=flow))
-    return sim, pipeline, flow
+                       flow=True))
+    return sim, pipeline
 
 
 def test_capacity_model_covers_every_service(deployed):
-    __, pipeline, flow = deployed
-    model = pipeline_capacity(pipeline, flow=flow)
+    __, pipeline = deployed
+    model = pipeline_capacity(pipeline, flow=True)
     assert set(model.capacity_fps) == {"primary", "sift", "encoding",
                                        "lsh", "matching"}
     assert all(rate > 0 for rate in model.capacity_fps.values())
@@ -199,10 +198,10 @@ def test_capacity_model_covers_every_service(deployed):
 
 
 def test_batching_raises_modeled_capacity(deployed):
-    __, pipeline, flow = deployed
-    batched = pipeline_capacity(pipeline, flow=flow)
-    unbatched = pipeline_capacity(pipeline, flow=None)
-    assert flow.batch_max > 1
+    __, pipeline = deployed
+    batched = pipeline_capacity(pipeline, flow=True)
+    unbatched = pipeline_capacity(pipeline, flow=False)
+    assert BATCH_MAX > 1
     assert batched.bottleneck_fps > unbatched.bottleneck_fps
 
 
@@ -225,14 +224,14 @@ def test_engine_and_optimizer_agree_on_the_bottleneck():
 
 
 def test_engine_validation(deployed):
-    sim, pipeline, flow = deployed
+    sim, pipeline = deployed
     spec = CohortSpec(size=100, tracers=1)
     with pytest.raises(ValueError):
         CohortEngine(sim, spec, pipeline, threshold_s=0.0)
     with pytest.raises(ValueError):  # poisson needs an RNG stream
         CohortEngine(sim, CohortSpec(size=100, tracers=1,
                                      load="poisson"), pipeline)
-    engine = CohortEngine(sim, spec, pipeline, flow=flow)
+    engine = CohortEngine(sim, spec, pipeline, flow=True)
     with pytest.raises(ValueError):
         engine.start(0.0)
     engine.start(1.0)
@@ -241,9 +240,9 @@ def test_engine_validation(deployed):
 
 
 def test_all_tracer_engine_spawns_nothing(deployed):
-    sim, pipeline, flow = deployed
+    sim, pipeline = deployed
     engine = CohortEngine(sim, CohortSpec(size=3, tracers=3),
-                          pipeline, flow=flow)
+                          pipeline, flow=True)
     before = sim.now
     engine.start(5.0)
     sim.run(until=before + 5.0)
@@ -260,7 +259,7 @@ def test_tick_train_fires_on_the_float_recurrence(deployed, kernel):
     from repro.sim import _kernel_impl, reference
 
     module = _kernel_impl if kernel == "optimized" else reference
-    __, pipeline, flow = deployed
+    __, pipeline = deployed
     sim = module.Simulator()
     fired = []
 
@@ -269,7 +268,7 @@ def test_tick_train_fires_on_the_float_recurrence(deployed, kernel):
             fired.append(self.sim.now)
 
     engine = Recording(sim, CohortSpec(size=100, tracers=1, tick_s=0.1),
-                       pipeline, flow=flow)
+                       pipeline, flow=True)
     assert sim.now == 0.0
     engine.start(3600.0)
     sim.run()

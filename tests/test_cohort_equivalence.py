@@ -23,7 +23,6 @@ import pytest
 from repro.experiments.campaign import run_campaign
 from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.experiments.store import summarize_result
-from repro.flow import default_flow_config
 from repro.scatter.config import baseline_configs
 from tests.test_determinism import (CONTRACT_CAMPAIGN, GOLDEN_PATH,
                                     _digest_map)
@@ -50,9 +49,8 @@ def all_tracer_run(*, flow, seed=0, clients=2):
 @pytest.mark.parametrize("flow_on", [False, True],
                          ids=["flow-off", "flow-on"])
 def test_all_tracer_cohort_is_bit_identical_to_micro(flow_on):
-    flow = default_flow_config() if flow_on else None
-    micro = micro_run(flow=flow)
-    cohort = all_tracer_run(flow=flow)
+    micro = micro_run(flow=flow_on)
+    cohort = all_tracer_run(flow=flow_on)
     # Same event trajectory: the macro layer was provably inert.
     assert cohort.trace_digest == micro.trace_digest
     # Same QoS, compared exactly — no tolerance.
@@ -67,9 +65,8 @@ def test_all_tracer_cohort_is_bit_identical_to_micro(flow_on):
 def test_all_tracer_summary_matches_micro_summary():
     """The store-level view agrees too — everything except the cohort
     block (absent from micro runs) is identical."""
-    flow = default_flow_config()
-    micro = summarize_result(micro_run(flow=flow))
-    cohort = summarize_result(all_tracer_run(flow=flow))
+    micro = summarize_result(micro_run(flow=True))
+    cohort = summarize_result(all_tracer_run(flow=True))
     macro_block = cohort.pop("cohort")
     micro_block = micro.pop("cohort")
     assert micro_block is None
@@ -84,8 +81,8 @@ def test_all_tracer_summary_matches_micro_summary():
 
 def test_all_tracer_cohort_matches_across_seeds():
     for seed in (1, 7):
-        micro = micro_run(flow=None, seed=seed)
-        cohort = all_tracer_run(flow=None, seed=seed)
+        micro = micro_run(flow=False, seed=seed)
+        cohort = all_tracer_run(flow=False, seed=seed)
         assert cohort.trace_digest == micro.trace_digest
 
 
@@ -110,7 +107,7 @@ def test_cohort_off_campaign_matches_golden_digests(workers):
 def hybrid_run(seed=0, load="constant"):
     return run_experiment(ExperimentSpec(
         PLACEMENT, 2, duration_s=DURATION_S, seed=seed, scatterpp=True,
-        flow=default_flow_config(), cohort_size=500, cohort_load=load))
+        flow=True, cohort_size=500, cohort_load=load))
 
 
 def test_hybrid_run_is_deterministic_per_seed():
@@ -150,9 +147,9 @@ def test_tracer_qos_unaffected_by_macro_bookkeeping_scale():
     the load process offers the same frames."""
     small = run_experiment(ExperimentSpec(
         PLACEMENT, 2, duration_s=DURATION_S, seed=0, scatterpp=True,
-        flow=default_flow_config(), cohort_size=302))
+        flow=True, cohort_size=302))
     again = run_experiment(ExperimentSpec(
         PLACEMENT, 2, duration_s=DURATION_S, seed=0, scatterpp=True,
-        flow=default_flow_config(), cohort_size=302))
+        flow=True, cohort_size=302))
     assert small.trace_digest == again.trace_digest
     assert small.cohort == again.cohort

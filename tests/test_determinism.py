@@ -67,7 +67,6 @@ def runner_cells():
     """The modes the campaign goldens never reach, one short cell each:
     golden key -> zero-argument callable returning the result."""
     from repro.chaos.faults import FaultPlan, InstanceCrash
-    from repro.flow import default_flow_config
     from repro.scatter.config import baseline_configs
 
     c1, c2 = baseline_configs()["C1"], baseline_configs()["C2"]
@@ -83,8 +82,7 @@ def runner_cells():
 
     roam = MobilitySpec(mean_dwell_s=0.6, min_dwell_s=0.3)
     roaming = dict(scatterpp=True, stateless_sift=False, mobility=roam)
-    cohort = dict(scatterpp=True, flow=default_flow_config(),
-                  cohort_size=1000)
+    cohort = dict(scatterpp=True, flow=True, cohort_size=1000)
     return {
         "ramp/C1/2c/seed0": cell(c1, 2, scatterpp=True,
                                  stage_s=RUNNER_CELL_S / 2),
@@ -93,8 +91,7 @@ def runner_cells():
             c1, 2, **dict(roaming, mobility=dataclasses.replace(
                 roam, naive=True))),
         "mobility-crash-flow/C1/2c/seed0": cell(
-            c1, 2, plan=crash(1.0), flow=default_flow_config(),
-            **roaming),
+            c1, 2, plan=crash(1.0), flow=True, **roaming),
         "resilience-scatter/C2/1c/seed0": cell(c2, 1, plan=crash(0.5)),
         "resilience-scatterpp/C2/1c/seed0": cell(
             c2, 1, scatterpp=True, plan=crash(0.5)),
@@ -266,28 +263,6 @@ def test_cached_rerun_matches_serial_and_golden(serial_report,
 # ----------------------------------------------------------------------
 # Flow-control substrate vs the contract
 # ----------------------------------------------------------------------
-def test_neutral_flow_config_matches_flow_none_bit_for_bit():
-    """Every mechanism off == no flow config at all.
-
-    The substrate's off-switches (admission ``always`` → no policy
-    object, ``batch_max=1`` → bare-record dispatch, credits off → no
-    advertiser process, pacing off → no pacer) must leave the event
-    trajectory untouched, not merely the metrics.
-    """
-    from repro.flow import neutral_flow_config
-    from repro.scatter.config import baseline_configs
-
-    placement = baseline_configs()["C1"]
-    base = run_experiment(ExperimentSpec(
-        placement, num_clients=2, duration_s=2.0, seed=0, scatterpp=True))
-    neutral = run_experiment(ExperimentSpec(
-        placement, num_clients=2, duration_s=2.0, seed=0, scatterpp=True,
-        flow=neutral_flow_config()))
-    assert neutral.trace_digest == base.trace_digest
-    assert [c.received for c in neutral.clients] == \
-        [c.received for c in base.clients]
-
-
 def test_event_profiler_is_inert_on_a_real_cell():
     """``profile=True`` must not perturb the trajectory of a full
     experiment cell — same trace digest, same delivered frames — while

@@ -161,8 +161,41 @@ def test_runner_result_fields():
     assert result.mean_e2e_ms() > 0
 
 
+def test_capacity_probes_bracket_the_slo_frontier():
+    """Short C1 probes under a small ceiling, flow off then on: probes
+    come back in ascending client order, each verdict is the SLO's,
+    the reported capacity passes and the next probed count fails (or
+    is the ceiling), and flow-on probes carry balanced ledgers."""
+    from repro.experiments.capacity import (CapacitySlo,
+                                            run_capacity_comparison)
+
+    ceiling = 4
+    comparison = run_capacity_comparison(
+        baseline_configs()["C1"], duration_s=2.0, max_clients=ceiling)
+    slo = CapacitySlo()
+    for arm, flow in (("off", False), ("on", True)):
+        report = comparison[arm]
+        assert report.flow_enabled is flow
+        clients = [probe.clients for probe in report.probes]
+        assert clients == sorted(set(clients))
+        for probe in report.probes:
+            assert probe.meets_slo == slo.met_by(probe.fps,
+                                                 probe.p95_e2e_ms)
+            assert (probe.flow is not None) is flow
+            if flow:
+                assert all(ledger["balance"] == 0 for ledger
+                           in probe.flow["services"].values())
+        verdicts = {probe.clients: probe.meets_slo
+                    for probe in report.probes}
+        assert report.max_clients >= 1 and verdicts[report.max_clients]
+        above = [n for n in clients if n > report.max_clients]
+        assert report.max_clients == ceiling or not verdicts[above[0]]
+    assert comparison["gain"] == (comparison["on"].max_clients
+                                  / comparison["off"].max_clients)
+
+
 @pytest.mark.parametrize("fields", [
-    dict(flow=object()),               # flow control needs sidecars
+    dict(flow=True),                   # flow control needs sidecars
     dict(cohort_size=100),             # so does the cohort engine
     dict(scatterpp=True, pipeline_kwargs={}),
     dict(duration_s=2.0, stage_s=1.0, num_clients=3),  # joins too late

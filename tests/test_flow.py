@@ -2,61 +2,20 @@
 
 import pytest
 
-from repro.experiments.runner import ExperimentSpec, run_experiment
+from repro.dsp.record import FrameRecord
+from repro.experiments.runner import (ExperimentSpec, build_experiment,
+                                      run_experiment)
 from repro.flow import (
-    ADMISSION_POLICIES,
     CreditAdvertisement,
     CreditLedger,
-    FlowConfig,
-    QueueGradientAdmission,
     TokenBucket,
-    TokenBucketAdmission,
-    build_admission,
-    default_flow_config,
-    neutral_flow_config,
+    check_sidecar_conservation,
 )
+from repro.flow.config import ADMISSION_BURST, BATCH_MAX
+from repro.net.addresses import Address
+from repro.scatter import config
 from repro.scatter.config import baseline_configs
 from repro.scatterpp.sidecar import SidecarStats
-
-
-# ----------------------------------------------------------------------
-# FlowConfig
-# ----------------------------------------------------------------------
-def test_flow_config_defaults_validate():
-    flow = default_flow_config()
-    assert flow.admission in ADMISSION_POLICIES
-    assert flow.batch_max >= 1
-    assert flow.credits and flow.client_pacing
-
-
-def test_flow_config_rejects_bad_values():
-    for overrides in ({"admission": "nope"}, {"batch_max": 0},
-                      {"admission_rate_fps": 0.0},
-                      {"admission_burst": 0},
-                      {"gradient_lookahead_s": -1.0},
-                      {"advertise_interval_s": 0.0},
-                      {"credit_ttl_s": 0.0},
-                      {"upstream_window_s": 0.0},
-                      {"client_rate_fps": -5.0},
-                      {"client_burst": 0}):
-        with pytest.raises(ValueError):
-            FlowConfig(**overrides)
-
-
-def test_with_overrides_revalidates():
-    flow = default_flow_config()
-    assert flow.with_overrides(batch_max=8).batch_max == 8
-    assert flow.batch_max != 8  # frozen original untouched
-    with pytest.raises(ValueError):
-        flow.with_overrides(batch_max=0)
-
-
-def test_neutral_config_disables_every_mechanism():
-    neutral = neutral_flow_config()
-    assert neutral.admission == "always"
-    assert neutral.batch_max == 1
-    assert not neutral.credits and not neutral.client_pacing
-    assert build_admission(neutral) is None
 
 
 # ----------------------------------------------------------------------
@@ -145,45 +104,33 @@ def test_ledger_spends_from_richest_instance():
 
 
 # ----------------------------------------------------------------------
-# Admission policies
+# Admission control
 # ----------------------------------------------------------------------
-def test_build_admission_maps_always_to_none():
-    assert build_admission(neutral_flow_config()) is None
-    assert isinstance(
-        build_admission(FlowConfig(admission="token-bucket")),
-        TokenBucketAdmission)
-    assert isinstance(
-        build_admission(FlowConfig(admission="queue-gradient")),
-        QueueGradientAdmission)
-
-
 def test_token_bucket_admission_is_per_client_fair():
-    policy = TokenBucketAdmission(rate_fps=10.0, burst=2)
-    # A hot client drains only its own bucket...
-    hot = [policy.admit(client_id=0, now=0.0, depth=0, target_depth=8)
-           for __ in range(5)]
-    assert hot == [True, True, False, False, False]
-    # ...the well-behaved client is untouched.
-    assert policy.admit(client_id=1, now=0.0, depth=0, target_depth=8)
+    """A hot client that enqueues more than ``ADMISSION_BURST`` frames
+    at once at one sidecar drains only its own bucket: the excess is
+    rejected, a second client is still admitted, and the ledger
+    balances once the queue has drained."""
+    sim, __, __o, pipeline, __c = build_experiment(ExperimentSpec(
+        baseline_configs()["C1"], num_clients=1, duration_s=1.0,
+        scatterpp=True, flow=True))
+    primary = pipeline.instances("primary")[0]
 
+    def frame(client_id, frame_number):
+        # Unbound reply addresses: the results are dropped on arrival.
+        return FrameRecord(
+            client_id=client_id, frame_number=frame_number,
+            reply_to=Address("nuc0", 9100 + client_id), step="primary",
+            created_s=0.0, size_bytes=config.WIRE_SIZES["client->primary"])
 
-def test_queue_gradient_admits_inside_window():
-    policy = QueueGradientAdmission(lookahead_s=0.05, rate_fps=1.0,
-                                    burst=1)
-    for step in range(5):
-        assert policy.admit(client_id=0, now=step * 0.01, depth=0,
-                            target_depth=8)
-
-
-def test_queue_gradient_sheds_on_projected_overflow():
-    policy = QueueGradientAdmission(lookahead_s=1.0, rate_fps=0.001,
-                                    burst=1)
-    # Depth ramping hard: projection breaks the window, so admission
-    # falls back to the (nearly empty) per-client buckets.
-    decisions = [policy.admit(client_id=0, now=0.001 * step,
-                              depth=4 * step, target_depth=8)
-                 for step in range(1, 8)]
-    assert not all(decisions)
+    hot = [primary.sidecar.enqueue(frame(5, number))
+           for number in range(ADMISSION_BURST + 3)]
+    assert hot == [True] * ADMISSION_BURST + [False] * 3
+    assert primary.sidecar.enqueue(frame(6, 0))
+    assert primary.sidecar.stats.rejected == 3
+    sim.run(until=1.0)
+    ledger = check_sidecar_conservation(primary)
+    assert ledger.enqueued == ADMISSION_BURST + 1
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +161,7 @@ def test_ratios_are_zero_without_traffic():
 def flow_run():
     return run_experiment(ExperimentSpec(
         baseline_configs()["C1"], num_clients=4, duration_s=8.0,
-        flow=default_flow_config(), scatterpp=True))
+        flow=True, scatterpp=True))
 
 
 def _sidecars(result):
@@ -247,6 +194,8 @@ def test_batched_dispatch_engages_under_load(flow_run):
     assert sum(s.batched_rounds for s in stats) > 0
     assert sum(s.batched_frames for s in stats) > \
         sum(s.batched_rounds for s in stats)
+    assert sum(s.batched_frames for s in stats) <= \
+        BATCH_MAX * sum(s.batched_rounds for s in stats)
 
 
 def test_credit_advertisements_reach_clients(flow_run):
@@ -260,8 +209,8 @@ def test_flow_summary_attached_and_serializable(flow_run):
 
     summary = flow_run.flow
     assert summary is not None
-    assert summary["config"]["batch_max"] == \
-        default_flow_config().batch_max
+    assert set(summary) == {"services", "paced_frames", "batched_rounds",
+                            "batched_frames", "shed_backpressure"}
     assert set(summary["services"]) == {"primary", "sift", "encoding",
                                         "lsh", "matching"}
     for ledger in summary["services"].values():
@@ -273,4 +222,4 @@ def test_flow_requires_sidecars():
     with pytest.raises(ValueError):
         run_experiment(ExperimentSpec(
             baseline_configs()["C1"], num_clients=1, duration_s=1.0,
-            with_sidecars=False, flow=default_flow_config(), scatterpp=True))
+            with_sidecars=False, flow=True, scatterpp=True))

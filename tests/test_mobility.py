@@ -30,6 +30,7 @@ from repro.mobility import (
 from repro.mobility.handover import (BACKOFF_MULTIPLIER, MAX_ATTEMPTS,
                                      RETRY_BACKOFF_S)
 from repro.net.netem import lte_profile
+from repro.net.rpc import GIVE_UP_S
 from repro.scatter.config import (PIPELINE_ORDER, PlacementConfig,
                                   baseline_configs)
 
@@ -294,11 +295,13 @@ def test_handover_retries_with_bounded_backoff_then_abandons():
     assert record["outcome"] == "abandoned"
     assert record["attempts"] == MAX_ATTEMPTS
     assert record["abort_reasons"] == ["transfer-lost"] * MAX_ATTEMPTS
-    # The attempts are spaced by the deterministic backoff, no more.
+    # Each attempt's lost chunk fails once the RPC layer's modelled
+    # retransmissions are spent; the attempts are spaced by the
+    # deterministic backoff, no more.
     backoff_s = sum(RETRY_BACKOFF_S * BACKOFF_MULTIPLIER ** k
                     for k in range(MAX_ATTEMPTS - 1))
     assert record["completed_s"] - record["started_s"] == \
-        pytest.approx(backoff_s)
+        pytest.approx(backoff_s + MAX_ATTEMPTS * GIVE_UP_S)
     report = result.mobility["report"]
     assert report["abandoned"] == 1 and report["retried"] == 1
     # Nothing moved, and — rollback being free pre-cutover — nothing

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.net import Address, Network, RpcChannel, RpcServer, RpcTimeoutError
+from repro.net.rpc import MAX_ATTEMPTS, RETRANSMIT_TIMEOUT_S
 from repro.sim import Simulator
 
 
@@ -104,11 +105,13 @@ def test_rpc_total_loss_raises_timeout():
             yield channel.call(server.address, "p", size_bytes=10)
             outcome.append("ok")
         except RpcTimeoutError:
-            outcome.append("timeout")
+            outcome.append(("timeout", sim.now))
 
     sim.spawn(caller())
     sim.run()
-    assert outcome == ["timeout"]
+    # The call fails once every modelled retransmission is spent.
+    assert outcome == [("timeout",
+                        pytest.approx(MAX_ATTEMPTS * RETRANSMIT_TIMEOUT_S))]
 
 
 def test_rpc_local_call_is_instant():

@@ -34,8 +34,8 @@ whose name ends in ``Config``, ``Spec``, ``Slo`` or ``Policy`` must be
 passed by keyword, or stored as a string key of a dict, in a root file
 or in a reached ``src/repro`` module other than the one defining it; a
 field only its own module or the tests set is a constant.  This rule
-matches names only, too: a ``credits=`` keyword anywhere that counts
-passes ``FlowConfig.credits``, whatever it is passed to.
+matches names only, too: a ``naive=`` keyword anywhere that counts
+passes ``MobilitySpec.naive``, whatever it is passed to.
 """
 
 import ast
@@ -61,9 +61,6 @@ EXEMPT_DEFS = {
         "test twin: the vectorized LSH query is checked against it",
     "repro.experiments.cache.reset_code_fingerprint_cache":
         "tests edit source trees and must drop the memoized fingerprints",
-    "repro.flow.config.neutral_flow_config":
-        "the flow-neutral digest check in test_determinism builds its "
-        "config",
     "repro.vision.camera.rotation_about":
         "builds the ground-truth poses decompose_homography is tested on",
     "repro.vision.camera.homography_from_pose":
@@ -85,19 +82,11 @@ EXEMPT_DEFS = {
 #: Settings kept although no file that counts sets them: qualified name
 #: (module, class, field) -> reason.
 EXEMPT_SETTINGS = dict.fromkeys((
-    f"repro.flow.config.FlowConfig.{name}" for name in (
-        "admission_rate_fps", "admission_burst", "gradient_lookahead_s",
-        "advertise_interval_s", "credit_ttl_s", "upstream_window_s",
-        "client_pacing", "client_rate_fps", "client_burst")),
-    "flow_summary stores the whole config in every flow cell's "
-    "summary, so dropping the field moves the pinned summary digests; "
-    "it goes with the per-cell telemetry record (ROADMAP item 7)")
-EXEMPT_SETTINGS.update(dict.fromkeys((
     "repro.experiments.runner.ExperimentSpec.cohort_load_kwargs",
     "repro.experiments.runner.ExperimentSpec.cohort_tick_s",
     "repro.cohort.population.CohortSpec.member_fps"),
     "goes with the cohort layer (ROADMAP item 5), which waits for a "
-    "benchmark change that drops perfbench's cohort cell"))
+    "benchmark change that drops perfbench's cohort cell")
 EXEMPT_SETTINGS["repro.experiments.runner.MobilitySpec.trajectories"] = (
     "a scenario input: tests script exact moves with it, the way a "
     "FaultPlan scripts faults")

@@ -158,33 +158,55 @@ def test_ramp_validation():
 def test_admission_rejections_surface_in_analytics():
     """Shed load is visible as reject_ratio, not hidden in drop_ratio.
 
-    A tight per-client admission bucket at every sidecar rejects a
-    chunk of the 30 FPS offered load; the analytics rows must report
-    it in the dedicated ``reject_ratio`` column while ``drop_ratio``
-    keeps its queue-exit meaning.
+    Mid-run, a hot client enqueues more than ``ADMISSION_BURST``
+    frames at once at the primary sidecar of a flow run: its token
+    bucket rejects the excess.  The analytics rows must report it in
+    the dedicated ``reject_ratio`` column while ``drop_ratio`` keeps its
+    queue-exit meaning, and every ledger still balances.
     """
-    from repro.flow import default_flow_config
+    from repro.dsp.record import FrameRecord
+    from repro.experiments.runner import DRAIN_S, build_experiment
+    from repro.flow import check_sidecar_conservation
+    from repro.flow.config import ADMISSION_BURST
+    from repro.net.addresses import Address
+    from repro.scatter.config import WIRE_SIZES
+    from repro.scatterpp.analytics import SidecarAnalytics
 
-    flow = default_flow_config().with_overrides(
-        admission="token-bucket", admission_rate_fps=10.0,
-        admission_burst=2, batch_max=1, credits=False,
-        client_pacing=False)
-    result = run_experiment(ExperimentSpec(
-        baseline_configs()["C1"], num_clients=2, duration_s=8.0,
-        flow=flow, scatterpp=True))
-    primary = result.pipeline.instances("primary")[0]
+    sim, __, orchestrator, pipeline, clients = build_experiment(
+        ExperimentSpec(baseline_configs()["C1"], num_clients=2,
+                       duration_s=4.0, flow=True, scatterpp=True))
+    analytics = SidecarAnalytics(sim)
+    for instance in orchestrator.all_instances():
+        analytics.watch(instance)
+    analytics.start()
+    primary = pipeline.instances("primary")[0]
+
+    def hot_burst():
+        # An unbound reply address: the results are dropped on arrival.
+        for number in range(ADMISSION_BURST + 3):
+            primary.sidecar.enqueue(FrameRecord(
+                client_id=9, frame_number=number,
+                reply_to=Address("nuc0", 9109), step="primary",
+                created_s=sim.now,
+                size_bytes=WIRE_SIZES["client->primary"]))
+
+    sim.schedule(1.5, hot_burst)
+    for client in clients:
+        client.start(4.0)
+    sim.run(until=4.0 + DRAIN_S)
+
     stats = primary.sidecar.stats
-    assert stats.rejected > 0
+    assert stats.rejected == 3
     assert 0.0 < stats.reject_ratio() < 1.0
     # Rejected frames never entered the queue, so they must not count
     # as queue exits.
     assert stats.reject_ratio() > stats.drop_ratio()
-    assert result.analytics.mean("primary", "reject_ratio") > 0.0
-    # The rows still expose credits (zero here: credits are off, the
-    # column reports the sidecar's instantaneous headroom regardless).
-    rows = [row for row in result.analytics.rows
-            if row.service == "primary"]
+    assert analytics.mean("primary", "reject_ratio") > 0.0
+    # The rows still expose the sidecar's instantaneous credits.
+    rows = [row for row in analytics.rows if row.service == "primary"]
     assert rows and all(row.credits >= 0 for row in rows)
+    for instance in orchestrator.all_instances():
+        check_sidecar_conservation(instance)
 
 
 def test_analytics_reject_ratio_zero_without_flow(pp_four):
