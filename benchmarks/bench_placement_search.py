@@ -17,10 +17,11 @@ headline claim:
   (in practice 100 %: every cell was just simulated).
 
 Beside the gates it records what a warm cache hit costs, with no time
-gate: the median microseconds per ``task_fingerprint`` over the
-search's tasks (the cache-key layer), and the median wall time of
-``WARM_RERUNS`` same-seed reruns, each asserted all hits and
-reproducing the cold front (end to end).
+gate: the median microseconds per ``task_fingerprint`` (the cache-key
+layer) and per ``CampaignCellCache.get`` hit (the read layer) over the
+search's tasks, the directory scans of one warm rerun, and the median
+wall time of ``WARM_RERUNS`` same-seed reruns, each asserted all hits
+and reproducing the cold front (end to end).
 
 Results land in the committed repo-root ``BENCH_placement_search.json``.
 
@@ -35,7 +36,9 @@ from __future__ import annotations
 import json
 import os
 import statistics
+import sys
 import time
+from collections import Counter
 
 from repro.experiments.cache import CampaignCellCache, task_fingerprint
 from repro.experiments.parallel import CellTask
@@ -58,20 +61,67 @@ GENERATIONS = 1 if SMOKE else 5
 #: (DESIGN §15).
 SEED = 4
 #: Same-seed warm reruns timed end to end, and timing repeats of the
-#: fingerprint layer over the search's tasks.
+#: key and read layers over the search's tasks.
 WARM_RERUNS = 10
-FINGERPRINT_REPEATS = 20
+LAYER_REPEATS = 20
 
 
-def fingerprint_us(tasks) -> float:
-    """Median microseconds per ``task_fingerprint`` over ``tasks``."""
+def median_us(call, tasks) -> float:
+    """Median over ``LAYER_REPEATS`` passes of the microseconds per
+    ``call(task)`` over ``tasks``."""
     per_task = []
-    for __ in range(FINGERPRINT_REPEATS):
+    for __ in range(LAYER_REPEATS):
         started = time.perf_counter()
         for task in tasks:
-            task_fingerprint(task)
+            call(task)
         per_task.append((time.perf_counter() - started) / len(tasks))
     return statistics.median(per_task) * 1e6
+
+
+class CacheIO:
+    """Opens of the entries in one cache directory, and listings of
+    it, counted while the context is active.
+
+    The counts come from the interpreter's audit events (``open``,
+    ``os.scandir``, ``os.listdir``), which fire whichever API opens a
+    file or lists a directory.  An audit hook stays for the life of
+    the process, so one hook serves every instance and does nothing
+    while none is active.
+    """
+
+    _active: list = []
+    _hooked = False
+
+    def __init__(self, directory):
+        self.directory = os.path.abspath(directory)
+        #: Entry path -> times opened.
+        self.opens: Counter = Counter()
+        self.scans = 0
+
+    def __enter__(self) -> "CacheIO":
+        if not CacheIO._hooked:
+            sys.addaudithook(CacheIO._audit)
+            CacheIO._hooked = True
+        CacheIO._active.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        CacheIO._active.remove(self)
+
+    @staticmethod
+    def _audit(event, args) -> None:
+        if not CacheIO._active or event not in (
+                "open", "os.scandir", "os.listdir"):
+            return
+        if not isinstance(args[0], (str, os.PathLike)):
+            return  # a file descriptor, or scandir's default
+        path = os.path.abspath(args[0])
+        for watch in CacheIO._active:
+            if event == "open":
+                if os.path.dirname(path) == watch.directory:
+                    watch.opens[path] += 1
+            elif path == watch.directory:
+                watch.scans += 1
 
 
 def test_search_beats_static_placements(save_result, tmp_path,
@@ -139,6 +189,8 @@ def test_search_beats_static_placements(save_result, tmp_path,
              for call in rerun.oracle_calls]
     assert [task_fingerprint(task) for task in tasks] == [
         call["fingerprint"] for call in rerun.oracle_calls]
+    reader = CampaignCellCache(cache_dir)
+    assert all(reader.get(task) is not None for task in tasks)
     warm_ms = []
     for __ in range(WARM_RERUNS):
         started = time.perf_counter()
@@ -147,6 +199,9 @@ def test_search_beats_static_placements(save_result, tmp_path,
         assert warm.cache["hits"] == len(tasks), warm.cache
         assert warm.cache["misses"] == 0, warm.cache
         assert warm.front_digest() == report.front_digest()
+    with CacheIO(cache_dir) as io:
+        run_search(config, cache=CampaignCellCache(cache_dir))
+    assert sorted(io.opens.values()) == [1] * len(tasks), io.opens
 
     entry = {
         "mode": "smoke" if SMOKE else "full",
@@ -167,7 +222,11 @@ def test_search_beats_static_placements(save_result, tmp_path,
                      "front_digest": report.front_digest()},
         "rerun": {"front_digest": rerun.front_digest(),
                   "cache_hit_rate": hit_rate,
-                  "fingerprint_us_median": round(fingerprint_us(tasks), 2),
+                  "fingerprint_us_median":
+                      round(median_us(task_fingerprint, tasks), 2),
+                  "cache_hit_us_median":
+                      round(median_us(reader.get, tasks), 2),
+                  "dir_scans_per_warm_rerun": io.scans,
                   "warm_reruns": WARM_RERUNS,
                   "warm_rerun_ms_median":
                       round(statistics.median(warm_ms), 2)},
@@ -188,7 +247,9 @@ def test_search_beats_static_placements(save_result, tmp_path,
                  f"rerun_hit_rate={hit_rate:.0%} "
                  f"front_digest={report.front_digest()}")
     lines.append(f"  warm hit: {entry['rerun']['fingerprint_us_median']} "
-                 f"us per key, rerun of {len(tasks)} cells "
+                 f"us per key, {entry['rerun']['cache_hit_us_median']} "
+                 f"us per read, rerun of {len(tasks)} cells "
                  f"{entry['rerun']['warm_rerun_ms_median']} ms "
-                 f"(median of {WARM_RERUNS})")
+                 f"(median of {WARM_RERUNS}, {io.scans} directory "
+                 "scan(s) each)")
     save_result("BENCH_placement_search", "\n".join(lines))

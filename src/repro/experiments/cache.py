@@ -16,9 +16,10 @@ The key is a blake2b digest over two fingerprints:
   replica map changes the key even though its name does not) plus any
   pipeline-specific extras registered in
   :data:`repro.experiments.campaign.RUNNER_FINGERPRINTS` (the cohort
-  runner contributes its multiplier and flow switch).  The
-  encoded placement is memoized per name and the encoded extras per
-  value, so a warm hit derives neither from scratch;
+  runner contributes its multiplier and flow switch).  The digest
+  is memoized per task (field reprs, placement name, extras value)
+  and the encoded placement per name, so a warm hit derives neither
+  from scratch;
 * **code fingerprint** — blake2b over every ``*.py`` file of the
   installed ``repro`` source tree (relative path + contents).  Any
   source edit, however small, misses the whole cache.  The walk is
@@ -121,16 +122,29 @@ def encoded_placement(name: str) -> bytes:
     return repr(repr(resolve_placement(name))).encode()
 
 
-@functools.lru_cache(maxsize=64)
-def _encoded_extras(extras: Tuple) -> bytes:
-    """The extras part of :func:`task_fingerprint`, memoized per extras
-    value (runners return the same memoized tuple on every call).
+@functools.lru_cache(maxsize=4096)
+def _fingerprint(fields: Tuple[str, ...], placement: str,
+                 extras: Tuple) -> str:
+    """The digest behind :func:`task_fingerprint`, memoized per task.
 
-    Sound because every extras part is a ``str``: a value key would
+    The memo key is everything hashed: the ``repr`` of each task field,
+    the placement name (whose encoding :func:`encoded_placement`
+    memoizes) and the runner extras by value.  Keying on the reprs,
+    not the task, keeps equal fields that repr differently apart:
+    ``3`` and ``3.0`` seconds, ``1`` and ``True`` clients.  The extras
+    key is sound because every part is a ``str``: a value key would
     merge equal tuples whose reprs differ, such as ``(1,)`` and
     ``(True,)``, and strings that compare equal have one repr.
     """
-    return repr(repr(extras)).encode()
+    h = hashlib.blake2b(digest_size=16)
+    for part in fields:
+        h.update(part.encode())
+        h.update(b"\x1f")
+    h.update(encoded_placement(placement))
+    h.update(b"\x1f")
+    h.update(repr(repr(extras)).encode())
+    h.update(b"\x1f")
+    return h.hexdigest()
 
 
 def task_fingerprint(task) -> str:
@@ -139,23 +153,17 @@ def task_fingerprint(task) -> str:
     Covers the task fields, the resolved placement object, and any
     pipeline-registered extras — everything that parameterizes the
     cell *besides* the code itself.  The five fields and the runner's
-    extras are read on every call; only the encoding of the resolved
-    placement (per name) and of the extras (per value) is memoized,
-    so a changed extra still moves the key.
+    extras are read on every call and key the memo, so a changed extra
+    still moves the key; the oracle's provenance record and the cache
+    key of one task share one derivation.
     """
     from repro.experiments.campaign import RUNNER_FINGERPRINTS  # cycle
 
     extras = RUNNER_FINGERPRINTS.get(task.pipeline)
-    h = hashlib.blake2b(digest_size=16)
-    for part in (task.pipeline, task.placement, task.clients,
-                 task.seed, task.duration_s):
-        h.update(repr(part).encode())
-        h.update(b"\x1f")
-    h.update(encoded_placement(task.placement))
-    h.update(b"\x1f")
-    h.update(_encoded_extras(extras() if extras is not None else ()))
-    h.update(b"\x1f")
-    return h.hexdigest()
+    return _fingerprint(
+        (repr(task.pipeline), repr(task.placement), repr(task.clients),
+         repr(task.seed), repr(task.duration_s)),
+        task.placement, extras() if extras is not None else ())
 
 
 class CampaignCellCache:
@@ -170,6 +178,8 @@ class CampaignCellCache:
                  code_root: Optional[PathLike] = None):
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        # Entry paths are plain strings: a warm hit builds no Path.
+        self._prefix = os.path.join(self.directory, "")
         self.code_root = code_root
         self._hits = 0
         self._misses = 0
@@ -184,19 +194,21 @@ class CampaignCellCache:
         h.update(code_fingerprint(self.code_root).encode())
         return h.hexdigest()
 
-    def _path(self, key: str) -> pathlib.Path:
-        return self.directory / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return f"{self._prefix}{key}.json"
 
     def get(self, task) -> Optional[Dict]:
         """Cached summary for ``task``, or ``None`` on a miss.
 
-        A corrupt entry (truncated file, bad JSON, wrong schema) is a
+        A hit is one key, one ``open`` and one JSON parse.  A corrupt
+        entry (truncated file, bad JSON or bytes, wrong schema) is a
         miss: it is counted, unlinked best-effort, and recomputed —
         never an exception and never a partial summary.
         """
         path = self._path(self.key(task))
         try:
-            raw = path.read_text()
+            with open(path, "rb") as handle:
+                raw = handle.read()
         except OSError:
             self._misses += 1
             return None
@@ -205,12 +217,12 @@ class CampaignCellCache:
             if (not isinstance(entry, dict)
                     or entry.get("format") != ENTRY_FORMAT
                     or not isinstance(entry.get("summary"), dict)):
-                raise ValueError(f"malformed cache entry {path.name}")
+                raise ValueError(f"malformed cache entry {path}")
         except (ValueError, TypeError):
             self._corrupt += 1
             self._misses += 1
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 pass
             return None
@@ -240,9 +252,9 @@ class CampaignCellCache:
             indent=2, sort_keys=True)
         from repro.experiments.store import atomic_write_text
 
-        atomic_write_text(path, payload)
+        written = atomic_write_text(path, payload)
         self._insertions += 1
-        return path
+        return written
 
     def _scan(self) -> Tuple[int, int]:
         """``(entries, bytes)`` on disk, in one directory pass."""

@@ -237,8 +237,8 @@ class CampaignReport:
     #: (pipeline, placement, clients) -> raw per-seed summary dicts in
     #: seed order.  ``cells`` keeps only the replicated scalar metrics
     #: (:data:`~repro.experiments.repetition.REPLICATED_METRICS`);
-    #: consumers that need the full summary — the optimizer reads p95
-    #: latency and the energy block — get it here, uncompressed.
+    #: consumers that need the full summary — p95 latency, the energy
+    #: block of an ``optimize`` cell — get it here, uncompressed.
     summaries: Dict[Tuple[str, str, int], List[Dict]] \
         = field(default_factory=dict)
     #: Cell-cache stats block (hits/misses/stored/entries/directory),

@@ -68,7 +68,9 @@ class ExperimentSpec:
       ``stateless_sift`` and ``with_sidecars``; scAtteR takes
       ``pipeline_kwargs`` instead.
     * ``client_netem`` impairs every client's link; ``mobility`` (a
-      :class:`MobilitySpec`) makes the clients roam between sites.
+      :class:`MobilitySpec`) makes the clients roam between sites, and
+      needs ``stateless_sift=False``: a handover moves sift's session
+      state.
     * ``flow`` engages the flow substrate on every sidecar and client.
     * ``cohort_size`` models that many clients in all: the microscopic
       clients are its tracers, the rest ride a fluid
@@ -113,6 +115,11 @@ class ExperimentSpec:
                 self.flow or self.cohort_size or self.mobility):
             raise ValueError("pipeline_kwargs is for scAtteR; flow, "
                              "cohort_size and mobility for scAtteR++")
+        if self.mobility is not None and self.stateless_sift:
+            raise ValueError("a handover moves each client's sift "
+                             "session state to its new site (naive=True "
+                             "tears it down), and a stateless sift holds "
+                             "none: set stateless_sift=False")
 
 
 @dataclass

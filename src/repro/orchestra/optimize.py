@@ -21,8 +21,8 @@ front on this space (DESIGN §15).
 Design constraints, in priority order:
 
 1. **Determinism is a contract.**  The loop draws every random choice
-   from one seeded ``random.Random``; the oracle inherits the
-   campaign layer's serial ≡ sharded ≡ cached guarantee.  Same seed ⇒
+   from one seeded ``random.Random``; the oracle inherits the task
+   runner's serial ≡ sharded ≡ cached guarantee.  Same seed ⇒
    bit-identical Pareto front, at any worker count
    (``tests/test_optimize_properties.py``).
 2. **Genomes are cache keys.**  A genome encodes to an ``opt:`` spec
@@ -43,6 +43,7 @@ own.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -153,6 +154,14 @@ class Genome:
 # ----------------------------------------------------------------------
 # Search space: schedulability and sampling
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _testbed_memory_gb() -> Tuple[Tuple[str, float], ...]:
+    """Each testbed server's memory (GB), read once per process: the
+    testbed is fixed, and every search builds a space."""
+    return tuple((name, machine.memory.capacity_bytes / GB)
+                 for name, machine in server_machines().items())
+
+
 @dataclass(frozen=True)
 class SearchSpace:
     """The feasible genome set and its uniform sampler.
@@ -167,9 +176,8 @@ class SearchSpace:
     #: Machine memory (GB), the testbed's by default — the fit check
     #: that keeps sampling from sending the oracle a genome the
     #: scheduler would reject.
-    memory_gb: Mapping[str, float] = field(default_factory=lambda: {
-        name: machine.memory.capacity_bytes / GB
-        for name, machine in server_machines().items()})
+    memory_gb: Mapping[str, float] = field(
+        default_factory=lambda: dict(_testbed_memory_gb()))
 
     def __post_init__(self) -> None:
         if not self.machines:
@@ -270,22 +278,30 @@ def pareto_front(archive: Mapping[str, Objectives]
 # The campaign-cell oracle
 # ----------------------------------------------------------------------
 class CampaignOracle:
-    """Evaluates genome batches through ``run_campaign`` cells.
+    """Evaluates genome batches as ``optimize`` campaign cells.
 
-    One batch = one campaign: every unevaluated genome × the full
-    client ladder × one seed, sharded across ``workers`` and replayed
-    from ``cache`` on revisits.  Grading reuses the capacity probe's
-    SLO: capacity is the longest ladder prefix meeting it; p95,
-    joules-per-frame, and cost are read at the capacity point.
+    One batch is one plan of tasks, every unevaluated genome × the
+    full client ladder × one seed, run by
+    :func:`repro.experiments.parallel.run_tasks`: sharded across
+    ``workers`` and replayed from ``cache`` on revisits.  The oracle
+    reads each rung's summary from its task outcome, so a warm batch
+    costs its cache reads and no campaign report (DESIGN §14).
+    Grading reuses the capacity probe's SLO: capacity is the longest
+    ladder prefix meeting it; p95, joules-per-frame, and cost are read
+    at the capacity point.
     """
 
     def __init__(self, *, ladder: Tuple[int, ...] = (1, 2, 3, 4),
                  duration_s: float = 4.0, seed: int = 0,
                  workers: int = 0,
                  cache: Optional[CampaignCellCache] = None):
-        if not ladder or list(ladder) != sorted(set(ladder)):
+        if (not ladder or list(ladder) != sorted(set(ladder))
+                or ladder[0] < 1):
+            raise OptimizeError(f"ladder must be strictly increasing "
+                                f"client counts >= 1, got {ladder}")
+        if duration_s <= 0:
             raise OptimizeError(
-                f"ladder must be strictly increasing, got {ladder}")
+                f"duration_s must be positive, got {duration_s}")
         self.ladder = tuple(ladder)
         self.duration_s = duration_s
         self.seed = seed
@@ -296,39 +312,41 @@ class CampaignOracle:
 
     def evaluate(self, specs: Sequence[str]
                  ) -> Tuple[Dict[str, Objectives], List[Dict]]:
-        """Objectives per spec plus per-cell provenance records."""
-        from repro.experiments.cache import task_fingerprint
-        from repro.experiments.campaign import Campaign, run_campaign
-        from repro.experiments.capacity import CapacitySlo
-        from repro.experiments.parallel import plan_tasks
+        """Objectives per spec plus per-cell provenance records.
 
-        if not specs:
-            return {}, []
-        campaign = Campaign(
-            name="optimize-oracle", pipelines=("optimize",),
-            placements=tuple(specs), client_counts=self.ladder,
-            duration_s=self.duration_s, seeds=(self.seed,))
+        A spec that does not decode raises before any cell runs; a
+        failed cell, a repeated spec included, raises
+        :class:`OptimizeError` naming every failed rung.
+        """
+        from repro.experiments.cache import task_fingerprint
+        from repro.experiments.capacity import CapacitySlo
+        from repro.experiments.parallel import CellTask, run_tasks
+
+        tasks = [CellTask(pipeline="optimize", placement=spec,
+                          clients=clients, seed=self.seed,
+                          duration_s=self.duration_s)
+                 for spec in specs for clients in self.ladder]
         calls = [{"genome": task.placement, "clients": task.clients,
                   "seed": task.seed,
                   "fingerprint": task_fingerprint(task)}
-                 for task in plan_tasks(campaign)]
-        report = run_campaign(campaign, workers=self.workers,
-                              cache=self.cache)
-        if report.failures:
-            failed = sorted(
-                f"{cell[1]}@{cell[2]}c: {records[0].error.splitlines()[0]}"
-                for cell, records in report.failures.items())
+                 for task in tasks]
+        outcomes = run_tasks(tasks, workers=self.workers, cache=self.cache)
+        failed = sorted(
+            f"{outcome.task.placement}@{outcome.task.clients}c: "
+            f"{outcome.failure.error.splitlines()[0]}"
+            for outcome in outcomes if not outcome.ok)
+        if failed:
             raise OptimizeError(
                 "oracle cells failed: " + "; ".join(failed))
 
+        ladders: Dict[str, Dict[int, Dict]] = {}
+        for outcome in outcomes:
+            ladders.setdefault(outcome.task.placement, {})[
+                outcome.task.clients] = outcome.summary
         slo = CapacitySlo()
         results: Dict[str, Objectives] = {}
         for spec in specs:
-            rungs = {}
-            for clients in self.ladder:
-                summaries = report.summaries[
-                    ("optimize", spec, clients)]
-                rungs[clients] = summaries[0]
+            rungs = ladders[spec]
             capacity = 0
             for clients in self.ladder:
                 summary = rungs[clients]

@@ -13,6 +13,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import pathlib
 import signal
 from concurrent.futures import ThreadPoolExecutor
 
@@ -178,6 +179,22 @@ def test_memoized_fingerprint_hashes_the_unmemoized_bytes(
         for task in tasks:
             assert task_fingerprint(task) == unmemoized_fingerprint(task)
             assert cache.key(task) == unmemoized_key(task)
+
+
+@pytest.mark.parametrize("field,first,second", [
+    ("duration_s", 1.0, 1),
+    ("clients", 1, True),
+])
+def test_fingerprint_memo_keeps_equal_fields_with_other_reprs_apart(
+        field, first, second):
+    """The fingerprint hashes each field's repr, so two tasks that
+    compare equal still get the keys their reprs give, whichever a
+    process fingerprinted first."""
+    tasks = [make_task(**{field: first}), make_task(**{field: second})]
+    assert tasks[0] == tasks[1]
+    for task in tasks + tasks[::-1]:
+        assert task_fingerprint(task) == unmemoized_fingerprint(task)
+    assert task_fingerprint(tasks[0]) != task_fingerprint(tasks[1])
 
 
 def test_runner_extras_are_tuples_of_strings():
@@ -350,7 +367,7 @@ def test_concurrent_writers_never_tear_an_entry(tmp_path):
 ])
 def test_corrupt_entries_are_misses_not_crashes(cache, damage):
     cache.put(make_task(), {"fps": 30.0})
-    path = cache._path(cache.key(make_task()))
+    path = pathlib.Path(cache._path(cache.key(make_task())))
     path.write_text(damage(path.read_text()))
 
     assert cache.get(make_task()) is None

@@ -13,7 +13,10 @@ Each cell pins its exact event count and frames sent — both repeat
 exactly for a seed — so any change that adds or removes events shows
 up here and has to restate the numbers.  Each cell also pins its
 calls into ``repro`` code: they repeat exactly too, but only on the
-interpreter and kernel they were counted on.
+interpreter and kernel they were counted on.  The kernel microbench
+of ``benchmarks/bench_sim_hotpath.py`` is pinned the same way, on
+both kernels, so a change to either kernel's work per event shows
+here without timing anything.
 """
 
 import gc
@@ -25,7 +28,7 @@ import pytest
 import repro
 from repro.experiments.campaign import PRESETS, resolve_placement
 from repro.experiments.runner import run_experiment
-from repro.sim import kernel
+from repro.sim import _kernel_impl, kernel, reference
 
 #: Run length of every budget cell.
 BUDGET_CELL_S = 5.0
@@ -57,7 +60,25 @@ BUDGET_CALLS = {
     ("optimize", "C21", 2): 90615,
 }
 
+#: Processes and steps per process of the kernel microbench mix
+#: (``bench_sim_hotpath._ticker``), cut from its full 150 x 200.
+MICROBENCH_PROCS = 20
+MICROBENCH_STEPS = 60
+
+#: Kernel -> (Python calls, events) over one run of the microbench
+#: mix, every call counted (the mix's own generators included), on
+#: CPython 3.11: 7.29 and 3.26 calls per event, as at full size.
+MICROBENCH_CALLS = {
+    "reference": (23321, 3200),
+    "optimized": (10425, 3200),
+}
+
 _REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
+
+on_cpython_311 = pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="call counts are pinned on CPython 3.11; another interpreter "
+           "makes a different number of calls for the same code")
 
 
 def _spec(pipeline, placement, clients):
@@ -74,20 +95,20 @@ def _events_and_frames(pipeline, placement, clients):
             sum(stats.frames_sent for stats in result.clients))
 
 
-def _repro_calls(spec):
-    """Calls into ``repro`` code while ``spec`` runs.
+def _calls(run, prefix=_REPRO_DIR):
+    """Python calls into code under ``prefix`` while ``run()`` runs.
 
-    Calls into the standard library and NumPy are left out: their
-    number moves with package versions.  The cyclic collector stays
-    off, so no generator left over from earlier work is closed inside
-    the count.
+    By default calls into the standard library and NumPy are left
+    out: their number moves with package versions.  The cyclic
+    collector stays off, so no generator left over from earlier work
+    is closed inside the count.
     """
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
         if (event == "call"
-                and frame.f_code.co_filename.startswith(_REPRO_DIR)):
+                and frame.f_code.co_filename.startswith(prefix)):
             calls += 1
 
     previous = sys.getprofile()
@@ -95,7 +116,7 @@ def _repro_calls(spec):
     gc.disable()
     sys.setprofile(count)
     try:
-        run_experiment(spec)
+        run()
     finally:
         sys.setprofile(previous)
         gc.enable()
@@ -114,10 +135,7 @@ def test_cell_runs_its_pinned_events(cell):
             f"{cell}: {events / frames:.1f} events per sent frame")
 
 
-@pytest.mark.skipif(
-    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
-    reason="call counts are pinned on CPython 3.11; another interpreter "
-           "makes a different number of calls for the same code")
+@on_cpython_311
 @pytest.mark.skipif(
     kernel._backend != "optimized",
     reason="call counts are pinned for the optimized event kernel")
@@ -126,8 +144,28 @@ def test_cell_runs_its_pinned_events(cell):
 def test_cell_makes_its_pinned_calls(cell):
     spec = _spec(*cell)
     run_experiment(spec)  # imports and first-use work stay uncounted
-    calls = _repro_calls(spec)
+    calls = _calls(lambda: run_experiment(spec))
     assert calls == BUDGET_CALLS[cell], (
         f"{cell}: {calls} calls into repro, "
         f"{calls / BUDGET_CELLS[cell][0]:.2f} per event; restate the "
         "pin if the change meant to move the work per event")
+
+
+@on_cpython_311
+@pytest.mark.parametrize("name", sorted(MICROBENCH_CALLS))
+def test_kernel_microbench_makes_its_pinned_calls(name, monkeypatch):
+    """Both kernels are imported directly, so the pins hold whichever
+    backend ``REPRO_SIM_KERNEL`` selects for the rest of the tree."""
+    from benchmarks import bench_sim_hotpath as bench
+
+    monkeypatch.setattr(bench, "STEPS", MICROBENCH_STEPS)
+    module = {"reference": reference, "optimized": _kernel_impl}[name]
+    sim = module.Simulator()
+    for idx in range(MICROBENCH_PROCS):
+        sim.spawn(bench._ticker(module, sim, idx), name=f"ticker-{idx}")
+    calls = _calls(sim.run, prefix="")
+    events = sim.digest.events
+    assert (calls, events) == MICROBENCH_CALLS[name], (
+        f"{name}: {calls} calls for {events} events, "
+        f"{calls / events:.2f} per event; restate the pin if the change "
+        "meant to move the kernel's work per event")

@@ -124,6 +124,19 @@ def test_random_trajectory_validation():
         random_trajectory(0, duration_s=10.0, rng=rng, sites=())
 
 
+@pytest.mark.parametrize("naive", [False, True])
+def test_mobility_needs_the_stateful_sift(naive):
+    """Both handover arms act on sift's session state, which the
+    default stateless sift does not hold: the spec refuses the pairing
+    instead of failing at the first handover."""
+    c1 = baseline_configs()["C1"]
+    with pytest.raises(ValueError, match="sift session state"):
+        ExperimentSpec(c1, 3, scatterpp=True,
+                       mobility=MobilitySpec(naive=naive))
+    ExperimentSpec(c1, 3, scatterpp=True, stateless_sift=False,
+                   mobility=MobilitySpec(naive=naive))
+
+
 # ----------------------------------------------------------------------
 # Session directory
 # ----------------------------------------------------------------------

@@ -14,9 +14,9 @@ import json
 import pytest
 
 from repro.experiments.campaign import Campaign, resolve_placement
-from repro.orchestra.optimize import (Genome, OptimizeConfig,
-                                      OptimizeError, SearchSpace,
-                                      run_search)
+from repro.orchestra.optimize import (CampaignOracle, Genome,
+                                      OptimizeConfig, OptimizeError,
+                                      SearchSpace, run_search)
 from repro.scatter.config import (PIPELINE_ORDER, baseline_configs,
                                   cloud_config, hybrid_config,
                                   scaling_config)
@@ -196,6 +196,15 @@ def test_optimize_config_validation():
         OptimizeConfig(generations=-1)
     with pytest.raises(OptimizeError):
         OptimizeConfig(budget=0)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(ladder=()), dict(ladder=(2, 1)), dict(ladder=(0, 1)),
+    dict(duration_s=0.0),
+])
+def test_oracle_refuses_grids_no_cell_can_run(bad):
+    with pytest.raises(OptimizeError):
+        CampaignOracle(**bad)
 
 
 def test_cli_search_smoke(capsys, tmp_path):

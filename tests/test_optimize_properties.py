@@ -17,7 +17,8 @@ Pins the optimizer contracts the PR's acceptance gate leans on:
   oracle swapped for a deterministic stub (cheap) and with the real
   campaign oracle at worker counts 0 and 4 (one slow test);
 * **oracle dedup** — no genome is evaluated twice within a run, and a
-  rerun against the same cell cache replays entirely from cache.
+  rerun against the same cell cache replays entirely from cache,
+  opening each entry once and listing the cache directory once.
 
 All hypothesis tests run derandomized: the suite is part of tier-1 and
 must never flake.
@@ -247,3 +248,23 @@ def test_cell_cache_dedups_across_runs(tmp_path):
     assert warm.cache["hits"] == len(warm.oracle_calls)
     assert warm.front == cold.front
     assert warm.front_digest() == cold.front_digest()
+
+
+def test_warm_search_reads_each_entry_once_and_scans_once(tmp_path):
+    """A warm rerun pays only its reads: one open per cached cell over
+    every oracle round, and one directory scan, for the final cache
+    report."""
+    from benchmarks.bench_placement_search import CacheIO
+
+    config = OptimizeConfig(seed=7, **dict(TINY, generations=2))
+    cold = run_search(config, cache=CampaignCellCache(tmp_path))
+    assert sum(1 for g in cold.generations if g["evaluated"]) >= 2
+    with CacheIO(tmp_path) as io:
+        warm = run_search(config, cache=CampaignCellCache(tmp_path))
+    assert warm.cache["hits"] == len(warm.oracle_calls) > 0
+    assert warm.cache["misses"] == 0
+    entries = {str(path) for path in tmp_path.glob("*.json")}
+    assert len(entries) == len(warm.oracle_calls)
+    assert set(io.opens) == entries
+    assert set(io.opens.values()) == {1}
+    assert io.scans == 1
