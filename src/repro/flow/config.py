@@ -5,7 +5,7 @@ runs one fixed policy: ``flow=True`` engages per-client token-bucket
 admission, batched dispatch, credit advertisement and client pacing
 at the values below.  ``flow=False`` everywhere means *off* — the code
 paths then reduce byte-for-byte to the pre-flow behaviour (the flow-off
-golden digests in ``tests/golden/determinism_digests.json`` pin this).
+rows of the golden ``tests/golden/referee.json`` pin this).
 """
 
 #: Per-client admission rate (frames/s) and burst of the sidecar's

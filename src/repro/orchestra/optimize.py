@@ -534,7 +534,7 @@ class PlacementSearch:
             population = [self.space.random_genome(rng)
                           for __ in range(config.population)]
 
-        front = pareto_front(archive)
+        # The last round always ranks the archive before it breaks.
         return OptimizationReport(
             config=config.as_dict(),
             front=[{"genome": spec, "objectives": objectives.as_dict()}

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple, Type
 
 from repro.dsp.operator import StreamService
-from repro.dsp.record import FrameRecord
+from repro.dsp.record import FrameRecord, RecordKind
 from repro.flow.config import (ADMISSION_BURST, ADMISSION_RATE_FPS,
                                ADVERTISE_INTERVAL_S, BATCH_MAX,
                                UPSTREAM_WINDOW_S)
@@ -206,13 +206,16 @@ class Sidecar:
         if self.flow:
             if source is not None:
                 self._upstreams[source] = now
-            bucket = self._buckets.get(record.client_id)
-            if bucket is None:
-                bucket = self._buckets[record.client_id] = TokenBucket(
-                    ADMISSION_RATE_FPS, ADMISSION_BURST)
-            if not bucket.take(now):
-                stats.rejected += 1
-                return False
+            # Admission meters a client's frames; a state fetch is the
+            # pipeline's own request and takes no token.
+            if record.kind is RecordKind.FRAME:
+                bucket = self._buckets.get(record.client_id)
+                if bucket is None:
+                    bucket = self._buckets[record.client_id] = \
+                        TokenBucket(ADMISSION_RATE_FPS, ADMISSION_BURST)
+                if not bucket.take(now):
+                    stats.rejected += 1
+                    return False
         if len(entries) >= QUEUE_CAPACITY:
             stats.dropped_overflow += 1
             return False

@@ -19,8 +19,8 @@ without compromising the determinism contract:
 
 * every waitable class uses ``__slots__``;
 * ``run()`` pops the heap once per event (no peek-then-pop), aliases
-  the heap/digest into locals, and splits into dedicated loops so the
-  digest-off and profiler-off paths pay zero per-event branches;
+  the heap/digest into locals, and splits into two loops so the
+  profiler-off path reads no clock and pays no per-event branch;
 * zero-delay events (wake-ups, spawn kickoffs — most campaign
   traffic) ride a FIFO ready lane merged with the heap by
   ``(when, seq)`` head comparison: O(1) appends/pops instead of
@@ -529,8 +529,7 @@ class Simulator:
     __slots__ = ("_heap", "_ready", "_now", "_seq", "_running",
                  "digest", "profile", "_kind_names")
 
-    def __init__(self, digest: bool = True,
-                 profile: bool = False) -> None:
+    def __init__(self, profile: bool = False) -> None:
         self._heap: List[tuple] = []
         #: Zero-delay fast lane.  Events scheduled with delay 0.0 — the
         #: wake/resume traffic that dominates campaigns — go here as
@@ -546,9 +545,8 @@ class Simulator:
         self._now = 0.0
         self._seq = 0
         self._running = False
-        #: Running trace fingerprint; ``None`` when disabled.
-        self.digest: Optional[TraceDigest] = \
-            TraceDigest() if digest else None
+        #: Running trace fingerprint.
+        self.digest = TraceDigest()
         #: Opt-in per-event-kind wall-time profile; ``None`` (the
         #: default) keeps the loop free of clock reads.  Purely
         #: observational: profiling schedules no events and draws no
@@ -567,15 +565,14 @@ class Simulator:
         """Current virtual time in seconds."""
         return self._now
 
-    def fingerprint(self) -> Optional[str]:
+    def fingerprint(self) -> str:
         """Hex trace digest of every event executed so far.
 
         Identical fingerprints mean identical event trajectories —
         the determinism contract checked by
-        ``tests/test_determinism.py``.  ``None`` when the digest was
-        disabled at construction.
+        ``tests/test_determinism.py``.
         """
-        return self.digest.hexdigest() if self.digest else None
+        return self.digest.hexdigest()
 
     def wheel_stats(self) -> Dict[str, Any]:
         """Timer-wheel counters: none, the timers live in a heap."""
@@ -618,18 +615,15 @@ class Simulator:
         try:
             if self.profile is not None:
                 self._run_profiled(until)
-            elif self.digest is not None:
-                self._run_digested(until)
             else:
-                self._run_fast(until)
+                self._run_digested(until)
         finally:
             self._running = False
         return self._now
 
-    # The three loops are structurally identical; they are kept
-    # separate so the common configurations pay for exactly the
-    # instrumentation they asked for — the digest-off loop reads no
-    # digest, the profiler-off loops read no clock.  Each merges the
+    # The two loops are structurally identical; they are kept separate
+    # so the default run pays for exactly the instrumentation it asked
+    # for — the profiler-off loop reads no clock.  Each merges the
     # heap with the zero-delay ready lane by head comparison (seq is
     # globally unique, so ``heap[0] < ready[0]`` never ties past the
     # first two fields) and pops once per event; an event past
@@ -643,49 +637,19 @@ class Simulator:
         while ready:
             _heappush(heap, ready.popleft())
 
-    def _run_fast(self, until: Optional[float]) -> None:
-        heap = self._heap
-        ready = self._ready
-        ready_popleft = ready.popleft
-        pop = _heappop
-        stop_at = _INFINITY if until is None else until
-        try:
-            while True:
-                if ready:
-                    if heap and heap[0] < ready[0]:
-                        event = pop(heap)
-                    else:
-                        event = ready_popleft()
-                elif heap:
-                    event = pop(heap)
-                else:
-                    break
-                when, _seq, callback, args = event
-                if when > stop_at:
-                    _heappush(heap, event)
-                    self._now = until  # type: ignore[assignment]
-                    return
-                self._now = when
-                callback(*args)
-            if until is not None and until > self._now:
-                self._now = until
-        finally:
-            if ready:
-                self._spill_ready()
-
     def _run_digested(self, until: Optional[float]) -> None:
         heap = self._heap
         pop = _heappop
         digest = self.digest
-        func_kinds_get = digest._func_kinds.get  # type: ignore[union-attr]
-        func_kinds = digest._func_kinds  # type: ignore[union-attr]
-        name_kinds_get = digest._name_kinds.get  # type: ignore[union-attr]
-        name_kinds = digest._name_kinds  # type: ignore[union-attr]
-        pending = digest._pending  # type: ignore[union-attr]
+        func_kinds_get = digest._func_kinds.get
+        func_kinds = digest._func_kinds
+        name_kinds_get = digest._name_kinds.get
+        name_kinds = digest._name_kinds
+        pending = digest._pending
         # ``pending`` is mutated via clear(), never rebound, so the
         # bound append stays valid across flushes.
         pending_append = pending.append
-        hash_update = digest._hash.update  # type: ignore[union-attr]
+        hash_update = digest._hash.update
         pack = _PACK_EVENT
         method_type = MethodType
         ready = self._ready
@@ -739,7 +703,7 @@ class Simulator:
         finally:
             # Counted locally in the loop; synced even when a callback
             # raises or the run stops at ``until``.
-            digest.events += events  # type: ignore[union-attr]
+            digest.events += events
             if ready:
                 self._spill_ready()
 
@@ -748,8 +712,7 @@ class Simulator:
 
         heap = self._heap
         pop = _heappop
-        digest = self.digest
-        record = digest.record_event if digest is not None else None
+        record = self.digest.record_event
         profile_event = self.profile.record  # type: ignore[union-attr]
         kind_of = self._kind_name
         ready = self._ready
@@ -772,8 +735,7 @@ class Simulator:
                     self._now = until  # type: ignore[assignment]
                     return
                 self._now = when
-                if record is not None:
-                    record(when, seq, callback)
+                record(when, seq, callback)
                 started = perf_counter_ns()
                 callback(*args)
                 profile_event(kind_of(callback),

@@ -67,9 +67,8 @@ if _backend == "reference":
         unmodified on the reference backend.
         """
 
-        def __init__(self, digest: bool = True,
-                     profile: bool = False) -> None:
-            super().__init__(digest=digest)
+        def __init__(self, profile: bool = False) -> None:
+            super().__init__()
             self.profile = None
 
         def wheel_stats(self) -> dict:

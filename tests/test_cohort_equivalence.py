@@ -16,16 +16,14 @@ perturb microscopic results:
   included, and conservation holds.
 """
 
-import json
-
 import pytest
 
 from repro.experiments.campaign import run_campaign
 from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.experiments.store import summarize_result
 from repro.scatter.config import baseline_configs
-from tests.test_determinism import (CONTRACT_CAMPAIGN, GOLDEN_PATH,
-                                    _digest_map)
+from tests.golden.referee import CONTRACT_CAMPAIGN
+from tests.test_determinism import _digest_map, golden_traces
 
 PLACEMENT = baseline_configs()["C1"]
 DURATION_S = 2.0
@@ -94,8 +92,7 @@ def test_all_tracer_cohort_matches_across_seeds():
 def test_cohort_off_campaign_matches_golden_digests(workers):
     report = run_campaign(CONTRACT_CAMPAIGN, workers=workers)
     assert not report.failures
-    golden = json.loads(GOLDEN_PATH.read_text())
-    assert _digest_map(report) == golden["digests"], (
+    assert _digest_map(report) == golden_traces(CONTRACT_CAMPAIGN), (
         "Cohort-off campaign digests drifted from the committed "
         "golden file: the cohort subsystem has perturbed existing "
         "trajectories.")

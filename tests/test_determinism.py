@@ -2,152 +2,73 @@
 
 The contract: same seed ⇒ identical :class:`TraceDigest` fingerprint
 and identical metrics, regardless of worker count, scheduling order,
-or process boundary.  This file enforces it three ways:
+or process boundary.  This file enforces it four ways:
 
 * serial vs. sharded (1 and 4 workers) runs of the same small
   campaign must agree bit-for-bit;
 * back-to-back serial runs in one process must agree (replay
   stability — no hidden global state);
 * a cache-warm rerun (every cell replayed from the content-addressed
-  cell cache) must agree with both, and with the goldens — caching is
+  cell cache) must agree with both, and with the golden — caching is
   the third leg of the contract: serial ≡ sharded ≡ cached;
-* digests must match the committed golden file
-  (``tests/golden/determinism_digests.json``), catching
-  cross-version drift.  If a PR *intentionally* changes simulation
-  behaviour, regenerate with
-  ``python tests/golden/regenerate_determinism.py`` and commit the
-  diff — reviewers then see that the trajectory changed.
+* every row of the outcome referee (``tests/golden/referee.py``) must
+  match the committed golden ``tests/golden/referee.json`` field for
+  field, catching cross-version drift.  If a change *intentionally*
+  alters simulation behaviour, regenerate with
+  ``python tests/golden/referee.py`` and commit the diff, which then
+  shows which rows moved.
 
 CI runs this module under a ``DETERMINISM_WORKERS`` matrix; locally
 both 1 and 4 workers are exercised.
 """
 
 import dataclasses
-import hashlib
 import json
 import os
-import pathlib
 
 import pytest
 
 from repro.experiments.cache import CampaignCellCache
 from repro.experiments.campaign import (PRESETS, RUNNERS, Campaign,
-                                        resolve_placement, run_campaign)
-from repro.experiments.runner import (ExperimentSpec, MobilitySpec,
-                                      run_experiment)
-from repro.experiments.store import summarize_result
+                                        run_campaign)
+from repro.experiments.runner import ExperimentSpec, run_experiment
+from tests.golden import referee
+from tests.golden.referee import CONTRACT_CAMPAIGN, FLOW_CAMPAIGN
 
-GOLDEN_PATH = (pathlib.Path(__file__).parent / "golden"
-               / "determinism_digests.json")
-FLOW_GOLDEN_PATH = (pathlib.Path(__file__).parent / "golden"
-                    / "flow_digests.json")
-RUNNER_GOLDEN_PATH = (pathlib.Path(__file__).parent / "golden"
-                      / "runner_digests.json")
-
-#: The contract campaign: both pipelines, two cells each, two seeds —
-#: small enough for tier-1, broad enough to cover the sidecar path.
-CONTRACT_CAMPAIGN = Campaign(
-    name="determinism", pipelines=("scatter", "scatterpp"),
-    placements=("C1",), client_counts=(1, 2), duration_s=2.0,
-    seeds=(0, 1))
-
-#: The flow-on contract cells: the full substrate (admission +
-#: batching + credits + pacing) walks its *own* pinned trajectory.
-FLOW_CAMPAIGN = Campaign(
-    name="determinism-flow", pipelines=("scatterpp-flow",),
-    placements=("C1",), client_counts=(1, 2), duration_s=2.0,
-    seeds=(0, 1))
+#: How to mend a golden mismatch, appended to every failure below.
+REGENERATE = (
+    "If this change to the simulation is intentional, run `python "
+    "tests/golden/referee.py`, commit tests/golden and name each moved "
+    "row with its reason; otherwise the determinism contract has been "
+    "broken.")
 
 
-#: Run length of every runner golden cell.
-RUNNER_CELL_S = 2.0
+def golden_rows():
+    return json.loads(referee.GOLDEN_PATH.read_text())
 
 
-def runner_cells():
-    """The modes the campaign goldens never reach, one short cell each:
-    golden key -> zero-argument callable returning the result."""
-    from repro.chaos.faults import FaultPlan, InstanceCrash
-    from repro.scatter.config import baseline_configs
-
-    c1, c2 = baseline_configs()["C1"], baseline_configs()["C2"]
-
-    def cell(placement, clients, **fields):
-        return lambda: run_experiment(ExperimentSpec(
-            placement, clients, duration_s=RUNNER_CELL_S, seed=0,
-            **fields))
-
-    def crash(at_s):
-        return FaultPlan(faults=[InstanceCrash(at_s=at_s,
-                                               service="sift")])
-
-    roam = MobilitySpec(mean_dwell_s=0.6, min_dwell_s=0.3)
-    roaming = dict(scatterpp=True, stateless_sift=False, mobility=roam)
-    cohort = dict(scatterpp=True, flow=True, cohort_size=1000)
-    return {
-        "ramp/C1/2c/seed0": cell(c1, 2, scatterpp=True,
-                                 stage_s=RUNNER_CELL_S / 2),
-        "mobility-stateful/C1/2c/seed0": cell(c1, 2, **roaming),
-        "mobility-naive/C1/2c/seed0": cell(
-            c1, 2, **dict(roaming, mobility=dataclasses.replace(
-                roam, naive=True))),
-        "mobility-crash-flow/C1/2c/seed0": cell(
-            c1, 2, plan=crash(1.0), flow=True, **roaming),
-        "resilience-scatter/C2/1c/seed0": cell(c2, 1, plan=crash(0.5)),
-        "resilience-scatterpp/C2/1c/seed0": cell(
-            c2, 1, scatterpp=True, plan=crash(0.5)),
-        "cohort-constant/C1/2c/seed0": cell(c1, 2, **cohort),
-        "cohort-poisson/C1/2c/seed0": cell(c1, 2, cohort_load="poisson",
-                                           **cohort),
-    }
+def golden_traces(campaign):
+    """The committed trace digest of every cell of ``campaign``, keyed
+    like :func:`_digest_map`."""
+    rows = golden_rows()
+    return {key: rows[f"a/{key}"]["trace"]
+            for key in referee.campaign_keys(campaign)}
 
 
-def summary_digest(summary):
-    """Digest of a stored summary without its trace digest: the
-    statistics alone, so a change that only adds or removes events
-    keeps it while any moved statistic moves it."""
-    text = json.dumps({key: value for key, value in summary.items()
-                       if key != "trace_digest"},
-                      sort_keys=True, default=repr)
-    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
-
-
-def runner_cell_digests(key):
-    """Trace digest, trace-free summary digest (the chaos report
-    added) and outcome digest of one runner cell."""
-    result = runner_cells()[key]()
-    summary = summarize_result(result)
-    if result.resilience is not None:
-        summary["resilience"] = dataclasses.asdict(result.resilience)
-    return {"trace_digest": result.trace_digest,
-            "summary_digest": summary_digest(summary),
-            "outcome_digest": result.outcome_digest()}
-
-
-def campaign_cell_digests(campaign):
-    """Trace-free summary and outcome digests of every cell of
-    ``campaign``, each run in-process the way a campaign worker runs
-    it, keyed like the golden ``digests`` map."""
-    summaries, outcomes = {}, {}
-    for pipeline, placement, clients in campaign.cells:
-        for seed in campaign.seeds:
-            result = RUNNERS[pipeline](
-                resolve_placement(placement), num_clients=clients,
-                duration_s=campaign.duration_s, seed=seed)
-            key = f"{pipeline}/{placement}/{clients}c/seed{seed}"
-            summaries[key] = summary_digest(summarize_result(result))
-            outcomes[key] = result.outcome_digest()
-    return {"summary_digests": summaries, "outcome_digests": outcomes}
+def runner_cell_row(key):
+    """One runner cell's referee row, all but its event count."""
+    return referee.cell_row(referee.runner_cells()[key]())
 
 
 def replay_runner_cells(workers=0):
-    """Every runner cell's digests, in-process or on the shared campaign
+    """Every runner cell's row, in-process or on the shared campaign
     worker pool at ``workers`` processes."""
     from repro.experiments.parallel import warm_pool
 
-    keys = sorted(runner_cells())
+    keys = sorted(referee.runner_cells())
     if not workers:
-        return {key: runner_cell_digests(key) for key in keys}
-    return dict(zip(keys, warm_pool(workers).map(runner_cell_digests,
+        return {key: runner_cell_row(key) for key in keys}
+    return dict(zip(keys, warm_pool(workers).map(runner_cell_row,
                                                  keys)))
 
 
@@ -211,15 +132,45 @@ def test_every_task_produced_a_digest(serial_report):
     assert flat["scatter/C1/1c/seed0"] != flat["scatter/C1/1c/seed1"]
 
 
-def test_digests_match_committed_golden_file(serial_report):
-    golden = json.loads(GOLDEN_PATH.read_text())
-    current = _digest_map(serial_report)
-    assert current == golden["digests"], (
-        "Trace digests drifted from tests/golden/"
-        "determinism_digests.json.  If this change to the simulation "
-        "is intentional, regenerate the golden file with "
-        "`python tests/golden/regenerate_determinism.py` and commit "
-        "it; otherwise the determinism contract has been broken.")
+def test_digests_match_committed_golden_file():
+    """Every referee row matches ``referee.json`` in every field: trace
+    digest and event count, frames sent, outcome and summary digests,
+    and each search's front digest and oracle fingerprints."""
+    simulate, oracle = referee.Simulator.run, RUNNERS["optimize"]
+    moved = referee.differences(golden_rows(), referee.rows())
+    # The in-process run hands back what it wrapped, so later tests
+    # (the call pins of test_event_budget.py) see the plain kernel.
+    assert referee.Simulator.run is simulate
+    assert RUNNERS["optimize"] is oracle
+    assert not moved, (
+        f"{len(moved)} golden rows or fields moved:\n" + "\n".join(moved)
+        + "\n" + REGENERATE)
+
+
+def test_golden_comparison_names_each_moved_row_and_field():
+    golden = {"a/x": {"trace": "t", "events": 3}, "a/gone": {"trace": "u"}}
+    moved = referee.differences(
+        golden, {"a/x": {"trace": "t", "events": 4}})
+    assert moved == ["a/gone: only in the golden", "a/x events: 3 -> 4"]
+
+
+def test_write_command_refuses_when_two_runs_disagree(monkeypatch,
+                                                     tmp_path):
+    runs = iter([{"a/x": {"trace": "t"}}, {"a/x": {"trace": "u"}}])
+    monkeypatch.setattr(referee, "rows", lambda: next(runs))
+    monkeypatch.setattr(referee, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(referee, "GOLDEN_PATH", tmp_path / "referee.json")
+    assert referee.main() == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_perfbench_goldens_are_the_referee_rows_they_project():
+    """The two files perfbench's golden probe reads hold exactly the
+    contract and flow rows' trace digests, so a hand edit fails."""
+    for path, projection in referee.perfbench_goldens(golden_rows()).items():
+        assert json.loads(path.read_text()) == projection, (
+            f"{path.name} is not the projection of referee.json; "
+            "run `python tests/golden/referee.py`.")
 
 
 # ----------------------------------------------------------------------
@@ -254,9 +205,8 @@ def test_cached_rerun_matches_serial_and_golden(serial_report,
     assert _digest_map(warm) == _digest_map(serial_report)
     assert _metric_map(warm) == _metric_map(serial_report)
 
-    golden = json.loads(GOLDEN_PATH.read_text())
-    assert _digest_map(warm) == golden["digests"], (
-        "Cache-replayed digests drifted from the committed goldens — "
+    assert _digest_map(warm) == golden_traces(CONTRACT_CAMPAIGN), (
+        "Cache-replayed digests drifted from the committed golden — "
         "the cell cache returned something a recompute would not.")
 
 
@@ -284,43 +234,10 @@ def test_event_profiler_is_inert_on_a_real_cell():
     assert "Process._resume" in report["kinds"]
 
 
-@pytest.fixture(scope="module")
-def flow_report():
-    report = run_campaign(FLOW_CAMPAIGN)
-    assert not report.failures
-    return report
-
-
-def test_flow_on_digests_match_committed_golden_file(flow_report):
-    golden = json.loads(FLOW_GOLDEN_PATH.read_text())
-    assert _digest_map(flow_report) == golden["digests"], (
-        "Flow-on trace digests drifted from tests/golden/"
-        "flow_digests.json.  If this change to the flow substrate is "
-        "intentional, regenerate with `python tests/golden/"
-        "regenerate_determinism.py` and commit it; otherwise the "
-        "substrate's determinism has been broken.")
-
-
-@pytest.mark.parametrize("campaign,path", [
-    (CONTRACT_CAMPAIGN, GOLDEN_PATH), (FLOW_CAMPAIGN, FLOW_GOLDEN_PATH)],
-    ids=["determinism", "determinism-flow"])
-def test_campaign_cells_match_golden_summary_and_outcome_digests(
-        campaign, path):
-    """Every contract cell's statistics and per-frame fates are pinned
-    apart from its event trajectory: a change that only removes
-    bookkeeping events moves the trace digests and nothing here."""
-    golden = json.loads(path.read_text())
-    digests = campaign_cell_digests(campaign)
-    assert digests == {name: golden[name] for name in digests}, (
-        f"Summary or outcome digests drifted from {path.name}: a "
-        "statistic or a frame's fate changed.")
-
-
-def test_flow_on_walks_a_different_trajectory(flow_report,
-                                              serial_report):
+def test_flow_on_walks_a_different_trajectory():
     """Flow on really engages: its digests differ from flow off."""
-    flow_digests = set(_digest_map(flow_report).values())
-    base_digests = set(_digest_map(serial_report).values())
+    flow_digests = set(golden_traces(FLOW_CAMPAIGN).values())
+    base_digests = set(golden_traces(CONTRACT_CAMPAIGN).values())
     assert not flow_digests & base_digests
 
 
@@ -347,7 +264,7 @@ def test_optimize_oracle_cells_replay_flow_goldens():
         seeds=(0, 1))
     report = run_campaign(campaign)
     assert not report.failures
-    golden = json.loads(FLOW_GOLDEN_PATH.read_text())["digests"]
+    golden = golden_traces(FLOW_CAMPAIGN)
     digests = _digest_map(report)
     for key, digest in digests.items():
         flow_key = key.replace(f"optimize/{spec}",
@@ -368,17 +285,12 @@ def test_optimize_oracle_cells_replay_flow_goldens():
 @pytest.mark.parametrize("workers",
                          tuple(dict.fromkeys((0,) + _worker_counts())))
 def test_runner_cells_match_committed_golden_file(workers):
-    """Ramp, mobility, chaos and cohort cells replay their pinned
-    trace, summary and outcome digests, in-process and across worker
-    processes."""
-    golden = json.loads(RUNNER_GOLDEN_PATH.read_text())
-    assert golden["duration_s"] == RUNNER_CELL_S
-    assert replay_runner_cells(workers) == golden["cells"], (
-        "Runner cells drifted from tests/golden/runner_digests.json.  "
-        "If this change to the simulation is intentional, regenerate "
-        "with `python tests/golden/regenerate_determinism.py` and "
-        "commit it; otherwise the determinism contract has been "
-        "broken.")
+    """Ramp, mobility, chaos and cohort cells replay their golden rows,
+    in-process and across worker processes."""
+    golden = golden_rows()
+    for key, row in replay_runner_cells(workers).items():
+        assert row.items() <= golden[f"a/{key}"].items(), (
+            f"a/{key} moved. {REGENERATE}")
 
 
 def _shape_specs():

@@ -133,6 +133,34 @@ def test_token_bucket_admission_is_per_client_fair():
     assert ledger.enqueued == ADMISSION_BURST + 1
 
 
+def test_admission_takes_no_token_for_state_fetches(monkeypatch):
+    """A roaming cell with stateful sift and flow on: matching's state
+    fetches reach sift's sidecar, and admission, which meters client
+    frames, never rejects one."""
+    from repro.dsp.record import RecordKind
+    from repro.experiments.runner import MobilitySpec
+    from repro.scatterpp.sidecar import Sidecar
+
+    offered, rejected, enqueue = [], [], Sidecar.enqueue
+
+    def watched(self, record, **kwargs):
+        before = self.stats.rejected
+        admitted = enqueue(self, record, **kwargs)
+        if self.flow:
+            offered.append(record.kind)
+        if self.stats.rejected > before:
+            rejected.append(record.kind)
+        return admitted
+
+    monkeypatch.setattr(Sidecar, "enqueue", watched)
+    run_experiment(ExperimentSpec(
+        baseline_configs()["C1"], 2, duration_s=8.0, seed=0,
+        scatterpp=True, stateless_sift=False, flow=True,
+        mobility=MobilitySpec(mean_dwell_s=2.5, min_dwell_s=2.0)))
+    assert RecordKind.FETCH in offered
+    assert RecordKind.FETCH not in rejected
+
+
 # ----------------------------------------------------------------------
 # SidecarStats ratios
 # ----------------------------------------------------------------------

@@ -315,14 +315,6 @@ def test_trace_digest_differs_when_trajectory_differs():
     assert run_once(1.0) != run_once(2.0)
 
 
-def test_trace_digest_can_be_disabled():
-    sim = Simulator(digest=False)
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    assert sim.fingerprint() is None
-    assert sim.digest is None
-
-
 # ----------------------------------------------------------------------
 # Property-based: random waitable-DAG programs
 # ----------------------------------------------------------------------
@@ -792,13 +784,6 @@ def test_profiler_breaks_down_by_event_kind():
     totals = [record.total_ms for record in ranked.values()]
     assert totals == sorted(totals, reverse=True)
 
-
-def test_profiler_works_with_digest_disabled():
-    sim = Simulator(digest=False, profile=True)
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    assert sim.fingerprint() is None
-    assert sim.profile.events == 1
 
 # ----------------------------------------------------------------------
 # Timer-population scenarios: far-future spread, storms, cancellation,
