@@ -1,6 +1,6 @@
 """Event-kernel hot-path benchmark: optimized kernel vs reference twin.
 
-Two arms, both anchored to :mod:`repro.sim.reference` (the verbatim
+Two arms, both anchored to :mod:`repro.sim.reference` (the
 pre-optimization kernel, kept as an executable baseline):
 
 * **Kernel microbench** — a mixed process workload (plain timeouts,

@@ -274,13 +274,20 @@ def _quarantine(tasks: List[Tuple[int, CellTask]],
 def _run_on_pool(pending: List[Tuple[int, CellTask]], workers: int,
                  outcomes: Dict[int, TaskOutcome],
                  reporter: _Reporter) -> None:
-    """Execute ``pending`` on the warm pool, one future per task."""
+    """Execute ``pending`` on the warm pool, one future per task.
+
+    Tasks are submitted longest first (by ``clients × duration_s``,
+    plan order among equals), so a long cell never starts last and
+    leaves the other workers idle; outcomes are filed by plan index.
+    """
     pool = warm_pool(effective_workers(workers))
     futures = {}
     casualties: List[Tuple[int, CellTask]] = []
     broken = False
+    longest_first = sorted(
+        pending, key=lambda pair: -pair[1].clients * pair[1].duration_s)
     try:
-        for index, task in pending:
+        for index, task in longest_first:
             try:
                 futures[pool.submit(_execute, task)] = (index, task)
             except BrokenProcessPool:

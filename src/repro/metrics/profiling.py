@@ -8,9 +8,9 @@ stages (``sift.detect``, ``fisher.encode``, ``lsh.query``, ...) so
 speedups are measured per kernel instead of asserted, and so a
 regression in one stage cannot hide behind an improvement in another.
 :class:`EventProfile` does the same for the event loop itself,
-attributing callback wall time to event kinds (``Process._resume``,
-``Timeout._expire``, ...) when ``Simulator(profile=True)`` asks for
-it.
+attributing callback wall time to event kinds (``Timeout._expire``,
+a resumed generator such as ``Sidecar._dispatch_loop``, ...) when
+``Simulator(profile=True)`` asks for it.
 
 Design constraints:
 
@@ -116,11 +116,15 @@ class EventProfile:
 
     Opt-in via ``Simulator(profile=True)``: the kernel's profiled loop
     wraps every callback in a ``perf_counter_ns`` pair and attributes
-    the elapsed time to the event's *kind* (the callback's qualified
-    name — the same label the trace digest hashes).  The result says
-    where campaign wall-clock actually goes — ``Process._resume`` vs
-    ``Signal.fire`` vs a service's delivery handler — so the next
-    kernel optimization is measured, not guessed.
+    the elapsed time to the event's *kind*: the callback's qualified
+    name (the label the trace digest hashes), except that a process
+    resume is named after the generator it resumes.  A resume the
+    kernel runs in place, inside the timeout expiry that woke it, is
+    timed on its own under that same generator name and taken out of
+    the expiry's time.  The result says where campaign wall-clock
+    actually goes — timer expiries vs the sidecar's dispatch loop vs a
+    service's delivery handler — so the next kernel optimization is
+    measured, not guessed.
 
     Profiling is purely observational: it schedules no events, draws
     no RNG and never touches the digest, so fingerprints with the
@@ -129,20 +133,34 @@ class EventProfile:
     deterministic; durations naturally vary with the host.
     """
 
-    __slots__ = ("_calls", "_total_ns", "events")
+    __slots__ = ("_calls", "_total_ns", "events", "in_place",
+                 "in_place_ns")
 
     def __init__(self) -> None:
         self._calls: Dict[str, int] = {}
         self._total_ns: Dict[str, int] = {}
+        #: Events the kernel executed (each also a trace record).
         self.events = 0
+        #: Resumes run in place inside another event, and their time.
+        self.in_place = 0
+        self.in_place_ns = 0
 
-    def record(self, kind: str, elapsed_ns: int) -> None:
-        """Attribute one executed event's wall time to ``kind``."""
+    def _add(self, kind: str, elapsed_ns: int) -> None:
         calls = self._calls
         calls[kind] = calls.get(kind, 0) + 1
         total = self._total_ns
         total[kind] = total.get(kind, 0) + elapsed_ns
+
+    def record(self, kind: str, elapsed_ns: int) -> None:
+        """Attribute one executed event's wall time to ``kind``."""
+        self._add(kind, elapsed_ns)
         self.events += 1
+
+    def record_in_place(self, kind: str, elapsed_ns: int) -> None:
+        """Attribute one in-place resume's wall time to ``kind``."""
+        self._add(kind, elapsed_ns)
+        self.in_place += 1
+        self.in_place_ns += elapsed_ns
 
     @property
     def total_ms(self) -> float:
@@ -174,5 +192,6 @@ class EventProfile:
                            "mean_ms": record.mean_ms,
                            "share": share}
         return {"events": self.events,
+                "in_place": self.in_place,
                 "total_ms": total_ns / 1e6,
                 "kinds": kinds}

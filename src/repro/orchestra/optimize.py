@@ -495,27 +495,37 @@ class PlacementSearch:
     def run(self) -> OptimizationReport:
         config = self.config
         rng = random.Random(config.seed)
-        archive: Dict[str, Objectives] = {}
-        oracle_calls: List[Dict] = []
-        generation_log: List[Dict] = []
-        evaluations = 0
+        # Sampling reads no result (only the budget and the dedup do,
+        # and they read specs), so every round is planned first and
+        # the oracle runs all of them as one batch.
+        rounds: List[List[str]] = []
+        planned: set = set()
         population = self.seed_population(rng)
-
         for generation in range(config.generations + 1):
             new_specs = []
             for genome in population:
                 spec = genome.encode()
-                if spec not in archive and spec not in new_specs:
+                if spec not in planned and spec not in new_specs:
                     new_specs.append(spec)
             if config.budget is not None:
-                remaining = config.budget - evaluations
+                remaining = config.budget - len(planned)
                 new_specs = new_specs[:max(0, remaining)]
-            if new_specs:
-                results, calls = self.oracle.evaluate(new_specs)
-                archive.update(results)
-                oracle_calls.extend(calls)
-                evaluations += len(new_specs)
+            rounds.append(new_specs)
+            planned.update(new_specs)
+            exhausted = (config.budget is not None
+                         and len(planned) >= config.budget)
+            if generation == config.generations or exhausted:
+                break
+            population = [self.space.random_genome(rng)
+                          for __ in range(config.population)]
 
+        specs = [spec for new_specs in rounds for spec in new_specs]
+        results, oracle_calls = (self.oracle.evaluate(specs) if specs
+                                 else ({}, []))
+        archive: Dict[str, Objectives] = {}
+        generation_log: List[Dict] = []
+        for generation, new_specs in enumerate(rounds):
+            archive.update((spec, results[spec]) for spec in new_specs)
             front = pareto_front(archive)
             generation_log.append({
                 "generation": generation,
@@ -527,20 +537,12 @@ class PlacementSearch:
                 "best_capacity": max(
                     (o.capacity for __, o in front), default=0),
             })
-            exhausted = (config.budget is not None
-                         and evaluations >= config.budget)
-            if generation == config.generations or exhausted:
-                break
-            population = [self.space.random_genome(rng)
-                          for __ in range(config.population)]
 
-        # The last round always ranks the archive before it breaks.
         return OptimizationReport(
             config=config.as_dict(),
-            front=[{"genome": spec, "objectives": objectives.as_dict()}
-                   for spec, objectives in front],
+            front=generation_log[-1]["front"],
             generations=generation_log,
-            evaluations=evaluations,
+            evaluations=len(specs),
             oracle_calls=oracle_calls,
             cache=self.oracle.cache_report()
             if hasattr(self.oracle, "cache_report") else None)

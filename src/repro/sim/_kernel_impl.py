@@ -33,9 +33,20 @@ without compromising the determinism contract:
 * waiter discards tombstone their slot in O(1) instead of an O(n)
   ``list.remove``, so interrupt-heavy runs with large waiter lists do
   not go quadratic.  Wake order is unchanged: survivors keep their
-  subscription order, exactly as ``list.remove`` preserved it.
+  subscription order, exactly as ``list.remove`` preserved it;
+* ``Simulator.now`` is a plain slot, not a property.
 
-The pre-optimization kernel survives verbatim in
+One rule changes the event stream, and both kernels share it: an
+event whose only act is to wake (a :class:`Timeout` expiring, which
+includes the zero-delay grants of :mod:`repro.sim.resources`) resumes
+its waiter inside the event when exactly one live waiter is subscribed
+and nothing else is due at ``now`` (ready lane empty, heap top
+strictly later).  The queued resume would have been the very next
+event, so every callback runs in the same order; the resume takes no
+sequence number, which lowers every later one alike, and writes no
+digest record.  Every other wake is queued as before.
+
+The pre-optimization kernel survives, with only that rule added, in
 :mod:`repro.sim.reference`; equivalence tests replay identical
 programs through both and require byte-identical fingerprints.
 """
@@ -46,6 +57,7 @@ import hashlib
 import heapq
 import struct
 from collections import deque
+from time import perf_counter_ns
 from types import MethodType
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
@@ -256,7 +268,7 @@ class Waitable:
         self._dead = 0
         sim = self.sim
         ready_append = sim._ready.append
-        now = sim._now + 0.0
+        now = sim.now + 0.0
         seq = sim._seq
         args = (self,)
         for waiter in waiters:
@@ -293,7 +305,9 @@ class Timeout(Waitable):
     already validated non-negative), and ``_expire`` inlines
     :meth:`Waitable.fire` minus the double-fire guard it performs
     itself.  Heap tuple layout and seq accounting match ``schedule``
-    exactly, so event order is untouched.
+    exactly, so event order is untouched.  An expiry with one live
+    waiter and nothing else due resumes that waiter in place (see the
+    module docstring).
     """
 
     __slots__ = ("delay",)
@@ -312,10 +326,10 @@ class Timeout(Waitable):
         sim._seq = seq
         if delay:
             _heappush(sim._heap,
-                      (sim._now + delay, seq, self._expire, (value,)))
+                      (sim.now + delay, seq, self._expire, (value,)))
         else:
             sim._ready.append(
-                (sim._now + delay, seq, self._expire, (value,)))
+                (sim.now + delay, seq, self._expire, (value,)))
 
     def _expire(self, value: Any) -> None:
         if self.fired:
@@ -328,10 +342,28 @@ class Timeout(Waitable):
         if not waiters:
             return
         self._waiters = []
+        live = len(waiters) - self._dead
         self._dead = 0
         sim = self.sim
-        ready_append = sim._ready.append
-        now = sim._now + 0.0
+        ready = sim._ready
+        if live == 1 and not ready:
+            heap = sim._heap
+            if not heap or heap[0][0] > sim.now:
+                # A lone waiter with nothing else due now: its queued
+                # resume would be the very next event, so it runs here
+                # instead, with no sequence number and no record (the
+                # module docstring says why order holds).
+                waiter = waiters[0]
+                if waiter is None:
+                    waiter = next(entry for entry in waiters
+                                  if entry is not None)
+                if sim.profile is None:
+                    waiter._resume(self)
+                else:
+                    sim._resume_profiled(waiter, self)
+                return
+        ready_append = ready.append
+        now = sim.now + 0.0
         seq = sim._seq
         args = (self,)
         for waiter in waiters:
@@ -447,7 +479,7 @@ class Process(Waitable):
         # ready lane (``+ 0.0`` matches schedule's arithmetic exactly).
         seq = sim._seq + 1
         sim._seq = seq
-        sim._ready.append((sim._now + 0.0, seq, self._resume, (None,)))
+        sim._ready.append((sim.now + 0.0, seq, self._resume, (None,)))
 
     @property
     def alive(self) -> bool:
@@ -513,7 +545,7 @@ class Process(Waitable):
             sim = self.sim
             seq = sim._seq + 1
             sim._seq = seq
-            sim._ready.append((sim._now + 0.0, seq, self._resume, (target,)))
+            sim._ready.append((sim.now + 0.0, seq, self._resume, (target,)))
         else:
             self._wait_index = len(target._waiters)
             target._waiters.append(self)
@@ -523,10 +555,13 @@ class Process(Waitable):
         return f"<Process {self.name} {state}>"
 
 
+_PROCESS_RESUME = Process._resume
+
+
 class Simulator:
     """Owns virtual time and the event heap."""
 
-    __slots__ = ("_heap", "_ready", "_now", "_seq", "_running",
+    __slots__ = ("_heap", "_ready", "now", "_seq", "_running",
                  "digest", "profile", "_kind_names")
 
     def __init__(self, profile: bool = False) -> None:
@@ -542,7 +577,10 @@ class Simulator:
         #: The run loops merge the two lanes by comparing heads, which
         #: preserves the heap-only execution order exactly.
         self._ready: deque = deque()
-        self._now = 0.0
+        #: Current virtual time in seconds: a plain slot, read on
+        #: every event by every model layer (a property would cost a
+        #: call each time).
+        self.now = 0.0
         self._seq = 0
         self._running = False
         #: Running trace fingerprint.
@@ -559,11 +597,6 @@ class Simulator:
             self.profile = None
         #: callback-function -> kind-string memo for the profiler.
         self._kind_names: Dict[Any, str] = {}
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     def fingerprint(self) -> str:
         """Hex trace digest of every event executed so far.
@@ -586,9 +619,9 @@ class Simulator:
         seq = self._seq + 1
         self._seq = seq
         if delay:
-            _heappush(self._heap, (self._now + delay, seq, callback, args))
+            _heappush(self._heap, (self.now + delay, seq, callback, args))
         else:
-            self._ready.append((self._now + delay, seq, callback, args))
+            self._ready.append((self.now + delay, seq, callback, args))
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
@@ -619,7 +652,7 @@ class Simulator:
                 self._run_digested(until)
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     # The two loops are structurally identical; they are kept separate
     # so the default run pays for exactly the instrumentation it asked
@@ -670,9 +703,9 @@ class Simulator:
                 when, seq, callback, args = event
                 if when > stop_at:
                     _heappush(heap, event)
-                    self._now = until  # type: ignore[assignment]
+                    self.now = until  # type: ignore[assignment]
                     return
-                self._now = when
+                self.now = when
                 # Inlined TraceDigest.record_event — the per-event
                 # call overhead is measurable at campaign scale.  Keep
                 # in sync with the method.
@@ -698,8 +731,8 @@ class Simulator:
                     hash_update(b"".join(pending))
                     pending.clear()
                 callback(*args)
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             # Counted locally in the loop; synced even when a callback
             # raises or the run stops at ``until``.
@@ -708,12 +741,11 @@ class Simulator:
                 self._spill_ready()
 
     def _run_profiled(self, until: Optional[float]) -> None:
-        from time import perf_counter_ns
-
         heap = self._heap
         pop = _heappop
         record = self.digest.record_event
-        profile_event = self.profile.record  # type: ignore[union-attr]
+        profile = self.profile
+        profile_event = profile.record  # type: ignore[union-attr]
         kind_of = self._kind_name
         ready = self._ready
         ready_popleft = ready.popleft
@@ -732,30 +764,52 @@ class Simulator:
                 when, seq, callback, args = event
                 if when > stop_at:
                     _heappush(heap, event)
-                    self._now = until  # type: ignore[assignment]
+                    self.now = until  # type: ignore[assignment]
                     return
-                self._now = when
+                self.now = when
                 record(when, seq, callback)
+                # Resumes run in place inside this event are timed on
+                # their own; their time is taken out of the event's.
+                nested_ns = profile.in_place_ns
                 started = perf_counter_ns()
                 callback(*args)
                 profile_event(kind_of(callback),
-                              perf_counter_ns() - started)
-            if until is not None and until > self._now:
-                self._now = until
+                              perf_counter_ns() - started
+                              - (profile.in_place_ns - nested_ns))
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             if ready:
                 self._spill_ready()
 
+    def _resume_profiled(self, waiter: Any, waitable: Waitable) -> None:
+        """Run a waiter's resume in place, timed on its own.
+
+        :meth:`Timeout._expire` calls this instead of
+        ``waiter._resume`` when the profiler is on, so a resume's time
+        lands under the resumed generator, whether it ran queued or in
+        place, and the profiled loop takes it out of the expiry's.
+        """
+        started = perf_counter_ns()
+        waiter._resume(waitable)
+        self.profile.record_in_place(  # type: ignore[union-attr]
+            self._kind_name(waiter._resume), perf_counter_ns() - started)
+
     def _kind_name(self, callback: Callable[..., None]) -> str:
         """Memoized :func:`_event_kind` (profiler bookkeeping).
 
-        Bound methods — the overwhelming majority of callbacks — key
-        on their underlying function, a small stable set.  Everything
-        else derives its kind directly; memoizing per-call objects
+        A process resume is named after the generator it resumes
+        (``Sidecar._dispatch_loop``, not ``Process._resume``), so the
+        profile says which model code the time went to.  Other bound
+        methods — most of the remaining callbacks — key on their
+        underlying function, a small stable set.  Everything else
+        derives its kind directly; memoizing per-call objects
         (lambdas, bound builtins) would only grow the table.
         """
         if type(callback) is MethodType:
             func = callback.__func__
+            if func is _PROCESS_RESUME:
+                return _event_kind(callback.__self__._generator)
             kind = self._kind_names.get(func)
             if kind is None:
                 kind = _event_kind(func)

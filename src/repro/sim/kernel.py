@@ -10,8 +10,9 @@ order ⇒ byte-identical trace digests):
     zero-delay ready lane, buffered digest and slotted waitables.
 
 ``reference``
-    :mod:`repro.sim.reference` — the verbatim pre-optimization kernel
-    kept as the equivalence witness.  Exposed here so a whole
+    :mod:`repro.sim.reference` — the pre-optimization kernel, plus
+    the in-place wake rule both kernels share, kept as the
+    equivalence witness.  Exposed here so a whole
     experiment stack can be replayed on the witness
     (``REPRO_SIM_KERNEL=reference python -m repro run ...``); a thin
     shim adds the newer ``profile``/``wheel_stats`` surface without

@@ -1,10 +1,16 @@
 """Reference (pre-optimization) event kernel — the correctness twin.
 
-This is the event loop exactly as it stood before the hot-path
-overhaul of :mod:`repro.sim.kernel`: no ``__slots__``, a peek-then-pop
-``run()`` loop, an unbuffered :class:`TraceDigest` that folds every
-event into blake2b one ``update()`` pair at a time, and an O(n)
-``list.remove`` waiter discard.  It is kept verbatim for two jobs:
+This is the event loop as it stood before the hot-path overhaul of
+:mod:`repro.sim.kernel`: no ``__slots__``, a peek-then-pop ``run()``
+loop, an unbuffered :class:`TraceDigest` that folds every event into
+blake2b one ``update()`` pair at a time, and an O(n) ``list.remove``
+waiter discard.  One rule was added since, because it changes the
+event stream and both kernels must walk the same one: a
+:class:`Timeout` expiring with exactly one waiter, and nothing else due
+at ``now`` (heap top strictly later), resumes that waiter inside its
+own event, with no sequence number and no digest record.  The queued
+resume would have been the very next event, so callbacks run in the
+same order.  The kernel is kept for two jobs:
 
 * **equivalence witness** — ``tests/test_sim_kernel.py`` replays
   identical programs and identical ``(when, seq, kind)`` streams
@@ -15,9 +21,10 @@ event into blake2b one ``update()`` pair at a time, and an O(n)
   the reported speedup is against the real pre-PR code, not a guess.
 
 Like :mod:`repro.vision.reference`, this module trades speed for
-obviousness and must not be "optimized": its value is that it does not
-change.  Both kernels interoperate through ``sim.schedule`` only, so a
-reference ``Simulator`` can drive the full experiment stack.
+obviousness and must not be "optimized": it changes only with a rule
+that changes the event stream of both kernels.  Both kernels
+interoperate through ``sim.schedule`` only, so a reference
+``Simulator`` can drive the full experiment stack.
 """
 
 from __future__ import annotations
@@ -144,7 +151,17 @@ class Timeout(Waitable):
         sim.schedule(delay, self._expire, value)
 
     def _expire(self, value: Any) -> None:
-        if not self.fired:
+        if self.fired:
+            return
+        sim = self.sim
+        if len(self._waiters) == 1 and (not sim._heap
+                                        or sim._heap[0][0] > sim._now):
+            # The lone waiter's queued resume would be the very next
+            # event: run it here, with no sequence number and no record.
+            self.fired = True
+            self.value = value
+            self._waiters.pop()._resume(self)
+        else:
             self.fire(value)
 
 

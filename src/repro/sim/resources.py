@@ -29,13 +29,16 @@ class Resource:
         return len(self._queue)
 
     def acquire(self) -> Waitable:
-        """Return a waitable that fires once a slot is granted."""
-        grant = self.sim.signal()
+        """Return a waitable that fires once a slot is granted.
+
+        A free slot is granted by a zero-delay timeout, so the kernel
+        can resume a lone waiter inside the grant's event.
+        """
         if self._in_use < self.capacity:
             self._in_use += 1
-            self.sim.schedule(0.0, grant.fire, None)
-        else:
-            self._queue.append(grant)
+            return self.sim.timeout(0.0)
+        grant = self.sim.signal()
+        self._queue.append(grant)
         return grant
 
     def try_acquire(self) -> bool:
@@ -80,13 +83,15 @@ class Store:
         self._items.append(item)
 
     def get(self) -> Waitable:
-        """Return a waitable firing with the next item (FIFO)."""
-        grant = self.sim.signal()
+        """Return a waitable firing with the next item (FIFO).
+
+        A queued item is handed over by a zero-delay timeout, as
+        :meth:`Resource.acquire` grants a free slot.
+        """
         if self._items:
-            item = self._items.popleft()
-            self.sim.schedule(0.0, grant.fire, item)
-        else:
-            self._getters.append(grant)
+            return self.sim.timeout(0.0, self._items.popleft())
+        grant = self.sim.signal()
+        self._getters.append(grant)
         return grant
 
     def get_nowait(self) -> Any:

@@ -216,7 +216,8 @@ def test_cached_rerun_matches_serial_and_golden(serial_report,
 def test_event_profiler_is_inert_on_a_real_cell():
     """``profile=True`` must not perturb the trajectory of a full
     experiment cell — same trace digest, same delivered frames — while
-    still reporting a per-event-kind breakdown."""
+    still reporting a per-event-kind breakdown, with every resume,
+    queued or in place, under the generator it resumed."""
     from repro.scatter.config import baseline_configs
 
     placement = baseline_configs()["C1"]
@@ -230,8 +231,15 @@ def test_event_profiler_is_inert_on_a_real_cell():
     assert [c.received for c in profiled.clients] == \
         [c.received for c in base.clients]
     report = profiled.event_profile
-    assert report is not None and report["events"] > 0
-    assert "Process._resume" in report["kinds"]
+    assert report is not None
+    assert report["events"] == profiled.testbed.sim.digest.events
+    assert report["in_place"] > 0
+    kinds = report["kinds"]
+    assert "Process._resume" not in kinds
+    assert {"Sidecar._dispatch_loop", "ArClient._stream",
+            "Timeout._expire"} <= kinds.keys()
+    assert sum(kind["calls"] for kind in kinds.values()) == \
+        report["events"] + report["in_place"]
 
 
 def test_flow_on_walks_a_different_trajectory():

@@ -2,12 +2,14 @@
 
 A campaign cell's cost is its events times the Python work each event
 does.  The scAtteR++ sidecar runs the hand-off to its co-located
-service inline (DESIGN.md §19), which keeps scAtteR++ within twice
-scAtteR's events per sent frame.  A sidecar round runs in one
-generator that resumes the stage's ``process`` and the device's
-generator directly (DESIGN.md §22), so a budget cell makes 8.2–9.6
-calls into ``repro`` per event (8.9 over all six cells), where it made
-10.9–12.7 (11.9) when a round resumed seven generators.
+service inline (DESIGN.md §19), a sidecar round runs in one generator
+that resumes the stage's ``process`` and the device's generator
+directly (DESIGN.md §22), and a timeout or grant with one waiter and
+nothing else due resumes that waiter inside its own event (DESIGN.md
+§23).  So a scAtteR++ preset runs 22.1–25.3 events per sent frame on
+the budget cells (24.6–33.1 before §23) and a budget cell makes
+9.6–10.9 calls into ``repro`` per event (10.3 over all six cells):
+fewer calls per cell, spread over fewer events.
 
 Each cell pins its exact event count and frames sent — both repeat
 exactly for a seed — so any change that adds or removes events shows
@@ -33,31 +35,32 @@ from repro.sim import _kernel_impl, kernel, reference
 #: Run length of every budget cell.
 BUDGET_CELL_S = 5.0
 
-#: Most events a scAtteR++ preset may run per sent frame: twice
-#: scAtteR's 16.8 on the 30 s seed-0 perfbench cell, rounded up.
-MAX_SCATTERPP_EVENTS_PER_FRAME = 34.0
+#: Most events a scAtteR++ preset may run per sent frame: the most a
+#: budget cell runs (25.3, the cohort cell; the 30 s perfbench cells
+#: run at most 24.4 at seeds 0-2), rounded up.
+MAX_SCATTERPP_EVENTS_PER_FRAME = 26.0
 
 #: (pipeline, placement, clients) -> (events, frames sent) at seed 0:
 #: the perfbench ``cells`` list, cut to 5 s.
 BUDGET_CELLS = {
-    ("scatter", "C12", 4): (8004, 602),
-    ("scatterpp", "C2", 3): (14714, 452),
-    ("scatterpp-flow", "C1", 3): (12705, 452),
-    ("mobility", "C1", 3): (14345, 452),
-    ("cohort", "C1", 2): (9981, 302),
-    ("optimize", "C21", 2): (9845, 302),
+    ("scatter", "C12", 4): (5939, 602),
+    ("scatterpp", "C2", 3): (11111, 452),
+    ("scatterpp-flow", "C1", 3): (10009, 452),
+    ("mobility", "C1", 3): (10145, 452),
+    ("cohort", "C1", 2): (7652, 302),
+    ("optimize", "C21", 2): (7194, 302),
 }
 
 #: The same cells -> Python calls into ``repro`` code over one
 #: ``run_experiment``: ``sys.setprofile`` "call" events, each generator
 #: resume included, counted on CPython 3.11 with the optimized kernel.
 BUDGET_CALLS = {
-    ("scatter", "C12", 4): 76008,
-    ("scatterpp", "C2", 3): 123183,
-    ("scatterpp-flow", "C1", 3): 121643,
-    ("mobility", "C1", 3): 118171,
-    ("cohort", "C1", 2): 91185,
-    ("optimize", "C21", 2): 90615,
+    ("scatter", "C12", 4): 65016,
+    ("scatterpp", "C2", 3): 106248,
+    ("scatterpp-flow", "C1", 3): 105521,
+    ("mobility", "C1", 3): 102692,
+    ("cohort", "C1", 2): 79692,
+    ("optimize", "C21", 2): 78318,
 }
 
 #: Processes and steps per process of the kernel microbench mix
@@ -67,10 +70,11 @@ MICROBENCH_STEPS = 60
 
 #: Kernel -> (Python calls, events) over one run of the microbench
 #: mix, every call counted (the mix's own generators included), on
-#: CPython 3.11: 7.29 and 3.26 calls per event, as at full size.
+#: CPython 3.11: 7.36 and 3.33 calls per event.  The mix's quantized
+#: delays make most wakes tie, so few of them resume in place.
 MICROBENCH_CALLS = {
-    "reference": (23321, 3200),
-    "optimized": (10425, 3200),
+    "reference": (23045, 3131),
+    "optimized": (10425, 3131),
 }
 
 _REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
